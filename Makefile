@@ -1,6 +1,6 @@
 # Developer conveniences for the ABS reproduction.
 
-.PHONY: install test test-fast test-process test-backends test-exchange test-tcp test-analysis test-diverse test-service analyze docs-check lint check bench bench-full bench-exchange bench-cluster bench-service bench-list trace-demo examples clean
+.PHONY: install test test-fast test-process test-backends test-exchange test-tcp test-analysis test-diverse test-service analyze docs-check lint check bench bench-full bench-exchange bench-cluster bench-service bench-list bench-e2e bench-compare trace-demo examples clean
 
 install:
 	pip install -e .[test]
@@ -70,6 +70,13 @@ bench-cluster:          ## round throughput: N socket workers (tcp) vs shm -> BE
 bench-service:          ## warm fleet vs cold one-shot jobs/sec + cache hits -> BENCH_service.json
 	pytest benchmarks/bench_service.py -q
 
+bench-e2e:              ## repository benchmark, all four workloads (extra flags via ARGS="--workload W --out F")
+	python -m benchmarks.e2e run $(ARGS)
+
+bench-compare:          ## compare two e2e result files against the BENCHMARK.json bounds: A=old.json B=new.json (FILE#SET works)
+	@test -n "$(A)" -a -n "$(B)" || { echo "usage: make bench-compare A=<results.json[#set]> B=<results.json[#set]>"; exit 2; }
+	python -m benchmarks.e2e compare "$(A)" "$(B)"
+
 bench-list:             ## list benchmark artifacts (canonical home: benchmarks/results/)
 	@ls -1 benchmarks/results/BENCH_*.json 2>/dev/null || echo "no artifacts yet -- run make bench (writes benchmarks/results/BENCH_<name>.json)"
 
@@ -82,6 +89,6 @@ trace-demo:             ## traced solve + schema validation of the JSONL trace
 examples:
 	for f in examples/*.py; do echo "== $$f"; python $$f || exit 1; done
 
-clean:
-	rm -rf build dist *.egg-info benchmarks/results .pytest_cache
+clean:                  ## build/test leftovers only: never a committed path (benchmarks/results/ is evidence)
+	rm -rf build dist *.egg-info .pytest_cache benchmarks/e2e/.work
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -1,23 +1,23 @@
 """The Adaptive Bulk Search framework (paper §3, Figure 5).
 
 A CPU **host** runs the genetic algorithm over a sorted solution pool
-and writes *target solutions* into a target buffer; **devices**
-(simulated GPUs) pull targets, run a straight search followed by a bulk
-local search in every block, and push each block's best solution back
-through a solution buffer.  Host and devices never synchronize
-directly — they exchange data only through the buffers, so devices keep
-searching at full rate even when the host lags.
+and publishes *target solutions* to the devices; **devices** (simulated
+GPUs) pull targets, run a straight search followed by a bulk local
+search in every block, and push each block's best solution back.  Host
+and devices never synchronize directly — in process mode they exchange
+data only through the :mod:`repro.abs.exchange` buffers, so devices
+keep searching at full rate even when the host lags.
 
 Two execution modes are provided by :class:`~repro.abs.solver.AdaptiveBulkSearch`:
 
 - ``"sync"`` — everything in one process, rounds interleaved
   deterministically.  Reproducible; used by tests and TTS benchmarks.
 - ``"process"`` — one OS process per simulated GPU (the multi-GPU
-  configuration of Figure 5), weights shared via shared memory,
-  targets/solutions exchanged through the :mod:`repro.abs.exchange`
-  transport (bit-packed shared-memory rings by default; a
-  ``multiprocessing.Queue`` fallback via ``exchange="queue"``).  Used
-  by the Figure 8 scaling benchmark.
+  configuration of Figure 5) on a :class:`~repro.abs.fleet.WorkerFleet`,
+  weights shared via shared memory, targets/solutions exchanged through
+  the :mod:`repro.abs.exchange` transport (bit-packed shared-memory
+  rings by default; ``exchange="queue"`` or ``"tcp"`` on request).
+  Used by the Figure 8 scaling benchmark.
 """
 
 from repro.abs.adaptive import VariantController, WindowAdapter
@@ -28,7 +28,6 @@ from repro.abs.decompose import (
     DecompositionResult,
     DecompositionSolver,
 )
-from repro.abs.buffers import SolutionBuffer, TargetBuffer
 from repro.abs.device import DeviceSimulator
 from repro.abs.exchange import (
     EXCHANGE_NAMES,
@@ -67,8 +66,6 @@ __all__ = [
     "load_pool",
     "AbsConfig",
     "resolve_windows",
-    "TargetBuffer",
-    "SolutionBuffer",
     "EXCHANGE_NAMES",
     "resolve_exchange",
     "TargetMailbox",

@@ -1,12 +1,10 @@
-"""Host ↔ device exchange buffers (Figure 5).
+"""Shared weights and the bit-packed solution wire format (Figure 5).
 
-In the paper the target and solution buffers live in GPU global memory
-and carry a global counter the host polls with ``cudaMemcpyAsync``.
-Here:
+In the paper the weight matrix sits in every GPU's global memory and
+solutions travel as packed bit vectors.  Here (the target and solution
+buffers themselves are the exchange transports of
+:mod:`repro.abs.exchange`):
 
-- :class:`TargetBuffer` / :class:`SolutionBuffer` are the in-process
-  equivalents (plain arrays plus monotone counters) used by the sync
-  mode and by unit tests of the protocol;
 - :class:`SharedWeights` places the (large, read-only) weight matrix in
   POSIX shared memory so the multi-process mode never pickles or copies
   it per worker — the analogue of each GPU holding ``W`` in its global
@@ -19,13 +17,9 @@ Here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import Iterable
 
 import numpy as np
-
-from repro.utils.validation import check_bit_vector
 
 
 def packed_length(n: int) -> int:
@@ -58,93 +52,6 @@ def unpack_solutions(packed: np.ndarray, n: int) -> np.ndarray:
             f"(want {packed_length(n)})"
         )
     return np.unpackbits(packed, axis=1, count=int(n))
-
-
-class TargetBuffer:
-    """Slots of target solutions written by the host, read by blocks.
-
-    A version counter increments on every write, so devices can detect
-    fresh targets without any lock: readers that race a write simply
-    see either the old or the new generation — both are valid targets
-    (exactly the paper's tolerance for asynchrony).
-    """
-
-    def __init__(self, n_slots: int, n: int) -> None:
-        if n_slots < 1:
-            raise ValueError(f"n_slots must be >= 1, got {n_slots}")
-        if n < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
-        self.n_slots = int(n_slots)
-        self.n = int(n)
-        self._slots = np.zeros((n_slots, n), dtype=np.uint8)
-        self.version = 0
-
-    def write(self, targets: np.ndarray | Iterable[np.ndarray]) -> None:
-        """Replace the slot contents; bumps the version counter.
-
-        Accepts a ``n_slots × n`` matrix or an iterable of bit vectors
-        (fewer than ``n_slots`` vectors wrap around to fill all slots).
-        """
-        if isinstance(targets, np.ndarray) and targets.ndim == 2:
-            if targets.shape != (self.n_slots, self.n):
-                raise ValueError(
-                    f"targets must have shape ({self.n_slots}, {self.n}), "
-                    f"got {targets.shape}"
-                )
-            self._slots[:] = targets
-        else:
-            vecs = [check_bit_vector(t, self.n, "target") for t in targets]
-            if not vecs:
-                raise ValueError("cannot write zero targets")
-            for s in range(self.n_slots):
-                self._slots[s] = vecs[s % len(vecs)]
-        self.version += 1
-
-    def read(self, slot: int) -> np.ndarray:
-        """The target for block ``slot`` (blocks map to slots mod n_slots)."""
-        return self._slots[slot % self.n_slots].copy()
-
-    def read_all(self) -> np.ndarray:
-        """A copy of all slots (one straight-search batch)."""
-        return self._slots.copy()
-
-
-@dataclass(frozen=True)
-class StoredSolution:
-    """One entry of the solution buffer."""
-
-    energy: int
-    x: np.ndarray
-
-
-class SolutionBuffer:
-    """Append buffer devices store results in; the host drains it.
-
-    ``counter`` is the paper's global counter: the host polls it and
-    drains only when it has advanced.
-    """
-
-    def __init__(self, n: int) -> None:
-        if n < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
-        self.n = int(n)
-        self._entries: list[StoredSolution] = []
-        self.counter = 0
-
-    def store(self, energy: int, x: np.ndarray) -> None:
-        """Device side: append a found solution and bump the counter."""
-        xb = check_bit_vector(x, self.n, "x")
-        self._entries.append(StoredSolution(int(energy), xb.copy()))
-        self.counter += 1
-
-    def drain(self) -> list[StoredSolution]:
-        """Host side: take all pending solutions (may be empty)."""
-        taken = self._entries
-        self._entries = []
-        return taken
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
 
 class SharedWeights:

@@ -150,7 +150,7 @@ class DeviceSimulator:
         The Step-5 gather is batched: ``energies`` is the ``(B,)``
         int64 per-block best energies and ``best_x`` the matching
         ``(B, n)`` uint8 solutions — two array copies instead of B
-        per-block ``StoredSolution`` objects.
+        per-block solution objects.
         """
         eng = self.engine
         c = eng.counters

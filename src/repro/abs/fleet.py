@@ -1,30 +1,25 @@
-"""Warm worker fleets: reusable process-mode plumbing for many solves.
+"""Worker fleets: the plumbing every process-mode solve runs on.
 
-Process mode pays a substantial fixed cost before the first round runs:
-spawning one OS process per simulated GPU, allocating the exchange
-transport (shared-memory mailboxes/rings, queues, or a TCP listener),
-copying the weight matrix into shared memory, and letting each worker's
-kernel backend prepare the weights.  For a single ``solve()`` that cost
-is unavoidable; for a *service* running many jobs it is pure waste —
-the paper's host/device split has no per-problem worker state beyond
-the weights and the GA targets, so the same fleet can be re-armed with
-a new problem instead of being torn down and respawned.
+Process mode runs one OS process per simulated GPU.  A
+:class:`WorkerFleet` owns those processes, the exchange transport
+(shared-memory mailboxes/rings, queues, or a TCP listener), the
+:class:`~repro.abs.supervisor.WorkerSupervisor` that restarts dead or
+stalled workers, and the host-side shared-memory weight segments.
+Every worker runs :func:`_fleet_worker_main`: a control loop that
+accepts ``WorkerJob`` frames over a per-worker control queue, re-arms
+the exchange endpoint under the job's epoch token, and runs the device
+rounds until the next frame (or shutdown) arrives.
 
-This module factors the fleet lifecycle out of
-:class:`~repro.abs.solver.AdaptiveBulkSearch` so both callers share one
-implementation:
+Two callers share one fleet implementation:
 
-- **one-shot** (``persistent=False``): exactly the classic
-  ``solve("process")`` shape — the solver passes its own spawn
-  callable, runs one job, and shuts the fleet down.  Wire behavior is
-  bit-identical to the pre-fleet solver: job sequence number 0 makes
-  every epoch token equal the plain incarnation number.
-- **persistent** (``persistent=True``): workers run
-  :func:`_fleet_worker_main`, a control loop that accepts ``JOB``
-  frames over a per-worker control queue, re-arms the exchange endpoint
-  under the new job's epoch token, and runs the standard device rounds
-  until the next frame (or shutdown) arrives.  Spawn, transport, and
-  backend-prepared weights all survive across jobs.
+- a one-shot ``solve("process")`` builds a fleet from its config
+  (:func:`fleet_params`), starts it, runs its single job through
+  :meth:`~repro.abs.solver.AdaptiveBulkSearch.solve_on_fleet`, and
+  shuts it down;
+- the solver service (:mod:`repro.service`) keeps a fleet up across a
+  whole job stream.  The paper's host/device split has no per-problem
+  worker state beyond the weights and the GA targets, so spawn,
+  transport, and backend-prepared weights survive from job to job.
 
 **Epoch tokens.**  The exchange layer already discards traffic whose
 epoch does not match (that is how worker restarts skip a predecessor's
@@ -33,10 +28,10 @@ stale targets).  The fleet widens the epoch into a token::
     token = job_seq * JOB_STRIDE + incarnation
 
 so one integer simultaneously identifies *which job* and *which
-incarnation of the worker slot* produced a frame.  Cross-job traffic
-(a result published microseconds before a re-arm) is filtered by the
-host exactly like a stale incarnation's, and ``job_seq == 0`` keeps
-one-shot solves on today's wire format.
+incarnation of the worker slot* produced a frame.  Job sequence
+numbers start at 1.  Cross-job traffic (a result published
+microseconds before a re-arm) is filtered by the host exactly like a
+stale incarnation's.
 
 **Re-arm handshake.**  ``arm_job`` rebinds every healthy worker's
 target channel to the new token, delivers one ``WorkerJob`` frame per
@@ -77,15 +72,13 @@ from repro.telemetry.bus import NULL_BUS, NullBus, RelayBus, TelemetryBus
 
 #: Epoch tokens pack ``(job_seq, incarnation)`` into one integer:
 #: ``job_seq * JOB_STRIDE + incarnation``.  The stride bounds restarts
-#: per job at ~1M — far beyond any restart budget — and keeps job 0
-#: tokens numerically equal to bare incarnations (one-shot solves
-#: produce exactly the pre-fleet wire traffic).
+#: per job at ~1M — far beyond any restart budget.
 JOB_STRIDE = 1 << 20
 
 #: Interval for worker control-queue polls and host ack polls.
 _POLL_INTERVAL = 0.25
 
-#: Sentinel control frame asking a persistent worker to exit cleanly.
+#: Sentinel control frame asking a worker to exit cleanly.
 _SHUTDOWN = "shutdown"
 
 
@@ -99,36 +92,6 @@ def encode_token(job_seq: int, incarnation: int) -> int:
 def decode_token(token: int) -> tuple[int, int]:
     """``token -> (job_seq, incarnation)``; inverse of :func:`encode_token`."""
     return divmod(int(token), JOB_STRIDE)
-
-
-def _counter_snapshot(
-    host: Host,
-    engine_counters: dict[str, int],
-    adapt_total: int,
-    extra: dict[str, int] | None = None,
-) -> dict[str, int]:
-    """Per-run counter snapshot for :attr:`SolveResult.counters`.
-
-    Derived from component state after the run finishes — available
-    whether or not a telemetry bus was attached.  ``pool.inserted``
-    includes the initial random seeding (Step 1 inserts at ``+∞``).
-    """
-    counts = host.ga_counts
-    snap = {
-        "host.solutions_absorbed": host.absorbed,
-        "pool.inserted": host.pool.inserted,
-        "pool.rejected_duplicate": host.pool.rejected_duplicate,
-        "pool.rejected_worse": host.pool.rejected_worse,
-        "pool.rejected_diverse": host.pool.rejected_diverse,
-        "ga.mutation": counts["mutation"],
-        "ga.crossover": counts["crossover"],
-        "ga.copy": counts["copy"],
-        "adapt.reassignments": adapt_total,
-    }
-    snap.update(engine_counters)
-    if extra:
-        snap.update(extra)
-    return dict(sorted(snap.items()))
 
 
 def _merge_counts(into: dict[str, int], add: dict[str, int]) -> None:
@@ -157,16 +120,36 @@ def _resolve_start_method(requested: str | None) -> str:
     return "fork" if "fork" in available else mp.get_start_method()
 
 
+def fleet_params(cfg: AbsConfig, n: int) -> dict[str, Any]:
+    """The :class:`WorkerFleet` a config needs for an ``n``-bit problem.
+
+    The one mapping from an :class:`AbsConfig` to fleet construction
+    arguments.  A one-shot ``solve("process")`` and the service build
+    their fleets from it, the service keys fleet reuse on it, and
+    ``solve_on_fleet`` refuses a fleet whose :attr:`WorkerFleet.params`
+    differ from it.
+    """
+    return {
+        "n": int(n),
+        "exchange": resolve_exchange(cfg.exchange),
+        "n_workers": cfg.n_gpus,
+        "n_blocks": cfg.blocks_per_gpu,
+        "max_restarts": cfg.max_worker_restarts,
+        "stall_timeout": cfg.worker_stall_timeout,
+        "start_method": cfg.start_method,
+    }
+
+
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class WorkerJob:
-    """One job assignment, shipped to a persistent worker as a frame.
+    """One job assignment, shipped to a worker as a control frame.
 
-    Carries everything :func:`repro.abs.solver._worker_main` takes as
-    spawn arguments, minus what the worker already owns (its id, its
-    endpoint, the stop event).  ``job_seq`` rather than a full token:
+    Carries everything a device needs for one job, minus what the
+    worker already owns (its id, its endpoint, the stop event).
+    ``job_seq`` rather than a full token:
     the worker combines it with its *own* incarnation number, so a
     frame delivered to a freshly restarted worker re-arms under the
     replacement's epoch, not its dead predecessor's.
@@ -235,13 +218,10 @@ def run_device_rounds(
 ) -> None:
     """The §3.2 device loop: fetch targets, run rounds, ship results.
 
-    Shared verbatim between the one-shot worker entry point
-    (:func:`repro.abs.solver._worker_main`) and the persistent
-    :func:`_fleet_worker_main` — the *loop* is job-agnostic; only what
-    wraps it (process-per-job vs frame-per-job) differs.  Returns when
-    targets dry up in lockstep mode, a publish is refused (stop or ring
-    full at stop), or ``stop_evt`` trips (which, for persistent
-    workers, includes a pending control frame via :class:`_StopProxy`).
+    Job-agnostic: :func:`_fleet_worker_main` runs it once per job
+    frame.  Returns when targets dry up in lockstep mode, a publish is
+    refused (stop or ring full at stop), or ``stop_evt`` trips (which
+    includes a pending control frame via :class:`_StopProxy`).
     """
     targets = endpoint.fetch_targets(wait=True)
     while targets is not None and not stop_evt.is_set():
@@ -297,7 +277,7 @@ def _fleet_worker_main(
     ack_q: Any,
     prepared_cache_size: int,
 ) -> None:
-    """Persistent device-process entry point (module-level, picklable).
+    """Device-process entry point (module-level, picklable).
 
     Sits in a control loop: each ``WorkerJob`` frame re-arms the
     exchange endpoint under the job's epoch token, builds a *fresh*
@@ -414,19 +394,17 @@ class WorkerFleet:
         Telemetry bus for supervisor events.  The service swaps in a
         per-job stamped view via :meth:`WorkerSupervisor` sharing.
     max_restarts, stall_timeout:
-        Supervision policy.  For a persistent fleet the restart budget
-        spans the fleet's *lifetime*, not one job (documented in
-        ``docs/service.md``).
+        Supervision policy.  The restart budget spans the fleet's
+        *lifetime*, not one job (documented in ``docs/service.md``).
     start_method:
         Multiprocessing start method (``None``: platform preference).
-    persistent:
-        ``False``: the caller supplies its own spawn callable to
-        :meth:`start` (classic one-shot solve).  ``True``: workers run
-        :func:`_fleet_worker_main` and accept jobs via :meth:`arm_job`.
     prepared_cache_size:
         Per-worker cap on cached backend-prepared weights.
     weights_cache_size:
         Host-side cap on cached shared-memory weight segments.
+    arm_timeout:
+        Seconds one :meth:`arm_job` handshake may take (covers worker
+        spawn and backend preparation on a fresh fleet).
     """
 
     def __init__(
@@ -440,7 +418,6 @@ class WorkerFleet:
         max_restarts: int = 2,
         stall_timeout: float | None = None,
         start_method: str | None = None,
-        persistent: bool = False,
         prepared_cache_size: int = 4,
         weights_cache_size: int = 8,
         arm_timeout: float = 30.0,
@@ -452,6 +429,7 @@ class WorkerFleet:
         self.n_workers = int(n_workers)
         self.n_blocks = int(n_blocks)
         self.bus = bus if bus is not None else NULL_BUS
+        self.start_method = start_method
         self.ctx = get_context(_resolve_start_method(start_method))
         self.stop_evt = self.ctx.Event()
         self.transport = make_host_transport(
@@ -464,34 +442,45 @@ class WorkerFleet:
         self.supervisor: WorkerSupervisor | None = None
         self._max_restarts = int(max_restarts)
         self._stall_timeout = stall_timeout
-        self._persistent = bool(persistent)
         self._prepared_cache_size = int(prepared_cache_size)
         self._weights_cache_size = int(weights_cache_size)
         self._arm_timeout = float(arm_timeout)
         # One lock covers the state shared between the arming thread,
         # the supervise thread (whose restart callbacks land in
-        # _spawn_persistent/_make_channel), and whichever thread calls
-        # shutdown().  The weights cache and jobs_armed counter stay
-        # unannotated: only the arming thread touches them.
+        # _spawn/_make_channel), and whichever thread calls shutdown().
+        # The weights cache, the job counters and the accounting marks
+        # stay unannotated: only the arming thread touches them.
         self._lock = threading.Lock()
         self._job_seq = 0  # guarded-by: _lock
         self._current_jobs: list[WorkerJob] | None = None  # guarded-by: _lock
         self._controls: dict[int, Any] = {}  # guarded-by: _lock
         self._all_controls: list[Any] = []  # guarded-by: _lock
-        self._ack_q = self.ctx.Queue() if self._persistent else None
+        self._ack_q = self.ctx.Queue()
         #: problem digest -> host-side SharedWeights (LRU, owner).
         self._weights_cache: OrderedDict[str, SharedWeights] = OrderedDict()
         self._closed = False  # guarded-by: _lock
-        #: Jobs run on this fleet (arm_job calls); spawns happen once.
+        #: Completed re-arm handshakes; spawns happen once.
         self.jobs_armed = 0
+        #: Jobs whose weights came from the digest-keyed segment cache.
+        self.weights_hits = 0
+        # (restarts, lost, transport stats) when the previous job ended.
+        self._job_mark: tuple[int, int, dict[str, int]] = (0, 0, {})
 
     # ------------------------------------------------------------------
     # Identity
     # ------------------------------------------------------------------
     @property
-    def geometry(self) -> tuple[str, int, int, int]:
-        """What must match for a fleet to be reused across jobs."""
-        return (self.exchange, self.n_workers, self.n_blocks, self.n)
+    def params(self) -> dict[str, Any]:
+        """This fleet's :func:`fleet_params`: what a job must match."""
+        return {
+            "n": self.n,
+            "exchange": self.exchange,
+            "n_workers": self.n_workers,
+            "n_blocks": self.n_blocks,
+            "max_restarts": self._max_restarts,
+            "stall_timeout": self._stall_timeout,
+            "start_method": self.start_method,
+        }
 
     @property
     def job_seq(self) -> int:
@@ -502,44 +491,28 @@ class WorkerFleet:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def start(self, spawn: Callable[[int, int, Any], Any] | None = None) -> None:
-        """Spawn incarnation 0 of every worker.
-
-        One-shot fleets pass their own ``spawn(worker_id, incarnation,
-        channel)``; persistent fleets spawn :func:`_fleet_worker_main`
-        and must not pass one.
-        """
+    def start(self) -> None:
+        """Spawn incarnation 0 of every worker; jobs follow via :meth:`arm_job`."""
         if self.supervisor is not None:
             raise RuntimeError("fleet already started")
-        if self._persistent:
-            if spawn is not None:
-                raise ValueError("persistent fleets spawn their own workers")
-            spawn = self._spawn_persistent
-        elif spawn is None:
-            raise ValueError("one-shot fleets need a spawn callable")
         self.supervisor = WorkerSupervisor(
             self.n_workers,
-            spawn,
+            self._spawn,
             channel_factory=self._make_channel,
             max_restarts=self._max_restarts,
             stall_timeout=self._stall_timeout,
             bus=self.bus,
         )
         self.supervisor.start()
-        if self._persistent and self.bus.enabled:
-            self.bus.counters.inc("service.fleet_spawns")
 
     def _make_channel(self, worker_id: int, incarnation: int) -> Any:
-        # Job 0 tokens equal bare incarnations: one-shot wire traffic is
-        # bit-identical to the pre-fleet solver.  A restart mid-arm may
-        # run this on the supervise thread, so the job_seq read locks.
+        # A restart mid-arm may run this on the supervise thread, so
+        # the job_seq read locks.
         with self._lock:
             token = encode_token(self._job_seq, incarnation)
         return self.transport.make_target_channel(worker_id, token)
 
-    def _spawn_persistent(
-        self, worker_id: int, incarnation: int, channel: Any
-    ) -> Any:
+    def _spawn(self, worker_id: int, incarnation: int, channel: Any) -> Any:
         control = self.ctx.Queue()
         with self._lock:
             self._controls[worker_id] = control
@@ -554,6 +527,8 @@ class WorkerFleet:
             token = encode_token(self._job_seq, incarnation)
         if frame is not None:
             control.put(frame)
+        # _fleet_worker_main is looked up at call time, so a patched
+        # module attribute reaches replacements too.
         p = self.ctx.Process(
             target=_fleet_worker_main,
             args=(
@@ -571,7 +546,7 @@ class WorkerFleet:
         return p
 
     # ------------------------------------------------------------------
-    # Job management (persistent fleets)
+    # Job management
     # ------------------------------------------------------------------
     def next_job_seq(self) -> int:
         """Reserve the next job sequence number (starts at 1)."""
@@ -586,7 +561,7 @@ class WorkerFleet:
         Dense matrices go through host-owned shared-memory segments
         cached by problem digest — repeat submissions of the same
         problem skip the copy entirely.  Sparse problems are small and
-        ship by pickling, exactly like the one-shot solver.
+        ship by pickling inside the job frame.
         """
         from repro.qubo.sparse import SparseQubo
 
@@ -596,8 +571,7 @@ class WorkerFleet:
             shared = self._weights_cache.get(digest)
             if shared is not None:
                 self._weights_cache.move_to_end(digest)
-                if self.bus.enabled:
-                    self.bus.counters.inc("service.weights_cache_hits")
+                self.weights_hits += 1
                 return ("shm", shared.descriptor), True
         shared = SharedWeights.create(np.ascontiguousarray(weights, dtype=np.int64))
         # Undigested segments still enter the cache (under a unique key)
@@ -619,8 +593,6 @@ class WorkerFleet:
         the call fails only when no healthy worker remains or the
         timeout expires.
         """
-        if not self._persistent:
-            raise RuntimeError("arm_job needs a persistent fleet")
         if self.supervisor is None:
             raise RuntimeError("fleet not started")
         if len(jobs) != self.n_workers:
@@ -641,7 +613,6 @@ class WorkerFleet:
         with self._lock:
             self._job_seq = job_seq
             self._current_jobs = list(jobs)
-        self.jobs_armed += 1
         sup = self.supervisor
         # Live workers keep their incarnation; only the channel epoch
         # moves to the new job's token.
@@ -667,8 +638,7 @@ class WorkerFleet:
                     f"(after {sup.workers_restarted} restarts)"
                 )
             if healthy <= acked:
-                if self.bus.enabled:
-                    self.bus.counters.inc("service.fleet_rearms")
+                self.jobs_armed += 1
                 return
             try:
                 wid, jseq = self._ack_q.get(timeout=0.1)
@@ -706,6 +676,28 @@ class WorkerFleet:
                 payload = dict(fields)
                 payload.setdefault("device", wid)
                 bus.emit(name, **payload)
+
+    def take_job_stats(self) -> tuple[int, int, dict[str, int]]:
+        """``(restarts, lost, transport stats)`` since the previous call.
+
+        The supervisor and the transport count over the fleet's
+        lifetime; a job's result reports only its own share.  Called
+        once per job after its host loop ends, so whatever happened
+        between two jobs (a worker killed while idle, a reconnect)
+        lands on the next one, and a fresh fleet's first job sees
+        everything since spawn.
+        """
+        sup = self.supervisor
+        if sup is None:
+            raise RuntimeError("fleet not started")
+        restarts, lost, stats = self._job_mark
+        now = {k: int(v) for k, v in self.transport.stats.items()}
+        self._job_mark = (sup.workers_restarted, sup.workers_lost, now)
+        return (
+            sup.workers_restarted - restarts,
+            sup.workers_lost - lost,
+            {k: v - stats.get(k, 0) for k, v in now.items()},
+        )
 
     # ------------------------------------------------------------------
     # Teardown
@@ -754,12 +746,11 @@ class WorkerFleet:
                     ch.get_nowait()
             except (queue_mod.Empty, OSError, EOFError, AttributeError):
                 pass
-        if self._ack_q is not None:
-            try:
-                while True:
-                    self._ack_q.get_nowait()
-            except (queue_mod.Empty, OSError, EOFError):
-                pass
+        try:
+            while True:
+                self._ack_q.get_nowait()
+        except (queue_mod.Empty, OSError, EOFError):
+            pass
         self.transport.drain()
         self.transport.close()
         for shared in self._weights_cache.values():
@@ -774,7 +765,7 @@ class WorkerFleet:
 
 
 # ----------------------------------------------------------------------
-# The host search loop (shared by one-shot solves and service jobs)
+# The process-mode host loop and result assembly
 # ----------------------------------------------------------------------
 @dataclass
 class SearchOutcome:
@@ -798,20 +789,19 @@ def run_search_rounds(
     *,
     bus: TelemetryBus | NullBus,
     met_target: Callable[[float], bool],
-    job_seq: int = 0,
+    job_seq: int,
     cancelled: Callable[[], bool] | None = None,
 ) -> SearchOutcome:
     """Drive one job's host loop over an armed fleet (Figure 5 host).
 
     The fleet's workers must already be running the job identified by
-    ``job_seq`` (one-shot: spawned with it; persistent: armed via
-    :meth:`WorkerFleet.arm_job`).  Publishes initial targets, then
-    polls results / supervises / answers with fresh GA targets until a
-    stop criterion fires.  Frames from *other* jobs — a previous job's
-    results still in flight after a re-arm — only feed the liveness
-    clock; their solutions, counters, and events are dropped (absorbing
-    a stale job's solution into a different problem's pool would be
-    wrong, not merely stale).
+    ``job_seq`` (armed via :meth:`WorkerFleet.arm_job`).  Publishes
+    initial targets, then polls results / supervises / answers with
+    fresh GA targets until a stop criterion fires.  Frames from
+    *other* jobs — a previous job's results still in flight after a
+    re-arm — only feed the liveness clock; their solutions, counters,
+    and events are dropped (absorbing a stale job's solution into a
+    different problem's pool would be wrong, not merely stale).
     """
     transport = fleet.transport
     supervisor = fleet.supervisor
@@ -994,7 +984,7 @@ def run_search_rounds(
     return out
 
 
-def assemble_process_result(
+def assemble_result(
     cfg: AbsConfig,
     n: int,
     host: Host,
@@ -1003,24 +993,40 @@ def assemble_process_result(
     *,
     met_target: Callable[[float], bool],
     bus: TelemetryBus | NullBus,
-    restarts: int,
-    lost: int,
-    transport_stats: dict[str, int],
+    extra: dict[str, int],
+    restarts: int = 0,
+    lost: int = 0,
     setup_ns: int = 0,
     search_ns: int = 0,
 ) -> SolveResult:
-    """Build the :class:`SolveResult` for one process-mode run.
+    """Build the :class:`SolveResult` for one run, sync or process.
 
-    ``restarts``/``lost``/``transport_stats`` are *per-job* numbers —
-    the service diffs the fleet's lifetime totals against the values at
-    job start so a long-lived fleet's history does not leak into every
-    result.  ``setup_ns``/``search_ns`` land on the result (and the
-    session counters when telemetry is on) but deliberately **not** in
+    ``result.counters`` is derived from component state after the run,
+    so it exists whether or not a telemetry bus was attached:
+    ``outcome.engine_counts`` carries the summed device counters,
+    ``extra`` the mode's own, and ``pool.inserted`` includes the initial
+    random seeding (Step 1 inserts at ``+∞``).  ``restarts``/``lost`` are
+    *per-job* numbers (:meth:`WorkerFleet.take_job_stats`), so a
+    long-lived fleet's history does not leak into every result.
+    ``setup_ns``/``search_ns`` land on the result (and the session
+    counters when telemetry is on) but deliberately **not** in
     ``result.counters``: that snapshot is pinned bit-identical across
     runs, transports, and telemetry on/off, and wall-clock never is.
     """
-    engine_counts = dict(outcome.engine_counts)
-    adapt_total = int(engine_counts.pop("adapt.reassignments", 0))
+    ga = host.ga_counts
+    counters = {
+        "host.solutions_absorbed": host.absorbed,
+        "pool.inserted": host.pool.inserted,
+        "pool.rejected_duplicate": host.pool.rejected_duplicate,
+        "pool.rejected_worse": host.pool.rejected_worse,
+        "pool.rejected_diverse": host.pool.rejected_diverse,
+        "ga.mutation": ga["mutation"],
+        "ga.crossover": ga["crossover"],
+        "ga.copy": ga["copy"],
+        "adapt.reassignments": 0,
+        **outcome.engine_counts,
+        **extra,
+    }
     best_x = host.best_x if host.best_x is not None else np.zeros(n, np.uint8)
     best_e = int(host.best_energy) if math.isfinite(host.best_energy) else 0
     if bus.enabled:
@@ -1038,19 +1044,7 @@ def assemble_process_result(
         time_to_target=outcome.time_to_target,
         history=outcome.history,
         n_gpus=cfg.n_gpus,
-        counters=_counter_snapshot(
-            host,
-            engine_counts,
-            adapt_total,
-            extra={
-                "supervisor.restarts": restarts,
-                "supervisor.workers_lost": lost,
-                # Process-mode fleets are static; keep the key for
-                # counter parity with sync-mode snapshots.
-                "adapt.variant_reassignments": 0,
-                **transport_stats,
-            },
-        ),
+        counters=dict(sorted(counters.items())),
         workers_restarted=restarts,
         workers_lost=lost,
         pool_mean_distance=host.pool.mean_pairwise_distance(),

@@ -15,11 +15,10 @@ handles was computed by a device.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.abs.buffers import StoredSolution
 from repro.ga.host import GaConfig, TargetGenerator
 from repro.ga.pool import SolutionPool
 from repro.telemetry.bus import NULL_BUS, NullBus, TelemetryBus
@@ -109,31 +108,11 @@ class Host:
                 counts[key] += value
         return counts
 
-    def absorb(self, solutions: Iterable[StoredSolution]) -> int:
-        """Step 3: pool every arrived solution; returns #inserted."""
-        pool = self.pool
-        dup0, worse0 = pool.rejected_duplicate, pool.rejected_worse
-        div0 = pool.rejected_diverse
-        arrived = 0
-        inserted = 0
-        for sol in solutions:
-            arrived += 1
-            self.absorbed += 1
-            if sol.energy < self.best_energy:
-                self.best_energy = sol.energy
-                self.best_x = sol.x.copy()
-            if pool.insert(sol.x, sol.energy):
-                inserted += 1
-        self._emit_absorb(arrived, inserted, dup0, worse0, div0)
-        return inserted
-
     def absorb_batch(self, energies: np.ndarray, X: np.ndarray) -> int:
-        """Step 3, batched: pool one device round's ``(energies, X)``.
+        """Step 3: pool one device round's ``(energies, X)``; returns #inserted.
 
-        Semantically identical to :meth:`absorb` over the rows in
-        order — same best tracking, same counters, same
-        ``host.absorb`` event — but the best scan is one vectorized
-        ``argmin`` and the pool takes the whole matrix through
+        The incumbent is tracked outside the pool (one vectorized
+        ``argmin``), and the pool takes the whole matrix through
         :meth:`~repro.ga.pool.SolutionPool.insert_batch` (one
         ``np.packbits`` for every duplicate key).
         """

@@ -62,10 +62,11 @@ class SolveResult:
         solutions).  The Diverse-ABS diversity metric: higher with
         ``diversity_min_dist`` niching than without.
     setup_ns:
-        Nanoseconds spent preparing the run before the first search
-        round: weight prep / shared-memory publication, worker spawn,
-        exchange setup.  This is the cold-start cost the warm-fleet
-        service amortizes (see ``docs/service.md``); also surfaced as
+        Nanoseconds from ``solve()`` entry to the first search round:
+        weight prep / shared-memory publication, worker spawn, exchange
+        setup, and in process mode the job's arm handshake (each
+        worker's backend preparation).  This is the cold-start cost
+        the warm-fleet service amortizes (see ``docs/service.md``); also surfaced as
         the ``solver.setup_ns`` counter.
     search_ns:
         Nanoseconds spent in the search loop proper (the same span

@@ -2,20 +2,37 @@
 
 ``"sync"`` mode interleaves the host loop and device rounds in one
 process — deterministic given a seed, and the mode every
-time-to-solution benchmark uses.  ``"process"`` mode launches one OS
-process per simulated GPU, mirroring the paper's multi-GPU deployment:
-the weight matrix lives in shared memory (one copy, like GPU global
-memory), targets flow host → device and solutions device → host through
-the exchange transport (:mod:`repro.abs.exchange` — bit-packed
-shared-memory rings by default, ``multiprocessing.Queue`` as the
-fallback), and nobody blocks on anybody — a device that sees no fresh
-targets keeps searching from its current state, exactly the paper's
-asynchronous tolerance.  ``AbsConfig.lockstep`` trades that freedom for
-determinism (workers wait for fresh targets after every round), and
-``AbsConfig.pipeline`` double-buffers targets so host GA for round
-``i + 1`` overlaps worker execution of round ``i``.
+time-to-solution benchmark uses.  It keeps its own round loop on
+purpose: a homogeneous sweep draws one ``make_targets(total_blocks)``
+per sweep and records history per sweep, and only sync mode reassigns
+variants between devices (:class:`~repro.abs.adaptive.VariantController`).
 
-Process mode is additionally *supervised*
+``"process"`` mode runs one OS process per simulated GPU on a
+:class:`~repro.abs.fleet.WorkerFleet`, mirroring the paper's multi-GPU
+deployment.  A one-shot ``solve("process")`` builds a fleet from the
+config, runs one job on it through :meth:`AdaptiveBulkSearch.
+solve_on_fleet`, and shuts it down; the solver service runs many jobs
+on one fleet through the same method.  The weight matrix lives in
+shared memory (one copy, like GPU global memory), targets flow host →
+device and solutions device → host through the exchange transport
+(:mod:`repro.abs.exchange` — bit-packed shared-memory rings by default,
+``multiprocessing.Queue`` or TCP sockets on request), and nobody blocks
+on anybody — a device that sees no fresh targets keeps searching from
+its current state, exactly the paper's asynchronous tolerance.
+``AbsConfig.lockstep`` makes workers wait for fresh targets after every
+round, which makes a single-worker run deterministic (with several
+workers the arrival order still varies), and ``AbsConfig.pipeline``
+double-buffers targets so host GA for round ``i + 1`` overlaps worker
+execution of round ``i``.
+
+Both modes build the host and the per-device parameters with one job
+plan (:meth:`AdaptiveBulkSearch._job_plan`) and their result with one
+:func:`~repro.abs.fleet.assemble_result`.  ``SolveResult.setup_ns``
+runs from ``solve()`` entry to the first round: in process mode that
+includes worker spawn and the job's arm handshake, and the search clock
+(and ``time_limit``) starts only after every worker acknowledged.
+
+Process mode is *supervised*
 (:class:`~repro.abs.supervisor.WorkerSupervisor`): a worker whose
 process dies — or, with ``worker_stall_timeout`` set, one that stops
 shipping results — is restarted up to ``max_worker_restarts`` times.
@@ -29,45 +46,48 @@ restart budget is exhausted the solve degrades onto the survivors
 (``SolveResult.workers_restarted`` / ``workers_lost`` report what
 happened) and fails loudly only when no healthy worker remains.  The
 multiprocessing start method is configurable via
-``AbsConfig.start_method`` (``fork`` where available by default; worker
-arguments stay picklable so ``spawn`` works too).
+``AbsConfig.start_method`` (``fork`` where available by default; job
+frames stay picklable so ``spawn`` works too).
 """
 
 from __future__ import annotations
 
 import math
 import time
-from multiprocessing import Event, Process
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.abs.adaptive import VariantController, WindowAdapter
-from repro.abs.buffers import SharedWeights
 from repro.abs.config import AbsConfig, resolve_windows
-from repro.abs.variants import SearchVariant, get_variant, resolve_fleet
 from repro.abs.device import DeviceSimulator
-from repro.abs.exchange import open_worker_endpoint
 from repro.abs.fleet import (
+    SearchOutcome,
     WorkerFleet,
     WorkerJob,
-    _counter_snapshot,
-    _make_adapter,
     _merge_counts,
-    _resolve_start_method,
-    assemble_process_result,
-    run_device_rounds,
+    assemble_result,
+    fleet_params,
     run_search_rounds,
 )
 from repro.abs.host import Host
 from repro.abs.result import SolveResult
+from repro.abs.variants import SearchVariant, get_variant, resolve_fleet
 from repro.qubo.matrix import WeightsLike, as_weight_matrix
-from repro.telemetry.bus import NULL_BUS, NullBus, RelayBus, TelemetryBus
+from repro.telemetry.bus import NULL_BUS, NullBus, TelemetryBus
 from repro.utils.rng import RngFactory
 from repro.utils.timer import Stopwatch
 
-# _counter_snapshot, _merge_counts and _resolve_start_method moved to
-# repro.abs.fleet with the warm-fleet split; the imports above keep
-# them addressable here for callers that historically found them here.
+
+@dataclass(frozen=True)
+class DevicePlan:
+    """One device's search parameters for a job (its variant applied)."""
+
+    windows: np.ndarray
+    local_steps: int
+    scan_neighbors: bool
+    tabu_steps: int = 0
+    tabu_tenure: int | None = None
 
 
 class AdaptiveBulkSearch:
@@ -110,12 +130,20 @@ class AdaptiveBulkSearch:
     # Public API
     # ------------------------------------------------------------------
     def solve(self, mode: str = "sync") -> SolveResult:
-        """Run to a stopping criterion; returns the best found solution."""
+        """Run to a stopping criterion; returns the best found solution.
+
+        ``"process"`` runs on a transient :class:`WorkerFleet`: built
+        from the config, started, handed this one job, shut down.
+        """
         if mode == "sync":
             return self._solve_sync()
-        if mode == "process":
-            return self._solve_process()
-        raise ValueError(f"unknown mode {mode!r} (use 'sync' or 'process')")
+        if mode != "process":
+            raise ValueError(f"unknown mode {mode!r} (use 'sync' or 'process')")
+        t_entry = time.perf_counter_ns()
+        self._check_process_config()
+        with WorkerFleet(**fleet_params(self.config, self.n), bus=self.bus) as workers:
+            workers.start()
+            return self.solve_on_fleet(workers, setup_start_ns=t_entry)
 
     # ------------------------------------------------------------------
     # Shared helpers
@@ -124,29 +152,54 @@ class AdaptiveBulkSearch:
         t = self.config.target_energy
         return t is not None and energy <= t
 
-    def _fleet(self) -> list[SearchVariant] | None:
+    def _variants(self) -> list[SearchVariant] | None:
         """Per-device Diverse-ABS variants, or ``None`` when disabled."""
         cfg = self.config
         if cfg.variants is None:
             return None
         return resolve_fleet(cfg.variants, cfg.n_gpus)
 
-    def _variant_windows(self, variant: SearchVariant, g: int) -> np.ndarray:
+    def _device_plan(self, variant: SearchVariant | None, g: int) -> DevicePlan:
+        """Device ``g``'s parameters.  Devices get rotated window
+        ladders so the temperature spread differs across GPUs; with a
+        variant, the ladder and step counts come from its spec."""
         cfg = self.config
-        base = variant.windows(cfg.window, cfg.blocks_per_gpu, self.n)
-        return np.roll(base, g)
+        if variant is None:
+            base = resolve_windows(cfg.window, cfg.blocks_per_gpu, self.n)
+            return DevicePlan(np.roll(base, g), cfg.local_steps, cfg.scan_neighbors)
+        return DevicePlan(
+            np.roll(variant.windows(cfg.window, cfg.blocks_per_gpu, self.n), g),
+            variant.effective_local_steps(cfg.local_steps),
+            variant.effective_scan(cfg.scan_neighbors),
+            variant.tabu_steps,
+            variant.tabu_tenure,
+        )
 
-    def _device_windows(
-        self, fleet: list[SearchVariant] | None = None
-    ) -> list[np.ndarray]:
-        """Per-device window arrays; devices get rotated ladders so the
-        temperature spread differs across GPUs.  With a variant fleet,
-        each device's ladder comes from its variant's window spec."""
+    def _job_plan(
+        self, factory: RngFactory, variants: list[SearchVariant] | None
+    ) -> tuple[Host, list[DevicePlan]]:
+        """The host (Step 1 pool, GA streams) and every device's plan —
+        built identically for sync solves, one-shot process solves, and
+        service jobs, which is what keeps them bit-identical."""
         cfg = self.config
-        if fleet is not None:
-            return [self._variant_windows(fleet[g], g) for g in range(cfg.n_gpus)]
-        base = resolve_windows(cfg.window, cfg.blocks_per_gpu, self.n)
-        return [np.roll(base, g) for g in range(cfg.n_gpus)]
+        host = Host(
+            self.n,
+            cfg.pool_capacity,
+            cfg.ga,
+            rng_factory=factory,
+            bus=self.bus,
+            min_distance=cfg.diversity_min_dist,
+            device_ga=(
+                [v.effective_ga(cfg.ga) for v in variants]
+                if variants is not None
+                else None
+            ),
+        )
+        plans = [
+            self._device_plan(variants[g] if variants is not None else None, g)
+            for g in range(cfg.n_gpus)
+        ]
+        return host, plans
 
     def _make_adapter(self, factory: RngFactory, g: int) -> WindowAdapter | None:
         cfg = self.config
@@ -160,6 +213,13 @@ class AdaptiveBulkSearch:
             seed=factory.stream("adapt", g),
             bus=self.bus,
         )
+
+    def _check_process_config(self) -> None:
+        if self.config.variant_adapt:
+            raise ValueError(
+                "variant_adapt is sync-mode only: process-mode fleets are "
+                "static (workers are armed with their variant baked in)"
+            )
 
     def _emit_start(self, mode: str) -> None:
         from repro.backends import resolve_backend
@@ -206,15 +266,15 @@ class AdaptiveBulkSearch:
         self, device: DeviceSimulator, host: Host, variant: SearchVariant, g: int
     ) -> None:
         """Reconfigure device ``g`` (and its GA stream) to ``variant``."""
-        cfg = self.config
-        device.engine.windows = self._variant_windows(variant, g)
-        device.local_steps = variant.effective_local_steps(cfg.local_steps)
-        device.scan_neighbors = variant.effective_scan(cfg.scan_neighbors)
-        device.set_tabu(variant.tabu_steps, variant.tabu_tenure)
-        host.set_device_ga(g, variant.effective_ga(cfg.ga))
+        plan = self._device_plan(variant, g)
+        device.engine.windows = plan.windows
+        device.local_steps = plan.local_steps
+        device.scan_neighbors = plan.scan_neighbors
+        device.set_tabu(plan.tabu_steps, plan.tabu_tenure)
+        host.set_device_ga(g, variant.effective_ga(self.config.ga))
 
     def _sync_targets(
-        self, host: Host, fleet: list[SearchVariant] | None
+        self, host: Host, variants: list[SearchVariant] | None
     ) -> np.ndarray:
         """Step 4 for one sync sweep.
 
@@ -224,7 +284,7 @@ class AdaptiveBulkSearch:
         variant generator.
         """
         cfg = self.config
-        if fleet is None:
+        if variants is None:
             return host.make_targets(cfg.total_blocks)
         return np.concatenate(
             [
@@ -238,52 +298,31 @@ class AdaptiveBulkSearch:
         bus = self.bus
         t_entry = time.perf_counter_ns()
         factory = RngFactory(cfg.seed)
-        fleet = self._fleet()
-        host = Host(
-            self.n,
-            cfg.pool_capacity,
-            cfg.ga,
-            rng_factory=factory,
-            bus=bus,
-            min_distance=cfg.diversity_min_dist,
-            device_ga=(
-                [v.effective_ga(cfg.ga) for v in fleet]
-                if fleet is not None
-                else None
-            ),
-        )
-        windows = self._device_windows(fleet)
+        variants = self._variants()
+        host, plans = self._job_plan(factory, variants)
         devices = [
             DeviceSimulator(
                 self.W,
                 cfg.blocks_per_gpu,
-                windows=windows[g],
-                local_steps=(
-                    fleet[g].effective_local_steps(cfg.local_steps)
-                    if fleet is not None
-                    else cfg.local_steps
-                ),
-                scan_neighbors=(
-                    fleet[g].effective_scan(cfg.scan_neighbors)
-                    if fleet is not None
-                    else cfg.scan_neighbors
-                ),
+                windows=plan.windows,
+                local_steps=plan.local_steps,
+                scan_neighbors=plan.scan_neighbors,
                 adapter=self._make_adapter(factory, g),
                 backend=cfg.backend,
                 bus=bus,
                 device_id=g,
-                tabu_steps=fleet[g].tabu_steps if fleet is not None else 0,
-                tabu_tenure=fleet[g].tabu_tenure if fleet is not None else None,
+                tabu_steps=plan.tabu_steps,
+                tabu_tenure=plan.tabu_tenure,
             )
-            for g in range(cfg.n_gpus)
+            for g, plan in enumerate(plans)
         ]
         controller = (
             VariantController(
-                [v.name for v in fleet],
+                [v.name for v in variants],
                 period=cfg.variant_adapt_period,
                 bus=bus,
             )
-            if fleet is not None and cfg.variant_adapt
+            if variants is not None and cfg.variant_adapt
             else None
         )
 
@@ -292,10 +331,8 @@ class AdaptiveBulkSearch:
         setup_ns = time.perf_counter_ns() - t_entry
         watch = Stopwatch().start()
         targets = host.initial_targets(cfg.total_blocks)
-        history: list[tuple[float, int]] = []
-        rounds = 0
+        out = SearchOutcome()
         rounds_by_device = [0] * cfg.n_gpus
-        time_to_target: float | None = None
         done = False
 
         while not done:
@@ -308,31 +345,31 @@ class AdaptiveBulkSearch:
                 host.absorb_batch(energies, xs)
                 if controller is not None:
                     controller.observe(g, float(energies.min()))
-                rounds += 1
+                out.rounds += 1
                 rounds_by_device[g] += 1
                 if bus.enabled:
                     bus.counters.inc("host.rounds")
                     bus.emit(
                         "host.round",
-                        round=rounds,
+                        round=out.rounds,
                         device=g,
                         best_energy=host.best_energy,
                         pool_size=len(host.pool),
                         elapsed=watch.elapsed,
                     )
                 if self._met_target(host.best_energy):
-                    if time_to_target is None:
-                        time_to_target = watch.elapsed
+                    if out.time_to_target is None:
+                        out.time_to_target = watch.elapsed
                     done = True
                     break
                 if cfg.time_limit is not None and watch.elapsed >= cfg.time_limit:
                     done = True
                     break
-                if cfg.max_rounds is not None and rounds >= cfg.max_rounds:
+                if cfg.max_rounds is not None and out.rounds >= cfg.max_rounds:
                     done = True
                     break
             if math.isfinite(host.best_energy):
-                history.append((watch.elapsed, int(host.best_energy)))
+                out.history.append((watch.elapsed, int(host.best_energy)))
             if not done:
                 if controller is not None:
                     move = controller.end_sweep()
@@ -341,259 +378,87 @@ class AdaptiveBulkSearch:
                         self._apply_variant(
                             devices[moved], host, get_variant(to_name), moved
                         )
-                targets = self._sync_targets(host, fleet)
+                targets = self._sync_targets(host, variants)
 
         elapsed = watch.stop()
-        evaluated = sum(d.evaluated for d in devices)
-        flips = sum(d.engine.counters.flips for d in devices)
-        engine_counts: dict[str, int] = {}
+        out.sweeps = min(rounds_by_device)
+        out.evaluated = sum(d.evaluated for d in devices)
+        out.flips = sum(d.engine.counters.flips for d in devices)
+        adapters = [d.adapter for d in devices if d.adapter is not None]
+        out.engine_counts = {
+            "adapt.reassignments": sum(a.adaptations for a in adapters)
+        }
         for d in devices:
-            _merge_counts(engine_counts, d.engine.counters.as_dict())
-        adapt_total = sum(
-            d.adapter.adaptations for d in devices if d.adapter is not None
-        )
-        nonfinite_total = sum(
-            d.adapter.nonfinite_observations
-            for d in devices
-            if d.adapter is not None
-        )
+            _merge_counts(out.engine_counts, d.engine.counters.as_dict())
+        nonfinite_total = sum(a.nonfinite_observations for a in adapters)
         if controller is not None:
             nonfinite_total += controller.nonfinite_observations
-        variant_extra = {
-            "adapt.nonfinite_observations": nonfinite_total,
-            "adapt.variant_reassignments": (
-                controller.reassignments if controller is not None else 0
-            ),
-            "variant.tabu_steps": sum(d.tabu_steps_done for d in devices),
-        }
-        best_x = host.best_x if host.best_x is not None else np.zeros(self.n, np.uint8)
-        best_e = int(host.best_energy) if math.isfinite(host.best_energy) else 0
-        result = SolveResult(
-            best_x=best_x,
-            best_energy=best_e,
-            elapsed=elapsed,
-            rounds=rounds,
-            sweeps=min(rounds_by_device),
-            evaluated=evaluated,
-            flips=flips,
-            reached_target=self._met_target(host.best_energy),
-            time_to_target=time_to_target,
-            history=history,
-            n_gpus=cfg.n_gpus,
-            counters=_counter_snapshot(
-                host, engine_counts, adapt_total, extra=variant_extra
-            ),
-            pool_mean_distance=host.pool.mean_pairwise_distance(),
+        result = assemble_result(
+            cfg,
+            self.n,
+            host,
+            out,
+            elapsed,
+            met_target=self._met_target,
+            bus=bus,
+            extra={
+                "adapt.nonfinite_observations": nonfinite_total,
+                "adapt.variant_reassignments": (
+                    controller.reassignments if controller is not None else 0
+                ),
+                "variant.tabu_steps": sum(d.tabu_steps_done for d in devices),
+            },
             setup_ns=setup_ns,
             search_ns=int(round(elapsed * 1e9)),
         )
         if bus.enabled:
-            bus.counters.inc("solver.setup_ns", result.setup_ns)
-            bus.counters.inc("solver.search_ns", result.search_ns)
             self._emit_end(result)
         return result
 
     # ------------------------------------------------------------------
     # Process mode
     # ------------------------------------------------------------------
-    def _solve_process(self) -> SolveResult:
-        cfg = self.config
-        bus = self.bus
-        t_entry = time.perf_counter_ns()
-        if cfg.variant_adapt:
-            raise ValueError(
-                "variant_adapt is sync-mode only: process-mode fleets are "
-                "static (workers are spawned with their variant baked in)"
-            )
-        factory = RngFactory(cfg.seed)
-        fleet = self._fleet()
-        host = Host(
-            self.n,
-            cfg.pool_capacity,
-            cfg.ga,
-            rng_factory=factory,
-            bus=bus,
-            min_distance=cfg.diversity_min_dist,
-            device_ga=(
-                [v.effective_ga(cfg.ga) for v in fleet]
-                if fleet is not None
-                else None
-            ),
-        )
-        windows = self._device_windows(fleet)
-
-        from repro.qubo.sparse import SparseQubo
-
-        workers = WorkerFleet(
-            self.n,
-            exchange=cfg.exchange,
-            n_workers=cfg.n_gpus,
-            n_blocks=cfg.blocks_per_gpu,
-            bus=bus,
-            max_restarts=cfg.max_worker_restarts,
-            stall_timeout=cfg.worker_stall_timeout,
-            start_method=cfg.start_method,
-        )
-        ctx = workers.ctx
-        stop_evt = workers.stop_evt
-        transport = workers.transport
-        # Dense matrices go through shared memory (they are the bulk of
-        # the footprint — the analogue of GPU global memory).  Sparse
-        # problems are small; they ship to workers by pickling.
-        if isinstance(self.W, SparseQubo):
-            shared = None
-            weights_ref = ("sparse", self.W)
-        else:
-            shared = SharedWeights.create(
-                np.ascontiguousarray(self.W, dtype=np.int64)
-            )
-            weights_ref = ("shm", shared.descriptor)
-        adapt_seeds = [
-            int(factory.stream("adapt-seed", g).integers(2**62))
-            for g in range(cfg.n_gpus)
-        ]
-
-        def _spawn(g: int, incarnation: int, channel: object) -> "Process":
-            # Resolved at call time so tests can monkeypatch the module
-            # attribute and have replacements pick the patch up too.
-            p = ctx.Process(
-                target=_worker_main,
-                args=(
-                    g,
-                    incarnation,
-                    weights_ref,
-                    cfg.blocks_per_gpu,
-                    windows[g],
-                    (
-                        fleet[g].effective_local_steps(cfg.local_steps)
-                        if fleet is not None
-                        else cfg.local_steps
-                    ),
-                    (
-                        fleet[g].effective_scan(cfg.scan_neighbors)
-                        if fleet is not None
-                        else cfg.scan_neighbors
-                    ),
-                    (
-                        (fleet[g].tabu_steps, fleet[g].tabu_tenure)
-                        if fleet is not None
-                        else (0, None)
-                    ),
-                    cfg.backend,
-                    (
-                        cfg.adapt_windows,
-                        cfg.adapt_period,
-                        cfg.adapt_fraction,
-                        adapt_seeds[g],
-                    ),
-                    transport.worker_ref(g, incarnation, channel),
-                    stop_evt,
-                    bus.enabled,
-                    cfg.lockstep,
-                ),
-                daemon=True,
-            )
-            p.start()
-            return p
-
-        setup_ns = time.perf_counter_ns() - t_entry
-        watch = Stopwatch().start()
-        if bus.enabled:
-            self._emit_start("process")
-            bus.emit("exchange.open", **transport.describe())
-        try:
-            workers.start(_spawn)
-            outcome = run_search_rounds(
-                cfg, host, workers, watch, bus=bus, met_target=self._met_target
-            )
-        finally:
-            workers.shutdown()
-            if shared is not None:
-                shared.unlink()
-
-        elapsed = watch.stop()
-        result = assemble_process_result(
-            cfg,
-            self.n,
-            host,
-            outcome,
-            elapsed,
-            met_target=self._met_target,
-            bus=bus,
-            restarts=workers.supervisor.workers_restarted,
-            lost=workers.supervisor.workers_lost,
-            transport_stats=dict(transport.stats),
-            setup_ns=setup_ns,
-            search_ns=int(round(elapsed * 1e9)),
-        )
-        if bus.enabled:
-            self._emit_end(result)
-        return result
-
     def solve_on_fleet(
         self,
         workers: WorkerFleet,
         *,
         digest: str | None = None,
         cancelled=None,
+        setup_start_ns: int | None = None,
     ) -> SolveResult:
-        """Run one process-mode job on a persistent warm fleet.
+        """Run one process-mode job on a started :class:`WorkerFleet`.
 
-        The service path: instead of spawning processes and building a
-        transport (what :meth:`_solve_process` pays on every call), the
-        job is pushed onto an already-running :class:`WorkerFleet` via
-        its re-arm handshake.  Everything search-relevant — RNG factory,
-        host pool, GA target sequence, device windows, adapt seeds — is
-        constructed exactly as in a one-shot solve, so a seeded job run
-        here is bit-identical to ``solve("process")``.
+        The job is pushed onto the fleet's workers via its re-arm
+        handshake, so a warm fleet (the service) skips spawn, transport
+        setup and weight preparation.  Everything search-relevant — RNG
+        factory, host pool, GA target sequence, device plans, adapt
+        seeds — depends only on the problem and the config, never on
+        the fleet's history, so a seeded job gives the same result on a
+        warm fleet as on the fresh one ``solve("process")`` builds.
 
         ``digest`` (the problem digest from
         :func:`repro.qubo.io.problem_digest`) keys the fleet's
         shared-memory weights cache and the workers' prepared-weights
         caches; ``None`` disables both reuses.  ``cancelled`` is an
         optional zero-arg callable polled between rounds.
+        ``setup_start_ns`` is the ``time.perf_counter_ns()`` reading the
+        setup clock starts from (default: this call's entry); the search
+        clock starts once every worker acknowledged the job.
         """
-        from repro.abs.exchange import resolve_exchange
-
         cfg = self.config
         bus = self.bus
-        t_entry = time.perf_counter_ns()
-        if cfg.variant_adapt:
-            raise ValueError(
-                "variant_adapt is sync-mode only: process-mode fleets are "
-                "static (workers are spawned with their variant baked in)"
-            )
-        wanted = (
-            resolve_exchange(cfg.exchange),
-            cfg.n_gpus,
-            cfg.blocks_per_gpu,
-            self.n,
+        t_entry = (
+            time.perf_counter_ns() if setup_start_ns is None else setup_start_ns
         )
-        if workers.geometry != wanted:
+        self._check_process_config()
+        wanted = fleet_params(cfg, self.n)
+        if workers.params != wanted:
             raise ValueError(
-                f"fleet geometry {workers.geometry} does not match job "
+                f"fleet parameters {workers.params} do not match job "
                 f"{wanted}; build a new fleet for this configuration"
             )
         factory = RngFactory(cfg.seed)
-        fleet = self._fleet()
-        host = Host(
-            self.n,
-            cfg.pool_capacity,
-            cfg.ga,
-            rng_factory=factory,
-            bus=bus,
-            min_distance=cfg.diversity_min_dist,
-            device_ga=(
-                [v.effective_ga(cfg.ga) for v in fleet]
-                if fleet is not None
-                else None
-            ),
-        )
-        windows = self._device_windows(fleet)
-        adapt_seeds = [
-            int(factory.stream("adapt-seed", g).integers(2**62))
-            for g in range(cfg.n_gpus)
-        ]
+        host, plans = self._job_plan(factory, self._variants())
         weights_ref, _weights_hit = workers.weights_ref_for(self.W, digest)
         job_seq = workers.next_job_seq()
         jobs = [
@@ -602,38 +467,22 @@ class AdaptiveBulkSearch:
                 weights_ref=weights_ref,
                 digest=digest,
                 n_blocks=cfg.blocks_per_gpu,
-                windows=windows[g],
-                local_steps=(
-                    fleet[g].effective_local_steps(cfg.local_steps)
-                    if fleet is not None
-                    else cfg.local_steps
-                ),
-                scan_neighbors=(
-                    fleet[g].effective_scan(cfg.scan_neighbors)
-                    if fleet is not None
-                    else cfg.scan_neighbors
-                ),
-                tabu_params=(
-                    (fleet[g].tabu_steps, fleet[g].tabu_tenure)
-                    if fleet is not None
-                    else (0, None)
-                ),
+                windows=plan.windows,
+                local_steps=plan.local_steps,
+                scan_neighbors=plan.scan_neighbors,
+                tabu_params=(plan.tabu_steps, plan.tabu_tenure),
                 backend=cfg.backend,
                 adapt_params=(
                     cfg.adapt_windows,
                     cfg.adapt_period,
                     cfg.adapt_fraction,
-                    adapt_seeds[g],
+                    int(factory.stream("adapt-seed", g).integers(2**62)),
                 ),
                 telemetry_enabled=bus.enabled,
                 lockstep=cfg.lockstep,
             )
-            for g in range(cfg.n_gpus)
+            for g, plan in enumerate(plans)
         ]
-        sup = workers.supervisor
-        base_restarts = sup.workers_restarted
-        base_lost = sup.workers_lost
-        base_stats = dict(workers.transport.stats)
         if bus.enabled:
             self._emit_start("process")
             bus.emit("exchange.open", **workers.transport.describe())
@@ -651,8 +500,8 @@ class AdaptiveBulkSearch:
             cancelled=cancelled,
         )
         elapsed = watch.stop()
-        stats_now = workers.transport.stats
-        result = assemble_process_result(
+        restarts, lost, transport_stats = workers.take_job_stats()
+        result = assemble_result(
             cfg,
             self.n,
             host,
@@ -660,95 +509,19 @@ class AdaptiveBulkSearch:
             elapsed,
             met_target=self._met_target,
             bus=bus,
-            restarts=sup.workers_restarted - base_restarts,
-            lost=sup.workers_lost - base_lost,
-            transport_stats={
-                k: int(v) - int(base_stats.get(k, 0))
-                for k, v in stats_now.items()
+            extra={
+                "supervisor.restarts": restarts,
+                "supervisor.workers_lost": lost,
+                # Process-mode fleets are static; keep the key for
+                # counter parity with sync-mode snapshots.
+                "adapt.variant_reassignments": 0,
+                **transport_stats,
             },
+            restarts=restarts,
+            lost=lost,
             setup_ns=setup_ns,
             search_ns=int(round(elapsed * 1e9)),
         )
         if bus.enabled:
             self._emit_end(result)
         return result
-
-
-def _worker_main(
-    worker_id: int,
-    incarnation: int,
-    weights_ref: tuple,
-    n_blocks: int,
-    windows: np.ndarray,
-    local_steps: int,
-    scan_neighbors: bool,
-    tabu_params: tuple,
-    backend: str | None,
-    adapt_params: tuple,
-    exchange_ref: tuple,
-    stop_evt: "Event",
-    telemetry_enabled: bool,
-    lockstep: bool,
-) -> None:
-    """Device-process entry point (module-level for picklability).
-
-    ``weights_ref`` is ``("shm", descriptor)`` for a dense matrix in
-    shared memory or ``("sparse", SparseQubo)`` shipped by pickle;
-    ``exchange_ref`` selects and parameterizes the worker side of the
-    exchange transport (see :func:`repro.abs.exchange.
-    open_worker_endpoint`).  Runs rounds forever: refresh targets if
-    the host published fresh ones (otherwise keep the previous ones —
-    the device never idles, unless ``lockstep`` asks it to wait), run
-    Steps 3–5, ship the per-block bests (bit-packed on the shm
-    transport) with cumulative counters and the incarnation number (so
-    the host can discard counter updates from a killed predecessor),
-    and — when telemetry is on — the worker-side events
-    (``device.round``, ``engine.*``, ``adapt.windows``) buffered on a
-    :class:`~repro.telemetry.RelayBus` for the host to re-emit with
-    this worker's id.
-    """
-    kind, payload = weights_ref
-    if kind == "shm":
-        shared = SharedWeights.attach(payload)
-        weights = shared.array
-    else:
-        shared = None
-        weights = payload
-    relay = RelayBus() if telemetry_enabled else NULL_BUS
-    adapter = _make_adapter(
-        weights.n if hasattr(weights, "n") else weights.shape[0],
-        n_blocks,
-        adapt_params,
-        relay,
-    )
-    endpoint = open_worker_endpoint(
-        exchange_ref,
-        worker_id=worker_id,
-        incarnation=incarnation,
-        stop_evt=stop_evt,
-    )
-    tabu_steps, tabu_tenure = tabu_params
-    try:
-        device = DeviceSimulator(
-            weights,
-            n_blocks,
-            windows=windows,
-            local_steps=local_steps,
-            scan_neighbors=scan_neighbors,
-            adapter=adapter,
-            backend=backend,
-            bus=relay,
-            device_id=worker_id,
-            tabu_steps=tabu_steps,
-            tabu_tenure=tabu_tenure,
-        )
-        run_device_rounds(
-            device, endpoint, adapter, relay, stop_evt, lockstep,
-            telemetry_enabled,
-        )
-    except (KeyboardInterrupt, BrokenPipeError):  # parent went away
-        pass
-    finally:
-        endpoint.close()
-        if shared is not None:
-            shared.close()

@@ -210,7 +210,7 @@ class WorkerSupervisor:
             old = st.target_q
             new = rebind(st.worker_id, st.incarnation, old)
             if new is not old:
-                # Replace (never append): a persistent fleet re-arms on
+                # Replace (never append): a fleet re-arms on
                 # every job, and accumulating one channel per worker per
                 # job would grow — and drain at shutdown — without bound.
                 with self._registry_lock:

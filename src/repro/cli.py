@@ -718,7 +718,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="completed-result cache entries, keyed by the canonical "
         "(problem, config, seed) run digest; deterministic seeded jobs "
-        "only — sync or lockstep, no time_limit (default 128; 0 disables)",
+        "only — sync, or lockstep on one worker, no time_limit "
+        "(default 128; 0 disables)",
     )
     p.add_argument(
         "--weights-cache-size",

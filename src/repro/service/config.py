@@ -21,9 +21,9 @@ class ServiceConfig:
         (:func:`repro.qubo.io.run_digest`).  Only jobs whose outcome
         is a pure function of that digest are cached: seeded, no
         wall-clock ``time_limit``, and deterministic execution (sync
-        mode or ``lockstep=True``) — anything else is a sample, and a
-        cached copy would silently change semantics.  0 disables the
-        cache.
+        mode, or ``lockstep=True`` with ``n_gpus=1``) — anything else,
+        multi-worker lockstep included, is a sample, and a cached copy
+        would silently change semantics.  0 disables the cache.
     weights_cache_size:
         Host-side shared-memory weight segments kept alive across jobs,
         keyed by problem digest (dense problems only; sparse ones ship

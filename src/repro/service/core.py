@@ -19,13 +19,13 @@ Semantics that matter:
   fleet is a shared search engine, not a thread pool.
 - **Result cache**: jobs whose outcome is a pure function of the run
   digest — seeded, no wall-clock ``time_limit``, and deterministic
-  execution (``sync`` mode or ``lockstep=True``) — are cached under
-  the canonical :func:`repro.qubo.io.run_digest` key; a repeat
-  submission returns a deep copy of the cached
+  execution (``sync`` mode, or ``lockstep=True`` on one worker) — are
+  cached under the canonical :func:`repro.qubo.io.run_digest` key; a
+  repeat submission returns a deep copy of the cached
   :class:`~repro.abs.result.SolveResult` without touching the fleet.
-  Anything else (unseeded, time-limited, free-running process mode)
-  recomputes every time, and a cancelled job's partial result is
-  never cached.
+  Anything else (unseeded, time-limited, free-running process mode,
+  multi-worker lockstep) recomputes every time, and a cancelled job's
+  partial result is never cached.
 - **Cancellation**: round granularity for running process-mode jobs
   (the host loop polls between rounds); queued jobs cancel
   immediately; sync-mode jobs are only cancellable while queued.
@@ -44,8 +44,7 @@ import time
 from typing import Any
 
 from repro.abs.config import AbsConfig
-from repro.abs.exchange import resolve_exchange
-from repro.abs.fleet import WorkerFleet
+from repro.abs.fleet import WorkerFleet, fleet_params
 from repro.abs.result import SolveResult
 from repro.abs.solver import AdaptiveBulkSearch
 from repro.qubo.io import problem_digest, run_digest
@@ -181,13 +180,15 @@ class SolverService:
             cfg = solver.config
             # Cache only runs that are a pure function of the digest:
             # seeded, no wall-clock stop, and deterministic execution
-            # (sync on one thread, or process mode in lockstep).  A
-            # free-running or time-limited job is a sample, and a cache
-            # hit would silently substitute it for a fresh solve.
+            # (sync on one thread, or one process-mode worker in
+            # lockstep — with several, result arrival order varies).  A
+            # free-running, multi-worker or time-limited job is a
+            # sample, and a cache hit would silently substitute it for
+            # a fresh solve.
             cacheable = (
                 cfg.seed is not None
                 and cfg.time_limit is None
-                and (mode == "sync" or cfg.lockstep)
+                and (mode == "sync" or (cfg.lockstep and cfg.n_gpus == 1))
             )
             run_key = (
                 run_digest(solver.W, cfg, extra={"mode": mode})
@@ -390,11 +391,18 @@ class SolverService:
                 result = job.solver.solve("sync")
             else:
                 fleet = self._ensure_fleet(job)
-                result = job.solver.solve_on_fleet(
-                    fleet,
-                    digest=job.digest,
-                    cancelled=job.cancel_evt.is_set,
-                )
+                armed, hits = fleet.jobs_armed, fleet.weights_hits
+                try:
+                    result = job.solver.solve_on_fleet(
+                        fleet,
+                        digest=job.digest,
+                        cancelled=job.cancel_evt.is_set,
+                    )
+                finally:
+                    self._count("service.fleet_rearms", fleet.jobs_armed - armed)
+                    self._count(
+                        "service.weights_cache_hits", fleet.weights_hits - hits
+                    )
         except Exception as exc:  # noqa: BLE001 — job isolation boundary
             with self._cond:
                 job.error = f"{type(exc).__name__}: {exc}"
@@ -427,18 +435,13 @@ class SolverService:
     # ------------------------------------------------------------------
     # Fleet lifecycle
     # ------------------------------------------------------------------
+    def _count(self, name: str, delta: int) -> None:
+        if delta and self.bus.enabled:
+            self.bus.counters.inc(name, delta)
+
     @staticmethod
     def _job_key(job: _Job) -> tuple[Any, ...]:
-        cfg = job.solver.config
-        return (
-            resolve_exchange(cfg.exchange),
-            cfg.n_gpus,
-            cfg.blocks_per_gpu,
-            job.solver.n,
-            cfg.start_method,
-            cfg.max_worker_restarts,
-            cfg.worker_stall_timeout,
-        )
+        return tuple(fleet_params(job.solver.config, job.solver.n).items())
 
     def _ensure_fleet(self, job: _Job) -> WorkerFleet:
         # Only the dispatcher thread builds or swaps fleets, so there
@@ -454,22 +457,15 @@ class SolverService:
         if stale is not None:
             stale.shutdown()
         if fleet is None:
-            cfg = job.solver.config
             fleet = WorkerFleet(
-                job.solver.n,
-                exchange=cfg.exchange,
-                n_workers=cfg.n_gpus,
-                n_blocks=cfg.blocks_per_gpu,
+                **fleet_params(job.solver.config, job.solver.n),
                 bus=self.bus,
-                max_restarts=cfg.max_worker_restarts,
-                stall_timeout=cfg.worker_stall_timeout,
-                start_method=cfg.start_method,
-                persistent=True,
                 prepared_cache_size=self.config.prepared_cache_size,
                 weights_cache_size=self.config.weights_cache_size,
                 arm_timeout=self.config.arm_timeout,
             )
             fleet.start()
+            self._count("service.fleet_spawns", 1)
             with self._lock:
                 self._fleet = fleet
                 self._fleet_key = key

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-import repro.abs.solver as solver_mod
+import repro.abs.fleet as fleet_mod
 from repro.abs import AbsConfig, AdaptiveBulkSearch
 from repro.abs.buffers import SharedWeights
 from repro.qubo import QuboMatrix, energy
@@ -27,7 +27,7 @@ class TestWorkerDeath:
         def _suicidal_worker(*args, **kwargs):
             raise SystemExit(1)
 
-        monkeypatch.setattr(solver_mod, "_worker_main", _suicidal_worker)
+        monkeypatch.setattr(fleet_mod, "_fleet_worker_main", _suicidal_worker)
         q = QuboMatrix.random(16, seed=0)
         cfg = AbsConfig(
             blocks_per_gpu=4,
@@ -46,7 +46,7 @@ class TestWorkerDeath:
         def _suicidal_worker(*args, **kwargs):
             raise SystemExit(1)
 
-        monkeypatch.setattr(solver_mod, "_worker_main", _suicidal_worker)
+        monkeypatch.setattr(fleet_mod, "_fleet_worker_main", _suicidal_worker)
         q = QuboMatrix.random(16, seed=0)
         cfg = AbsConfig(
             blocks_per_gpu=4,
@@ -64,7 +64,7 @@ class TestWorkerDeath:
         def _suicidal_worker(*args, **kwargs):
             raise SystemExit(1)
 
-        monkeypatch.setattr(solver_mod, "_worker_main", _suicidal_worker)
+        monkeypatch.setattr(fleet_mod, "_fleet_worker_main", _suicidal_worker)
         before = set(glob.glob("/dev/shm/*"))
         q = QuboMatrix.random(16, seed=0)
         cfg = AbsConfig(
@@ -104,7 +104,7 @@ class TestTcpFaultInjection:
         via the epoch stamp, and the final energy is valid."""
         ctx = multiprocessing.get_context("fork")
         restarted = ctx.Event()
-        real_worker = solver_mod._worker_main
+        real_worker = fleet_mod._fleet_worker_main
 
         def flaky_worker(worker_id, incarnation, *rest):
             if worker_id == 0 and incarnation == 0:
@@ -113,7 +113,7 @@ class TestTcpFaultInjection:
                 # replacement's HELLO is a *re*connect.
                 from repro.abs.exchange import open_worker_endpoint
 
-                exchange_ref, stop_evt = rest[8], rest[9]
+                exchange_ref, stop_evt = rest[1], rest[2]
                 open_worker_endpoint(
                     exchange_ref, worker_id=0, incarnation=0, stop_evt=stop_evt
                 )
@@ -121,7 +121,7 @@ class TestTcpFaultInjection:
             restarted.wait()  # start only after the host handled the death
             real_worker(worker_id, incarnation, *rest)
 
-        monkeypatch.setattr(solver_mod, "_worker_main", flaky_worker)
+        monkeypatch.setattr(fleet_mod, "_fleet_worker_main", flaky_worker)
         q = QuboMatrix.random(24, seed=321)
         sink = MemorySink()
         bus = TelemetryBus([sink, _SetOnEvent("supervisor.restart", restarted)])
@@ -153,7 +153,7 @@ class TestTcpFaultInjection:
         replaced, not waited on forever."""
         ctx = multiprocessing.get_context("fork")
         restarted = ctx.Event()
-        real_worker = solver_mod._worker_main
+        real_worker = fleet_mod._fleet_worker_main
 
         def stalling_worker(worker_id, incarnation, *rest):
             if worker_id == 0 and incarnation == 0:
@@ -162,7 +162,7 @@ class TestTcpFaultInjection:
             restarted.wait()
             real_worker(worker_id, incarnation, *rest)
 
-        monkeypatch.setattr(solver_mod, "_worker_main", stalling_worker)
+        monkeypatch.setattr(fleet_mod, "_fleet_worker_main", stalling_worker)
         q = QuboMatrix.random(24, seed=321)
         sink = MemorySink()
         bus = TelemetryBus([sink, _SetOnEvent("supervisor.restart", restarted)])
@@ -190,13 +190,13 @@ class TestTcpFaultInjection:
         surviving one injected worker kill with a valid final result."""
         ctx = multiprocessing.get_context("fork")
         restarted = ctx.Event()
-        real_worker = solver_mod._worker_main
+        real_worker = fleet_mod._fleet_worker_main
 
         def flaky_worker(worker_id, incarnation, *rest):
             if worker_id == 2 and incarnation == 0:
                 from repro.abs.exchange import open_worker_endpoint
 
-                exchange_ref, stop_evt = rest[8], rest[9]
+                exchange_ref, stop_evt = rest[1], rest[2]
                 open_worker_endpoint(  # connect first, then die mid-round
                     exchange_ref, worker_id=2, incarnation=0, stop_evt=stop_evt
                 )
@@ -205,7 +205,7 @@ class TestTcpFaultInjection:
                 restarted.wait()
             real_worker(worker_id, incarnation, *rest)
 
-        monkeypatch.setattr(solver_mod, "_worker_main", flaky_worker)
+        monkeypatch.setattr(fleet_mod, "_fleet_worker_main", flaky_worker)
         q = QuboMatrix.random(1024, seed=10)
         sink = MemorySink()
         bus = TelemetryBus([sink, _SetOnEvent("supervisor.restart", restarted)])

@@ -5,15 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from repro.abs.buffers import StoredSolution
 from repro.abs.host import Host
 from repro.utils.rng import RngFactory
 
 
 def sols(*pairs):
-    return [
-        StoredSolution(e, np.array(x, dtype=np.uint8)) for e, x in pairs
-    ]
+    """``(energies, X)`` for :meth:`Host.absorb_batch`."""
+    return (
+        np.array([e for e, _ in pairs], dtype=np.int64),
+        np.array([x for _, x in pairs], dtype=np.uint8),
+    )
 
 
 class TestHost:
@@ -45,7 +46,7 @@ class TestHost:
 
         assert not host.pool.contains(np.array(a, dtype=np.uint8))
         assert not host.pool.contains(np.array(b, dtype=np.uint8))
-        inserted = host.absorb(sols((-3, a), (-9, b)))
+        inserted = host.absorb_batch(*sols((-3, a), (-9, b)))
         assert inserted == 2
         assert host.best_energy == -9
         assert host.pool.best().energy == -9
@@ -54,8 +55,8 @@ class TestHost:
     def test_absorb_duplicate_not_inserted_but_best_kept(self):
         host = Host(8, 4, rng_factory=RngFactory(2))
         a = [1, 0, 0, 0, 1, 1, 0, 1]
-        host.absorb(sols((-3, a)))
-        inserted = host.absorb(sols((-3, a)))
+        host.absorb_batch(*sols((-3, a)))
+        inserted = host.absorb_batch(*sols((-3, a)))
         assert inserted == 0
         assert host.best_energy == -3
 
@@ -63,8 +64,8 @@ class TestHost:
         """The incumbent is tracked outside the pool: even if eviction
         pressure pushes its entry out later, best_energy/x remain."""
         host = Host(4, 2, rng_factory=RngFactory(3))
-        host.absorb(sols((-50, [1, 1, 1, 1])))
-        host.absorb(sols((-60, [1, 1, 1, 0]), (-70, [1, 1, 0, 0])))
+        host.absorb_batch(*sols((-50, [1, 1, 1, 1])))
+        host.absorb_batch(*sols((-60, [1, 1, 1, 0]), (-70, [1, 1, 0, 0])))
         assert host.best_energy == -70
         assert np.array_equal(host.best_x, [1, 1, 0, 0])
 
@@ -77,5 +78,5 @@ class TestHost:
         no access to the weight matrix at all."""
         host = Host(4, 4, rng_factory=RngFactory(5))
         assert not hasattr(host, "W")
-        host.absorb(sols((123456, [1, 0, 1, 0])))  # plausible or not
+        host.absorb_batch(*sols((123456, [1, 0, 1, 0])))  # plausible or not
         assert host.best_energy == 123456

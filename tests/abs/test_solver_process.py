@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-import repro.abs.solver as solver_mod
+import repro.abs.fleet as fleet_mod
 from repro.abs import AbsConfig, AdaptiveBulkSearch
 from repro.qubo import QuboMatrix, energy
 from repro.search import solve_exact
@@ -93,6 +93,36 @@ class TestSolveProcess:
         assert res.counters["supervisor.restarts"] == 0
         assert res.counters["supervisor.workers_lost"] == 0
 
+    def test_one_shot_emits_no_service_counters(self, small):
+        """A one-shot solve runs on a fleet too, but the ``service.*``
+        counters belong to the service: a traced one-shot has none."""
+        bus = TelemetryBus([MemorySink()])
+        cfg = AbsConfig(max_rounds=4, blocks_per_gpu=4, time_limit=30.0, seed=6)
+        AdaptiveBulkSearch(small, cfg, telemetry=bus).solve("process")
+        counts = bus.counters.snapshot()
+        assert counts["host.rounds"] >= 1  # the bus really was live
+        assert [k for k in counts if k.startswith("service.")] == []
+
+
+class TestPhaseClocks:
+    def test_worker_startup_lands_in_setup_not_search(self, small, monkeypatch):
+        """Worker spawn and start-up run before the arm acknowledgement,
+        so a worker that takes 0.5 s to come up adds 0.5 s to
+        ``setup_ns`` and nothing to ``search_ns`` or ``elapsed``."""
+        real_worker = fleet_mod._fleet_worker_main
+
+        def slow_worker(*args):
+            time.sleep(0.5)
+            real_worker(*args)
+
+        monkeypatch.setattr(fleet_mod, "_fleet_worker_main", slow_worker)
+        cfg = AbsConfig(max_rounds=3, blocks_per_gpu=4, time_limit=30.0, seed=5)
+        res = AdaptiveBulkSearch(small, cfg).solve("process")
+        assert res.rounds == 3
+        assert res.setup_ns >= 500_000_000
+        assert res.search_ns < 500_000_000
+        assert res.elapsed < 0.5
+
 
 class TestStartMethod:
     def test_spawn_start_method_roundtrip(self, small):
@@ -123,7 +153,7 @@ class TestWorkerSupervision:
         no hang, and nothing is ever queued to the dead worker."""
         ctx = multiprocessing.get_context("fork")
         degraded = ctx.Event()
-        real_worker = solver_mod._worker_main
+        real_worker = fleet_mod._fleet_worker_main
 
         def flaky_worker(worker_id, incarnation, *rest):
             if worker_id == 1:
@@ -131,7 +161,7 @@ class TestWorkerSupervision:
             degraded.wait()  # survivor starts once the loss is handled
             real_worker(worker_id, incarnation, *rest)
 
-        monkeypatch.setattr(solver_mod, "_worker_main", flaky_worker)
+        monkeypatch.setattr(fleet_mod, "_fleet_worker_main", flaky_worker)
         sink = MemorySink()
         bus = TelemetryBus([sink, _SetOnEvent("supervisor.degrade", degraded)])
         cfg = AbsConfig(
@@ -166,21 +196,26 @@ class TestWorkerSupervision:
         the replacement (the other worker deliberately idles)."""
         ctx = multiprocessing.get_context("fork")
         restarted = ctx.Event()
-        real_worker = solver_mod._worker_main
+        real_worker = fleet_mod._fleet_worker_main
 
         def flaky_worker(worker_id, incarnation, *rest):
-            stop_evt = rest[-3]  # (…, worker_ref, stop_evt, enabled, lockstep)
+            # (control, exchange_ref, stop_evt, ack_q, prepared_cache_size)
+            control, stop_evt, ack_q = rest[0], rest[2], rest[3]
             if worker_id == 1 and incarnation == 0:
                 os._exit(9)
             if worker_id == 0:
-                # Contribute nothing; prove the replacement carries the run.
+                # Acknowledge the job frame so the arm handshake
+                # completes, then contribute nothing: prove the
+                # replacement carries the run.
+                job = control.get(timeout=30)
+                ack_q.put((worker_id, job.job_seq))
                 while not stop_evt.is_set():
                     time.sleep(0.01)
                 return
             restarted.wait()
             real_worker(worker_id, incarnation, *rest)
 
-        monkeypatch.setattr(solver_mod, "_worker_main", flaky_worker)
+        monkeypatch.setattr(fleet_mod, "_fleet_worker_main", flaky_worker)
         sink = MemorySink()
         bus = TelemetryBus([sink, _SetOnEvent("supervisor.restart", restarted)])
         cfg = AbsConfig(

@@ -20,7 +20,7 @@ import time
 import numpy as np
 import pytest
 
-import repro.abs.solver as solver_mod
+import repro.abs.fleet as fleet_mod
 from repro.abs import AbsConfig, AdaptiveBulkSearch
 from repro.qubo import QuboMatrix, energy
 from repro.telemetry import MemorySink, TelemetryBus
@@ -139,7 +139,7 @@ class TestRestartWithRings:
         stale targets via the epoch, and carries the solve to the end."""
         ctx = multiprocessing.get_context("fork")
         restarted = ctx.Event()
-        real_worker = solver_mod._worker_main
+        real_worker = fleet_mod._fleet_worker_main
 
         def flaky_worker(worker_id, incarnation, *rest):
             if worker_id == 0 and incarnation == 0:
@@ -147,7 +147,7 @@ class TestRestartWithRings:
             restarted.wait()  # start only after the host handled the death
             real_worker(worker_id, incarnation, *rest)
 
-        monkeypatch.setattr(solver_mod, "_worker_main", flaky_worker)
+        monkeypatch.setattr(fleet_mod, "_fleet_worker_main", flaky_worker)
         before = set(glob.glob("/dev/shm/*"))
         sink = MemorySink()
         bus = TelemetryBus([sink, _SetOnEvent("supervisor.restart", restarted)])

@@ -88,6 +88,20 @@ class TestBitIdentity:
         assert repeat.counters == first.counters
 
 
+class TestCacheEligibility:
+    def test_two_worker_lockstep_is_never_cached(self, problem):
+        """Lockstep makes only a *single* worker deterministic: with two,
+        the order in which results reach the host varies from run to
+        run, so a repeat submission must solve afresh instead of
+        returning the first run's draw from the result cache."""
+        cfg = lockstep_cfg("shm", seed=42, n_gpus=2, blocks_per_gpu=3)
+        with SolverService() as svc:
+            svc.result(svc.submit(problem, cfg), timeout=120)
+            again = svc.submit(problem, cfg)
+            svc.result(again, timeout=120)
+            assert not svc.status(again)["cache_hit"]
+
+
 class TestWarmReuseQueueTransport:
     def test_queue_transport_jobs_equal_one_shots(self, problem):
         """The queue transport's consume-and-discard hazard is what the
