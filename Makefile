@@ -14,13 +14,12 @@ test-fast:              ## skip the slow example subprocess smoke tests
 test-process:           ## only the multiprocessing (worker supervision) tests
 	pytest -m process tests/
 
-test-backends:          ## backend suite on all lanes: as-installed, then with numba/cc masked
+test-backends:          ## backend suite on both lanes: as-installed, then with the C compiler masked
 	pytest tests/backends -q
-	REPRO_NO_NUMBA=1 REPRO_NO_CC=1 pytest tests/backends -q
+	REPRO_NO_CC=1 pytest tests/backends -q
 
-test-exchange:          ## exchange + process suites on both transports: shm rings, then Queue fallback
+test-exchange:          ## exchange + process suites on the shm rings (the tcp lane is `make test-tcp`)
 	REPRO_EXCHANGE=shm pytest -m "exchange_shm or process" tests/ -q
-	REPRO_EXCHANGE=queue pytest -m "exchange_shm or process" tests/ -q
 
 test-tcp:               ## tcp transport lane: codec, fault injection, determinism (auto-skips where loopback binds are forbidden)
 	pytest -m tcp tests/ -q

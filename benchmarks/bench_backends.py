@@ -1,4 +1,4 @@
-"""Backend shoot-out — numpy reference vs numba JIT vs bit-plane C kernels.
+"""Backend shoot-out — numpy reference vs bit-plane C kernels.
 
 Measures ``local_steps`` throughput (the dominant hot path of a solve)
 for every *actually available* kernel backend at several ``(n, B)``
@@ -8,7 +8,7 @@ Results land in ``benchmarks/results/BENCH_backends.json`` with
 per-point flip rates and the speedup of each backend over numpy.
 
 Fallbacks are a hard bench failure, never a measurement: a backend
-whose factory degrades (no numba, no C compiler) is resolved through
+whose factory degrades (no C compiler) is resolved through
 :func:`benchmarks.conftest.resolve_backend_strict`, listed under
 ``"unavailable"`` in the JSON with the reason, and records **no
 points** — and ``bitplane`` specifically is required to be available,

@@ -16,7 +16,7 @@ Two execution modes are provided by :class:`~repro.abs.solver.AdaptiveBulkSearch
   configuration of Figure 5) on a :class:`~repro.abs.fleet.WorkerFleet`,
   weights shared via shared memory, targets/solutions exchanged through
   the :mod:`repro.abs.exchange` transport (bit-packed shared-memory
-  rings by default; ``exchange="queue"`` or ``"tcp"`` on request).
+  rings by default; ``exchange="tcp"`` on request).
   Used by the Figure 8 scaling benchmark.
 """
 

@@ -65,12 +65,12 @@ class AbsConfig:
         Figure-2 selection window: int, ``"spread"``, or per-block list.
     backend:
         Kernel backend name for the bulk engine (``"numpy"``,
-        ``"numba"``, or any name registered with
+        ``"bitplane"``, ``"graycode"``, or any name registered with
         :func:`repro.backends.register_backend`).  ``None`` (default)
         consults the ``REPRO_BACKEND`` environment variable and falls
         back to ``"numpy"``.  Backend choice never changes the search
-        result — only kernel speed (``numba`` degrades to ``numpy``
-        with a warning when numba is not installed).
+        result — only kernel speed (``bitplane`` degrades to ``numpy``
+        with a warning when no C compiler is found).
     pool_capacity:
         Host solution-pool size ``m``.
     ga:
@@ -117,8 +117,7 @@ class AbsConfig:
         Process mode only: the host↔worker transport.  ``"shm"`` (the
         default) exchanges targets and solutions through preallocated
         bit-packed shared-memory rings — the paper's Figure-5 buffers
-        (:mod:`repro.abs.exchange`); ``"queue"`` is the pickling
-        ``multiprocessing.Queue`` fallback; ``"tcp"`` frames the same
+        (:mod:`repro.abs.exchange`); ``"tcp"`` frames the same
         bit-packed payloads over loopback sockets (:mod:`repro.abs.tcp`)
         so workers can join and leave elastically.  ``None`` consults
         the ``REPRO_EXCHANGE`` environment variable, then defaults to

@@ -19,15 +19,16 @@ module is the process-mode realization of those buffers:
   counters; ``head``/``tail`` are the global counters of Figure 5.
   The producer blocks (briefly, with a stall counter) only when the
   host has fallen a full ring behind.
-- :class:`ShmHostTransport` / :class:`QueueHostTransport` — two of the
-  three process-mode transports behind ``AbsConfig.exchange``.  They
-  present one interface to the solver (per-worker target channels with
-  ``put``, a ``poll`` for the next :class:`ResultBatch`, byte/stall
-  statistics); the queue flavour is the pre-ring fallback that ships
-  pickled arrays through ``multiprocessing.Queue``.  The third
-  transport (``"tcp"``, :mod:`repro.abs.tcp`) carries the same packed
-  payloads over length-prefixed socket frames so device workers can
-  live on other hosts; it is imported lazily from the factory below.
+- :class:`ShmHostTransport` — the default of the two process-mode
+  transports behind ``AbsConfig.exchange``.  Both present one
+  interface to the fleet: per-worker target channels with ``put``,
+  ``worker_ref``, a ``poll`` for the next :class:`ResultBatch`,
+  ``describe``, ``drain``, ``close``, the telemetry side channel
+  (``event_bundles``, ``result_backlog``), and byte statistics.  The
+  other transport (``"tcp"``, :mod:`repro.abs.tcp`) carries the same
+  packed payloads over length-prefixed socket frames so device workers
+  can live on other hosts; it is imported lazily from the factory
+  below.
 - :func:`open_worker_endpoint` — the worker-side counterpart, built
   from a picklable ``worker_ref``.
 
@@ -65,7 +66,7 @@ if TYPE_CHECKING:  # runtime import is lazy — tcp imports this module
     from repro.abs.tcp import TcpHostTransport, TcpWorkerEndpoint
 
 #: Transport names accepted by ``AbsConfig.exchange`` / ``REPRO_EXCHANGE``.
-EXCHANGE_NAMES = ("shm", "queue", "tcp")
+EXCHANGE_NAMES = ("shm", "tcp")
 
 #: Explicit wire dtypes for everything that crosses a process or host
 #: boundary (shm ring/mailbox views, tcp frame payloads).  Pinned
@@ -422,31 +423,6 @@ class SolutionRing(_ShmRegion):
 # ----------------------------------------------------------------------
 # Host-side transports
 # ----------------------------------------------------------------------
-class _QueueTargetChannel:
-    """Host-side handle for one worker's target queue (queue transport).
-
-    Batches are stamped with the channel's epoch (the worker incarnation
-    — or, under a warm fleet, the job token) so the worker endpoint can
-    drop batches published for a predecessor or a previous job, exactly
-    like the mailbox and tcp epoch filters.
-    """
-
-    def __init__(self, raw: Any, epoch: int, stats: dict[str, int]) -> None:
-        self.raw = raw
-        self._epoch = int(epoch)
-        self._stats = stats
-
-    def put(self, targets: np.ndarray) -> None:
-        targets = np.ascontiguousarray(targets, dtype=WIRE_U8)
-        self.raw.put((self._epoch, targets))
-        self._stats["exchange.targets_published"] += 1
-        self._stats["exchange.bytes_to_device"] += targets.nbytes
-
-    def get_nowait(self) -> Any:
-        """Drain helper (final-cleanup only)."""
-        return self.raw.get_nowait()
-
-
 class _MailboxTargetChannel:
     """Host-side handle for one worker's mailbox + incarnation epoch."""
 
@@ -465,9 +441,6 @@ class _MailboxTargetChannel:
             self._mailbox.n_blocks * packed_length(self._mailbox.n)
         )
 
-    def get_nowait(self) -> Any:
-        raise queue_mod.Empty  # mailboxes hold no backlog to drain
-
 
 def _new_stats() -> dict[str, int]:
     return {
@@ -478,83 +451,6 @@ def _new_stats() -> dict[str, int]:
         "exchange.packs": 0,
         "exchange.unpacks": 0,
     }
-
-
-class QueueHostTransport:
-    """The fallback transport: pickled arrays through ``mp.Queue``.
-
-    This is the pre-ring wire format, kept selectable
-    (``exchange="queue"`` / ``REPRO_EXCHANGE=queue``) as the baseline
-    the benchmark compares against and as a refuge on platforms where
-    POSIX shared memory misbehaves.
-    """
-
-    name = "queue"
-
-    def __init__(self, ctx: Any, n_workers: int, n_blocks: int, n: int) -> None:
-        self._ctx = ctx
-        self.n_workers = int(n_workers)
-        self.n_blocks = int(n_blocks)
-        self.n = int(n)
-        self.stats = _new_stats()
-        self._result_q = ctx.Queue()
-        self._pending_events: list[tuple[int, int, list]] = []
-
-    def make_target_channel(self, worker_id: int, incarnation: int) -> Any:
-        return _QueueTargetChannel(self._ctx.Queue(), incarnation, self.stats)
-
-    def rebind_channel(self, worker_id: int, incarnation: int, channel: Any) -> Any:
-        # Re-arm in place (warm fleet): the live worker keeps its bound
-        # queue, so only the epoch changes — unlike a restart, which
-        # spawns a replacement around a fresh queue.
-        return _QueueTargetChannel(channel.raw, incarnation, self.stats)
-
-    def worker_ref(self, worker_id: int, incarnation: int, channel: Any) -> tuple:
-        return ("queue", channel.raw, self._result_q)
-
-    def poll(self, timeout: float) -> ResultBatch | None:
-        try:
-            msg = self._result_q.get(timeout=timeout)
-        except queue_mod.Empty:
-            return None
-        (worker_id, incarnation, energies, xs, evaluated, flips, wcounts, wevents) = msg
-        self.stats["exchange.results_consumed"] += 1
-        self.stats["exchange.bytes_from_device"] += energies.nbytes + xs.nbytes
-        if wevents:
-            self._pending_events.append((worker_id, incarnation, wevents))
-        return ResultBatch(
-            worker_id=worker_id,
-            incarnation=incarnation,
-            energies=energies,
-            x=xs,
-            evaluated=int(evaluated),
-            flips=int(flips),
-            counters=dict(wcounts),
-        )
-
-    def event_bundles(self) -> list[tuple[int, int, list]]:
-        out = self._pending_events
-        self._pending_events = []
-        return out
-
-    def queue_depths(self, worker_id: int, channel: Any) -> tuple[int, int]:
-        return (_safe_qsize(channel.raw), _safe_qsize(self._result_q))
-
-    def describe(self) -> dict[str, int | str]:
-        return {
-            "transport": self.name,
-            "workers": self.n_workers,
-            "ring_slots": 0,
-            "target_slot_bytes": self.n_blocks * self.n,
-            "result_slot_bytes": self.n_blocks * (self.n + 8),
-        }
-
-    def drain(self) -> None:
-        """Empty the result queue so its feeder thread can exit."""
-        _drain_queue(self._result_q)
-
-    def close(self) -> None:
-        pass
 
 
 class ShmHostTransport:
@@ -571,7 +467,6 @@ class ShmHostTransport:
         *,
         ring_slots: int = DEFAULT_RING_SLOTS,
     ) -> None:
-        self._ctx = ctx
         self.n_workers = int(n_workers)
         self.n_blocks = int(n_blocks)
         self.n = int(n)
@@ -595,11 +490,7 @@ class ShmHostTransport:
             self._mailboxes[worker_id], incarnation, self.stats
         )
 
-    def rebind_channel(self, worker_id: int, incarnation: int, channel: Any) -> Any:
-        # Same surviving mailbox under a fresh epoch (warm-fleet re-arm).
-        return self.make_target_channel(worker_id, incarnation)
-
-    def worker_ref(self, worker_id: int, incarnation: int, channel: Any) -> tuple:
+    def worker_ref(self, worker_id: int) -> tuple:
         return (
             "shm",
             self._mailboxes[worker_id].descriptor,
@@ -658,11 +549,9 @@ class ShmHostTransport:
         self._pending_events = []
         return out
 
-    def queue_depths(self, worker_id: int, channel: Any) -> tuple[int, int]:
-        # A mailbox holds exactly the latest batch — there is no target
-        # backlog to report; -1 marks "not a queue" (same sentinel as
-        # platforms without qsize).
-        return (-1, self._rings[worker_id].backlog())
+    def result_backlog(self, worker_id: int) -> int:
+        """Result records the worker has written but the host not read."""
+        return self._rings[worker_id].backlog()
 
     def describe(self) -> dict[str, int | str]:
         pn = packed_length(self.n)
@@ -677,7 +566,12 @@ class ShmHostTransport:
         }
 
     def drain(self) -> None:
-        _drain_queue(self._events_q)
+        """Empty the event side queue so its feeder thread can exit."""
+        try:
+            while True:
+                self._events_q.get_nowait()
+        except (queue_mod.Empty, OSError, EOFError):
+            pass
 
     def close(self) -> None:
         for box in self._mailboxes:
@@ -688,10 +582,8 @@ class ShmHostTransport:
 
 def make_host_transport(
     name: str, ctx: Any, *, n_workers: int, n_blocks: int, n: int
-) -> "QueueHostTransport | ShmHostTransport | TcpHostTransport":
+) -> "ShmHostTransport | TcpHostTransport":
     """Instantiate the host side of the named transport."""
-    if name == "queue":
-        return QueueHostTransport(ctx, n_workers, n_blocks, n)
     if name == "shm":
         return ShmHostTransport(ctx, n_workers, n_blocks, n)
     if name == "tcp":
@@ -706,88 +598,6 @@ def make_host_transport(
 # ----------------------------------------------------------------------
 # Worker-side endpoints
 # ----------------------------------------------------------------------
-class QueueWorkerEndpoint:
-    """Worker side of the queue transport."""
-
-    def __init__(
-        self,
-        target_q: Any,
-        result_q: Any,
-        worker_id: int,
-        incarnation: int,
-        stop_evt: Any,
-    ) -> None:
-        self._target_q = target_q
-        self._result_q = result_q
-        self._worker_id = int(worker_id)
-        self._incarnation = int(incarnation)
-        self._stop_evt = stop_evt
-
-    def fetch_targets(self, *, wait: bool) -> np.ndarray | None:
-        """The freshest queued target batch (drains older ones).
-
-        Batches stamped with a different epoch — published for a
-        predecessor incarnation or a previous warm-fleet job — are
-        dropped.  With ``wait`` the call blocks until a matching batch
-        arrives or the stop event fires (lockstep mode); otherwise it
-        returns ``None`` when nothing matching is queued — the device
-        keeps its previous targets.
-        """
-        targets: np.ndarray | None = None
-        try:
-            while True:
-                epoch, payload = self._target_q.get_nowait()
-                if epoch == self._incarnation:
-                    targets = payload
-        except queue_mod.Empty:
-            pass
-        if targets is not None or not wait:
-            return targets
-        while not self._stop_evt.is_set():
-            try:
-                epoch, payload = self._target_q.get(timeout=0.1)
-            except queue_mod.Empty:
-                continue
-            if epoch == self._incarnation:
-                return payload
-        return None
-
-    def rearm(self, token: int) -> None:
-        """Adopt a new epoch token (warm-fleet job switch).
-
-        Queued batches stamped with the old token are dropped by the
-        epoch filter above; results publish under the new token from
-        here on.
-        """
-        self._incarnation = int(token)
-
-    def publish(
-        self,
-        energies: np.ndarray,
-        x: np.ndarray,
-        evaluated: int,
-        flips: int,
-        counters: dict[str, int],
-        events: list,
-    ) -> bool:
-        self._result_q.put(
-            (
-                self._worker_id,
-                self._incarnation,
-                energies,
-                x,
-                int(evaluated),
-                int(flips),
-                counters,
-                events,
-            )
-        )
-        return True
-
-    def close(self) -> None:
-        pass
-
-
 class ShmWorkerEndpoint:
     """Worker side of the shared-memory transport."""
 
@@ -873,11 +683,9 @@ class ShmWorkerEndpoint:
 
 def open_worker_endpoint(
     ref: tuple, *, worker_id: int, incarnation: int, stop_evt: Any
-) -> "QueueWorkerEndpoint | ShmWorkerEndpoint | TcpWorkerEndpoint":
+) -> "ShmWorkerEndpoint | TcpWorkerEndpoint":
     """Build the worker-side endpoint from a picklable ``worker_ref``."""
     kind = ref[0]
-    if kind == "queue":
-        return QueueWorkerEndpoint(ref[1], ref[2], worker_id, incarnation, stop_evt)
     if kind == "shm":
         return ShmWorkerEndpoint(
             ref[1], ref[2], ref[3], worker_id, incarnation, stop_evt
@@ -889,23 +697,3 @@ def open_worker_endpoint(
             ref[1], worker_id=worker_id, incarnation=incarnation, stop_evt=stop_evt
         )
     raise ValueError(f"unknown worker endpoint kind {kind!r}")
-
-
-# ----------------------------------------------------------------------
-# Small shared helpers
-# ----------------------------------------------------------------------
-def _safe_qsize(q: Any) -> int:
-    """``Queue.qsize`` is approximate and unimplemented on some
-    platforms (macOS); report -1 rather than crash the host loop."""
-    try:
-        return q.qsize()
-    except (NotImplementedError, OSError):
-        return -1
-
-
-def _drain_queue(q: Any) -> None:
-    try:
-        while True:
-            q.get_nowait()
-    except (queue_mod.Empty, OSError, EOFError):
-        pass

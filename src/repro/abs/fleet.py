@@ -2,7 +2,7 @@
 
 Process mode runs one OS process per simulated GPU.  A
 :class:`WorkerFleet` owns those processes, the exchange transport
-(shared-memory mailboxes/rings, queues, or a TCP listener), the
+(shared-memory mailboxes/rings or a TCP listener), the
 :class:`~repro.abs.supervisor.WorkerSupervisor` that restarts dead or
 stalled workers, and the host-side shared-memory weight segments.
 Every worker runs :func:`_fleet_worker_main`: a control loop that
@@ -33,15 +33,17 @@ numbers start at 1.  Cross-job traffic (a result published
 microseconds before a re-arm) is filtered by the host exactly like a
 stale incarnation's.
 
-**Re-arm handshake.**  ``arm_job`` rebinds every healthy worker's
-target channel to the new token, delivers one ``WorkerJob`` frame per
+**Re-arm handshake.**  ``arm_job`` re-stamps every healthy worker's
+target channel with the new token, delivers one ``WorkerJob`` frame per
 worker, and waits until every healthy worker acknowledges the new job
-sequence number.  The ack gate exists for the queue transport, where an
-un-re-armed worker would *consume and discard* targets stamped with the
-new epoch; shm mailboxes and TCP replay are idempotent but take the
-same path for uniformity.  Workers that die mid-handshake are restarted
-by the supervisor and re-armed at spawn with the *current* frame — a
-replacement can never resurrect the previous job.
+sequence number.  A worker acks only after it has attached the
+weights, prepared (and, for ``bitplane``, compiled) its backend and
+built its device, so the ack is the boundary between a job's
+``setup_ns`` and its search clock: the host publishes the first
+targets and starts ``time_limit`` only once every worker is ready to
+search.  The handshake is also where a worker that dies mid-arm is
+restarted by the supervisor and re-armed at spawn with the *current*
+frame — a replacement can never resurrect the previous job.
 """
 
 from __future__ import annotations
@@ -524,7 +526,6 @@ class WorkerFleet:
                 if self._current_jobs is not None
                 else None
             )
-            token = encode_token(self._job_seq, incarnation)
         if frame is not None:
             control.put(frame)
         # _fleet_worker_main is looked up at call time, so a patched
@@ -535,7 +536,7 @@ class WorkerFleet:
                 worker_id,
                 incarnation,
                 control,
-                self.transport.worker_ref(worker_id, token, channel),
+                self.transport.worker_ref(worker_id),
                 self.stop_evt,
                 self._ack_q,
                 self._prepared_cache_size,
@@ -587,11 +588,12 @@ class WorkerFleet:
         ``jobs`` is indexed by worker id and must share one
         ``job_seq`` (from :meth:`next_job_seq`).  On return every
         healthy worker has re-armed its endpoint under the new epoch
-        token, so the caller may publish initial targets on any
-        transport without racing an un-re-armed consumer.  Workers that
-        die during the handshake are restarted and re-armed at spawn;
-        the call fails only when no healthy worker remains or the
-        timeout expires.
+        token and finished its per-job setup (weight attach, backend
+        prepare and compile, device build): the return marks the end
+        of the job's ``setup_ns`` and the start of its search clock.
+        Workers that die during the handshake are restarted and
+        re-armed at spawn with the current frame; the call fails only
+        when no healthy worker remains or the timeout expires.
         """
         if self.supervisor is None:
             raise RuntimeError("fleet not started")
@@ -615,12 +617,8 @@ class WorkerFleet:
             self._current_jobs = list(jobs)
         sup = self.supervisor
         # Live workers keep their incarnation; only the channel epoch
-        # moves to the new job's token.
-        sup.rebind_channels(
-            lambda wid, inc, _old: self.transport.rebind_channel(
-                wid, encode_token(job_seq, inc), _old
-            )
-        )
+        # moves to the new job's token (_make_channel reads _job_seq).
+        sup.rebind_channels()
         # Snapshot: a mid-handshake restart adds its own control entry
         # and self-arms with the frame set above, so missing it is fine.
         with self._lock:
@@ -703,7 +701,7 @@ class WorkerFleet:
     # Teardown
     # ------------------------------------------------------------------
     def shutdown(self) -> None:
-        """Stop workers, drain queues, tear the transport down."""
+        """Stop workers, drain control queues, tear the transport down."""
         # Atomic test-and-set: the service can race its own failure
         # teardown against close(), and only one caller may proceed to
         # join/terminate/unlink below.
@@ -735,16 +733,15 @@ class WorkerFleet:
             self.relay_events(self.bus, last_seq)
         except Exception:  # pragma: no cover - teardown best-effort
             pass
-        # Drain channels so queue feeder threads can exit, then tear
-        # down the transport (unlinks the shm rings/mailboxes).
-        channels = self.supervisor.all_channels if self.supervisor else []
+        # Drain the control queues so their feeder threads can exit,
+        # then tear down the transport (unlinks the shm rings/mailboxes).
         with self._lock:
             all_controls = list(self._all_controls)
-        for ch in list(channels) + all_controls:
+        for control in all_controls:
             try:
                 while True:
-                    ch.get_nowait()
-            except (queue_mod.Empty, OSError, EOFError, AttributeError):
+                    control.get_nowait()
+            except (queue_mod.Empty, OSError, EOFError):
                 pass
         try:
             while True:
@@ -961,12 +958,10 @@ def run_search_rounds(
             if ch is not None:
                 ch.put(host.make_targets(cfg.blocks_per_gpu, device=worker_id))
                 if bus.enabled:
-                    tq, rq = transport.queue_depths(worker_id, ch)
                     bus.emit(
                         "host.queue",
                         device=worker_id,
-                        targets_queued=tq,
-                        results_queued=rq,
+                        results_queued=transport.result_backlog(worker_id),
                     )
 
     if bus.enabled:

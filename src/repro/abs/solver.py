@@ -238,8 +238,8 @@ class AdaptiveBulkSearch:
             pool_capacity=cfg.pool_capacity,
             seed=cfg.seed,
             adapt_windows=cfg.adapt_windows,
-            # The *active* backend: a requested-but-unavailable numba
-            # resolves to numpy here, matching what the engines will do.
+            # The *active* backend: a bitplane request without a C
+            # compiler resolves to numpy here, matching the engines.
             backend=resolve_backend(cfg.backend).name,
             diversity_min_dist=cfg.diversity_min_dist,
             **({"variants": variants} if variants is not None else {}),

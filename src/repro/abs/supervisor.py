@@ -18,13 +18,13 @@ real OS processes:
   healthy worker remains does the caller fail the run.
 
 The state machine lives here, decoupled from transport plumbing: the
-solver passes a ``spawn`` callable (create + start one worker process)
+fleet passes a ``spawn`` callable (create + start one worker process)
 and a ``channel_factory(worker_id, incarnation)`` (the target channel a
-given incarnation reads — a fresh queue on the queue transport, a
-handle onto the *surviving* shared-memory mailbox with a bumped epoch
-on the ring transport), and calls :meth:`WorkerSupervisor.poll` from
-its polling loop.  Everything is injectable (clock, spawn, channels),
-so the supervision logic is unit tested without real processes.
+given incarnation reads — a handle onto the *surviving* mailbox or
+stream, stamped with that incarnation's epoch), and calls
+:meth:`WorkerSupervisor.poll` from its polling loop.  Everything is
+injectable (clock, spawn, channels), so the supervision logic is unit
+tested without real processes.
 
 Telemetry: ``supervisor.stall`` when a progress deadline is missed,
 ``supervisor.restart`` per replacement, ``supervisor.degrade`` when a
@@ -76,7 +76,7 @@ class _WorkerState:
     __slots__ = (
         "worker_id",
         "proc",
-        "target_q",
+        "channel",
         "incarnation",
         "restarts_used",
         "last_progress",
@@ -86,7 +86,7 @@ class _WorkerState:
     def __init__(self, worker_id: int) -> None:
         self.worker_id = worker_id
         self.proc: Any = None
-        self.target_q: Any = None
+        self.channel: Any = None
         self.incarnation = 0
         self.restarts_used = 0
         self.last_progress = 0.0
@@ -102,18 +102,16 @@ class WorkerSupervisor:
         Number of worker slots (``AbsConfig.n_gpus``).
     spawn:
         ``spawn(worker_id, incarnation, channel) -> process`` — create
-        and start one worker process reading targets from ``channel``.
+        and start one worker process for that incarnation; ``channel``
+        is the handle ``channel_factory`` just made for it.
         The returned object needs ``is_alive()``, ``terminate()``,
         ``kill()``, ``join(timeout)``, and ``exitcode``.
     channel_factory:
         ``channel_factory(worker_id, incarnation) -> channel`` — the
-        target channel that incarnation reads.  On the queue transport
-        this is a fresh ``ctx.Queue`` per incarnation, so stale targets
-        can neither leak across incarnations nor pile up unread; on the
-        shared-memory transport the underlying mailbox *survives* the
-        restart and the factory returns a handle bound to the new
-        incarnation's epoch, which makes the replacement skip anything
-        published for its predecessor.
+        target channel that incarnation reads.  The underlying mailbox
+        or stream *survives* restarts; the factory returns a handle
+        bound to the new incarnation's epoch, which makes the
+        replacement skip anything published for its predecessor.
     max_restarts:
         Restart budget *per worker*; 0 disables restarts entirely.
     stall_timeout:
@@ -152,13 +150,12 @@ class WorkerSupervisor:
         self._workers = [_WorkerState(g) for g in range(n_workers)]
         # Per-worker state (_workers) is externally synchronized — poll,
         # rebind, and note_result all run on the owning host loop.  The
-        # ever-spawned registries are different: fleet shutdown() walks
-        # them from whatever thread closes the service, concurrently
-        # with a supervise-thread restart appending to them.  Scopes
-        # stay call-free so no lock-order edges can form.
+        # ever-spawned registry is different: fleet shutdown() walks it
+        # from whatever thread closes the service, concurrently with a
+        # supervise-thread restart appending to it.  Scopes stay
+        # call-free so no lock-order edges can form.
         self._registry_lock = threading.Lock()
         self._all_procs: list[Any] = []  # guarded-by: _registry_lock
-        self._all_channels: list[Any] = []  # guarded-by: _registry_lock
         #: Total successful restarts across all workers.
         self.workers_restarted = 0
         #: Workers permanently retired (restart budget exhausted).
@@ -175,10 +172,8 @@ class WorkerSupervisor:
         self._started = True
         now = self._clock()
         for st in self._workers:
-            st.target_q = self._channel_factory(st.worker_id, st.incarnation)
-            with self._registry_lock:
-                self._all_channels.append(st.target_q)
-            st.proc = self._spawn(st.worker_id, st.incarnation, st.target_q)
+            st.channel = self._channel_factory(st.worker_id, st.incarnation)
+            st.proc = self._spawn(st.worker_id, st.incarnation, st.channel)
             with self._registry_lock:
                 self._all_procs.append(st.proc)
             st.last_progress = now
@@ -186,20 +181,19 @@ class WorkerSupervisor:
     def target_channel(self, worker_id: int) -> Any | None:
         """Current-incarnation target channel; ``None`` once lost."""
         st = self._workers[worker_id]
-        return None if st.lost else st.target_q
+        return None if st.lost else st.channel
 
-    def rebind_channels(
-        self, rebind: Callable[[int, int, Any], Any]
-    ) -> None:
-        """Re-bind every healthy worker's target channel in place.
+    def rebind_channels(self) -> None:
+        """Re-stamp every healthy worker's target channel in place.
 
-        ``rebind(worker_id, incarnation, old_channel) -> channel`` —
-        used by the warm fleet when re-arming live workers with a new
-        job: the transport keeps its surviving mailbox/stream/queue but
-        stamps subsequent publishes with the new job's epoch token.
-        Unlike a restart, the incarnation does not change and no process
-        is spawned.  Progress clocks are reset so a worker is not
-        declared stalled for time spent idle between jobs.
+        Used by the fleet when re-arming live workers with a new job:
+        ``channel_factory`` is called again for each worker's current
+        incarnation, and the fleet has already moved its job sequence,
+        so the new handle publishes into the surviving mailbox/stream
+        under the new job's epoch token.  Unlike a restart, the
+        incarnation does not change and no process is spawned.
+        Progress clocks are reset so a worker is not declared stalled
+        for time spent idle between jobs.
         """
         if not self._started:
             raise RuntimeError("supervisor not started")
@@ -207,20 +201,7 @@ class WorkerSupervisor:
         for st in self._workers:
             if st.lost:
                 continue
-            old = st.target_q
-            new = rebind(st.worker_id, st.incarnation, old)
-            if new is not old:
-                # Replace (never append): a fleet re-arms on
-                # every job, and accumulating one channel per worker per
-                # job would grow — and drain at shutdown — without bound.
-                with self._registry_lock:
-                    for i, ch in enumerate(self._all_channels):
-                        if ch is old:
-                            self._all_channels[i] = new
-                            break
-                    else:  # pragma: no cover - untracked channel
-                        self._all_channels.append(new)
-                st.target_q = new
+            st.channel = self._channel_factory(st.worker_id, st.incarnation)
             st.last_progress = now
 
     def incarnation(self, worker_id: int) -> int:
@@ -243,12 +224,6 @@ class WorkerSupervisor:
         with self._registry_lock:
             return list(self._all_procs)
 
-    @property
-    def all_channels(self) -> list[Any]:
-        """Every target channel ever created (for final draining)."""
-        with self._registry_lock:
-            return list(self._all_channels)
-
     # ------------------------------------------------------------------
     # Progress accounting
     # ------------------------------------------------------------------
@@ -257,7 +232,7 @@ class WorkerSupervisor:
 
         A result is fresh when it came from the worker's current
         incarnation.  Stale results (shipped by a killed predecessor,
-        still sitting in the shared queue) are safe to *absorb* — any
+        still sitting in its ring or stream) are safe to *absorb* — any
         solution is a valid solution — but must not reset the
         replacement's progress clock nor update its counter snapshot,
         so the caller branches on the return value.
@@ -318,10 +293,8 @@ class WorkerSupervisor:
     ) -> WorkerAction:
         st.restarts_used += 1
         st.incarnation += 1
-        st.target_q = self._channel_factory(st.worker_id, st.incarnation)
-        with self._registry_lock:
-            self._all_channels.append(st.target_q)
-        st.proc = self._spawn(st.worker_id, st.incarnation, st.target_q)
+        st.channel = self._channel_factory(st.worker_id, st.incarnation)
+        st.proc = self._spawn(st.worker_id, st.incarnation, st.channel)
         with self._registry_lock:
             self._all_procs.append(st.proc)
         st.last_progress = self._clock()

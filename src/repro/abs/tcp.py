@@ -1,8 +1,8 @@
 """TCP exchange transport: the Figure-5 buffers over socket streams.
 
-Nothing in the host loop of :mod:`repro.abs.solver` cares whether a
+Nothing in the host loop of :mod:`repro.abs.fleet` cares whether a
 device worker lives in another process or on another machine — the
-exchange interface only moves bits.  This module is the third
+exchange interface only moves bits.  This module is the second
 transport behind ``AbsConfig.exchange`` (``"tcp"``): the host runs one
 asyncio acceptor that multiplexes every device stream, each worker
 opens a plain blocking socket, and the payloads are the *same*
@@ -54,9 +54,9 @@ the host stamps an ``exchange.reconnect`` telemetry event whenever a
 worker slot is connected more than once.
 
 Trust boundary: the acceptor binds loopback by default and the EVENTS
-frame uses pickle (exactly like the ``queue`` transport's
-``multiprocessing.Queue``), so the listener must only ever face
-machines you would let run this process anyway.
+frame uses pickle (exactly like the shm transport's event side
+queue), so the listener must only ever face machines you would let
+run this process anyway.
 """
 
 from __future__ import annotations
@@ -362,9 +362,6 @@ class _TcpTargetChannel:
     def put(self, targets: np.ndarray) -> None:
         self._transport._publish_targets(self._worker_id, self._epoch, targets)
 
-    def get_nowait(self) -> Any:
-        raise queue_mod.Empty  # the stream holds no host-side backlog
-
 
 class TcpHostTransport:
     """Asyncio acceptor multiplexing every device worker's stream.
@@ -398,7 +395,6 @@ class TcpHostTransport:
     ) -> None:
         import asyncio
 
-        self._ctx = ctx
         self.n_workers = int(n_workers)
         self.n_blocks = int(n_blocks)
         self.n = int(n)
@@ -570,11 +566,7 @@ class TcpHostTransport:
         # batches exactly like a mailbox re-bind.
         return _TcpTargetChannel(self, worker_id, incarnation)
 
-    def rebind_channel(self, worker_id: int, incarnation: int, channel: Any) -> Any:
-        # Same surviving stream under a fresh epoch (warm-fleet re-arm).
-        return self.make_target_channel(worker_id, incarnation)
-
-    def worker_ref(self, worker_id: int, incarnation: int, channel: Any) -> tuple:
+    def worker_ref(self, worker_id: int) -> tuple:
         return ("tcp", self._address)
 
     def poll(self, timeout: float) -> ResultBatch | None:
@@ -592,10 +584,10 @@ class TcpHostTransport:
     def event_bundles(self) -> list[tuple[int, int, list]]:
         return self._events.drain()
 
-    def queue_depths(self, worker_id: int, channel: Any) -> tuple[int, int]:
-        # Targets are freshest-wins (no backlog, same -1 sentinel as
-        # the mailbox); the result depth is the undrained inbox.
-        return (-1, self._inbox.qsize())
+    def result_backlog(self, worker_id: int) -> int:
+        """Decoded results the host has not read yet (all workers share
+        one inbox, so this is the whole stream's backlog)."""
+        return self._inbox.qsize()
 
     def describe(self) -> dict[str, int | str]:
         pn = packed_length(self.n)

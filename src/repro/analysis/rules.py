@@ -514,8 +514,8 @@ def _kernel_scopes(tree: ast.Module) -> Iterator[ast.FunctionDef | ast.AsyncFunc
 
     Module-level helper functions (registry management, factory entry
     points) are legitimately stateful; the purity constraint applies to
-    the code that runs per flip — backend methods and the closures
-    compiled inside them (the numba kernels).
+    the code that runs per flip — backend methods and any closures
+    defined inside them (a kernel a future JIT backend would compile).
     """
     funcs = set()
     for node in ast.walk(tree):
@@ -563,7 +563,8 @@ def _check_kernel_purity(module: Module) -> Iterable[Finding]:
             yield module.finding(
                 node, rule,
                 "telemetry emitted from a kernel backend — timing/counting "
-                "belongs to the engine wrapper (numba-compat guard)",
+                "belongs to the engine wrapper, so kernels stay pure and "
+                "swappable",
             )
 
     mutable = _module_mutable_globals(module.tree)

@@ -64,9 +64,9 @@ def solve(
     applied.
 
     ``backend`` picks the engine's kernel backend (``"numpy"`` — the
-    reference — or ``"numba"``, which JIT-fuses the hot local-search
-    loop and silently degrades to ``"numpy"`` with a one-time warning
-    when numba is not installed; ``None`` consults the
+    reference — or ``"bitplane"``, which runs the hot local-search
+    loop as compiled C and degrades to ``"numpy"`` with a one-time
+    warning when no C compiler is found; ``None`` consults the
     ``REPRO_BACKEND`` environment variable).  Backend choice never
     changes the result of a seeded solve — every backend is pinned
     step-for-step to the same search (see ``docs/backends.md``).
@@ -86,8 +86,7 @@ def solve(
     ``start_method`` picks the multiprocessing start method (default:
     ``fork`` where available).  ``exchange`` picks the host↔worker
     transport: ``"shm"`` (default — the paper's Figure-5 preallocated
-    buffers as bit-packed shared-memory rings), ``"queue"`` (the
-    pickling ``multiprocessing.Queue`` fallback), or ``"tcp"``
+    buffers as bit-packed shared-memory rings) or ``"tcp"``
     (length-prefixed frames over loopback sockets, workers join and
     leave elastically); ``None`` consults ``REPRO_EXCHANGE``.  ``pipeline=True`` double-buffers GA targets so
     host generation overlaps worker rounds; ``lockstep=True`` makes

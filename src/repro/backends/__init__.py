@@ -9,15 +9,12 @@ semantics:
 
 - ``numpy`` — the vectorized reference implementation (always
   available; ground truth for the differential-equivalence suite);
-- ``numba`` — optional JIT backend with fused multi-step kernels that
-  eliminate the per-step Python loop in ``local_steps``.  Falls back to
-  ``numpy`` (with a one-time warning and a ``backend.fallback``
-  telemetry event) when numba is not importable.
 - ``bitplane`` — packed uint64 bit-plane state with runtime-compiled C
   kernels (``cc -O3 -fwrapv``): the whole ``run_local_steps`` batch is
   one C call, with XOR/popcount Hamming helpers for straight-search
-  distances.  Falls back to ``numpy`` exactly like ``numba`` when no C
-  compiler is available (or ``REPRO_NO_CC`` is set).
+  distances.  Falls back to ``numpy`` (with a one-time warning and a
+  ``backend.fallback`` telemetry event) when no C compiler is
+  available (or ``REPRO_NO_CC`` is set).
 - ``graycode`` — exact Gray-code enumerator for ``n ≤ 30``
   (:func:`~repro.backends.graycode.graycode_minimum`): the ground-truth
   oracle of the differential suite and the decomposition loop's exact
@@ -43,7 +40,6 @@ from typing import Callable, Union
 from repro.backends.base import KernelBackend, PreparedWeights
 from repro.backends.bitplane import cc_available, make_bitplane_backend
 from repro.backends.graycode import GraycodeBackend, graycode_minimum
-from repro.backends.numba_backend import make_numba_backend, numba_available
 from repro.backends.numpy_backend import NumpyBackend
 
 #: Environment variable consulted when no backend is named explicitly.
@@ -71,8 +67,8 @@ def register_backend(name: str, factory: Callable[[], KernelBackend]) -> None:
 
 
 def available_backends() -> tuple[str, ...]:
-    """Registered backend names, sorted (registration ≠ importability:
-    ``numba`` is always listed and falls back when not importable)."""
+    """Registered backend names, sorted (registration ≠ availability:
+    ``bitplane`` is always listed and falls back without a compiler)."""
     return tuple(sorted(_REGISTRY))
 
 
@@ -106,7 +102,6 @@ def resolve_backend(spec: BackendSpec = None) -> KernelBackend:
 
 
 register_backend("numpy", NumpyBackend)
-register_backend("numba", make_numba_backend)
 register_backend("bitplane", make_bitplane_backend)
 register_backend("graycode", GraycodeBackend)
 
@@ -122,8 +117,6 @@ __all__ = [
     "get_backend",
     "graycode_minimum",
     "make_bitplane_backend",
-    "make_numba_backend",
-    "numba_available",
     "register_backend",
     "resolve_backend",
 ]

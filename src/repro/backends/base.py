@@ -74,7 +74,7 @@ class KernelBackend(ABC):
         :attr:`SolveResult.counters` consumers via the engine.
     fallback_from:
         When this instance was substituted for an unavailable backend
-        (e.g. ``numba`` without numba installed), the originally
+        (e.g. ``bitplane`` without a C compiler), the originally
         requested name; ``None`` otherwise.  The engine emits a
         ``backend.fallback`` telemetry event when set.
     """

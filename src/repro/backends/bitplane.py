@@ -37,8 +37,7 @@ diagonal**: Eq. 16 only touches ``j ≠ k`` and the kernel pre-writes
 ``d[k] = -d_k``, which then survives the fused row add (it gains
 ``W_kk = 0``) and participates in the running neighbourhood minimum.
 
-A C compiler is an *optional* dependency, gated exactly like numba:
-when none is found (or ``REPRO_NO_CC`` is set, which the test suite
+A C compiler is an *optional* dependency: when none is found (or ``REPRO_NO_CC`` is set, which the test suite
 uses to exercise the fallback lane), :func:`make_bitplane_backend`
 returns the NumPy reference backend tagged ``fallback_from="bitplane"``
 and warns once per process.  The packed-plane helpers
@@ -388,7 +387,7 @@ def cc_available() -> bool:
 
     ``REPRO_NO_CC`` (any non-empty value) masks an installed compiler —
     the mechanism the test suite uses to cover the fallback path
-    deterministically, mirroring ``REPRO_NO_NUMBA``.
+    deterministically.
     """
     if os.environ.get("REPRO_NO_CC", ""):
         return False

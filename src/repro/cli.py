@@ -44,10 +44,10 @@ def _add_backend_flag(p: argparse.ArgumentParser) -> None:
         "--backend",
         default=None,
         metavar="NAME",
-        help="kernel backend: numpy (reference), numba (JIT), bitplane "
+        help="kernel backend: numpy (reference), bitplane "
         "(packed uint64 state + compiled C kernels), or graycode "
-        "(exact enumerator, engine kernels = numpy).  numba/bitplane "
-        "fall back to numpy when their toolchain is missing; default: "
+        "(exact enumerator, engine kernels = numpy).  bitplane "
+        "falls back to numpy when no C compiler is found; default: "
         "$REPRO_BACKEND or numpy.  Never changes the search result, "
         "only speed.",
     )
@@ -478,6 +478,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """The top-level argument parser (exposed for tests)."""
+    from repro.abs.exchange import EXCHANGE_NAMES
+
     parser = argparse.ArgumentParser(
         prog="abs-solve",
         description="Adaptive Bulk Search QUBO solver (ICPP 2020 reproduction)",
@@ -570,12 +572,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--exchange",
-        choices=("shm", "queue", "tcp"),
+        choices=EXCHANGE_NAMES,
         default=None,
         help="process mode: host<->worker transport — shm (Figure-5 "
-        "bit-packed shared-memory rings, the default), queue "
-        "(pickling mp.Queue fallback), or tcp (framed loopback "
-        "sockets, elastic workers); default: $REPRO_EXCHANGE or shm."
+        "bit-packed shared-memory rings, the default) or tcp (framed "
+        "loopback sockets, elastic workers); default: $REPRO_EXCHANGE "
+        "or shm."
         "  Never changes the search result.",
     )
     p.add_argument(

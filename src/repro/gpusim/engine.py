@@ -18,8 +18,8 @@ their targets (the asynchrony the paper gets from per-block execution).
 
 The hot kernels themselves live behind the pluggable
 :class:`~repro.backends.KernelBackend` interface (``numpy`` reference
-kernels by default; ``numba`` JIT kernels that fuse the whole
-``local_steps`` loop when numba is installed — see
+kernels by default; ``bitplane`` compiled C kernels that fuse the
+whole ``local_steps`` loop when a C compiler is present — see
 :mod:`repro.backends` and ``docs/backends.md``).  The engine owns all
 search state; backends are stateless kernel sets, so swapping backends
 never changes the walk: every registered backend is tested to be
@@ -97,7 +97,7 @@ class BulkSearchEngine:
         Initial window offsets.  Default staggers blocks across the bit
         range so equal-window blocks don't walk in lockstep.
     backend:
-        Kernel backend: a registry name (``"numpy"``, ``"numba"``), a
+        Kernel backend: a registry name (``"numpy"``, ``"bitplane"``), a
         :class:`~repro.backends.KernelBackend` instance, or ``None`` to
         consult the ``REPRO_BACKEND`` environment variable and default
         to ``"numpy"``.  Backend choice never changes the search —

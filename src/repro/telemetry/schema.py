@@ -102,12 +102,12 @@ EVENT_SCHEMAS: dict[str, EventSpec] = {
         required={"count": INT, "mutation": INT, "crossover": INT, "copy": INT}
     ),
     "host.queue": EventSpec(
-        required={"device": INT, "targets_queued": INT, "results_queued": INT}
+        required={"device": INT, "results_queued": INT}
     ),
     # Exchange transport (process mode; see repro.abs.exchange) -------
     # Emitted once per solve after the transport is built.  On the shm
     # transport the slot sizes are the bit-packed shared-memory record
-    # sizes; the queue transport reports its pickled-array sizes and
+    # sizes; the tcp transport reports its frame sizes and
     # ``ring_slots == 0``.
     "exchange.open": EventSpec(
         required={
@@ -164,8 +164,8 @@ EVENT_SCHEMAS: dict[str, EventSpec] = {
         optional={"device": INT, "backend": STR},
     ),
     # Kernel-backend resolution (repro.backends): emitted once per
-    # engine when the requested backend was substituted (e.g. ``numba``
-    # requested without numba importable).
+    # engine when the requested backend was substituted (e.g.
+    # ``bitplane`` requested without a C compiler).
     "backend.fallback": EventSpec(
         required={"requested": STR, "using": STR, "reason": STR},
         optional={"device": INT},

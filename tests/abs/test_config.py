@@ -84,3 +84,21 @@ class TestAbsConfig:
     @pytest.mark.parametrize("method", [None, "fork", "spawn", "forkserver"])
     def test_start_method_accepts_known_values(self, method):
         AbsConfig(max_rounds=1, start_method=method)
+
+
+class TestRemovedChoices:
+    def test_removed_names_are_rejected_with_remaining_choices(self, monkeypatch):
+        """``queue`` is not a transport and ``numba`` not a backend;
+        asking for either fails and names what can be chosen."""
+        from repro.abs.exchange import resolve_exchange
+
+        with pytest.raises(ValueError, match=r"\('shm', 'tcp'\).*'queue'"):
+            AbsConfig(exchange="queue")
+        with pytest.raises(
+            ValueError,
+            match=r"'numba' \(registered: bitplane, graycode, numpy\)",
+        ):
+            AbsConfig(backend="numba")
+        monkeypatch.setenv("REPRO_EXCHANGE", "queue")
+        with pytest.raises(ValueError, match=r"'queue' \(use one of: shm, tcp\)"):
+            resolve_exchange(None)

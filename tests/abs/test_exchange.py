@@ -8,7 +8,6 @@ worker processes.  Full host↔worker integration runs in
 """
 
 import multiprocessing
-import queue as queue_mod
 import time
 
 import numpy as np
@@ -58,11 +57,11 @@ class TestResolveExchange:
         assert resolve_exchange(None) == "shm"
 
     def test_env_consulted(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXCHANGE", "queue")
-        assert resolve_exchange(None) == "queue"
+        monkeypatch.setenv("REPRO_EXCHANGE", "tcp")
+        assert resolve_exchange(None) == "tcp"
 
     def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXCHANGE", "queue")
+        monkeypatch.setenv("REPRO_EXCHANGE", "tcp")
         assert resolve_exchange("shm") == "shm"
 
     def test_unknown_rejected(self):
@@ -70,7 +69,7 @@ class TestResolveExchange:
             resolve_exchange("carrier-pigeon")
 
     def test_names_catalog(self):
-        assert EXCHANGE_NAMES == ("shm", "queue", "tcp")
+        assert EXCHANGE_NAMES == ("shm", "tcp")
 
 
 class TestTargetMailbox:
@@ -226,7 +225,7 @@ class TestTransportEndToEnd:
         try:
             ch = transport.make_target_channel(0, 0)
             endpoint = open_worker_endpoint(
-                transport.worker_ref(0, 0, ch), worker_id=0, incarnation=0,
+                transport.worker_ref(0), worker_id=0, incarnation=0,
                 stop_evt=stop,
             )
             try:
@@ -270,7 +269,7 @@ class TestTransportEndToEnd:
         try:
             ch = transport.make_target_channel(0, 0)
             endpoint = open_worker_endpoint(
-                transport.worker_ref(0, 0, ch), worker_id=0, incarnation=0,
+                transport.worker_ref(0), worker_id=0, incarnation=0,
                 stop_evt=stop,
             )
             try:
@@ -324,14 +323,3 @@ class TestTransportEndToEnd:
         transport.close()
         after = set(glob.glob("/dev/shm/*"))
         assert after <= before
-
-    def test_mailbox_channel_has_no_backlog_to_drain(self):
-        ctx = multiprocessing.get_context()
-        transport = make_host_transport("shm", ctx, n_workers=1, n_blocks=2, n=8)
-        try:
-            ch = transport.make_target_channel(0, 0)
-            ch.put(random_targets(2, 8))
-            with pytest.raises(queue_mod.Empty):
-                ch.get_nowait()
-        finally:
-            transport.close()

@@ -88,7 +88,6 @@ class TestLifecycle:
         assert sup.n_healthy == 3
         assert sup.healthy_ids == [0, 1, 2]
         assert len(sup.all_processes) == 3
-        assert len(sup.all_channels) == 3
 
     def test_double_start_rejected(self):
         sup, _, _ = make_supervisor()
@@ -270,25 +269,32 @@ class TestSupervisorTelemetry:
 
 
 class TestRebindChannels:
-    def test_rebind_replaces_tracked_channels(self):
-        """A persistent fleet rebinds on every re-arm; the tracked set
-        must stay one channel per worker, not grow one per job."""
-        sup, _, _ = make_supervisor(n_workers=2)
-        sup.start()
-        for _ in range(5):
-            sup.rebind_channels(lambda wid, inc, old: object())
-        assert len(sup.all_channels) == 2
-        assert sup.all_channels == [sup.target_channel(0), sup.target_channel(1)]
+    def test_rebind_restamps_through_channel_factory(self):
+        """A fleet re-arm asks the channel factory again for every
+        healthy worker's current incarnation; no process is spawned
+        and lost workers stay without a channel."""
+        made = []
 
-    def test_rebind_in_place_keeps_tracking(self):
-        sup, _, _ = make_supervisor(n_workers=1)
+        def factory(wid, inc):
+            made.append((wid, inc))
+            return object()
+
+        harness = Harness()
+        sup = WorkerSupervisor(
+            2, harness.spawn, channel_factory=factory, max_restarts=0,
+            clock=FakeClock(),
+        )
         sup.start()
+        harness.procs[1].die()
+        sup.poll()  # worker 1 is lost (no restart budget)
         before = sup.target_channel(0)
-        sup.rebind_channels(lambda wid, inc, old: old)  # re-stamped in place
-        assert sup.target_channel(0) is before
-        assert len(sup.all_channels) == 1
+        sup.rebind_channels()
+        assert made == [(0, 0), (1, 0), (0, 0)]
+        assert sup.target_channel(0) is not before
+        assert sup.target_channel(1) is None
+        assert len(harness.spawned) == 2
 
     def test_rebind_before_start_rejected(self):
         sup, _, _ = make_supervisor()
         with pytest.raises(RuntimeError, match="not started"):
-            sup.rebind_channels(lambda wid, inc, old: old)
+            sup.rebind_channels()

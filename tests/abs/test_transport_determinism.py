@@ -27,12 +27,11 @@ from repro.telemetry import MemorySink, TelemetryBus
 
 pytestmark = [pytest.mark.process, pytest.mark.timeout(120)]
 
-#: All three transports; the tcp lane carries its marker so the
-#: loopback guard in tests/conftest.py can skip it where socket binds
-#: are forbidden.
+#: Both transports; the tcp lane carries its marker so the loopback
+#: guard in tests/conftest.py can skip it where socket binds are
+#: forbidden.
 ALL_TRANSPORTS = [
     "shm",
-    "queue",
     pytest.param("tcp", marks=pytest.mark.tcp),
 ]
 
@@ -63,14 +62,9 @@ def fingerprint(res):
 
 
 class TestCrossTransportDeterminism:
-    def test_shm_and_queue_bit_identical(self, problem):
-        a = AdaptiveBulkSearch(problem, lockstep_cfg("shm")).solve("process")
-        b = AdaptiveBulkSearch(problem, lockstep_cfg("queue")).solve("process")
-        assert fingerprint(a) == fingerprint(b)
-
     @pytest.mark.tcp
     def test_tcp_bit_identical_to_shm(self, problem):
-        """The acceptance bar: tcp ≡ shm ≡ queue bit-for-bit in
+        """The acceptance bar: tcp ≡ shm bit-for-bit in
         lockstep mode, and telemetry-inert — the solver's search
         counters agree exactly modulo the transport's own
         ``exchange.*`` accounting."""

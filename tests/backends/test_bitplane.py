@@ -4,9 +4,9 @@ The registry-wide differential suite (``test_equivalence.py``) already
 pins ``bitplane`` step-for-step against the scalar references via the
 ``available_backends()`` parametrization; this module covers what that
 sweep cannot: the packed-plane helper algebra, the ``REPRO_NO_CC``
-fallback lane (mirroring the numba gating contract exactly), dtype-tier
-selection including the forced int64 tier, and explicit single-step
-lockstep runs of both dense tiers and the sparse CSR kernel.
+fallback lane, dtype-tier selection including the forced int64 tier,
+and explicit single-step lockstep runs of both dense tiers and the
+sparse CSR kernel.
 """
 
 import warnings

@@ -12,9 +12,9 @@ the expected trajectory per block from those primitives, comparing
 (int64 arithmetic: no tolerances anywhere).
 
 Parametrized over the registry, so a newly registered backend is pinned
-automatically.  On machines without numba, the ``numba`` name resolves
-to the tagged numpy fallback — the fallback lane is then what gets
-pinned, which is exactly what production would run.
+automatically.  On machines without a C compiler, the ``bitplane`` name
+resolves to the tagged numpy fallback — the fallback lane is then what
+gets pinned, which is exactly what production would run.
 """
 
 import warnings
@@ -38,7 +38,7 @@ _INT64_MAX = np.iinfo(np.int64).max
 def backend(request):
     """A fresh backend instance per test, for every registered name."""
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # numba fallback notice
+        warnings.simplefilter("ignore", RuntimeWarning)  # bitplane fallback notice
         return resolve_backend(request.param)
 
 

@@ -1,9 +1,7 @@
 """Registry, resolution, env override, and fallback behaviour."""
 
-import numpy as np
 import pytest
 
-import repro.backends.numba_backend as nb_mod
 from repro.abs import AbsConfig
 from repro.backends import (
     BACKEND_ENV_VAR,
@@ -12,22 +10,20 @@ from repro.backends import (
     NumpyBackend,
     available_backends,
     get_backend,
-    make_numba_backend,
-    numba_available,
     register_backend,
     resolve_backend,
 )
 from repro.backends import _REGISTRY
 from repro.gpusim import BulkSearchEngine
 from repro.qubo import QuboMatrix
-from repro.telemetry import MemorySink, TelemetryBus, validate_record
+from repro.telemetry import MemorySink, TelemetryBus
 
 
 class TestRegistry:
     def test_builtins_registered(self):
         names = available_backends()
         assert "numpy" in names
-        assert "numba" in names
+        assert "bitplane" in names
         assert names == tuple(sorted(names))
 
     def test_get_backend_unknown_name(self):
@@ -89,92 +85,17 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="unknown backend"):
             AbsConfig(backend="cupy", max_rounds=1)
 
-    @pytest.mark.parametrize("name", ["numpy", "numba", None])
+    @pytest.mark.parametrize("name", ["numpy", "bitplane", "graycode", None])
     def test_known_backends_accepted(self, name):
         assert AbsConfig(backend=name, max_rounds=1).backend == name
 
 
 class TestFallback:
-    @pytest.fixture
-    def masked(self, monkeypatch):
-        """numba masked (as on a machine without it), warning flag reset."""
-        monkeypatch.setenv("REPRO_NO_NUMBA", "1")
-        monkeypatch.setattr(nb_mod, "_warned", False)
-
-    def test_numba_available_respects_mask(self, masked):
-        assert not numba_available()
-
-    def test_fallback_is_tagged_numpy(self, masked):
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            backend = make_numba_backend()
-        assert isinstance(backend, NumpyBackend)
-        assert backend.name == "numpy"
-        assert backend.fallback_from == "numba"
-
-    def test_warning_fires_once_per_process(self, masked):
-        with pytest.warns(RuntimeWarning):
-            make_numba_backend()
-        import warnings as _w
-
-        with _w.catch_warnings():
-            _w.simplefilter("error")  # a second warning would raise
-            make_numba_backend()
-
-    def test_engine_emits_fallback_event(self, masked):
-        import warnings as _w
-
-        sink = MemorySink()
-        bus = TelemetryBus([sink])
-        with _w.catch_warnings():
-            _w.simplefilter("ignore")
-            BulkSearchEngine(QuboMatrix.random(16, seed=0), 2, backend="numba", bus=bus)
-        events = sink.named("backend.fallback")
-        assert len(events) == 1
-        assert events[0].fields["requested"] == "numba"
-        assert events[0].fields["using"] == "numpy"
-        for record in sink.records():
-            validate_record(record)
-
     def test_no_fallback_event_for_native_backend(self):
         sink = MemorySink()
         bus = TelemetryBus([sink])
         BulkSearchEngine(QuboMatrix.random(16, seed=0), 2, backend="numpy", bus=bus)
         assert not sink.named("backend.fallback")
-
-    def test_fallback_still_solves(self, masked):
-        import warnings as _w
-
-        from repro.api import solve
-
-        with _w.catch_warnings():
-            _w.simplefilter("ignore")
-            res = solve(
-                QuboMatrix.random(24, seed=5), max_rounds=3, seed=7, backend="numba"
-            )
-        assert res.best_energy <= 0
-
-
-@pytest.mark.backend_numba
-@pytest.mark.skipif(not numba_available(), reason="numba not importable")
-class TestNumbaNative:
-    def test_factory_returns_jit_backend(self):
-        backend = make_numba_backend()
-        assert backend.name == "numba"
-        assert backend.fallback_from is None
-
-    def test_jit_kernels_compile_and_run(self):
-        problem = QuboMatrix.random(24, seed=9)
-        ref = BulkSearchEngine(problem, 2, windows=4, backend="numpy")
-        jit = BulkSearchEngine(problem, 2, windows=4, backend="numba")
-        targets = np.random.default_rng(3).integers(0, 2, (2, 24), dtype=np.uint8)
-        for eng in (ref, jit):
-            eng.straight_to(targets)
-            eng.local_steps(40)
-        assert np.array_equal(ref.X, jit.X)
-        assert np.array_equal(ref.delta, jit.delta)
-        assert np.array_equal(ref.energy, jit.energy)
-        assert np.array_equal(ref.best_energy, jit.best_energy)
-        assert np.array_equal(ref.best_x, jit.best_x)
 
 
 class TestInterfaceContract:

@@ -18,8 +18,7 @@ from repro.telemetry import MemorySink, TelemetryBus
 
 pytestmark = [pytest.mark.service, pytest.mark.process, pytest.mark.timeout(180)]
 
-#: shm and tcp, the two transports the ISSUE pins; queue rides along in
-#: the cheap warm-reuse test below.
+#: Both transports: shm and tcp.
 TRANSPORTS = ["shm", pytest.param("tcp", marks=pytest.mark.tcp)]
 
 
@@ -100,18 +99,6 @@ class TestCacheEligibility:
             again = svc.submit(problem, cfg)
             svc.result(again, timeout=120)
             assert not svc.status(again)["cache_hit"]
-
-
-class TestWarmReuseQueueTransport:
-    def test_queue_transport_jobs_equal_one_shots(self, problem):
-        """The queue transport's consume-and-discard hazard is what the
-        arm_job ack gate exists for — pin it end to end."""
-        cfgs = [lockstep_cfg("queue", seed=s) for s in (3, 4)]
-        one_shots = [AdaptiveBulkSearch(problem, c).solve("process") for c in cfgs]
-        with SolverService() as svc:
-            served = [svc.result(svc.submit(problem, c), timeout=120) for c in cfgs]
-        for got, want in zip(served, one_shots):
-            assert fingerprint(got) == fingerprint(want)
 
 
 class TestStampedTelemetry:
