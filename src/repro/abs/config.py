@@ -122,15 +122,6 @@ class AbsConfig:
         so workers can join and leave elastically.  ``None`` consults
         the ``REPRO_EXCHANGE`` environment variable, then defaults to
         ``"shm"``.  Transport choice never changes the search result.
-    pipeline:
-        Process mode only: double-buffer GA targets — the host
-        prepares the *next* target batch for a worker right after
-        absorbing its round, so GA generation for round ``i + 1``
-        overlaps the worker's execution of round ``i`` and a fresh
-        result is answered with a pre-generated batch instantly.
-        Targets are generated from a pool state one round staler,
-        which the paper's asynchronous-tolerance argument already
-        licenses.  Off by default.
     diversity_min_dist:
         Diverse-ABS pool admission (arXiv:2207.03069): reject a
         candidate whose Hamming distance to some pool entry is below
@@ -181,7 +172,6 @@ class AbsConfig:
     worker_stall_timeout: float | None = None
     start_method: str | None = None
     exchange: str | None = None
-    pipeline: bool = False
     lockstep: bool = False
     diversity_min_dist: int = 0
     variants: str | Sequence[str] | None = None

@@ -15,6 +15,9 @@ Device steps (paper §3.2), realized on a
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Any
+
 import numpy as np
 
 from repro.abs.adaptive import WindowAdapter
@@ -22,6 +25,23 @@ from repro.gpusim.engine import BulkSearchEngine
 from repro.qubo.matrix import WeightsLike
 from repro.search.tabu import TabuSearch
 from repro.telemetry.bus import NULL_BUS, NullBus, TelemetryBus
+
+
+@dataclass(frozen=True)
+class DevicePlan:
+    """One device's search parameters for a job (its variant applied).
+
+    Built on the host by :meth:`~repro.abs.solver.AdaptiveBulkSearch.
+    _device_plan`, shipped whole to a process-mode worker inside its
+    job frame, and turned into device settings only by
+    :meth:`DeviceSimulator.apply`.
+    """
+
+    windows: np.ndarray
+    local_steps: int
+    scan_neighbors: bool
+    tabu_steps: int = 0
+    tabu_tenure: int | None = None
 
 
 class DeviceSimulator:
@@ -79,10 +99,6 @@ class DeviceSimulator:
         tabu_tenure: int | None = None,
         prepared: object | None = None,
     ) -> None:
-        if local_steps < 0:
-            raise ValueError(f"local_steps must be >= 0, got {local_steps}")
-        if tabu_steps < 0:
-            raise ValueError(f"tabu_steps must be >= 0, got {tabu_steps}")
         self.bus = bus if bus is not None else NULL_BUS
         self.device_id = int(device_id)
         self.engine = BulkSearchEngine(
@@ -93,8 +109,6 @@ class DeviceSimulator:
             bus=self.bus,
             prepared=prepared,
         )
-        self.local_steps = int(local_steps)
-        self.scan_neighbors = bool(scan_neighbors)
         self.adapter = adapter
         if adapter is not None and adapter.B != self.engine.B:
             raise ValueError(
@@ -102,12 +116,32 @@ class DeviceSimulator:
             )
         self._weights = weights
         self._polish_cache: object | None = None
-        self.tabu_steps = 0
-        self._tabu: TabuSearch | None = None
-        self.set_tabu(tabu_steps, tabu_tenure)
+        plan = DevicePlan(
+            self.engine.windows, local_steps, scan_neighbors, tabu_steps, tabu_tenure
+        )
+        self.apply(plan)
         #: Total tabu-polish steps executed (``variant.tabu_steps``).
         self.tabu_steps_done = 0
         self.rounds = 0
+
+    @classmethod
+    def from_plan(
+        cls, weights: WeightsLike, n_blocks: int, plan: DevicePlan, **kwargs: Any
+    ) -> "DeviceSimulator":
+        """A device running ``plan``; ``kwargs`` as for the constructor."""
+        device = cls(weights, n_blocks, windows=plan.windows, **kwargs)
+        device.apply(plan)
+        return device
+
+    def apply(self, plan: DevicePlan) -> None:
+        """Adopt ``plan``'s window ladder, Step-4b flips, neighbor scan
+        and tabu polish; the walk state and counters are untouched."""
+        if plan.local_steps < 0:
+            raise ValueError(f"local_steps must be >= 0, got {plan.local_steps}")
+        self.engine.windows = np.array(plan.windows, dtype=np.int64)
+        self.local_steps = int(plan.local_steps)
+        self.scan_neighbors = bool(plan.scan_neighbors)
+        self.set_tabu(plan.tabu_steps, plan.tabu_tenure)
 
     def set_tabu(self, steps: int, tenure: int | None = None) -> None:
         """(Re)configure the per-round tabu polish; ``0`` disables it."""
@@ -138,6 +172,23 @@ class DeviceSimulator:
     def evaluated(self) -> int:
         """Total solutions evaluated by this device (Definition 1)."""
         return self.engine.counters.evaluated
+
+    def totals(self) -> dict[str, int]:
+        """The device's cumulative counters, keyed and ordered like
+        :data:`~repro.abs.exchange.ENGINE_COUNTER_KEYS`.
+
+        The one record a device reports: a process-mode worker ships
+        it with every result and a sync solve sums it over devices.
+        """
+        a = self.adapter
+        return {
+            **self.engine.counters.as_dict(),
+            "adapt.reassignments": a.adaptations if a is not None else 0,
+            "adapt.nonfinite_observations": (
+                a.nonfinite_observations if a is not None else 0
+            ),
+            "variant.tabu_steps": self.tabu_steps_done,
+        }
 
     def round(self, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Steps 2–5 for every block; returns ``(energies, best_x)``.

@@ -84,8 +84,8 @@ WIRE_U8 = np.dtype("u1")
 DEFAULT_RING_SLOTS = 4
 
 #: Cumulative worker counters shipped in the fixed-width ring meta
-#: record, in wire order.  Keep in lock-step with
-#: ``EngineCounters.as_dict`` plus the adapter and variant totals.
+#: record, in wire order: the keys of ``DeviceSimulator.totals()``
+#: (``tests/abs/test_device_sim.py`` pins the match).
 ENGINE_COUNTER_KEYS = (
     "engine.flips",
     "engine.evaluated",
@@ -102,9 +102,7 @@ ENGINE_COUNTER_KEYS = (
 _META_SLOTS = 16
 _M_INCARNATION = 0
 _M_COUNT = 1
-_M_EVALUATED = 2
-_M_FLIPS = 3
-_M_COUNTERS = 4  # ..., one slot per ENGINE_COUNTER_KEYS entry
+_M_COUNTERS = 2  # ..., one slot per ENGINE_COUNTER_KEYS entry
 _M_PUBLISH_STALLS = _M_COUNTERS + len(ENGINE_COUNTER_KEYS)
 _M_TARGET_WAITS = _M_PUBLISH_STALLS + 1
 assert _M_TARGET_WAITS < _META_SLOTS
@@ -139,17 +137,16 @@ class ResultBatch:
     """One worker round's results, as handed to the host loop.
 
     ``energies`` is the per-block best energy vector, ``x`` the matching
-    ``(B, n)`` unpacked solution matrix; ``evaluated`` / ``flips`` /
-    ``counters`` are the worker's *cumulative* totals for its current
-    incarnation (the host reconciles deltas).
+    ``(B, n)`` unpacked solution matrix; ``counters`` are the worker's
+    *cumulative* totals for its current incarnation (the host
+    reconciles deltas), ``engine.evaluated`` and ``engine.flips``
+    among them.
     """
 
     worker_id: int
     incarnation: int
     energies: np.ndarray
     x: np.ndarray
-    evaluated: int
-    flips: int
     counters: dict[str, int] = field(default_factory=dict)
 
 
@@ -458,24 +455,13 @@ class ShmHostTransport:
 
     name = "shm"
 
-    def __init__(
-        self,
-        ctx: Any,
-        n_workers: int,
-        n_blocks: int,
-        n: int,
-        *,
-        ring_slots: int = DEFAULT_RING_SLOTS,
-    ) -> None:
+    def __init__(self, ctx: Any, n_workers: int, n_blocks: int, n: int) -> None:
         self.n_workers = int(n_workers)
         self.n_blocks = int(n_blocks)
         self.n = int(n)
-        self.ring_slots = int(ring_slots)
         self.stats = _new_stats()
         self._mailboxes = [TargetMailbox.create(n_blocks, n) for _ in range(n_workers)]
-        self._rings = [
-            SolutionRing.create(n_blocks, n, ring_slots) for _ in range(n_workers)
-        ]
+        self._rings = [SolutionRing.create(n_blocks, n) for _ in range(n_workers)]
         # Telemetry events are variable-sized Python objects; they take
         # a side queue (used only when telemetry is enabled) so the
         # fixed-size rings stay search-only.
@@ -535,8 +521,6 @@ class ShmHostTransport:
                     incarnation=int(meta[_M_INCARNATION]),
                     energies=energies[:count],
                     x=xs,
-                    evaluated=int(meta[_M_EVALUATED]),
-                    flips=int(meta[_M_FLIPS]),
                     counters=counters,
                 )
             if time.monotonic() >= deadline:
@@ -558,7 +542,7 @@ class ShmHostTransport:
         return {
             "transport": self.name,
             "workers": self.n_workers,
-            "ring_slots": self.ring_slots,
+            "ring_slots": DEFAULT_RING_SLOTS,
             "target_slot_bytes": self.n_blocks * pn,
             "result_slot_bytes": _META_SLOTS * 8
             + self.n_blocks * 8
@@ -647,8 +631,6 @@ class ShmWorkerEndpoint:
         self,
         energies: np.ndarray,
         x: np.ndarray,
-        evaluated: int,
-        flips: int,
         counters: dict[str, int],
         events: list,
     ) -> bool:
@@ -663,8 +645,6 @@ class ShmWorkerEndpoint:
         meta = np.zeros(_META_SLOTS, dtype=WIRE_I64)
         meta[_M_INCARNATION] = self._incarnation
         meta[_M_COUNT] = len(energies)
-        meta[_M_EVALUATED] = int(evaluated)
-        meta[_M_FLIPS] = int(flips)
         for j, key in enumerate(ENGINE_COUNTER_KEYS):
             meta[_M_COUNTERS + j] = int(counters.get(key, 0))
         meta[_M_PUBLISH_STALLS] = self._publish_stalls

@@ -53,6 +53,7 @@ import queue as queue_mod
 import threading
 import time
 from collections import OrderedDict
+from multiprocessing import resource_tracker
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -61,7 +62,7 @@ import numpy as np
 from repro.abs.adaptive import WindowAdapter
 from repro.abs.buffers import SharedWeights
 from repro.abs.config import AbsConfig
-from repro.abs.device import DeviceSimulator
+from repro.abs.device import DevicePlan, DeviceSimulator
 from repro.abs.exchange import (
     make_host_transport,
     open_worker_endpoint,
@@ -161,10 +162,7 @@ class WorkerJob:
     weights_ref: tuple
     digest: str | None
     n_blocks: int
-    windows: np.ndarray
-    local_steps: int
-    scan_neighbors: bool
-    tabu_params: tuple
+    plan: DevicePlan
     backend: str | None
     adapt_params: tuple
     telemetry_enabled: bool
@@ -198,21 +196,10 @@ class _StopProxy:
         except (OSError, ValueError):  # control queue torn down
             return True
 
-    def wait(self, timeout: float | None = None) -> bool:
-        # Endpoints only use is_set() in their wait loops, but mirror
-        # the Event API for safety.
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while not self.is_set():
-            if deadline is not None and time.monotonic() >= deadline:
-                return False
-            time.sleep(0.01)
-        return True
-
 
 def run_device_rounds(
     device: DeviceSimulator,
     endpoint: Any,
-    adapter: WindowAdapter | None,
     relay: Any,
     stop_evt: Any,
     lockstep: bool,
@@ -228,23 +215,8 @@ def run_device_rounds(
     targets = endpoint.fetch_targets(wait=True)
     while targets is not None and not stop_evt.is_set():
         energies, xs = device.round(targets)
-        wcounts = device.engine.counters.as_dict()
-        wcounts["adapt.reassignments"] = (
-            adapter.adaptations if adapter is not None else 0
-        )
-        wcounts["adapt.nonfinite_observations"] = (
-            adapter.nonfinite_observations if adapter is not None else 0
-        )
-        wcounts["variant.tabu_steps"] = device.tabu_steps_done
         wevents = relay.drain() if telemetry_enabled else []
-        shipped = endpoint.publish(
-            energies,
-            xs,
-            device.evaluated,
-            device.engine.counters.flips,
-            wcounts,
-            wevents,
-        )
+        shipped = endpoint.publish(energies, xs, device.totals(), wevents)
         if not shipped:  # stop requested while the ring was full
             break
         fresh = endpoint.fetch_targets(wait=lockstep)
@@ -331,26 +303,20 @@ def _fleet_worker_main(
             endpoint.rearm(encode_token(job.job_seq, incarnation))
             relay = RelayBus() if job.telemetry_enabled else NULL_BUS
             n = weights.n if hasattr(weights, "n") else weights.shape[0]
-            adapter = _make_adapter(n, job.n_blocks, job.adapt_params, relay)
-            tabu_steps, tabu_tenure = job.tabu_params
             ckey = (job.backend, job.digest)
             prepared = (
                 prepared_cache.get(ckey) if job.digest is not None else None
             )
             if prepared is not None:
                 prepared_cache.move_to_end(ckey)  # LRU, not FIFO
-            device = DeviceSimulator(
+            device = DeviceSimulator.from_plan(
                 weights,
                 job.n_blocks,
-                windows=job.windows,
-                local_steps=job.local_steps,
-                scan_neighbors=job.scan_neighbors,
-                adapter=adapter,
+                job.plan,
+                adapter=_make_adapter(n, job.n_blocks, job.adapt_params, relay),
                 backend=job.backend,
                 bus=relay,
                 device_id=worker_id,
-                tabu_steps=tabu_steps,
-                tabu_tenure=tabu_tenure,
                 prepared=prepared,
             )
             if job.digest is not None and prepared is None:
@@ -363,7 +329,6 @@ def _fleet_worker_main(
             run_device_rounds(
                 device,
                 endpoint,
-                adapter,
                 relay,
                 proxy,
                 job.lockstep,
@@ -497,6 +462,13 @@ class WorkerFleet:
         """Spawn incarnation 0 of every worker; jobs follow via :meth:`arm_job`."""
         if self.supervisor is not None:
             raise RuntimeError("fleet already started")
+        # Forked workers share the parent's shared-memory resource
+        # tracker only if it already runs; otherwise each worker starts
+        # its own on its first attach, and that tracker unlinks the
+        # job's weight segment when the worker dies, so the replacement
+        # cannot attach (the tcp transport creates no segment before
+        # the first job).
+        resource_tracker.ensure_running()
         self.supervisor = WorkerSupervisor(
             self.n_workers,
             self._spawn,
@@ -770,8 +742,6 @@ class SearchOutcome:
 
     rounds: int = 0
     sweeps: int = 0
-    evaluated: int = 0
-    flips: int = 0
     engine_counts: dict[str, int] = field(default_factory=dict)
     history: list[tuple[float, int]] = field(default_factory=list)
     time_to_target: float | None = None
@@ -804,23 +774,13 @@ def run_search_rounds(
     supervisor = fleet.supervisor
     out = SearchOutcome()
     rounds_by_worker = [0] * cfg.n_gpus
-    prepared: list[np.ndarray | None] = [None] * cfg.n_gpus
-    eval_by_worker = [0] * cfg.n_gpus
-    flips_by_worker = [0] * cfg.n_gpus
     counts_by_worker: list[dict[str, int]] = [{} for _ in range(cfg.n_gpus)]
-    banked_eval = 0
-    banked_flips = 0
     banked_counts: dict[str, int] = {}
 
     def _bank(g: int) -> None:
         # Fold the defunct incarnation's cumulative totals into the
-        # run accumulators and reset the per-worker latest slots for
-        # the replacement (which restarts its counters from zero).
-        nonlocal banked_eval, banked_flips
-        banked_eval += eval_by_worker[g]
-        banked_flips += flips_by_worker[g]
-        eval_by_worker[g] = 0
-        flips_by_worker[g] = 0
+        # run totals and reset the worker's latest slot for the
+        # replacement (which restarts its counters from zero).
         _merge_counts(banked_counts, counts_by_worker[g])
         counts_by_worker[g] = {}
 
@@ -836,15 +796,7 @@ def run_search_rounds(
                 # the same surviving mailbox.)
                 ch = supervisor.target_channel(action.worker_id)
                 if ch is not None:
-                    ch.put(
-                        host.make_targets(
-                            cfg.blocks_per_gpu, device=action.worker_id
-                        )
-                    )
-                    if cfg.pipeline:
-                        prepared[action.worker_id] = host.make_targets(
-                            cfg.blocks_per_gpu, device=action.worker_id
-                        )
+                    ch.put(host.make_targets(cfg.blocks_per_gpu, device=action.worker_id))
 
     def _relay_events() -> None:
         # See WorkerFleet.relay_events; the fleet also drains late
@@ -857,9 +809,6 @@ def run_search_rounds(
         if ch is not None:
             lo = g * cfg.blocks_per_gpu
             ch.put(np.ascontiguousarray(targets[lo : lo + cfg.blocks_per_gpu]))
-    if cfg.pipeline:
-        for g in range(cfg.n_gpus):
-            prepared[g] = host.make_targets(cfg.blocks_per_gpu, device=g)
 
     done = False
     while not done:
@@ -897,8 +846,6 @@ def run_search_rounds(
                     delta = int(value) - int(prev.get(key, 0))
                     if delta:
                         bus.counters.inc(key, delta)
-            eval_by_worker[worker_id] = batch.evaluated
-            flips_by_worker[worker_id] = batch.flips
             counts_by_worker[worker_id] = batch.counters
         if bus.enabled:
             bus.counters.inc("host.rounds")
@@ -909,17 +856,9 @@ def run_search_rounds(
                 worker=worker_id,
                 round=out.rounds,
                 best_energy=int(batch.energies.min()),
-                evaluated=batch.evaluated,
-                flips=batch.flips,
+                evaluated=batch.counters["engine.evaluated"],
+                flips=batch.counters["engine.flips"],
             )
-        if cfg.pipeline and prepared[worker_id] is not None:
-            # Answer the result with the pre-generated batch
-            # *before* absorbing — the worker's next round never
-            # waits on host GA latency.
-            ch = supervisor.target_channel(worker_id)
-            if ch is not None:
-                ch.put(prepared[worker_id])
-                prepared[worker_id] = None
         host.absorb_batch(batch.energies, batch.x)
         if bus.enabled:
             bus.emit(
@@ -943,14 +882,6 @@ def run_search_rounds(
             done = True
         elif cfg.max_rounds is not None and out.rounds >= cfg.max_rounds:
             done = True
-        elif cfg.pipeline:
-            # Step 4, pipelined: this batch answers the *next*
-            # result (targets one pool-state staler — the
-            # asynchrony the paper already tolerates).
-            if supervisor.target_channel(worker_id) is not None:
-                prepared[worker_id] = host.make_targets(
-                    cfg.blocks_per_gpu, device=worker_id
-                )
         else:
             # Step 4: as many fresh targets as solutions arrived
             # — but never feed a channel nobody reads any more.
@@ -971,8 +902,6 @@ def run_search_rounds(
     out.engine_counts = dict(banked_counts)
     for wcounts in counts_by_worker:
         _merge_counts(out.engine_counts, wcounts)
-    out.evaluated = sum(eval_by_worker) + banked_eval
-    out.flips = sum(flips_by_worker) + banked_flips
     healthy = supervisor.healthy_ids
     sweep_counts = [rounds_by_worker[g] for g in healthy] or rounds_by_worker
     out.sweeps = min(sweep_counts)
@@ -998,7 +927,9 @@ def assemble_result(
 
     ``result.counters`` is derived from component state after the run,
     so it exists whether or not a telemetry bus was attached:
-    ``outcome.engine_counts`` carries the summed device counters,
+    ``outcome.engine_counts`` carries the summed device
+    :meth:`~repro.abs.device.DeviceSimulator.totals` (``evaluated`` and
+    ``flips`` are read from there),
     ``extra`` the mode's own, and ``pool.inserted`` includes the initial
     random seeding (Step 1 inserts at ``+∞``).  ``restarts``/``lost`` are
     *per-job* numbers (:meth:`WorkerFleet.take_job_stats`), so a
@@ -1022,6 +953,7 @@ def assemble_result(
         **outcome.engine_counts,
         **extra,
     }
+    engine = outcome.engine_counts
     best_x = host.best_x if host.best_x is not None else np.zeros(n, np.uint8)
     best_e = int(host.best_energy) if math.isfinite(host.best_energy) else 0
     if bus.enabled:
@@ -1033,8 +965,8 @@ def assemble_result(
         elapsed=elapsed,
         rounds=outcome.rounds,
         sweeps=outcome.sweeps,
-        evaluated=outcome.evaluated,
-        flips=outcome.flips,
+        evaluated=engine.get("engine.evaluated", 0),
+        flips=engine.get("engine.flips", 0),
         reached_target=met_target(host.best_energy),
         time_to_target=outcome.time_to_target,
         history=outcome.history,

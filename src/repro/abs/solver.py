@@ -16,21 +16,22 @@ on one fleet through the same method.  The weight matrix lives in
 shared memory (one copy, like GPU global memory), targets flow host →
 device and solutions device → host through the exchange transport
 (:mod:`repro.abs.exchange` — bit-packed shared-memory rings by default,
-``multiprocessing.Queue`` or TCP sockets on request), and nobody blocks
-on anybody — a device that sees no fresh targets keeps searching from
-its current state, exactly the paper's asynchronous tolerance.
+TCP sockets on request), and nobody blocks on anybody — a device that
+sees no fresh targets keeps searching from its current state, exactly
+the paper's asynchronous tolerance.
 ``AbsConfig.lockstep`` makes workers wait for fresh targets after every
 round, which makes a single-worker run deterministic (with several
-workers the arrival order still varies), and ``AbsConfig.pipeline``
-double-buffers targets so host GA for round ``i + 1`` overlaps worker
-execution of round ``i``.
+workers the arrival order still varies).
 
-Both modes build the host and the per-device parameters with one job
-plan (:meth:`AdaptiveBulkSearch._job_plan`) and their result with one
-:func:`~repro.abs.fleet.assemble_result`.  ``SolveResult.setup_ns``
-runs from ``solve()`` entry to the first round: in process mode that
-includes worker spawn and the job's arm handshake, and the search clock
-(and ``time_limit``) starts only after every worker acknowledged.
+Both modes build the host and every device's
+:class:`~repro.abs.device.DevicePlan` with one job plan
+(:meth:`AdaptiveBulkSearch._job_plan`), count with one per-device
+record (:meth:`~repro.abs.device.DeviceSimulator.totals`), and build
+their result with one :func:`~repro.abs.fleet.assemble_result`.
+``SolveResult.setup_ns`` runs from ``solve()`` entry to the first
+round: in process mode that includes worker spawn and the job's arm
+handshake, and the search clock (and ``time_limit``) starts only after
+every worker acknowledged.
 
 Process mode is *supervised*
 (:class:`~repro.abs.supervisor.WorkerSupervisor`): a worker whose
@@ -54,13 +55,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.abs.adaptive import VariantController, WindowAdapter
 from repro.abs.config import AbsConfig, resolve_windows
-from repro.abs.device import DeviceSimulator
+from repro.abs.device import DevicePlan, DeviceSimulator
 from repro.abs.fleet import (
     SearchOutcome,
     WorkerFleet,
@@ -77,17 +77,6 @@ from repro.qubo.matrix import WeightsLike, as_weight_matrix
 from repro.telemetry.bus import NULL_BUS, NullBus, TelemetryBus
 from repro.utils.rng import RngFactory
 from repro.utils.timer import Stopwatch
-
-
-@dataclass(frozen=True)
-class DevicePlan:
-    """One device's search parameters for a job (its variant applied)."""
-
-    windows: np.ndarray
-    local_steps: int
-    scan_neighbors: bool
-    tabu_steps: int = 0
-    tabu_tenure: int | None = None
 
 
 class AdaptiveBulkSearch:
@@ -266,11 +255,7 @@ class AdaptiveBulkSearch:
         self, device: DeviceSimulator, host: Host, variant: SearchVariant, g: int
     ) -> None:
         """Reconfigure device ``g`` (and its GA stream) to ``variant``."""
-        plan = self._device_plan(variant, g)
-        device.engine.windows = plan.windows
-        device.local_steps = plan.local_steps
-        device.scan_neighbors = plan.scan_neighbors
-        device.set_tabu(plan.tabu_steps, plan.tabu_tenure)
+        device.apply(self._device_plan(variant, g))
         host.set_device_ga(g, variant.effective_ga(self.config.ga))
 
     def _sync_targets(
@@ -301,18 +286,14 @@ class AdaptiveBulkSearch:
         variants = self._variants()
         host, plans = self._job_plan(factory, variants)
         devices = [
-            DeviceSimulator(
+            DeviceSimulator.from_plan(
                 self.W,
                 cfg.blocks_per_gpu,
-                windows=plan.windows,
-                local_steps=plan.local_steps,
-                scan_neighbors=plan.scan_neighbors,
+                plan,
                 adapter=self._make_adapter(factory, g),
                 backend=cfg.backend,
                 bus=bus,
                 device_id=g,
-                tabu_steps=plan.tabu_steps,
-                tabu_tenure=plan.tabu_tenure,
             )
             for g, plan in enumerate(plans)
         ]
@@ -382,17 +363,12 @@ class AdaptiveBulkSearch:
 
         elapsed = watch.stop()
         out.sweeps = min(rounds_by_device)
-        out.evaluated = sum(d.evaluated for d in devices)
-        out.flips = sum(d.engine.counters.flips for d in devices)
-        adapters = [d.adapter for d in devices if d.adapter is not None]
-        out.engine_counts = {
-            "adapt.reassignments": sum(a.adaptations for a in adapters)
-        }
         for d in devices:
-            _merge_counts(out.engine_counts, d.engine.counters.as_dict())
-        nonfinite_total = sum(a.nonfinite_observations for a in adapters)
+            _merge_counts(out.engine_counts, d.totals())
         if controller is not None:
-            nonfinite_total += controller.nonfinite_observations
+            out.engine_counts["adapt.nonfinite_observations"] += (
+                controller.nonfinite_observations
+            )
         result = assemble_result(
             cfg,
             self.n,
@@ -402,11 +378,9 @@ class AdaptiveBulkSearch:
             met_target=self._met_target,
             bus=bus,
             extra={
-                "adapt.nonfinite_observations": nonfinite_total,
                 "adapt.variant_reassignments": (
                     controller.reassignments if controller is not None else 0
                 ),
-                "variant.tabu_steps": sum(d.tabu_steps_done for d in devices),
             },
             setup_ns=setup_ns,
             search_ns=int(round(elapsed * 1e9)),
@@ -467,10 +441,7 @@ class AdaptiveBulkSearch:
                 weights_ref=weights_ref,
                 digest=digest,
                 n_blocks=cfg.blocks_per_gpu,
-                windows=plan.windows,
-                local_steps=plan.local_steps,
-                scan_neighbors=plan.scan_neighbors,
-                tabu_params=(plan.tabu_steps, plan.tabu_tenure),
+                plan=plan,
                 backend=cfg.backend,
                 adapt_params=(
                     cfg.adapt_windows,

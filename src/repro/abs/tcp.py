@@ -16,8 +16,7 @@ the field tables)::
     HELLO   := worker_id i32 | incarnation i64
     TARGETS := generation i64 | epoch i64 | n_blocks i32 | n i32 | packbits payload
     RESULT  := worker_id i32 | incarnation i64 | count i32 | n i32
-               | evaluated i64 | flips i64 | counters i64[K] | energies i64[count]
-               | packbits rows
+               | counters i64[K] | energies i64[count] | packbits rows
     EVENTS  := worker_id i32 | incarnation i64 | pickled event list
 
 Framing is the transport's whole ordering story: TCP already
@@ -128,7 +127,7 @@ _FRAME_TYPES = frozenset({F_HELLO, F_TARGETS, F_RESULT, F_EVENTS})
 
 _HELLO = struct.Struct("<iq")
 _TARGETS_HEAD = struct.Struct("<qqii")
-_RESULT_HEAD = struct.Struct("<iqiiqq")
+_RESULT_HEAD = struct.Struct("<iqii")
 
 #: Cumulative worker counters shipped in the fixed RESULT counter
 #: vector, in wire order — the shm meta keys plus the tcp lane's own.
@@ -237,8 +236,6 @@ def encode_result(
     incarnation: int,
     energies: np.ndarray,
     x: np.ndarray,
-    evaluated: int,
-    flips: int,
     counters: dict[str, int],
 ) -> bytes:
     """One round's per-block bests + cumulative totals, bit-packed."""
@@ -250,9 +247,7 @@ def encode_result(
             f"{len(energies)} energies"
         )
     count, n = x.shape
-    head = _RESULT_HEAD.pack(
-        worker_id, incarnation, count, n, int(evaluated), int(flips)
-    )
+    head = _RESULT_HEAD.pack(worker_id, incarnation, count, n)
     cvec = np.array(
         [int(counters.get(key, 0)) for key in _WIRE_COUNTER_KEYS], dtype=WIRE_I64
     )
@@ -265,11 +260,9 @@ def encode_result(
 def decode_result(payload: bytes) -> ResultBatch:
     if len(payload) < _RESULT_HEAD.size:
         raise FrameError(f"short RESULT payload: {len(payload)} bytes")
-    worker_id, incarnation, count, n, evaluated, flips = _RESULT_HEAD.unpack_from(
-        payload
-    )
-    if count < 0 or n < 0:
-        raise FrameError(f"negative RESULT dimensions ({count}, {n})")
+    worker_id, incarnation, count, n = _RESULT_HEAD.unpack_from(payload)
+    if count < 0 or n < 1:
+        raise FrameError(f"RESULT payload has bad dimensions ({count}, {n})")
     k = len(_WIRE_COUNTER_KEYS)
     expected = _RESULT_HEAD.size + 8 * k + 8 * count + count * packed_length(n)
     if len(payload) != expected:
@@ -293,8 +286,6 @@ def decode_result(payload: bytes) -> ResultBatch:
         incarnation=incarnation,
         energies=energies,
         x=unpack_solutions(packed, n),
-        evaluated=int(evaluated),
-        flips=int(flips),
         counters=counters,
     )
 
@@ -772,8 +763,6 @@ class TcpWorkerEndpoint:
         self,
         energies: np.ndarray,
         x: np.ndarray,
-        evaluated: int,
-        flips: int,
         counters: dict[str, int],
         events: list,
     ) -> bool:
@@ -781,13 +770,7 @@ class TcpWorkerEndpoint:
         wire_counters["exchange.tcp.reconnects"] = self._reconnects
         wire_counters["exchange.tcp.dropped_results"] = self._dropped_results
         data = encode_result(
-            self._worker_id,
-            self._incarnation,
-            energies,
-            x,
-            int(evaluated),
-            int(flips),
-            wire_counters,
+            self._worker_id, self._incarnation, energies, x, wire_counters
         )
         if events:
             data += encode_events(self._worker_id, self._incarnation, events)

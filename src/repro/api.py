@@ -45,7 +45,6 @@ def solve(
     worker_stall_timeout: float | None = None,
     start_method: str | None = None,
     exchange: str | None = None,
-    pipeline: bool = False,
     lockstep: bool = False,
     diversity_min_dist: int = 0,
     variants: str | None = None,
@@ -88,12 +87,10 @@ def solve(
     transport: ``"shm"`` (default — the paper's Figure-5 preallocated
     buffers as bit-packed shared-memory rings) or ``"tcp"``
     (length-prefixed frames over loopback sockets, workers join and
-    leave elastically); ``None`` consults ``REPRO_EXCHANGE``.  ``pipeline=True`` double-buffers GA targets so
-    host generation overlaps worker rounds; ``lockstep=True`` makes
-    workers block for fresh targets each round (deterministic
-    single-worker runs).  Transport choice never changes a seeded
-    search's results; ``pipeline`` trades one round of target freshness
-    for latency — see ``docs/exchange.md``.
+    leave elastically); ``None`` consults ``REPRO_EXCHANGE``.
+    ``lockstep=True`` makes workers block for fresh targets each round
+    (deterministic single-worker runs).  Transport choice never changes
+    a seeded search's results — see ``docs/exchange.md``.
 
     Diverse ABS (arXiv:2207.03069; see ``docs/algorithms.md``):
     ``diversity_min_dist`` turns on Hamming-niched pool admission
@@ -142,7 +139,6 @@ def solve(
         worker_stall_timeout=worker_stall_timeout,
         start_method=start_method,
         exchange=exchange,
-        pipeline=pipeline,
         lockstep=lockstep,
         diversity_min_dist=diversity_min_dist,
         variants=variants,

@@ -105,7 +105,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         worker_stall_timeout=args.worker_stall_timeout,
         start_method=args.start_method,
         exchange=args.exchange,
-        pipeline=args.pipeline,
         lockstep=args.lockstep,
         diversity_min_dist=args.diversity_min_dist,
         variants=args.variants,
@@ -579,12 +578,6 @@ def build_parser() -> argparse.ArgumentParser:
         "loopback sockets, elastic workers); default: $REPRO_EXCHANGE "
         "or shm."
         "  Never changes the search result.",
-    )
-    p.add_argument(
-        "--pipeline",
-        action="store_true",
-        help="process mode: double-buffer GA targets so host generation "
-        "overlaps worker rounds (targets one round staler)",
     )
     p.add_argument(
         "--lockstep",

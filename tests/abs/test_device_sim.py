@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.abs.device import DeviceSimulator
+from repro.abs.adaptive import WindowAdapter
+from repro.abs.device import DevicePlan, DeviceSimulator
+from repro.abs.exchange import ENGINE_COUNTER_KEYS
 from repro.qubo import QuboMatrix, energy
 
 
@@ -87,3 +89,45 @@ class TestRound:
         e_scan, _ = dev_scan.round(t)
         e_plain, _ = dev_plain.round(t)
         assert (e_scan <= e_plain).all()
+
+
+class TestTotals:
+    def test_keys_are_the_wire_counter_keys(self, problem):
+        """``totals()`` is the record the shm meta slots and the tcp
+        RESULT counter vector carry: same keys, same order."""
+        dev = DeviceSimulator(
+            problem, 4, windows=4, local_steps=4, tabu_steps=8,
+            adapter=WindowAdapter(problem.n, 4, period=1, seed=3),
+        )
+        for seed in range(3):
+            dev.round(targets_for(problem, 4, seed=seed))
+        totals = dev.totals()
+        assert tuple(totals) == ENGINE_COUNTER_KEYS
+        assert totals["engine.evaluated"] == dev.evaluated
+        assert totals["variant.tabu_steps"] == dev.tabu_steps_done > 0
+        assert totals["adapt.reassignments"] == dev.adapter.adaptations
+
+
+class TestPlan:
+    def test_from_plan_matches_keyword_construction(self, problem):
+        windows = np.array([2, 3, 5], dtype=np.int64)
+        plan = DevicePlan(windows, 6, False, tabu_steps=4, tabu_tenure=3)
+        planned = DeviceSimulator.from_plan(problem, 3, plan)
+        direct = DeviceSimulator(
+            problem, 3, windows=windows, local_steps=6, scan_neighbors=False,
+            tabu_steps=4, tabu_tenure=3,
+        )
+        t = targets_for(problem, 3)
+        e_plan, x_plan = planned.round(t)
+        e_direct, x_direct = direct.round(t)
+        assert (e_plan == e_direct).all() and (x_plan == x_direct).all()
+        assert planned.totals() == direct.totals()
+
+    def test_apply_keeps_walk_state(self, problem):
+        dev = DeviceSimulator(problem, 2, windows=4, local_steps=4)
+        dev.round(targets_for(problem, 2))
+        X, counts = dev.engine.X.copy(), dev.totals()
+        dev.apply(DevicePlan(np.array([1, 7]), 9, False, tabu_steps=2))
+        assert (dev.engine.X == X).all() and dev.totals() == counts
+        assert dev.engine.windows.tolist() == [1, 7]
+        assert (dev.local_steps, dev.scan_neighbors, dev.tabu_steps) == (9, False, 2)

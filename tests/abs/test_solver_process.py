@@ -242,3 +242,69 @@ class TestWorkerSupervision:
         # The run snapshot carries the supervision outcome too.
         assert res.counters["supervisor.restarts"] == 1
         assert res.counters["supervisor.workers_lost"] == 0
+
+    def test_restart_banks_the_dead_incarnations_totals(self, small, monkeypatch):
+        """Worker 1's first incarnation ships exactly one result and dies
+        once the host has taken it in; its replacement finishes the run.
+        The dead incarnation's cumulative totals are banked, so the
+        result's ``evaluated``/``flips`` are the sum of both
+        incarnations' last reports and agree with ``result.counters``."""
+        ctx = multiprocessing.get_context("fork")
+        taken = ctx.Event()
+        restarted = ctx.Event()
+        real_worker = fleet_mod._fleet_worker_main
+        real_rounds = fleet_mod.run_device_rounds
+
+        def die_after_first_result(device, endpoint, *args):
+            real_publish = endpoint.publish
+
+            def publish(*a):
+                real_publish(*a)
+                taken.wait(30)  # the host absorbed and counted it
+                os._exit(9)
+
+            endpoint.publish = publish
+            real_rounds(device, endpoint, *args)
+
+        def flaky_worker(worker_id, incarnation, *rest):
+            control, stop_evt, ack_q = rest[0], rest[2], rest[3]
+            if worker_id == 0:
+                job = control.get(timeout=30)
+                ack_q.put((worker_id, job.job_seq))
+                while not stop_evt.is_set():
+                    time.sleep(0.01)
+                return
+            if incarnation == 0:
+                # Forked child: the patch stays in this process.
+                fleet_mod.run_device_rounds = die_after_first_result
+            else:
+                restarted.wait()
+            real_worker(worker_id, incarnation, *rest)
+
+        monkeypatch.setattr(fleet_mod, "_fleet_worker_main", flaky_worker)
+        sink = MemorySink()
+        bus = TelemetryBus([
+            sink,
+            _SetOnEvent("worker.result", taken),
+            _SetOnEvent("supervisor.restart", restarted),
+        ])
+        cfg = AbsConfig(
+            n_gpus=2,
+            blocks_per_gpu=4,
+            local_steps=8,
+            max_rounds=4,
+            max_worker_restarts=1,
+            time_limit=60.0,
+            seed=23,
+        )
+        res = AdaptiveBulkSearch(small, cfg, telemetry=bus).solve("process")
+        assert res.workers_restarted == 1
+        assert res.rounds == cfg.max_rounds
+        results = sink.named("worker.result")
+        assert {e.fields["worker"] for e in results} == {1}
+        first, last = results[0].fields, results[-1].fields
+        assert first["evaluated"] > 0
+        assert res.evaluated == first["evaluated"] + last["evaluated"]
+        assert res.flips == first["flips"] + last["flips"]
+        assert res.evaluated == res.counters["engine.evaluated"]
+        assert res.flips == res.counters["engine.flips"]

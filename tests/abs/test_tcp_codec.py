@@ -77,21 +77,19 @@ def test_targets_round_trip(dims, gen, epoch, seed):
     assert got.dtype == np.uint8 and (got == t).all()
 
 
-@given(dims=dims, seed=st.integers(0, 99), evaluated=st.integers(0, 2**62),
-       flips=st.integers(0, 2**62), inc=st.integers(0, 2**31))
-def test_result_round_trip(dims, seed, evaluated, flips, inc):
+@given(dims=dims, seed=st.integers(0, 99), inc=st.integers(0, 2**31))
+def test_result_round_trip(dims, seed, inc):
     B, n = dims
     rng = np.random.default_rng(seed)
     energies = rng.integers(-(2**40), 2**40, B)
     x = random_bits(B, n, seed + 1)
     counters = {k: int(rng.integers(0, 2**40)) for k in ENGINE_COUNTER_KEYS}
     counters["exchange.tcp.reconnects"] = 3
-    frame = encode_result(5, inc, energies, x, evaluated, flips, counters)
+    frame = encode_result(5, inc, energies, x, counters)
     ftype, payload, _ = decode_frame(frame)
     assert ftype == F_RESULT
     batch = decode_result(payload)
     assert batch.worker_id == 5 and batch.incarnation == inc
-    assert batch.evaluated == evaluated and batch.flips == flips
     assert (batch.energies == energies).all()
     assert (batch.x == x).all()
     for k in ENGINE_COUNTER_KEYS:
@@ -226,10 +224,10 @@ def test_golden_result_bytes_hexdump():
     x = np.array([[1, 0, 0, 0, 0, 0, 0, 0, 1, 1],
                   [0, 1, 0, 0, 0, 0, 0, 0, 0, 1]], dtype=np.uint8)
     counters = {k: i + 1 for i, k in enumerate(ENGINE_COUNTER_KEYS)}
-    frame = encode_result(1, 0, energies, x, 100, 10, counters)
+    frame = encode_result(1, 0, energies, x, counters)
     k = len(ENGINE_COUNTER_KEYS)
     expect = (
-        struct.pack("<iqiiqq", 1, 0, 2, 10, 100, 10)
+        struct.pack("<iqii", 1, 0, 2, 10)
         + np.arange(1, k + 1, dtype="<i8").tobytes()
         + struct.pack("<qq", 0, 0)  # tcp reconnects/dropped: absent → 0
         + np.array([-5, -9], dtype="<i8").tobytes()
@@ -244,7 +242,7 @@ def test_golden_result_bytes_hexdump():
 
 def test_shm_packing_paths_use_wire_dtypes():
     """The regression for the latent-bug audit: the mailbox/ring views
-    and the queue/shm publish paths must produce little-endian int64
+    and the shm publish path must produce little-endian int64
     and plain uint8 regardless of platform defaults."""
     from repro.abs.exchange import SolutionRing, TargetMailbox
 
