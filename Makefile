@@ -14,9 +14,11 @@ test-fast:              ## skip the slow example subprocess smoke tests
 test-process:           ## only the multiprocessing (worker supervision) tests
 	pytest -m process tests/
 
-test-backends:          ## backend suite on both lanes: as-installed, then with the C compiler masked
+test-backends:          ## backend suite: as-installed, with the C compiler masked, then twice on one fresh TMPDIR (compile, then load from the kernel cache)
 	pytest tests/backends -q
 	REPRO_NO_CC=1 pytest tests/backends -q
+	tmp=$$(mktemp -d) && TMPDIR=$$tmp pytest tests/backends -q && TMPDIR=$$tmp pytest tests/backends -q; \
+		rc=$$?; rm -rf "$$tmp"; exit $$rc
 
 test-exchange:          ## exchange + process suites on the shm rings (the tcp lane is `make test-tcp`)
 	REPRO_EXCHANGE=shm pytest -m "exchange_shm or process" tests/ -q

@@ -470,7 +470,7 @@ _MUTABLE_CTORS = frozenset({"dict", "list", "set", "defaultdict", "deque", "Coun
 #: class run once per step (or per batch of steps) on the hot path.
 _HOT_KERNEL_METHODS = frozenset({
     "flip", "select_window", "select_straight", "update_best",
-    "track_position", "run_local_steps",
+    "track_position", "run_local_steps", "run_straight",
 })
 
 #: Call roots that mean process/filesystem/warning work.  Legal in

@@ -10,11 +10,11 @@ semantics:
 - ``numpy`` — the vectorized reference implementation (always
   available; ground truth for the differential-equivalence suite);
 - ``bitplane`` — packed uint64 bit-plane state with runtime-compiled C
-  kernels (``cc -O3 -fwrapv``): the whole ``run_local_steps`` batch is
-  one C call, with XOR/popcount Hamming helpers for straight-search
-  distances.  Falls back to ``numpy`` (with a one-time warning and a
-  ``backend.fallback`` telemetry event) when no C compiler is
-  available (or ``REPRO_NO_CC`` is set).
+  kernels (``cc -O3 -fwrapv``, compiled once per machine into a cache
+  under ``$TMPDIR``): the whole ``run_local_steps`` batch and the whole
+  ``run_straight`` walk are one C call each.  Falls back to ``numpy``
+  (with a one-time warning and a ``backend.fallback`` telemetry event)
+  when no C compiler is available (or ``REPRO_NO_CC`` is set).
 - ``graycode`` — exact Gray-code enumerator for ``n ≤ 30``
   (:func:`~repro.backends.graycode.graycode_minimum`): the ground-truth
   oracle of the differential suite and the decomposition loop's exact

@@ -21,9 +21,10 @@ A backend implements these against the shared batched state arrays
 (``X`` uint8 ``B×n``, ``delta``/``energy`` int64, ``best_*``) and may
 additionally fuse the whole :meth:`run_local_steps` loop (the dominant
 hot path — one Python-level iteration per forced flip in the reference
-implementation).  All arithmetic is int64; every kernel must be
-**bit-for-bit identical** to the NumPy reference backend, including
-argmin tie-breaking (first minimum wins).  The differential suite in
+implementation) and the whole Algorithm 5 walk, :meth:`run_straight`.
+All arithmetic is int64; every kernel must be **bit-for-bit
+identical** to the NumPy reference backend, including argmin
+tie-breaking (first minimum wins).  The differential suite in
 ``tests/backends/test_equivalence.py`` pins every registered backend to
 the scalar references automatically.
 
@@ -209,6 +210,45 @@ class KernelBackend(ABC):
             self.update_best(X, delta, energy, best_energy, best_x, ids)
             offsets[:] = (offsets + windows) % n
         return updates
+
+    def run_straight(
+        self,
+        pw: PreparedWeights,
+        X: np.ndarray,
+        T: np.ndarray,
+        delta: np.ndarray,
+        energy: np.ndarray,
+        best_energy: np.ndarray,
+        best_x: np.ndarray,
+        scan_neighbors: bool,
+    ) -> int:
+        """Batched Algorithm 5: walk every block of ``X`` to its target row.
+
+        Each block repeatedly flips its still-differing bit of minimum
+        Δ (lowest index on ties) until it equals its row of ``T`` (uint8
+        ``B×n``); blocks retire independently.  After every flip the
+        incumbent is updated by :meth:`update_best` (``scan_neighbors``)
+        or :meth:`track_position`.  Mutates the state arrays in place
+        and returns the total delta-entry writes (see :meth:`flip`).
+
+        Default implementation composes the primitive kernels with one
+        Python iteration per flip round; compiled backends override it
+        with one fused call.
+        """
+        ids_all = np.arange(X.shape[0])
+        updates = 0
+        while True:
+            diff = X ^ T
+            active = diff.any(axis=1)
+            if not active.any():
+                return updates
+            ids = ids_all[active]
+            ks = self.select_straight(delta, diff, ids)
+            updates += self.flip(pw, X, delta, energy, ids, ks)
+            if scan_neighbors:
+                self.update_best(X, delta, energy, best_energy, best_x, ids)
+            else:
+                self.track_position(X, energy, best_energy, best_x, ids)
 
     def __repr__(self) -> str:
         suffix = f", fallback_from={self.fallback_from!r}" if self.fallback_from else ""

@@ -12,11 +12,16 @@ one C call per batch: the per-step sign vectors ``1 - 2x`` are read
 directly from the packed planes with shifts and masks instead of a
 ``B × n`` integer multiply, and the Eq. 16 row add is fused with the
 incumbent's neighbourhood min scan so ``delta`` is traversed once per
-flip instead of twice.
+flip instead of twice.  The Algorithm 5 straight walk
+(``run_straight``) is one C call too: each block walks to its target,
+and its row add also keeps the minimum Δ over the still-differing bits,
+which picks the next flip.
 
-The C translation unit is compiled once per process at ``prepare_*``
-time (``cc -O3 -fwrapv -shared``) and loaded through :mod:`ctypes` —
-no third-party JIT dependency.  ``-fwrapv`` pins C signed overflow to
+The C translation unit is compiled once per machine (``cc -O3 -fwrapv
+-shared``) into a content-addressed cache under
+``tempfile.gettempdir()`` and loaded through :mod:`ctypes` — no
+third-party JIT dependency; every later process, forked workers
+included, only loads it (see :func:`_load_library`).  ``-fwrapv`` pins C signed overflow to
 two's-complement wraparound, so the arithmetic is bit-for-bit the
 NumPy reference's int64/int32 modular arithmetic; the differential
 suite (``tests/backends/``) holds this backend to exact state equality
@@ -37,20 +42,23 @@ diagonal**: Eq. 16 only touches ``j ≠ k`` and the kernel pre-writes
 ``d[k] = -d_k``, which then survives the fused row add (it gains
 ``W_kk = 0``) and participates in the running neighbourhood minimum.
 
-A C compiler is an *optional* dependency: when none is found (or ``REPRO_NO_CC`` is set, which the test suite
-uses to exercise the fallback lane), :func:`make_bitplane_backend`
-returns the NumPy reference backend tagged ``fallback_from="bitplane"``
-and warns once per process.  The packed-plane helpers
-(:func:`pack_rows` / :func:`unpack_rows` / :func:`hamming_distances`)
-are plain NumPy and always available — straight-search distances are
-XOR + popcount (``np.bitwise_count``) on the planes.
+A C compiler is an *optional* dependency: when none is found (or
+``REPRO_NO_CC`` is set, which the test suite uses to exercise the
+fallback lane), :func:`make_bitplane_backend` returns the NumPy
+reference backend tagged ``fallback_from="bitplane"`` and warns once
+per process — even when the compile cache holds a library.  The
+packed-plane helpers (:func:`pack_rows` / :func:`unpack_rows` /
+:func:`hamming_distances`) are plain NumPy and always available.
 """
 
 from __future__ import annotations
 
 import ctypes
+import hashlib
 import os
+import platform
 import shutil
+import stat
 import subprocess
 import tempfile
 import warnings
@@ -320,13 +328,232 @@ int64_t bp_local_steps_sparse(
     }
     return updates;
 }
+
+/* Batched Algorithm 5 over bit-plane state.
+ *
+ * Blocks are independent, so each walks to its target row Tp in turn:
+ * flip the still-differing bit (set in xp ^ tp) of minimum delta, the
+ * lowest index on ties, until xp == tp.  The dense Eq. 16 row add is
+ * fused with two running minima: over still-differing bits (the next
+ * k) and over all bits (update_best's neighbour check).  With scan == 0
+ * only visited solutions are incumbent candidates (track_position).
+ */
+
+#define CTZ(m) ((int64_t)__builtin_ctzll(m))
+
+/* First still-differing bit whose delta equals v; -1 when none. */
+static int64_t diff_find_d32(const int32_t *d, const uint64_t *xp,
+                             const uint64_t *tp, int64_t nw, int32_t v)
+{
+    for (int64_t w = 0; w < nw; w++)
+        for (uint64_t m = xp[w] ^ tp[w]; m; m &= m - 1)
+            if (d[(w << 6) + CTZ(m)] == v) return (w << 6) + CTZ(m);
+    return -1;
+}
+
+static int64_t diff_find_d64(const int64_t *d, const uint64_t *xp,
+                             const uint64_t *tp, int64_t nw, int64_t v)
+{
+    for (int64_t w = 0; w < nw; w++)
+        for (uint64_t m = xp[w] ^ tp[w]; m; m &= m - 1)
+            if (d[(w << 6) + CTZ(m)] == v) return (w << 6) + CTZ(m);
+    return -1;
+}
+
+static int32_t diff_min_d32(const int32_t *d, const uint64_t *xp,
+                            const uint64_t *tp, int64_t nw)
+{
+    int32_t mn = INT32_MAX;
+    for (int64_t w = 0; w < nw; w++)
+        for (uint64_t m = xp[w] ^ tp[w]; m; m &= m - 1)
+            if (d[(w << 6) + CTZ(m)] < mn) mn = d[(w << 6) + CTZ(m)];
+    return mn;
+}
+
+static int64_t diff_min_d64(const int64_t *d, const uint64_t *xp,
+                            const uint64_t *tp, int64_t nw)
+{
+    int64_t mn = INT64_MAX;
+    for (int64_t w = 0; w < nw; w++)
+        for (uint64_t m = xp[w] ^ tp[w]; m; m &= m - 1)
+            if (d[(w << 6) + CTZ(m)] < mn) mn = d[(w << 6) + CTZ(m)];
+    return mn;
+}
+
+/* Incumbent update after one flip: the best neighbour (energy + mn at
+ * the first minimum of d) before the position itself, as update_best
+ * does; with scan == 0 the position only, as track_position does. */
+#define STRAIGHT_INCUMBENT(D, MN)                                        \
+    do {                                                                 \
+        if (scan && energy[b] + (int64_t)(MN) < best_e[b]) {             \
+            int64_t pos = 0;                                             \
+            while ((D)[pos] != (MN)) pos++;                              \
+            best_e[b] = energy[b] + (int64_t)(MN);                       \
+            memcpy(bestp + b * nw, xp, (size_t)nw * 8);                  \
+            bestflip[b] = pos;                                           \
+        }                                                                \
+        if (energy[b] < best_e[b]) {                                     \
+            best_e[b] = energy[b];                                       \
+            memcpy(bestp + b * nw, xp, (size_t)nw * 8);                  \
+            bestflip[b] = -1;                                            \
+        }                                                                \
+    } while (0)
+
+int64_t bp_straight_w16_d32(
+    const int16_t *RESTRICT W,      /* n*n off-diagonal weights, diag zeroed */
+    uint64_t *RESTRICT Xp,          /* B*nw packed state planes */
+    int32_t  *RESTRICT delta,       /* B*n */
+    const uint64_t *RESTRICT Tp,    /* B*nw packed target planes */
+    int64_t  *RESTRICT energy,
+    int64_t  *RESTRICT best_e,
+    uint64_t *RESTRICT bestp,
+    int64_t  *RESTRICT bestflip,
+    int64_t n, int64_t B, int64_t nw, int64_t scan)
+{
+    int64_t flips = 0;
+    for (int64_t b = 0; b < B; b++) {
+        int32_t *RESTRICT d = delta + b * n;
+        uint64_t *RESTRICT xp = Xp + b * nw;
+        const uint64_t *RESTRICT tp = Tp + b * nw;
+        int64_t k = diff_find_d32(d, xp, tp, nw, diff_min_d32(d, xp, tp, nw));
+        while (k >= 0) {
+            int32_t dk_old = d[k];
+            uint64_t kbit = 1ULL << (k & 63);
+            int neg = (xp[k >> 6] & kbit) != 0;     /* s_k = -1 */
+            xp[k >> 6] ^= kbit;
+            d[k] = -dk_old;
+            energy[b] += (int64_t)dk_old;
+            flips++;
+            const int16_t *RESTRICT row = W + k * n;
+            int32_t mn = INT32_MAX, dmn = INT32_MAX;
+            for (int64_t w = 0; w < nw; w++) {
+                uint64_t bits = neg ? ~xp[w] : xp[w];
+                uint64_t dbits = xp[w] ^ tp[w];
+                int64_t base = w << 6;
+                int64_t lim = n - base; if (lim > 64) lim = 64;
+                int32_t *RESTRICT dd = d + base;
+                const int16_t *RESTRICT rr = row + base;
+                for (int64_t j = 0; j < lim; j++) {
+                    int32_t msk = -(int32_t)((bits >> j) & 1);
+                    int32_t r2 = 2 * (int32_t)rr[j];
+                    int32_t v = dd[j] + ((r2 ^ msk) - msk);
+                    dd[j] = v;
+                    if (v < mn) mn = v;
+                    int32_t dm = -(int32_t)((dbits >> j) & 1);
+                    int32_t dv = (v & dm) | (INT32_MAX & ~dm);  /* blend: vectorizes */
+                    if (dv < dmn) dmn = dv;
+                }
+            }
+            STRAIGHT_INCUMBENT(d, mn);
+            k = diff_find_d32(d, xp, tp, nw, dmn);
+        }
+    }
+    return flips * n;
+}
+
+int64_t bp_straight_w64(
+    const int64_t *RESTRICT W,      /* n*n off-diagonal weights, diag zeroed */
+    uint64_t *RESTRICT Xp,
+    int64_t  *RESTRICT delta,
+    const uint64_t *RESTRICT Tp,
+    int64_t  *RESTRICT energy,
+    int64_t  *RESTRICT best_e,
+    uint64_t *RESTRICT bestp,
+    int64_t  *RESTRICT bestflip,
+    int64_t n, int64_t B, int64_t nw, int64_t scan)
+{
+    int64_t flips = 0;
+    for (int64_t b = 0; b < B; b++) {
+        int64_t *RESTRICT d = delta + b * n;
+        uint64_t *RESTRICT xp = Xp + b * nw;
+        const uint64_t *RESTRICT tp = Tp + b * nw;
+        int64_t k = diff_find_d64(d, xp, tp, nw, diff_min_d64(d, xp, tp, nw));
+        while (k >= 0) {
+            int64_t dk_old = d[k];
+            uint64_t kbit = 1ULL << (k & 63);
+            int neg = (xp[k >> 6] & kbit) != 0;
+            xp[k >> 6] ^= kbit;
+            d[k] = -dk_old;
+            energy[b] += dk_old;
+            flips++;
+            const int64_t *RESTRICT row = W + k * n;
+            int64_t mn = INT64_MAX, dmn = INT64_MAX;
+            for (int64_t w = 0; w < nw; w++) {
+                uint64_t bits = neg ? ~xp[w] : xp[w];
+                uint64_t dbits = xp[w] ^ tp[w];
+                int64_t base = w << 6;
+                int64_t lim = n - base; if (lim > 64) lim = 64;
+                int64_t *RESTRICT dd = d + base;
+                const int64_t *RESTRICT rr = row + base;
+                for (int64_t j = 0; j < lim; j++) {
+                    int64_t msk = -(int64_t)((bits >> j) & 1);
+                    int64_t r2 = rr[j] + rr[j];
+                    int64_t v = dd[j] + ((r2 ^ msk) - msk);
+                    dd[j] = v;
+                    if (v < mn) mn = v;
+                    int64_t dm = -(int64_t)((dbits >> j) & 1);
+                    int64_t dv = (v & dm) | (INT64_MAX & ~dm);
+                    if (dv < dmn) dmn = dv;
+                }
+            }
+            STRAIGHT_INCUMBENT(d, mn);
+            k = diff_find_d64(d, xp, tp, nw, dmn);
+        }
+    }
+    return flips * n;
+}
+
+int64_t bp_straight_sparse(
+    const int64_t *RESTRICT indptr,  /* n+1 (off-diagonal CSR) */
+    const int64_t *RESTRICT indices,
+    const int64_t *RESTRICT data,
+    uint64_t *RESTRICT Xp,
+    int64_t  *RESTRICT delta,
+    const uint64_t *RESTRICT Tp,
+    int64_t  *RESTRICT energy,
+    int64_t  *RESTRICT best_e,
+    uint64_t *RESTRICT bestp,
+    int64_t  *RESTRICT bestflip,
+    int64_t n, int64_t B, int64_t nw, int64_t scan)
+{
+    int64_t updates = 0;
+    for (int64_t b = 0; b < B; b++) {
+        int64_t *RESTRICT d = delta + b * n;
+        uint64_t *RESTRICT xp = Xp + b * nw;
+        const uint64_t *RESTRICT tp = Tp + b * nw;
+        int64_t k = diff_find_d64(d, xp, tp, nw, diff_min_d64(d, xp, tp, nw));
+        while (k >= 0) {
+            int64_t dk_old = d[k];
+            uint64_t kbit = 1ULL << (k & 63);
+            int sk = (xp[k >> 6] & kbit) ? -1 : 1;
+            xp[k >> 6] ^= kbit;
+            for (int64_t p = indptr[k]; p < indptr[k + 1]; p++) {
+                int64_t j = indices[p];
+                int sj = (xp[j >> 6] >> (j & 63)) & 1 ? -1 : 1;
+                int64_t w2 = data[p] + data[p];
+                d[j] += (sj == sk) ? w2 : -w2;
+            }
+            updates += indptr[k + 1] - indptr[k] + 1;
+            d[k] = -dk_old;
+            energy[b] += dk_old;
+            int64_t mn = INT64_MAX;
+            if (scan)
+                for (int64_t j = 0; j < n; j++)
+                    if (d[j] < mn) mn = d[j];
+            STRAIGHT_INCUMBENT(d, mn);
+            k = diff_find_d64(d, xp, tp, nw, diff_min_d64(d, xp, tp, nw));
+        }
+    }
+    return updates;
+}
 """
 
-_KERNEL_NAMES = (
-    "bp_local_steps_w16_d32",
-    "bp_local_steps_w64",
-    "bp_local_steps_sparse",
-)
+#: ``variant -> (run_local_steps kernel, run_straight kernel)``.
+_KERNELS = {
+    "dense_w16_d32": ("bp_local_steps_w16_d32", "bp_straight_w16_d32"),
+    "dense_w64": ("bp_local_steps_w64", "bp_straight_w64"),
+    "sparse_w64": ("bp_local_steps_sparse", "bp_straight_sparse"),
+}
 
 
 # --------------------------------------------------------------------------
@@ -394,31 +621,161 @@ def cc_available() -> bool:
     return _find_cc() is not None
 
 
-def _compile_library() -> ctypes.CDLL:
-    """Compile the kernel translation unit and load it via ctypes."""
-    cc = _find_cc()
-    if cc is None:
-        raise RuntimeError("no C compiler found (set $CC or install cc/gcc/clang)")
-    workdir = Path(tempfile.mkdtemp(prefix="repro-bitplane-"))
+#: Compiler flag sets, in order of preference: ``-march=native`` first,
+#: the portable set when the toolchain rejects it.
+_BASE_FLAGS = ("-O3", "-funroll-loops", "-fwrapv", "-shared", "-fPIC")
+_FLAG_SETS = ((*_BASE_FLAGS, "-march=native"), _BASE_FLAGS)
+
+#: ``/proc/cpuinfo`` fields naming the CPU (not its clock) for the key.
+_CPU_FIELDS = frozenset({
+    "vendor_id", "model name", "flags", "CPU implementer", "CPU part", "Features",
+})
+
+
+def _cpu_model() -> str:
+    """What ``-march=native`` compiles for: the first CPU's identity."""
+    try:
+        with open("/proc/cpuinfo") as fh:
+            text = fh.read().split("\n\n", 1)[0]
+    except OSError:
+        return platform.processor()
+    fields = (line.partition(":") for line in text.splitlines())
+    return "\n".join(
+        f"{k.strip()}:{v.strip()}" for k, _, v in fields if k.strip() in _CPU_FIELDS
+    )
+
+
+def _cache_key(
+    cc_path: str, cc_version: str, flags: tuple[str, ...], source: str = _C_SOURCE
+) -> str:
+    """sha256 over everything that changes the ``.so`` or where it runs."""
+    h = hashlib.sha256()
+    for part in (source, *flags, cc_path, cc_version, platform.machine(), _cpu_model()):
+        h.update(part.encode())
+        h.update(b"\0")
+    return h.hexdigest()
+
+
+def _cache_dir() -> Path:
+    """``$TMPDIR/repro-bitplane-<uid>``: one kernel cache per user."""
+    return Path(tempfile.gettempdir()) / f"repro-bitplane-{os.getuid()}"
+
+
+def _private(path: Path, *, is_dir: bool) -> bool:
+    """Whether ``path`` is ours alone: owned by this uid, no symlink,
+    not writable by group or others — the precondition for dlopen."""
+    try:
+        st = os.lstat(path)
+    except OSError:
+        return False
+    kind_ok = stat.S_ISDIR(st.st_mode) if is_dir else stat.S_ISREG(st.st_mode)
+    return kind_ok and st.st_uid == os.getuid() and not st.st_mode & 0o022
+
+
+def _bind(path: Path) -> ctypes.CDLL:
+    """dlopen ``path`` and type every kernel (AttributeError if missing).
+
+    Every kernel takes its weight arrays (CSR: three), then 8 state
+    arrays (``run_local_steps``) or 7 (``run_straight``), then the four
+    int64 scalars.
+    """
+    lib = ctypes.CDLL(str(path))
+    for variant, (local, straight) in _KERNELS.items():
+        weights = 3 if variant == "sparse_w64" else 1
+        for fname, arrays in ((local, weights + 8), (straight, weights + 7)):
+            fn = getattr(lib, fname)
+            fn.argtypes = [ctypes.c_void_p] * arrays + [ctypes.c_int64] * 4
+            fn.restype = ctypes.c_int64
+    return lib
+
+
+_SEAL_BYTES = hashlib.sha256().digest_size
+
+
+def _seal(blob: bytes) -> bytes:
+    """A cache entry: the library bytes, then their sha256 as a trailer
+    (the loader maps segments only, so trailing bytes are inert)."""
+    return blob + hashlib.sha256(blob).digest()
+
+
+def _sealed(entry: Path) -> bool:
+    """Whether ``entry`` is whole.  dlopen of a truncated library can die
+    of SIGBUS instead of raising, so this is checked before loading."""
+    blob = entry.read_bytes()
+    return len(blob) > _SEAL_BYTES and _seal(blob[:-_SEAL_BYTES]) == blob
+
+
+def _load_cached(entry: Path) -> ctypes.CDLL | None:
+    """The cached library at ``entry``; ``None`` (entry deleted if bad)."""
+    if not _private(entry, is_dir=False):
+        return None
+    try:
+        if _sealed(entry):
+            return _bind(entry)
+    except (OSError, AttributeError):
+        pass
+    entry.unlink(missing_ok=True)
+    return None
+
+
+def _compile(cc: str, workdir: Path) -> tuple[Path, tuple[str, ...]]:
+    """Compile the kernels into ``workdir``: the ``.so`` and its flag set."""
     src = workdir / "bitplane_kernels.c"
     src.write_text(_C_SOURCE)
     out = workdir / "bitplane_kernels.so"
-    base = [cc, "-O3", "-funroll-loops", "-fwrapv", "-shared", "-fPIC"]
-    proc = None
-    # -march=native first; retry portable when the toolchain rejects it.
-    for flags in ([*base, "-march=native"], base):
+    stderr = ""
+    for flags in _FLAG_SETS:
         proc = subprocess.run(
-            [*flags, "-o", str(out), str(src)], capture_output=True, text=True
+            [cc, *flags, "-o", str(out), str(src)], capture_output=True, text=True
         )
         if proc.returncode == 0:
-            break
-    else:
-        stderr = (proc.stderr or "").strip() if proc is not None else ""
-        raise RuntimeError(f"bit-plane kernel compilation failed: {stderr[:500]}")
-    lib = ctypes.CDLL(str(out))
-    for fname in _KERNEL_NAMES:
-        getattr(lib, fname).restype = ctypes.c_int64
-    return lib
+            return out, flags
+        stderr = proc.stderr.strip()
+    raise RuntimeError(f"bit-plane kernel compilation failed: {stderr[:500]}")
+
+
+def _load_library() -> ctypes.CDLL:
+    """Load the kernels from the compile cache, compiling on a miss.
+
+    Entries are ``<sha256 key>.so`` in :func:`_cache_dir`; a build runs
+    in a scratch dir inside it and is published with ``os.replace``, so
+    concurrent builders race harmlessly.  A cache dir that fails the
+    :func:`_private` check is never loaded from: the build then runs in
+    a private temp dir instead.  Scratch dirs are always removed.
+    """
+    cc = _find_cc()
+    if cc is None:
+        raise RuntimeError("no C compiler found (set $CC or install cc/gcc/clang)")
+    cc_path = os.path.realpath(shutil.which(cc) or cc)
+    version = subprocess.run([cc, "--version"], capture_output=True, text=True).stdout
+    keys = {flags: _cache_key(cc_path, version, flags) for flags in _FLAG_SETS}
+    cache = _cache_dir()
+    try:
+        cache.mkdir(mode=0o700, exist_ok=True)
+    except OSError:
+        pass  # judged by the check below, like any other unusable dir
+    safe = _private(cache, is_dir=True)
+    if safe:
+        for key in keys.values():
+            lib = _load_cached(cache / f"{key}.so")
+            if lib is not None:
+                return lib
+    workdir = Path(
+        tempfile.mkdtemp(prefix="build-", dir=cache)
+        if safe
+        else tempfile.mkdtemp(prefix="repro-bitplane-")
+    )
+    try:
+        out, flags = _compile(cc, workdir)
+        if not safe:
+            return _bind(out)
+        entry = cache / f"{keys[flags]}.so"
+        out.write_bytes(_seal(out.read_bytes()))
+        os.chmod(out, 0o755)
+        os.replace(out, entry)
+        return _bind(entry)
+    finally:
+        shutil.rmtree(workdir, ignore_errors=True)
 
 
 def make_bitplane_backend() -> KernelBackend:
@@ -453,15 +810,17 @@ def _ptr(arr: np.ndarray) -> ctypes.c_void_p:
 class _Planes:
     """Per-problem kernel artifacts derived at ``prepare_*`` time."""
 
-    __slots__ = ("variant", "weights", "nw", "fn")
+    __slots__ = ("variant", "weights", "nw", "local", "straight")
 
     def __init__(
-        self, variant: str, weights: np.ndarray | None, nw: int, fn: Any
+        self, variant: str, weights: np.ndarray | None, nw: int, lib: Any
     ) -> None:
         self.variant = variant
         self.weights = weights
         self.nw = nw
-        self.fn = fn
+        local, straight = _KERNELS[variant]
+        self.local = getattr(lib, local)
+        self.straight = getattr(lib, straight)
 
 
 @dataclass(frozen=True)
@@ -472,14 +831,16 @@ class BitplanePreparedWeights(PreparedWeights):
 
 
 class BitplaneBackend(NumpyBackend):
-    """Packed-state backend with a fused, C-compiled ``run_local_steps``.
+    """Packed-state backend with C-compiled ``run_local_steps`` and
+    ``run_straight``.
 
-    The primitive kernels (``flip``/``select_*``/``update_best``/
-    ``track_position``) are inherited from the NumPy reference — they
-    run on the engine's unpacked arrays and are already exact — while
-    the dominant multi-step loop runs on packed planes in C.  State is
-    packed on entry and unpacked on exit of each ``run_local_steps``
-    batch, an O(B·n/8) conversion amortized over ``steps`` fused flips.
+    Both walks — the Algorithm 4 multi-step loop and the Algorithm 5
+    straight walk — run on packed planes in one C call each; the
+    primitive kernels (``flip``/``select_*``/``update_best``/
+    ``track_position``) stay the NumPy reference's, which nothing on
+    the engine's hot path calls any more.  State is packed on entry and
+    unpacked on exit of each call, an O(B·n/8) conversion amortized
+    over every fused flip of the call.
     """
 
     name = "bitplane"
@@ -488,9 +849,10 @@ class BitplaneBackend(NumpyBackend):
 
     @classmethod
     def ensure_compiled(cls) -> Any:
-        """Compile + load the shared library once per process."""
+        """Load the shared library once per process: from the compile
+        cache, compiling it there on a miss (once per machine)."""
         if cls._lib is None:
-            cls._lib = _compile_library()
+            cls._lib = _load_library()
         return cls._lib
 
     def prepare_dense(self, W: np.ndarray) -> PreparedWeights:
@@ -512,21 +874,16 @@ class BitplaneBackend(NumpyBackend):
             use_w16 = dmax <= float(2**31 - 2)
         if use_w16:
             planes = _Planes(
-                "dense_w16_d32",
-                np.ascontiguousarray(Woff.astype(np.int16)),
-                nw,
-                lib.bp_local_steps_w16_d32,
+                "dense_w16_d32", np.ascontiguousarray(Woff.astype(np.int16)), nw, lib
             )
         else:
-            planes = _Planes("dense_w64", Woff, nw, lib.bp_local_steps_w64)
+            planes = _Planes("dense_w64", Woff, nw, lib)
         return BitplanePreparedWeights(n=n, dense=W, planes=planes)
 
     def prepare_sparse(self, sparse: Any) -> PreparedWeights:
         lib = self.ensure_compiled()
         base = super().prepare_sparse(sparse)
-        planes = _Planes(
-            "sparse_w64", None, (base.n + 63) // 64, lib.bp_local_steps_sparse
-        )
+        planes = _Planes("sparse_w64", None, (base.n + 63) // 64, lib)
         return BitplanePreparedWeights(
             n=base.n,
             indptr=base.indptr,
@@ -534,6 +891,28 @@ class BitplaneBackend(NumpyBackend):
             data=base.data,
             planes=planes,
         )
+
+    def _call(
+        self, fn: Any, pw: PreparedWeights, Xp: np.ndarray, delta: np.ndarray,
+        *rest: Any,
+    ) -> int:
+        """Call one tier's kernel as ``fn(weights..., Xp, delta, *rest)``,
+        narrowing ``delta`` for the d32 tier and writing it back."""
+        planes = pw.planes
+        if planes.variant == "dense_w16_d32":
+            # The d32 tier is only selected when the Δ bound fits int32,
+            # so this narrowing is exact for any reachable delta vector.
+            d = np.ascontiguousarray(delta.astype(np.int32))
+        else:
+            d = np.ascontiguousarray(delta, dtype=np.int64)
+        if planes.variant == "sparse_w64":
+            weights = (_ptr(pw.indptr), _ptr(pw.indices), _ptr(pw.data))
+        else:
+            weights = (_ptr(planes.weights),)
+        updates = fn(*weights, _ptr(Xp), _ptr(d), *rest)
+        if d is not delta:
+            delta[:] = d
+        return int(updates)
 
     def run_local_steps(
         self,
@@ -554,9 +933,7 @@ class BitplaneBackend(NumpyBackend):
             return super().run_local_steps(
                 pw, X, delta, energy, best_energy, best_x, offsets, windows, steps
             )
-        n = pw.n
-        nw = planes.nw
-        B = int(X.shape[0])
+        n, nw, B = pw.n, planes.nw, int(X.shape[0])
         Xp = pack_rows(X, nw)
         bestp = np.zeros((B, nw), dtype=np.uint64)
         bestflip = np.full(B, -2, dtype=np.int64)
@@ -565,42 +942,76 @@ class BitplaneBackend(NumpyBackend):
         off = np.ascontiguousarray(offsets, dtype=np.int64)
         win = np.ascontiguousarray(windows, dtype=np.int64)
         i64 = ctypes.c_int64
-        tail = (
+        updates = self._call(
+            planes.local, pw, Xp, delta,
             _ptr(eng), _ptr(be), _ptr(bestp), _ptr(bestflip), _ptr(off),
             _ptr(win), i64(n), i64(B), i64(nw), i64(steps),
         )
-        if planes.variant == "sparse_w64":
-            d = np.ascontiguousarray(delta, dtype=np.int64)
-            updates = planes.fn(
-                _ptr(pw.indptr), _ptr(pw.indices), _ptr(pw.data),
-                _ptr(Xp), _ptr(d), *tail,
-            )
-            if d is not delta:
-                delta[:] = d
-        elif planes.variant == "dense_w16_d32":
-            # The d32 tier is only selected when the Δ bound fits int32,
-            # so this narrowing is exact for any reachable delta vector.
-            d32 = np.ascontiguousarray(delta.astype(np.int32))
-            updates = planes.fn(_ptr(planes.weights), _ptr(Xp), _ptr(d32), *tail)
-            delta[:] = d32
-        else:
-            d = np.ascontiguousarray(delta, dtype=np.int64)
-            updates = planes.fn(_ptr(planes.weights), _ptr(Xp), _ptr(d), *tail)
-            if d is not delta:
-                delta[:] = d
         X[:] = unpack_rows(Xp, n)
-        if eng is not energy:
-            energy[:] = eng
-        if be is not best_energy:
-            best_energy[:] = be
         if off is not offsets:
             offsets[:] = off
-        dirty = bestflip != -2
-        if dirty.any():
-            rid = np.flatnonzero(dirty)
-            best_x[rid] = unpack_rows(bestp[rid], n)
-            flips = bestflip[rid]
-            from_neighbour = flips >= 0
-            if from_neighbour.any():
-                best_x[rid[from_neighbour], flips[from_neighbour]] ^= 1
-        return int(updates)
+        _write_back(eng, energy, be, best_energy, bestp, bestflip, best_x, n)
+        return updates
+
+    def run_straight(
+        self,
+        pw: PreparedWeights,
+        X: np.ndarray,
+        T: np.ndarray,
+        delta: np.ndarray,
+        energy: np.ndarray,
+        best_energy: np.ndarray,
+        best_x: np.ndarray,
+        scan_neighbors: bool,
+    ) -> int:
+        planes = getattr(pw, "planes", None)
+        if planes is None:
+            return super().run_straight(
+                pw, X, T, delta, energy, best_energy, best_x, scan_neighbors
+            )
+        n, nw, B = pw.n, planes.nw, int(X.shape[0])
+        Xp = pack_rows(X, nw)
+        Tp = pack_rows(T, nw)
+        bestp = np.zeros((B, nw), dtype=np.uint64)
+        bestflip = np.full(B, -2, dtype=np.int64)
+        eng = np.ascontiguousarray(energy, dtype=np.int64)
+        be = np.ascontiguousarray(best_energy, dtype=np.int64)
+        i64 = ctypes.c_int64
+        updates = self._call(
+            planes.straight, pw, Xp, delta,
+            _ptr(Tp), _ptr(eng), _ptr(be), _ptr(bestp), _ptr(bestflip),
+            i64(n), i64(B), i64(nw), i64(int(scan_neighbors)),
+        )
+        X[:] = T  # every block walked all the way to its target
+        _write_back(eng, energy, be, best_energy, bestp, bestflip, best_x, n)
+        return updates
+
+
+def _write_back(
+    eng: np.ndarray,
+    energy: np.ndarray,
+    be: np.ndarray,
+    best_energy: np.ndarray,
+    bestp: np.ndarray,
+    bestflip: np.ndarray,
+    best_x: np.ndarray,
+    n: int,
+) -> None:
+    """Copy kernel energies back and expand the incumbent snapshots.
+
+    ``bestflip[b]`` is ``-2`` when block ``b`` found no new incumbent,
+    ``-1`` when the incumbent is the snapshot ``bestp[b]`` itself, and
+    ``>= 0`` when it is the snapshot with that bit flipped.
+    """
+    if eng is not energy:
+        energy[:] = eng
+    if be is not best_energy:
+        best_energy[:] = be
+    dirty = bestflip != -2
+    if dirty.any():
+        rid = np.flatnonzero(dirty)
+        best_x[rid] = unpack_rows(bestp[rid], n)
+        flips = bestflip[rid]
+        from_neighbour = flips >= 0
+        if from_neighbour.any():
+            best_x[rid[from_neighbour], flips[from_neighbour]] ^= 1

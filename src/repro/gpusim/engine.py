@@ -19,7 +19,8 @@ their targets (the asynchrony the paper gets from per-block execution).
 The hot kernels themselves live behind the pluggable
 :class:`~repro.backends.KernelBackend` interface (``numpy`` reference
 kernels by default; ``bitplane`` compiled C kernels that fuse the
-whole ``local_steps`` loop when a C compiler is present — see
+whole ``local_steps`` loop and the whole straight walk when a C
+compiler is present — see
 :mod:`repro.backends` and ``docs/backends.md``).  The engine owns all
 search state; backends are stateless kernel sets, so swapping backends
 never changes the walk: every registered backend is tested to be
@@ -185,7 +186,6 @@ class BulkSearchEngine:
         self.best_energy = np.full(self.B, _INT64_MAX, dtype=np.int64)
         self.best_x = np.zeros((self.B, self.n), dtype=np.uint8)
         self.counters = EngineCounters()
-        self._ids = np.arange(self.B)
         if self._bus.enabled and self.backend.fallback_from:
             self._bus.emit(
                 "backend.fallback",
@@ -199,29 +199,6 @@ class BulkSearchEngine:
         """The backend's PreparedWeights — harvestable for reuse by a
         later engine over the same weights and backend (``prepared=``)."""
         return self._pw
-
-    # ------------------------------------------------------------------
-    # Core batched flip (Eq. 16 for a subset of blocks)
-    # ------------------------------------------------------------------
-    def _flip(self, ids: np.ndarray, ks: np.ndarray) -> int:
-        """Flip bit ``ks[i]`` in block ``ids[i]`` for all i, in bulk.
-
-        Returns the number of delta entries written (see
-        :class:`EngineCounters` for the ``evaluated`` vs
-        ``delta_updates`` distinction).
-        """
-        updates = self.backend.flip(self._pw, self.X, self.delta, self.energy, ids, ks)
-        m = len(ids)
-        self.counters.flips += m
-        self.counters.evaluated += m * self.n
-        self.counters.delta_updates += updates
-        return updates
-
-    def _update_best(self, ids: np.ndarray) -> None:
-        """Best-tracking over all n exposed neighbors plus the position."""
-        self.backend.update_best(
-            self.X, self.delta, self.energy, self.best_energy, self.best_x, ids
-        )
 
     # ------------------------------------------------------------------
     # Device steps
@@ -239,72 +216,58 @@ class BulkSearchEngine:
         """Batched Algorithm 5: walk every block to its target.
 
         ``targets`` is ``B × n``.  Blocks retire as they arrive (their
-        flip count equals their Hamming distance).  Returns the total
-        number of flips performed.
+        flip count equals their Hamming distance).  The walk itself is
+        one :meth:`~repro.backends.KernelBackend.run_straight` call.
+        Returns the total number of flips performed.
         """
         T = np.asarray(targets)
         if T.shape != (self.B, self.n):
             raise ValueError(f"targets must have shape ({self.B}, {self.n}), got {T.shape}")
         if T.dtype != np.uint8:
             T = T.astype(np.uint8)
-        backend = self.backend
+        # Every flip retires one differing bit, so the per-block Hamming
+        # distances fix the flip count, retirements and rounds up front.
+        dist = np.count_nonzero(self.X ^ T, axis=1)
+        total = int(dist.sum())
+        retired = int(np.count_nonzero(dist))
+        iters = int(dist.max())
         bus = self._bus
-        timing = bus.enabled
-        select_ns = flip_ns = best_ns = 0
-        total = 0
-        updates = 0
-        iters = 0
-        retired: int | None = None
-        while True:
-            diff = self.X ^ T
-            active = diff.any(axis=1)
-            if retired is None:
-                retired = int(active.sum())
-            if not active.any():
-                break
-            iters += 1
-            ids = self._ids[active]
-            if timing:
-                t0 = time.perf_counter_ns()
-                ks = backend.select_straight(self.delta, diff, ids)
-                t1 = time.perf_counter_ns()
-                updates += self._flip(ids, ks)
-                t2 = time.perf_counter_ns()
-            else:
-                ks = backend.select_straight(self.delta, diff, ids)
-                updates += self._flip(ids, ks)
-            if scan_neighbors:
-                self._update_best(ids)
-            else:
-                backend.track_position(
-                    self.X, self.energy, self.best_energy, self.best_x, ids
-                )
-            if timing:
-                t3 = time.perf_counter_ns()
-                select_ns += t1 - t0
-                flip_ns += t2 - t1
-                best_ns += t3 - t2
-            total += len(ids)
-        self.counters.straight_flips += total
-        self.counters.straight_retirements += retired or 0
         if bus.enabled:
+            t0 = time.perf_counter_ns()
+        updates = self.backend.run_straight(
+            self._pw,
+            self.X,
+            T,
+            self.delta,
+            self.energy,
+            self.best_energy,
+            self.best_x,
+            scan_neighbors,
+        )
+        self.counters.flips += total
+        self.counters.evaluated += total * self.n
+        self.counters.delta_updates += updates
+        self.counters.straight_flips += total
+        self.counters.straight_retirements += retired
+        if bus.enabled:
+            bus.counters.inc(
+                f"backend.{self.backend.name}.straight_ns",
+                time.perf_counter_ns() - t0,
+            )
             bus.counters.inc("engine.straight_flips", total)
-            bus.counters.inc("engine.straight_retirements", retired or 0)
+            bus.counters.inc("engine.straight_retirements", retired)
             # Keep the session counter families reconciled with
             # EngineCounters: straight flips evaluate n neighbours each,
             # and both phases contribute to engine.flips.
             bus.counters.inc("engine.flips", total)
             bus.counters.inc("engine.evaluated", total * self.n)
             bus.counters.inc("engine.delta_updates", updates)
-            bus.counters.inc(f"backend.{self.backend.name}.straight_select_ns", select_ns)
-            bus.counters.inc(f"backend.{self.backend.name}.flip_ns", flip_ns)
-            bus.counters.inc(f"backend.{self.backend.name}.best_ns", best_ns)
             bus.emit(
                 "engine.straight",
                 flips=total,
                 iters=iters,
-                retired=retired or 0,
-                already_at_target=self.B - (retired or 0),
+                retired=retired,
+                already_at_target=self.B - retired,
                 backend=self.backend.name,
             )
         return total

@@ -291,9 +291,7 @@ COUNTER_NAMES: frozenset[str] = frozenset(
 #: increment site must normalize to exactly one of these patterns.
 COUNTER_PATTERNS: tuple[str, ...] = (
     "backend.*.local_steps_ns",
-    "backend.*.straight_select_ns",
-    "backend.*.flip_ns",
-    "backend.*.best_ns",
+    "backend.*.straight_ns",
     "backend.*.prepare_ns",
 )
 

@@ -125,6 +125,14 @@ def test_kernel_flags_hot_path_process_work():
     assert run_rule("kernel-purity", "kernel/repro/backends/good_backend.py") == []
 
 
+def test_kernel_flags_process_work_in_run_straight():
+    findings = run_rule("kernel-purity", "kernel/repro/backends/bad_straight_backend.py")
+    joined = " ".join(f.message for f in findings)
+    assert "'run_straight' calls 'tempfile.mkdtemp'" in joined
+    assert "'run_straight' calls 'subprocess.run'" in joined
+    assert len(findings) == 2
+
+
 # -- shm-protocol ----------------------------------------------------------
 
 def test_shm_clean_fixture_passes():

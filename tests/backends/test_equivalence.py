@@ -152,6 +152,84 @@ class TestStraightEquivalence:
         assert_engine_valid(eng, context="independent retirement")
 
 
+def _straight_problem(kind):
+    """n = 130 (three words, not a multiple of 64) in every kernel tier."""
+    if kind == "sparse":
+        return maxcut_to_sparse_qubo(random_graph(130, 520, weighted=True, seed=31))
+    if kind == "ties":
+        # Weights in {-2, ..., 2}: Δ ties everywhere, so the lowest
+        # index must win at every straight-search step.
+        rng = np.random.default_rng(29)
+        W = np.triu(rng.integers(-2, 3, (130, 130)))
+        return QuboMatrix(W + np.triu(W, 1).T, check=False)
+    q = QuboMatrix.random(130, seed=37)
+    if kind == "wide":  # off-diagonals beyond int16: the int64 tier
+        return QuboMatrix(np.asarray(q.W, dtype=np.int64) * 5, check=False)
+    return q
+
+
+#: The bitplane kernel tier each straight-search problem selects.
+_TIERS = {
+    "int16": "dense_w16_d32", "wide": "dense_w64", "ties": "dense_w16_d32",
+    "sparse": "sparse_w64",
+}
+
+
+class TestStraightTiers:
+    """Algorithm 5 from a mid-walk state, on every kernel tier and both
+    incumbent rules: blocks already at their target, one bit away, n
+    bits away (every bit differs) and at a random target."""
+
+    @pytest.mark.parametrize("scan_neighbors", [True, False])
+    @pytest.mark.parametrize("kind", ["int16", "wide", "ties", "sparse"])
+    def test_matches_scalar_and_numpy(self, backend, kind, scan_neighbors, rng):
+        weights = _straight_problem(kind)
+        n = weights.n
+        engines = {}
+        for name, spec in (("ref", "numpy"), ("under_test", backend)):
+            eng = BulkSearchEngine(weights, 4, windows=5, backend=spec)
+            eng.local_steps(7)
+            # The scalar walk counts its start as a candidate: seed the
+            # incumbents with it so both sides compare the same thing.
+            eng.best_energy[:] = eng.energy
+            eng.best_x[:] = eng.X
+            engines[name] = eng
+        eng = engines["under_test"]
+        planes = getattr(eng.prepared, "planes", None)
+        if planes is not None:
+            assert planes.variant == _TIERS[kind]
+        start = eng.X.copy()
+        targets = np.stack([
+            start[0],
+            start[1] ^ (np.arange(n) == 77),
+            start[2] ^ 1,
+            rng.integers(0, 2, n, dtype=np.uint8),
+        ])
+        if kind == "ties":
+            assert (eng.delta[2] == eng.delta[2].min()).sum() > 1
+        scalar = []
+        for b in range(4):
+            st = SearchState.from_bits(weights, start[b])
+            bx, be, flips = straight_search(st, targets[b], scan_neighbors=scan_neighbors)
+            scalar.append((st, bx, be, flips))
+        for e in engines.values():
+            total = e.straight_to(targets, scan_neighbors=scan_neighbors)
+            assert total == sum(f for *_, f in scalar) == 1 + n + int(
+                (start[3] ^ targets[3]).sum()
+            )
+        ref = engines["ref"]
+        assert (eng.X == targets).all()
+        for b, (st, bx, be, _) in enumerate(scalar):
+            assert eng.energy[b] == st.energy, f"block {b}: energy"
+            assert np.array_equal(eng.delta[b], st.delta), f"block {b}: delta"
+            assert eng.best_energy[b] == be, f"block {b}: best_energy"
+            assert np.array_equal(eng.best_x[b], bx), f"block {b}: best_x"
+        for field in ("X", "delta", "energy", "best_energy", "best_x"):
+            assert np.array_equal(getattr(eng, field), getattr(ref, field)), field
+        assert eng.counters.as_dict() == ref.counters.as_dict()
+        assert eng.counters.straight_retirements == 3
+
+
 class TestSparseEquivalence:
     def test_sparse_matches_dense(self, backend, sparse_pair, rng):
         dense, sparse = sparse_pair
