@@ -15,9 +15,8 @@ points** — and ``bitplane`` specifically is required to be available,
 so a machine that silently lost its C compiler fails the bench instead
 of publishing numpy numbers under the bitplane name.
 
-The ``graycode`` backend is measured too (engine kernels inherited
-from numpy, so ~1×) and additionally benched at its real job: the
-``graycode_exact`` section times exhaustive enumeration states/s and
+The ``graycode_exact`` section times the exact Gray-code enumerator
+(``graycode_minimum``, not an engine backend) in states/s and
 cross-checks the optimum against ``repro.search.exact.solve_exact``.
 
 Runnable both ways::

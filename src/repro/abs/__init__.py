@@ -21,7 +21,6 @@ Two execution modes are provided by :class:`~repro.abs.solver.AdaptiveBulkSearch
 """
 
 from repro.abs.adaptive import VariantController, WindowAdapter
-from repro.abs.checkpoint import load_engine, load_pool, save_engine, save_pool
 from repro.abs.config import AbsConfig, resolve_windows
 from repro.abs.decompose import (
     DecompositionConfig,
@@ -60,10 +59,6 @@ __all__ = [
     "DecompositionSolver",
     "DecompositionConfig",
     "DecompositionResult",
-    "save_engine",
-    "load_engine",
-    "save_pool",
-    "load_pool",
     "AbsConfig",
     "resolve_windows",
     "EXCHANGE_NAMES",

@@ -65,7 +65,7 @@ class AbsConfig:
         Figure-2 selection window: int, ``"spread"``, or per-block list.
     backend:
         Kernel backend name for the bulk engine (``"numpy"``,
-        ``"bitplane"``, ``"graycode"``, or any name registered with
+        ``"bitplane"``, or any name registered with
         :func:`repro.backends.register_backend`).  ``None`` (default)
         consults the ``REPRO_BACKEND`` environment variable and falls
         back to ``"numpy"``.  Backend choice never changes the search

@@ -1,8 +1,9 @@
 """Documentation consistency checker (``make docs-check``).
 
-Docs rot in two characteristic ways: relative links break when files
-move, and CLI examples keep flags that the parser renamed (the
-``analyze`` → ``landscape`` rename left exactly such fossils).  This
+Docs rot in three characteristic ways: relative links break when files
+move, CLI examples keep flags that the parser renamed (the
+``analyze`` → ``landscape`` rename left exactly such fossils), and
+tables keep naming modules that were deleted.  This
 checker walks ``README.md`` and ``docs/*.md`` and verifies:
 
 1. **Links** — every relative markdown link target outside a code
@@ -22,6 +23,11 @@ checker walks ``README.md`` and ``docs/*.md`` and verifies:
    so renaming or dropping a target breaks the docs build too.  Prose
    mentions outside code markup ("make sure", "make the solver…") are
    never matched.
+4. **Dotted names** — every ``repro.<module>[.<attr>…]`` name inside
+   an inline code span outside a fence resolves: the longest prefix
+   that imports as a module is imported, then the rest is looked up
+   with ``getattr``.  Deleting or renaming a module, class or function
+   the docs name breaks the docs build.
 
 Run as a module (``python -m repro.analysis.docscheck [root]``) or via
 ``make docs-check``; the tier-1 suite runs :func:`check_repo` against
@@ -31,6 +37,7 @@ the repository in ``tests/analysis/test_docs.py``.
 from __future__ import annotations
 
 import argparse
+import importlib
 import re
 import sys
 from dataclasses import dataclass
@@ -69,6 +76,10 @@ _MAKE_RE = re.compile(r"\bmake\s+([A-Za-z0-9][A-Za-z0-9_.-]*)")
 
 #: Inline code span in prose: `` `make test` ``.
 _CODE_SPAN_RE = re.compile(r"`([^`]+)`")
+
+#: A dotted ``repro.…`` name.  The lookbehind keeps path fragments
+#: (``src/repro.x``) and longer identifiers (``myrepro.x``) out.
+_DOTTED_RE = re.compile(r"(?<![\w./-])repro(?:\.[A-Za-z_]\w*)+")
 
 #: A Makefile rule header: ``target: prerequisites``.  Special targets
 #: (``.PHONY``) and pattern rules (``%.o``) are excluded by the
@@ -166,6 +177,25 @@ def _check_make_mentions(
     return problems
 
 
+def _check_dotted_name(name: str) -> str | None:
+    """Why the dotted ``repro.…`` ``name`` does not resolve, or ``None``."""
+    parts = name.split(".")
+    cut = len(parts)
+    while True:  # ends at the latest on ``repro`` itself
+        prefix = ".".join(parts[:cut])
+        try:
+            obj = importlib.import_module(prefix)
+            break
+        except ImportError:
+            cut -= 1
+    for attr in parts[cut:]:
+        if not hasattr(obj, attr):
+            return f"dotted name {name!r} does not resolve: no {attr!r} in {prefix}"
+        obj = getattr(obj, attr)
+        prefix = f"{prefix}.{attr}"
+    return None
+
+
 def _check_command(rest: str, inventory: dict[str, set[str]]) -> list[str]:
     tokens = []
     for token in rest.split():
@@ -215,6 +245,11 @@ def check_file(
                 message = _check_link(match.group(1), path.parent, root)
                 if message:
                     findings.append(DocFinding(rel, lineno, message))
+            for span in _CODE_SPAN_RE.finditer(line):
+                for match in _DOTTED_RE.finditer(span.group(1)):
+                    message = _check_dotted_name(match.group(0))
+                    if message:
+                        findings.append(DocFinding(rel, lineno, message))
         if make_targets is not None:
             for message in _check_make_mentions(line, in_fence, make_targets):
                 findings.append(DocFinding(rel, lineno, message))
@@ -240,7 +275,8 @@ def check_repo(root: Path | str = ".") -> list[DocFinding]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis.docscheck",
-        description="validate doc links and CLI examples against the parser",
+        description="validate doc links, CLI examples, make targets and "
+        "dotted repro names against the live repository",
     )
     parser.add_argument(
         "root", nargs="?", default=".", help="repository root (default: .)"

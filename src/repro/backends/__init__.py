@@ -15,10 +15,10 @@ semantics:
   ``run_straight`` walk are one C call each.  Falls back to ``numpy``
   (with a one-time warning and a ``backend.fallback`` telemetry event)
   when no C compiler is available (or ``REPRO_NO_CC`` is set).
-- ``graycode`` — exact Gray-code enumerator for ``n ≤ 30``
-  (:func:`~repro.backends.graycode.graycode_minimum`): the ground-truth
-  oracle of the differential suite and the decomposition loop's exact
-  finisher.  Engine kernels are inherited from ``numpy``.
+
+The exact Gray-code enumerator for ``n ≤ 30``,
+:func:`~repro.backends.graycode.graycode_minimum`, is not a backend:
+it is the decomposition loop's exact finisher.
 
 Selection flows through :attr:`AbsConfig.backend <repro.abs.config.AbsConfig>`,
 ``repro.solve(backend=...)``, the CLI ``--backend`` flag, or the
@@ -39,7 +39,7 @@ from typing import Callable, Union
 
 from repro.backends.base import KernelBackend, PreparedWeights
 from repro.backends.bitplane import cc_available, make_bitplane_backend
-from repro.backends.graycode import GraycodeBackend, graycode_minimum
+from repro.backends.graycode import graycode_minimum
 from repro.backends.numpy_backend import NumpyBackend
 
 #: Environment variable consulted when no backend is named explicitly.
@@ -103,13 +103,11 @@ def resolve_backend(spec: BackendSpec = None) -> KernelBackend:
 
 register_backend("numpy", NumpyBackend)
 register_backend("bitplane", make_bitplane_backend)
-register_backend("graycode", GraycodeBackend)
 
 __all__ = [
     "KernelBackend",
     "PreparedWeights",
     "NumpyBackend",
-    "GraycodeBackend",
     "BACKEND_ENV_VAR",
     "DEFAULT_BACKEND",
     "available_backends",

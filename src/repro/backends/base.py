@@ -29,8 +29,7 @@ tie-breaking (first minimum wins).  The differential suite in
 the scalar references automatically.
 
 Backends are stateless with respect to the search: all search state
-lives in the engine's arrays, so engines can be checkpointed and
-backends swapped between runs.
+lives in the engine's arrays, so backends can be swapped between runs.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Gray-code exact backend: exhaustive enumeration for small QUBOs.
+"""Gray-code exact enumerator: exhaustive enumeration for small QUBOs.
 
 An ABS device kernel can afford exhaustive search only when the whole
 state fits in registers; on the host the same trick is practical up to
@@ -12,21 +12,11 @@ evaluation.  To keep the walk vectorized, the variables are split into
 every NumPy operation touches ``2^b_high`` elements and the Python loop
 runs only ``2^n_low`` times.
 
-:func:`graycode_minimum` is used two ways:
-
-- as the **exact finisher** of the decomposition outer loop
-  (``DecompositionConfig.exact_below``): subproblems at or below the
-  threshold are solved to proven optimality instead of by a cold inner
-  ABS run;
-- as the **ground-truth oracle** of the differential-equivalence suite:
-  registering :class:`GraycodeBackend` pins every heuristic backend's
-  best-energy trajectory against a provably exact answer for small n.
-
-:class:`GraycodeBackend` inherits the reference engine kernels
-unchanged — running the engine under ``--backend graycode`` behaves
-exactly like ``numpy`` — because the backend's value is the enumerator
-and the registry plumbing (config/CLI/env selection, differential-suite
-auto-pinning), not a different step kernel.
+:func:`graycode_minimum` is the **exact finisher** of the decomposition
+outer loop (``DecompositionConfig.exact_below``): subproblems at or
+below the threshold are solved to proven optimality instead of by a
+cold inner ABS run.  It is an exact solver, not a step kernel, so it
+is not a registered engine backend.
 """
 
 from __future__ import annotations
@@ -36,11 +26,8 @@ from typing import Any
 
 import numpy as np
 
-from repro.backends.numpy_backend import NumpyBackend
-
 __all__ = [
     "MAX_GRAYCODE_BITS",
-    "GraycodeBackend",
     "GraycodeSolution",
     "graycode_minimum",
 ]
@@ -123,13 +110,3 @@ def graycode_minimum(weights: Any) -> GraycodeSolution:
         x[n_low + j] = (lane >> j) & 1
     return GraycodeSolution(x=x, energy=int(best_energy[lane]), evaluated=lanes * steps)
 
-
-class GraycodeBackend(NumpyBackend):
-    """Registry wrapper for the exact enumerator.
-
-    Engine kernels are inherited from the NumPy reference verbatim;
-    selecting ``graycode`` via config/CLI/env is always safe.  The
-    exact machinery lives in :func:`graycode_minimum`.
-    """
-
-    name = "graycode"

@@ -44,9 +44,8 @@ def _add_backend_flag(p: argparse.ArgumentParser) -> None:
         "--backend",
         default=None,
         metavar="NAME",
-        help="kernel backend: numpy (reference), bitplane "
-        "(packed uint64 state + compiled C kernels), or graycode "
-        "(exact enumerator, engine kernels = numpy).  bitplane "
+        help="kernel backend: numpy (reference) or bitplane "
+        "(packed uint64 state + compiled C kernels).  bitplane "
         "falls back to numpy when no C compiler is found; default: "
         "$REPRO_BACKEND or numpy.  Never changes the search result, "
         "only speed.",

@@ -18,7 +18,6 @@ from repro.metrics.landscape import (
 )
 from repro.metrics.search_rate import RateMeasurement, measure_engine_rate, measure_solver_rate
 from repro.metrics.sweep import SweepPoint, best_point, render_sweep, sweep
-from repro.metrics.trace import anytime_auc, mean_trace, time_to_threshold, value_at
 from repro.metrics.tts import TtsResult, time_to_solution
 
 __all__ = [
@@ -31,10 +30,6 @@ __all__ = [
     "SweepPoint",
     "render_sweep",
     "best_point",
-    "time_to_threshold",
-    "value_at",
-    "anytime_auc",
-    "mean_trace",
     "RateMeasurement",
     "measure_engine_rate",
     "measure_solver_rate",

@@ -10,9 +10,11 @@
   seeded synthetic analogues of the paper's Table 1(b) instances.
 - :mod:`.random_qubo` — dense 16-bit synthetic random problems
   (Table 1(c)) with a seeded catalog.
-- :mod:`.partition`, :mod:`.vertex_cover` — extra Lucas-style
-  formulations for the "other applications" direction the paper's
-  conclusion proposes.
+- :mod:`.partition`, :mod:`.coloring` — extra Lucas-style formulations
+  for the "other applications" direction the paper's conclusion
+  proposes.
+- :mod:`.spin_glass` — Sherrington–Kirkpatrick and Edwards–Anderson
+  spin-glass instances.
 """
 
 from repro.problems.coloring import (
@@ -22,7 +24,6 @@ from repro.problems.coloring import (
     is_proper_coloring,
 )
 from repro.problems.gset import load_gset, save_gset, synthetic_gset, GSET_CATALOG
-from repro.problems.maxsat import count_unsatisfied, max2sat_to_qubo, random_max2sat
 from repro.problems.maxcut import (
     cut_value,
     energy_to_cut,
@@ -50,7 +51,6 @@ from repro.problems.tsplib import (
     load_tsplib,
     synthetic_instance,
 )
-from repro.problems.vertex_cover import decode_cover, is_vertex_cover, vertex_cover_to_qubo
 
 __all__ = [
     "maxcut_to_qubo",
@@ -59,9 +59,6 @@ __all__ = [
     "decode_coloring",
     "is_proper_coloring",
     "count_violations",
-    "max2sat_to_qubo",
-    "count_unsatisfied",
-    "random_max2sat",
     "cut_value",
     "energy_to_cut",
     "random_graph",
@@ -89,7 +86,4 @@ __all__ = [
     "decode_partition",
     "sherrington_kirkpatrick",
     "edwards_anderson",
-    "vertex_cover_to_qubo",
-    "decode_cover",
-    "is_vertex_cover",
 ]

@@ -27,7 +27,6 @@ from repro.search.deltasearch import DeltaLocalSearch
 from repro.search.exact import ExactSolution, solve_exact
 from repro.search.naive import NaiveLocalSearch
 from repro.search.onestep import OneStepLocalSearch
-from repro.search.portfolio import PortfolioOutcome, PortfolioSearch
 from repro.search.policies import (
     GreedyPolicy,
     RandomPolicy,
@@ -59,8 +58,6 @@ __all__ = [
     "GeometricSchedule",
     "LinearSchedule",
     "TabuSearch",
-    "PortfolioSearch",
-    "PortfolioOutcome",
     "solve_exact",
     "ExactSolution",
 ]

@@ -88,17 +88,23 @@ class TestAbsConfig:
 
 class TestRemovedChoices:
     def test_removed_names_are_rejected_with_remaining_choices(self, monkeypatch):
-        """``queue`` is not a transport and ``numba`` not a backend;
-        asking for either fails and names what can be chosen."""
+        """``queue`` is not a transport and ``numba`` and ``graycode``
+        are not backends; asking for any of them fails and names what
+        can be chosen."""
         from repro.abs.exchange import resolve_exchange
 
         with pytest.raises(ValueError, match=r"\('shm', 'tcp'\).*'queue'"):
             AbsConfig(exchange="queue")
         with pytest.raises(
             ValueError,
-            match=r"'numba' \(registered: bitplane, graycode, numpy\)",
+            match=r"'numba' \(registered: bitplane, numpy\)",
         ):
             AbsConfig(backend="numba")
+        with pytest.raises(
+            ValueError,
+            match=r"'graycode' \(registered: bitplane, numpy\)",
+        ):
+            AbsConfig(backend="graycode")
         monkeypatch.setenv("REPRO_EXCHANGE", "queue")
         with pytest.raises(ValueError, match=r"'queue' \(use one of: shm, tcp\)"):
             resolve_exchange(None)

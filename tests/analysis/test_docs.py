@@ -132,6 +132,30 @@ class TestDefectClasses:
         _write(tmp_path, "README.md", "```bash\nmake anything\n```\n")
         assert check_repo(tmp_path) == []
 
+    def test_dangling_dotted_names_in_inline_code(self, tmp_path):
+        _write(
+            tmp_path,
+            "README.md",
+            "| resume | `repro.abs.no_such_module` |\n"
+            "Call `repro.qubo.QuboMatrix.no_such_method()` first.\n",
+        )
+        findings = check_repo(tmp_path)
+        assert [f.line for f in findings] == [1, 2]
+        assert "'repro.abs.no_such_module' does not resolve" in findings[0].message
+        assert "no 'no_such_method' in repro.qubo.QuboMatrix" in findings[1].message
+
+    def test_resolving_dotted_names_pass(self, tmp_path):
+        _write(
+            tmp_path,
+            "README.md",
+            "Use `repro.solve(q)`, `repro.qubo.QuboMatrix.random` or\n"
+            "`repro.backends.graycode.graycode_minimum`; run\n"
+            "`python -m repro.analysis.docscheck`.\n"
+            "Prose repro.nope and `src/repro.nope` are not names.\n"
+            "```python\nimport repro.nope\n```\n",
+        )
+        assert check_repo(tmp_path) == []
+
     def test_main_reports_and_fails(self, tmp_path, capsys):
         _write(tmp_path, "README.md", "[gone](nope.md)\n")
         assert main([str(tmp_path)]) == 1

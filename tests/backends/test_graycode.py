@@ -1,4 +1,4 @@
-"""Gray-code exact backend: oracle agreement, edge cases, finisher.
+"""Gray-code exact enumerator: oracle agreement, edge cases, finisher.
 
 ``graycode_minimum`` is the ground-truth oracle of the backend suite:
 these tests pin it against an independent numpy brute force (all 2^n
@@ -11,13 +11,7 @@ import numpy as np
 import pytest
 
 from repro.abs.decompose import DecompositionConfig, DecompositionSolver
-from repro.backends import available_backends, resolve_backend
-from repro.backends.graycode import (
-    MAX_GRAYCODE_BITS,
-    GraycodeBackend,
-    graycode_minimum,
-)
-from repro.gpusim import BulkSearchEngine
+from repro.backends.graycode import MAX_GRAYCODE_BITS, graycode_minimum
 from repro.qubo import QuboMatrix, SparseQubo
 from repro.search.exact import solve_exact
 from repro.telemetry import MemorySink, TelemetryBus
@@ -96,23 +90,6 @@ class TestValidation:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
             graycode_minimum(np.array([[0, 1], [2, 0]]))
-
-
-class TestBackendRegistration:
-    def test_registered_and_resolvable(self):
-        assert "graycode" in available_backends()
-        backend = resolve_backend("graycode")
-        assert isinstance(backend, GraycodeBackend)
-        assert backend.fallback_from is None
-
-    def test_engine_kernels_match_numpy(self):
-        q = QuboMatrix.random(32, seed=21)
-        ref = BulkSearchEngine(q, 3, windows=7, backend="numpy")
-        gc = BulkSearchEngine(q, 3, windows=7, backend="graycode")
-        for eng in (ref, gc):
-            eng.local_steps(40)
-        assert np.array_equal(ref.X, gc.X)
-        assert np.array_equal(ref.best_energy, gc.best_energy)
 
 
 class TestExactFinisher:

@@ -1,7 +1,7 @@
 """Cross-feature integration: combinations the unit tests don't cover.
 
-Each extension (sparse backend, adaptive windows, decomposition,
-checkpointing) is tested in isolation elsewhere; these tests exercise
+Each extension (sparse weights, adaptive windows, decomposition) is
+tested in isolation elsewhere; these tests exercise
 them *together*, which is how a downstream user will actually run them.
 """
 
@@ -14,11 +14,8 @@ from repro.abs import (
     DecompositionConfig,
     DecompositionSolver,
     WindowAdapter,
-    load_engine,
-    save_engine,
 )
 from repro.abs.device import DeviceSimulator
-from repro.gpusim import BulkSearchEngine
 from repro.problems import maxcut_to_sparse_qubo, random_graph, cut_value
 from repro.qubo import QuboMatrix, SparseQubo, energy
 
@@ -53,19 +50,6 @@ class TestSparsePlusAdaptive:
         )
         res = AdaptiveBulkSearch(sparse, cfg).solve("sync")
         assert cut_value(graph, res.best_x) == -res.best_energy
-
-
-class TestSparsePlusCheckpoint:
-    def test_checkpointed_sparse_engine_resumes_identically(self, sparse, tmp_path):
-        eng = BulkSearchEngine(sparse, 4, windows=8)
-        eng.local_steps(20)
-        ckpt = tmp_path / "s.npz"
-        save_engine(eng, ckpt)
-        eng.local_steps(30)
-        resumed = load_engine(sparse, ckpt)
-        resumed.local_steps(30)
-        assert np.array_equal(resumed.X, eng.X)
-        assert np.array_equal(resumed.best_energy, eng.best_energy)
 
 
 class TestDecomposePlusSparsePlusSelection:
