@@ -64,13 +64,15 @@ class AbsConfig:
     window:
         Figure-2 selection window: int, ``"spread"``, or per-block list.
     backend:
-        Kernel backend name for the bulk engine (``"numpy"``,
-        ``"bitplane"``, or any name registered with
+        Kernel backend name for the bulk engine (``"auto"``,
+        ``"numpy"``, ``"bitplane"``, or any name registered with
         :func:`repro.backends.register_backend`).  ``None`` (default)
         consults the ``REPRO_BACKEND`` environment variable and falls
-        back to ``"numpy"``.  Backend choice never changes the search
-        result — only kernel speed (``bitplane`` degrades to ``numpy``
-        with a warning when no C compiler is found).
+        back to ``"auto"``: ``bitplane`` where a C compiler builds its
+        kernels, else ``numpy``.  Backend choice never changes the
+        search result — only kernel speed (an explicit ``bitplane``
+        degrades to ``numpy`` with a warning when no C compiler is
+        found; ``auto`` degrades silently).
     pool_capacity:
         Host solution-pool size ``m``.
     ga:
@@ -206,13 +208,9 @@ class AbsConfig:
                 f"worker_stall_timeout must be positive, got {self.worker_stall_timeout}"
             )
         if self.backend is not None:
-            from repro.backends import available_backends
+            from repro.backends import check_backend_name
 
-            if self.backend not in available_backends():
-                raise ValueError(
-                    f"unknown backend {self.backend!r} "
-                    f"(registered: {', '.join(available_backends())})"
-                )
+            check_backend_name(self.backend)
         if self.start_method not in (None, "fork", "spawn", "forkserver"):
             raise ValueError(
                 "start_method must be None, 'fork', 'spawn', or 'forkserver', "

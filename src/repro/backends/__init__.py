@@ -16,6 +16,10 @@ semantics:
   (with a one-time warning and a ``backend.fallback`` telemetry event)
   when no C compiler is available (or ``REPRO_NO_CC`` is set).
 
+``auto``, the default, is not a backend of its own: it resolves to
+``bitplane`` where the kernels load or compile and to ``numpy``
+otherwise — silently, since nobody asked for ``bitplane``.
+
 The exact Gray-code enumerator for ``n ≤ 30``,
 :func:`~repro.backends.graycode.graycode_minimum`, is not a backend:
 it is the decomposition loop's exact finisher.
@@ -23,7 +27,7 @@ it is the decomposition loop's exact finisher.
 Selection flows through :attr:`AbsConfig.backend <repro.abs.config.AbsConfig>`,
 ``repro.solve(backend=...)``, the CLI ``--backend`` flag, or the
 ``REPRO_BACKEND`` environment variable; unset, the default is
-``numpy``.  A future CuPy/GPU backend plugs into the same seam via
+``auto``.  A future CuPy/GPU backend plugs into the same seam via
 :func:`register_backend` — every registered backend is automatically
 pinned step-for-step to the scalar references by
 ``tests/backends/test_equivalence.py``.
@@ -38,15 +42,22 @@ import os
 from typing import Callable, Union
 
 from repro.backends.base import KernelBackend, PreparedWeights
-from repro.backends.bitplane import cc_available, make_bitplane_backend
+from repro.backends.bitplane import (
+    cc_available,
+    load_bitplane_backend,
+    make_bitplane_backend,
+)
 from repro.backends.graycode import graycode_minimum
 from repro.backends.numpy_backend import NumpyBackend
 
 #: Environment variable consulted when no backend is named explicitly.
 BACKEND_ENV_VAR = "REPRO_BACKEND"
 
+#: The name that picks the fastest backend this machine can run.
+AUTO_BACKEND = "auto"
+
 #: Default backend when neither call site nor environment names one.
-DEFAULT_BACKEND = "numpy"
+DEFAULT_BACKEND = AUTO_BACKEND
 
 BackendSpec = Union[str, KernelBackend, None]
 
@@ -61,26 +72,41 @@ def register_backend(name: str, factory: Callable[[], KernelBackend]) -> None:
     degradation (set ``fallback_from`` on the instance so telemetry can
     report the substitution).
     """
-    if not name or not isinstance(name, str):
-        raise ValueError(f"backend name must be a non-empty string, got {name!r}")
+    if not name or not isinstance(name, str) or name == AUTO_BACKEND:
+        raise ValueError(
+            f"backend name must be a non-empty string other than "
+            f"{AUTO_BACKEND!r}, got {name!r}"
+        )
     _REGISTRY[name] = factory
 
 
 def available_backends() -> tuple[str, ...]:
     """Registered backend names, sorted (registration ≠ availability:
-    ``bitplane`` is always listed and falls back without a compiler)."""
+    ``bitplane`` is always listed and falls back without a compiler).
+    ``auto`` is not listed: it only ever picks one of these."""
     return tuple(sorted(_REGISTRY))
 
 
-def get_backend(name: str) -> KernelBackend:
-    """Construct a fresh backend instance for ``name``."""
-    try:
-        factory = _REGISTRY[name]
-    except KeyError:
+def check_backend_name(name: str) -> None:
+    """Raise ``ValueError`` unless ``name`` is ``auto`` or registered."""
+    if name != AUTO_BACKEND and name not in _REGISTRY:
         raise ValueError(
-            f"unknown backend {name!r} (registered: {', '.join(available_backends())})"
-        ) from None
-    return factory()
+            f"unknown backend {name!r} (registered: {', '.join(available_backends())}), "
+            f"or {AUTO_BACKEND!r}"
+        )
+
+
+def get_backend(name: str) -> KernelBackend:
+    """Construct a fresh backend instance for ``name``.
+
+    ``auto`` gives the compiled ``bitplane`` backend where its kernels
+    load, else ``numpy``, with no warning and no ``fallback_from`` tag.
+    """
+    check_backend_name(name)
+    if name == AUTO_BACKEND:
+        backend = load_bitplane_backend()
+        return backend if backend is not None else NumpyBackend()
+    return _REGISTRY[name]()
 
 
 def resolve_backend(spec: BackendSpec = None) -> KernelBackend:
@@ -108,10 +134,12 @@ __all__ = [
     "KernelBackend",
     "PreparedWeights",
     "NumpyBackend",
+    "AUTO_BACKEND",
     "BACKEND_ENV_VAR",
     "DEFAULT_BACKEND",
     "available_backends",
     "cc_available",
+    "check_backend_name",
     "get_backend",
     "graycode_minimum",
     "make_bitplane_backend",

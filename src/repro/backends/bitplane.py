@@ -44,11 +44,13 @@ diagonal**: Eq. 16 only touches ``j ≠ k`` and the kernel pre-writes
 
 A C compiler is an *optional* dependency: when none is found (or
 ``REPRO_NO_CC`` is set, which the test suite uses to exercise the
-fallback lane), :func:`make_bitplane_backend` returns the NumPy
-reference backend tagged ``fallback_from="bitplane"`` and warns once
-per process — even when the compile cache holds a library.  The
-packed-plane helpers (:func:`pack_rows` / :func:`unpack_rows` /
-:func:`hamming_distances`) are plain NumPy and always available.
+fallback lane), :func:`load_bitplane_backend` returns ``None`` — even
+when the compile cache holds a library — and :func:`make_bitplane_backend`
+returns the NumPy reference backend tagged ``fallback_from="bitplane"``
+and warns once per process.  A build that fails is not retried in the
+same process.  The packed-plane helpers (:func:`pack_rows` /
+:func:`unpack_rows` / :func:`hamming_distances`) are plain NumPy and
+always available.
 """
 
 from __future__ import annotations
@@ -76,6 +78,7 @@ __all__ = [
     "BitplanePreparedWeights",
     "cc_available",
     "hamming_distances",
+    "load_bitplane_backend",
     "make_bitplane_backend",
     "pack_rows",
     "unpack_rows",
@@ -778,16 +781,28 @@ def _load_library() -> ctypes.CDLL:
         shutil.rmtree(workdir, ignore_errors=True)
 
 
+#: What a failed load or build raises.
+_BUILD_ERRORS = (OSError, RuntimeError, subprocess.SubprocessError)
+
+
+def load_bitplane_backend() -> BitplaneBackend | None:
+    """A compiled :class:`BitplaneBackend`, or ``None`` where the kernels
+    neither load from the cache nor compile.  Never warns."""
+    if not cc_available():
+        return None
+    try:
+        BitplaneBackend.ensure_compiled()
+    except _BUILD_ERRORS:
+        return None
+    return BitplaneBackend()
+
+
 def make_bitplane_backend() -> KernelBackend:
     """The ``bitplane`` registry factory: compiled backend or tagged fallback."""
     global _warned
-    if cc_available():
-        try:
-            BitplaneBackend.ensure_compiled()
-        except (OSError, RuntimeError, subprocess.SubprocessError):
-            pass
-        else:
-            return BitplaneBackend()
+    backend = load_bitplane_backend()
+    if backend is not None:
+        return backend
     if not _warned:
         _warned = True
         warnings.warn(
@@ -846,13 +861,23 @@ class BitplaneBackend(NumpyBackend):
     name = "bitplane"
 
     _lib: Any = None
+    #: Why the build failed, kept for the life of the process so a
+    #: broken compiler is spawned once, not on every resolve.
+    _build_error: Exception | None = None
 
     @classmethod
     def ensure_compiled(cls) -> Any:
         """Load the shared library once per process: from the compile
-        cache, compiling it there on a miss (once per machine)."""
+        cache, compiling it there on a miss (once per machine).  A
+        failed build raises again, without a rebuild, on later calls."""
         if cls._lib is None:
-            cls._lib = _load_library()
+            if cls._build_error is not None:
+                raise cls._build_error.with_traceback(None)
+            try:
+                cls._lib = _load_library()
+            except _BUILD_ERRORS as exc:
+                cls._build_error = exc
+                raise
         return cls._lib
 
     def prepare_dense(self, W: np.ndarray) -> PreparedWeights:

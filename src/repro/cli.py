@@ -44,10 +44,11 @@ def _add_backend_flag(p: argparse.ArgumentParser) -> None:
         "--backend",
         default=None,
         metavar="NAME",
-        help="kernel backend: numpy (reference) or bitplane "
-        "(packed uint64 state + compiled C kernels).  bitplane "
-        "falls back to numpy when no C compiler is found; default: "
-        "$REPRO_BACKEND or numpy.  Never changes the search result, "
+        help="kernel backend: auto, numpy (reference) or bitplane "
+        "(packed uint64 state + compiled C kernels).  auto picks "
+        "bitplane where a C compiler is found, else numpy; an explicit "
+        "bitplane falls back to numpy with a warning.  Default: "
+        "$REPRO_BACKEND or auto.  Never changes the search result, "
         "only speed.",
     )
 

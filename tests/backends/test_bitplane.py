@@ -109,6 +109,32 @@ class TestFallback:
         for record in sink.records():
             validate_record(record)
 
+    def test_failed_build_is_not_retried(self, monkeypatch, tmp_path):
+        # A compiler that exists but cannot build: every spawn is counted.
+        log = tmp_path / "calls"
+        cc = tmp_path / "broken-cc"
+        cc.write_text(f'#!/bin/sh\necho "$@" >> {log}\nexit 1\n')
+        cc.chmod(0o755)
+        monkeypatch.delenv("REPRO_NO_CC", raising=False)
+        monkeypatch.setenv("CC", str(cc))
+        monkeypatch.setattr(bp_mod.tempfile, "tempdir", str(tmp_path))
+        monkeypatch.setattr(bp_mod, "_warned", False)
+        monkeypatch.setattr(BitplaneBackend, "_lib", None)
+        monkeypatch.setattr(BitplaneBackend, "_build_error", None)
+
+        def spawns() -> int:
+            return len(log.read_text().splitlines()) if log.exists() else 0
+
+        assert type(resolve_backend("auto")) is NumpyBackend
+        assert spawns() == 3  # --version, then both flag sets
+        with pytest.warns(RuntimeWarning, match="falling back"):
+            assert resolve_backend("bitplane").fallback_from == "bitplane"
+        for _ in range(3):
+            resolve_backend("auto")
+        assert spawns() == 3
+        with pytest.raises(RuntimeError, match="compilation failed"):
+            BitplaneBackend.ensure_compiled()
+
     def test_fallback_still_solves(self, masked):
         from repro.api import solve
 

@@ -1,14 +1,19 @@
 """Registry, resolution, env override, and fallback behaviour."""
 
+import warnings
+
 import pytest
 
+import repro.backends.bitplane as bp_mod
 from repro.abs import AbsConfig
 from repro.backends import (
+    AUTO_BACKEND,
     BACKEND_ENV_VAR,
     DEFAULT_BACKEND,
     KernelBackend,
     NumpyBackend,
     available_backends,
+    cc_available,
     get_backend,
     register_backend,
     resolve_backend,
@@ -49,13 +54,67 @@ class TestRegistry:
             register_backend("", NumpyBackend)
         with pytest.raises(ValueError):
             register_backend(None, NumpyBackend)
+        with pytest.raises(ValueError, match="'auto'"):
+            register_backend(AUTO_BACKEND, NumpyBackend)
+
+    def test_auto_is_not_listed(self):
+        # The equivalence and property suites parametrize over this list;
+        # ``auto`` would only rerun one of its entries under another name.
+        assert AUTO_BACKEND not in available_backends()
+
+
+@pytest.fixture
+def no_cc(monkeypatch):
+    """Compiler masked (as on a machine without cc), warning reset,
+    nothing naming a backend."""
+    monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
+    monkeypatch.setenv("REPRO_NO_CC", "1")
+    monkeypatch.setattr(bp_mod, "_warned", False)
+
+
+def _fallback_events(backend) -> list:
+    sink = MemorySink()
+    BulkSearchEngine(
+        QuboMatrix.random(16, seed=0), 2, backend=backend, bus=TelemetryBus([sink])
+    )
+    return sink.named("backend.fallback")
 
 
 class TestResolution:
-    def test_default_is_numpy(self, monkeypatch):
+    def test_default_is_auto(self):
+        assert DEFAULT_BACKEND == AUTO_BACKEND == "auto"
+
+    @pytest.mark.skipif(not cc_available(), reason="no C compiler")
+    @pytest.mark.parametrize("spec", [None, "auto"])
+    def test_auto_is_bitplane_with_a_compiler(self, monkeypatch, spec):
         monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        assert DEFAULT_BACKEND == "numpy"
-        assert resolve_backend(None).name == "numpy"
+        backend = resolve_backend(spec)
+        assert isinstance(backend, bp_mod.BitplaneBackend)
+        assert backend.name == "bitplane"
+        assert backend.fallback_from is None
+
+    @pytest.mark.parametrize("spec", [None, "auto"])
+    def test_auto_without_a_compiler_is_silent_numpy(self, no_cc, spec):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # any warning would raise
+            backend = resolve_backend(spec)
+            assert _fallback_events(spec) == []
+        assert type(backend) is NumpyBackend
+        assert backend.fallback_from is None
+
+    def test_explicit_bitplane_without_a_compiler_still_warns(self, no_cc):
+        with pytest.warns(RuntimeWarning, match="falling back") as caught:
+            events = _fallback_events("bitplane")
+            _fallback_events("bitplane")
+        assert len(caught) == 1  # once per process
+        assert len(events) == 1
+        assert events[0].fields["requested"] == "bitplane"
+
+    def test_env_selects_auto(self, no_cc, monkeypatch):
+        monkeypatch.setenv(BACKEND_ENV_VAR, "auto")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert resolve_backend(None).fallback_from is None
 
     def test_instance_passthrough(self):
         inst = NumpyBackend()
@@ -82,7 +141,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="unknown backend"):
             AbsConfig(backend="cupy", max_rounds=1)
 
-    @pytest.mark.parametrize("name", ["numpy", "bitplane", None])
+    def test_unknown_backend_error_names_auto(self):
+        with pytest.raises(ValueError, match=r"\(registered: bitplane, numpy\), or 'auto'"):
+            AbsConfig(backend="cupy", max_rounds=1)
+
+    @pytest.mark.parametrize("name", ["auto", "numpy", "bitplane", None])
     def test_known_backends_accepted(self, name):
         assert AbsConfig(backend=name, max_rounds=1).backend == name
 

@@ -146,6 +146,33 @@ class TestProcessMode:
         assert res.counters["engine.straight_retirements"] > 0
 
 
+class TestActiveBackendUnderDefault:
+    """``solve.start`` names the backend ``auto`` resolved to, and the
+    engines (host or worker) ran that same backend."""
+
+    @pytest.mark.parametrize("mode", ["sync", "process"])
+    @pytest.mark.parametrize("masked", [False, True], ids=["as-installed", "no-cc"])
+    def test_solve_start_carries_resolved_name(self, monkeypatch, mode, masked):
+        from repro.backends import cc_available
+
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        if masked:
+            monkeypatch.setenv("REPRO_NO_CC", "1")
+        expected = "bitplane" if cc_available() else "numpy"
+        cfg = AbsConfig(
+            blocks_per_gpu=4, local_steps=8, max_rounds=3, time_limit=30.0, seed=3
+        )
+        sink = MemorySink()
+        with TelemetryBus([sink]) as bus:
+            AdaptiveBulkSearch(QuboMatrix.random(16, seed=5), cfg, telemetry=bus).solve(mode)
+        (start,) = sink.named("solve.start")
+        assert start.fields["backend"] == expected
+        kernels = sink.named("engine.local") + sink.named("engine.straight")
+        assert kernels
+        assert {e.fields["backend"] for e in kernels} == {expected}
+        assert not sink.named("backend.fallback")
+
+
 class TestScalarSearchInstrumentation:
     def test_bulk_local_search_emits_one_run_event(self, small_qubo):
         from repro.search import BulkLocalSearch, WindowMinDeltaPolicy
