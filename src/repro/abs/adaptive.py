@@ -28,12 +28,27 @@ variant's energies improve strictly faster than another's.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from repro.telemetry.bus import NULL_BUS, NullBus, TelemetryBus
 from repro.utils.rng import SeedLike, as_generator
+
+
+@dataclass(frozen=True)
+class AdaptPlan:
+    """One device's :class:`WindowAdapter` settings for a job.
+
+    ``seed`` is a :class:`~numpy.random.SeedSequence` rather than a
+    live generator, so the plan pickles into a process-mode job frame
+    and builds the same adapter there as in a sync solve.
+    """
+
+    period: int
+    fraction: float
+    seed: np.random.SeedSequence
 
 
 class WindowAdapter:
@@ -82,7 +97,7 @@ class WindowAdapter:
         self._bus = bus if bus is not None else NULL_BUS
         self._sums = np.zeros(self.B, dtype=np.float64)
         self._rounds = 0
-        #: Total window reassignments performed (diagnostics).
+        #: Total window reassignments performed (``adapt.reassignments``).
         self.adaptations = 0
         #: Non-finite per-block energies seen (and excluded) by
         #: :meth:`observe` — surfaced as ``adapt.nonfinite_observations``.
@@ -107,8 +122,6 @@ class WindowAdapter:
         if not finite.all():
             bad = int(self.B - finite.sum())
             self.nonfinite_observations += bad
-            if self._bus.enabled:
-                self._bus.counters.inc("adapt.nonfinite_observations", bad)
             if not finite.any():
                 return
             rb = np.where(finite, rb, rb[finite].max())
@@ -153,7 +166,6 @@ class WindowAdapter:
         self._rounds = 0
         bus = self._bus
         if bus.enabled:
-            bus.counters.inc("adapt.reassignments", k)
             bus.emit(
                 "adapt.windows",
                 reassigned=k,
@@ -200,8 +212,7 @@ class VariantController:
         decisions.
     bus:
         Optional telemetry bus: each migration emits one
-        ``adapt.variant`` event and bumps
-        ``adapt.variant_reassignments``.
+        ``adapt.variant`` event.
     """
 
     def __init__(
@@ -223,7 +234,7 @@ class VariantController:
         self._counts = np.zeros(self.n_devices, dtype=np.int64)
         self._sweeps = 0
         self._prev_means: dict[str, float] | None = None
-        #: Total device migrations performed (diagnostics).
+        #: Total device migrations (``adapt.variant_reassignments``).
         self.reassignments = 0
         #: Non-finite energies excluded by :meth:`observe`.
         self.nonfinite_observations = 0
@@ -236,8 +247,6 @@ class VariantController:
             )
         if not math.isfinite(round_best):
             self.nonfinite_observations += 1
-            if self._bus.enabled:
-                self._bus.counters.inc("adapt.nonfinite_observations")
             return
         self._sums[device] += float(round_best)
         self._counts[device] += 1
@@ -306,7 +315,6 @@ class VariantController:
         self.reassignments += 1
         bus = self._bus
         if bus.enabled:
-            bus.counters.inc("adapt.variant_reassignments")
             bus.emit(
                 "adapt.variant",
                 device=int(device),

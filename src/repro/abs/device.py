@@ -20,7 +20,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.abs.adaptive import WindowAdapter
+from repro.abs.adaptive import AdaptPlan, WindowAdapter
 from repro.gpusim.engine import BulkSearchEngine
 from repro.qubo.matrix import WeightsLike
 from repro.search.tabu import TabuSearch
@@ -34,7 +34,10 @@ class DevicePlan:
     Built on the host by :meth:`~repro.abs.solver.AdaptiveBulkSearch.
     _device_plan`, shipped whole to a process-mode worker inside its
     job frame, and turned into device settings only by
-    :meth:`DeviceSimulator.apply`.
+    :meth:`DeviceSimulator.apply`.  ``adapt`` (``None``: no window
+    adaptation) is read once, when :meth:`DeviceSimulator.from_plan`
+    builds the device's adapter; :meth:`~DeviceSimulator.apply` leaves
+    a running adapter alone.
     """
 
     windows: np.ndarray
@@ -42,6 +45,7 @@ class DevicePlan:
     scan_neighbors: bool
     tabu_steps: int = 0
     tabu_tenure: int | None = None
+    adapt: AdaptPlan | None = None
 
 
 class DeviceSimulator:
@@ -128,9 +132,20 @@ class DeviceSimulator:
     def from_plan(
         cls, weights: WeightsLike, n_blocks: int, plan: DevicePlan, **kwargs: Any
     ) -> "DeviceSimulator":
-        """A device running ``plan``; ``kwargs`` as for the constructor."""
+        """A device running ``plan`` (with its window adapter, if the
+        plan has one); ``kwargs`` as for the constructor."""
         device = cls(weights, n_blocks, windows=plan.windows, **kwargs)
         device.apply(plan)
+        a = plan.adapt
+        if a is not None:
+            device.adapter = WindowAdapter(
+                device.engine.n,
+                n_blocks,
+                period=a.period,
+                fraction=a.fraction,
+                seed=a.seed,
+                bus=device.bus,
+            )
         return device
 
     def apply(self, plan: DevicePlan) -> None:
@@ -241,8 +256,6 @@ class DeviceSimulator:
                 self._polish_weights(), xs[b], self.tabu_steps, seed=0
             )
             self.tabu_steps_done += rec.steps
-            if bus.enabled:
-                bus.counters.inc("variant.tabu_steps", rec.steps)
             if rec.best_energy < energies[b]:
                 energies[b] = rec.best_energy
                 xs[b] = rec.best_x

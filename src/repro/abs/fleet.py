@@ -59,7 +59,6 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.abs.adaptive import WindowAdapter
 from repro.abs.buffers import SharedWeights
 from repro.abs.config import AbsConfig
 from repro.abs.device import DevicePlan, DeviceSimulator
@@ -164,7 +163,6 @@ class WorkerJob:
     n_blocks: int
     plan: DevicePlan
     backend: str | None
-    adapt_params: tuple
     telemetry_enabled: bool
     lockstep: bool
 
@@ -224,22 +222,6 @@ def run_device_rounds(
             targets = fresh
         elif lockstep:  # stop requested while waiting for targets
             break
-
-
-def _make_adapter(
-    n: int, n_blocks: int, adapt_params: tuple, bus: Any
-) -> WindowAdapter | None:
-    adapt_enabled, adapt_period, adapt_fraction, adapt_seed = adapt_params
-    if not adapt_enabled:
-        return None
-    return WindowAdapter(
-        n,
-        n_blocks,
-        period=adapt_period,
-        fraction=adapt_fraction,
-        seed=adapt_seed,
-        bus=bus,
-    )
 
 
 def _fleet_worker_main(
@@ -302,7 +284,6 @@ def _fleet_worker_main(
                 weights = payload
             endpoint.rearm(encode_token(job.job_seq, incarnation))
             relay = RelayBus() if job.telemetry_enabled else NULL_BUS
-            n = weights.n if hasattr(weights, "n") else weights.shape[0]
             ckey = (job.backend, job.digest)
             prepared = (
                 prepared_cache.get(ckey) if job.digest is not None else None
@@ -313,7 +294,6 @@ def _fleet_worker_main(
                 weights,
                 job.n_blocks,
                 job.plan,
-                adapter=_make_adapter(n, job.n_blocks, job.adapt_params, relay),
                 backend=job.backend,
                 bus=relay,
                 device_id=worker_id,
@@ -837,15 +817,6 @@ def run_search_rounds(
         rounds_by_worker[worker_id] += 1
         fresh_result = supervisor.note_result(worker_id, batch_inc)
         if fresh_result:
-            if bus.enabled:
-                # Session counters reconcile from the cumulative
-                # worker snapshots: increment by the delta since
-                # the previous report of this incarnation.
-                prev = counts_by_worker[worker_id]
-                for key, value in batch.counters.items():
-                    delta = int(value) - int(prev.get(key, 0))
-                    if delta:
-                        bus.counters.inc(key, delta)
             counts_by_worker[worker_id] = batch.counters
         if bus.enabled:
             bus.counters.inc("host.rounds")
@@ -938,6 +909,11 @@ def assemble_result(
     counters when telemetry is on) but deliberately **not** in
     ``result.counters``: that snapshot is pinned bit-identical across
     runs, transports, and telemetry on/off, and wall-clock never is.
+
+    With telemetry on, ``result.counters`` is also added to
+    ``bus.counters`` here — the only place run counters reach the
+    session, so the two agree key for key by construction.  A run that
+    raises before this point adds none.
     """
     ga = host.ga_counts
     counters = {
@@ -956,7 +932,12 @@ def assemble_result(
     engine = outcome.engine_counts
     best_x = host.best_x if host.best_x is not None else np.zeros(n, np.uint8)
     best_e = int(host.best_energy) if math.isfinite(host.best_energy) else 0
+    counters = dict(sorted(counters.items()))
     if bus.enabled:
+        # The one path from run counters to the session counters.
+        for key, value in counters.items():
+            if value:
+                bus.counters.inc(key, value)
         bus.counters.inc("solver.setup_ns", setup_ns)
         bus.counters.inc("solver.search_ns", search_ns)
     return SolveResult(
@@ -971,7 +952,7 @@ def assemble_result(
         time_to_target=outcome.time_to_target,
         history=outcome.history,
         n_gpus=cfg.n_gpus,
-        counters=dict(sorted(counters.items())),
+        counters=counters,
         workers_restarted=restarts,
         workers_lost=lost,
         pool_mean_distance=host.pool.mean_pairwise_distance(),

@@ -41,12 +41,10 @@ class Host:
     ) -> None:
         factory = rng_factory or RngFactory(None)
         self.bus = bus if bus is not None else NULL_BUS
-        self.pool = SolutionPool(
-            n, pool_capacity, min_distance=min_distance, bus=self.bus
-        )
+        self.pool = SolutionPool(n, pool_capacity, min_distance=min_distance)
         self.pool.seed_random(factory.stream("pool-seed"))       # Step 1
         self.generator = TargetGenerator(
-            self.pool, ga or GaConfig(), seed=factory.stream("ga"), bus=self.bus
+            self.pool, ga or GaConfig(), seed=factory.stream("ga")
         )
         # Diverse-ABS heterogeneous fleet: one generator per device so
         # each variant's GA operator mix draws from its own stream.
@@ -56,10 +54,7 @@ class Host:
         if device_ga is not None:
             self.device_generators = [
                 TargetGenerator(
-                    self.pool,
-                    cfg_g,
-                    seed=factory.stream("ga-variant", g),
-                    bus=self.bus,
+                    self.pool, cfg_g, seed=factory.stream("ga-variant", g)
                 )
                 for g, cfg_g in enumerate(device_ga)
             ]
@@ -144,7 +139,6 @@ class Host:
         if not bus.enabled:
             return
         pool = self.pool
-        bus.counters.inc("host.solutions_absorbed", arrived)
         rng = pool.finite_energy_range()
         bus.emit(
             "host.absorb",

@@ -58,7 +58,7 @@ import time
 
 import numpy as np
 
-from repro.abs.adaptive import VariantController, WindowAdapter
+from repro.abs.adaptive import AdaptPlan, VariantController
 from repro.abs.config import AbsConfig, resolve_windows
 from repro.abs.device import DevicePlan, DeviceSimulator
 from repro.abs.fleet import (
@@ -148,20 +148,33 @@ class AdaptiveBulkSearch:
             return None
         return resolve_fleet(cfg.variants, cfg.n_gpus)
 
-    def _device_plan(self, variant: SearchVariant | None, g: int) -> DevicePlan:
+    def _device_plan(
+        self, variant: SearchVariant | None, g: int, adapt: AdaptPlan | None = None
+    ) -> DevicePlan:
         """Device ``g``'s parameters.  Devices get rotated window
         ladders so the temperature spread differs across GPUs; with a
         variant, the ladder and step counts come from its spec."""
         cfg = self.config
         if variant is None:
             base = resolve_windows(cfg.window, cfg.blocks_per_gpu, self.n)
-            return DevicePlan(np.roll(base, g), cfg.local_steps, cfg.scan_neighbors)
+            return DevicePlan(
+                np.roll(base, g), cfg.local_steps, cfg.scan_neighbors, adapt=adapt
+            )
         return DevicePlan(
             np.roll(variant.windows(cfg.window, cfg.blocks_per_gpu, self.n), g),
             variant.effective_local_steps(cfg.local_steps),
             variant.effective_scan(cfg.scan_neighbors),
             variant.tabu_steps,
             variant.tabu_tenure,
+            adapt,
+        )
+
+    def _adapt_plan(self, factory: RngFactory, g: int) -> AdaptPlan | None:
+        cfg = self.config
+        if not cfg.adapt_windows:
+            return None
+        return AdaptPlan(
+            cfg.adapt_period, cfg.adapt_fraction, factory.seed_sequence("adapt", g)
         )
 
     def _job_plan(
@@ -185,23 +198,14 @@ class AdaptiveBulkSearch:
             ),
         )
         plans = [
-            self._device_plan(variants[g] if variants is not None else None, g)
+            self._device_plan(
+                variants[g] if variants is not None else None,
+                g,
+                self._adapt_plan(factory, g),
+            )
             for g in range(cfg.n_gpus)
         ]
         return host, plans
-
-    def _make_adapter(self, factory: RngFactory, g: int) -> WindowAdapter | None:
-        cfg = self.config
-        if not cfg.adapt_windows:
-            return None
-        return WindowAdapter(
-            self.n,
-            cfg.blocks_per_gpu,
-            period=cfg.adapt_period,
-            fraction=cfg.adapt_fraction,
-            seed=factory.stream("adapt", g),
-            bus=self.bus,
-        )
 
     def _check_process_config(self) -> None:
         if self.config.variant_adapt:
@@ -290,7 +294,6 @@ class AdaptiveBulkSearch:
                 self.W,
                 cfg.blocks_per_gpu,
                 plan,
-                adapter=self._make_adapter(factory, g),
                 backend=cfg.backend,
                 bus=bus,
                 device_id=g,
@@ -443,12 +446,6 @@ class AdaptiveBulkSearch:
                 n_blocks=cfg.blocks_per_gpu,
                 plan=plan,
                 backend=cfg.backend,
-                adapt_params=(
-                    cfg.adapt_windows,
-                    cfg.adapt_period,
-                    cfg.adapt_fraction,
-                    int(factory.stream("adapt-seed", g).integers(2**62)),
-                ),
                 telemetry_enabled=bus.enabled,
                 lockstep=cfg.lockstep,
             )

@@ -301,7 +301,6 @@ class WorkerSupervisor:
         self.workers_restarted += 1
         bus = self._bus
         if bus.enabled:
-            bus.counters.inc("supervisor.restarts")
             bus.emit(
                 "supervisor.restart",
                 worker=st.worker_id,
@@ -319,7 +318,6 @@ class WorkerSupervisor:
         self.workers_lost += 1
         bus = self._bus
         if bus.enabled:
-            bus.counters.inc("supervisor.workers_lost")
             bus.emit(
                 "supervisor.degrade",
                 worker=st.worker_id,

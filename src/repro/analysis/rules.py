@@ -211,8 +211,9 @@ def _check_telemetry(modules: Sequence[Module]) -> Iterable[Finding]:
         return
     # Drift in the other direction: declarations nobody emits.  A fixed
     # counter also counts as live when its name appears as a string
-    # constant anywhere (the exchange transports bank counts in plain
-    # dicts that the solver replays into the bus by variable name).
+    # constant anywhere: run counters are kept in plain dicts and
+    # attributes, and reach the bus only through the one fold of
+    # ``SolveResult.counters`` in ``assemble_result``, by variable name.
     for name, lineno in events.items():
         if name not in live_events:
             yield schema_module.finding(

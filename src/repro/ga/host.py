@@ -23,7 +23,6 @@ from repro.ga.operators import (
     select_parent_ranks,
 )
 from repro.ga.pool import SolutionPool
-from repro.telemetry.bus import NULL_BUS, NullBus, TelemetryBus
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_probability
 
@@ -68,14 +67,11 @@ class TargetGenerator:
         pool: SolutionPool,
         config: GaConfig | None = None,
         seed: SeedLike = None,
-        *,
-        bus: TelemetryBus | NullBus | None = None,
     ) -> None:
         self.pool = pool
         self.config = config or GaConfig()
         self._rng = as_generator(seed)
-        self._bus = bus if bus is not None else NULL_BUS
-        #: Operator usage counters (diagnostics).
+        #: Operator usage counters (``ga.*`` in ``SolveResult.counters``).
         self.counts = {"mutation": 0, "crossover": 0, "copy": 0}
 
     def generate_one(self) -> np.ndarray:
@@ -86,15 +82,12 @@ class TargetGenerator:
         parent = select_parent(self.pool, rng, elite_bias=cfg.elite_bias)
         if u < cfg.p_mutation:
             self.counts["mutation"] += 1
-            self._bus.counters.inc("ga.mutation")
             return mutate(parent, rng, cfg.mutation_flips)
         if u < cfg.p_mutation + cfg.p_crossover and len(self.pool) >= 2:
             self.counts["crossover"] += 1
-            self._bus.counters.inc("ga.crossover")
             other = select_parent(self.pool, rng, elite_bias=cfg.elite_bias)
             return crossover_uniform(parent, other, rng)
         self.counts["copy"] += 1
-        self._bus.counters.inc("ga.copy")
         return parent.copy()
 
     def generate(self, count: int) -> np.ndarray:
@@ -142,14 +135,6 @@ class TargetGenerator:
         self.counts["mutation"] += k_mut
         self.counts["crossover"] += k_cross
         self.counts["copy"] += k_copy
-        bus = self._bus
-        if bus.enabled:
-            if k_mut:
-                bus.counters.inc("ga.mutation", k_mut)
-            if k_cross:
-                bus.counters.inc("ga.crossover", k_cross)
-            if k_copy:
-                bus.counters.inc("ga.copy", k_copy)
         return np.ascontiguousarray(out)
 
     def generate_scalar(self, count: int) -> np.ndarray:

@@ -29,7 +29,6 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.telemetry.bus import NULL_BUS, NullBus, TelemetryBus
 from repro.utils.rng import SeedLike, as_generator, random_bits
 from repro.utils.validation import check_bit_vector
 
@@ -73,11 +72,6 @@ class SolutionPool:
         within ``d_min − 1`` flips of existing entries is rejected
         (``pool.rejected_diverse``) unless its energy beats every such
         neighbour, in which case it replaces all of them.
-    bus:
-        Optional telemetry bus; insert outcomes feed the session
-        counters ``pool.inserted`` / ``pool.rejected_duplicate`` /
-        ``pool.rejected_worse`` / ``pool.rejected_diverse`` (no events
-        — the host emits those).
 
     Notes
     -----
@@ -95,7 +89,6 @@ class SolutionPool:
         capacity: int,
         *,
         min_distance: int = 0,
-        bus: TelemetryBus | NullBus | None = None,
     ) -> None:
         if n < 0:
             raise ValueError(f"n must be non-negative, got {n}")
@@ -106,7 +99,6 @@ class SolutionPool:
         self.n = int(n)
         self.capacity = int(capacity)
         self.min_distance = int(min_distance)
-        self._bus = bus if bus is not None else NULL_BUS
         self._energies: list[float] = []
         self._solutions: list[np.ndarray] = []
         # Packed-bytes key per entry, kept position-aligned with
@@ -117,7 +109,7 @@ class SolutionPool:
         self._entry_keys: list[bytes] = []
         self._packed: list[np.ndarray] = []
         self._keys: set[bytes] = set()
-        #: Monotone counters for diagnostics.
+        #: Monotone insert outcomes (``pool.*`` in ``SolveResult.counters``).
         self.inserted = 0
         self.rejected_duplicate = 0
         self.rejected_worse = 0
@@ -184,7 +176,6 @@ class SolutionPool:
     def _insert_keyed(self, xb: np.ndarray, key: bytes, energy: float) -> bool:
         if key in self._keys:
             self.rejected_duplicate += 1
-            self._bus.counters.inc("pool.rejected_duplicate")
             return False
         if self.min_distance > 1 and self._energies:
             near = self._near_indices(key)
@@ -194,14 +185,12 @@ class SolutionPool:
                 # replaces all of them (keeping pairwise separation).
                 if energy >= min(self._energies[i] for i in near):
                     self.rejected_diverse += 1
-                    self._bus.counters.inc("pool.rejected_diverse")
                     return False
                 for i in sorted(map(int, near), reverse=True):
                     self._evict(i)
         if len(self._energies) >= self.capacity:
             if energy >= self._energies[-1]:
                 self.rejected_worse += 1
-                self._bus.counters.inc("pool.rejected_worse")
                 return False
             self._evict(len(self._energies) - 1)
         pos = bisect.bisect_left(self._energies, energy)
@@ -213,7 +202,6 @@ class SolutionPool:
         self._packed.insert(pos, np.frombuffer(key, dtype=np.uint8))
         self._keys.add(key)
         self.inserted += 1
-        self._bus.counters.inc("pool.inserted")
         return True
 
     def _evict(self, pos: int) -> None:

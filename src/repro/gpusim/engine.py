@@ -18,9 +18,9 @@ their targets (the asynchrony the paper gets from per-block execution).
 
 The hot kernels themselves live behind the pluggable
 :class:`~repro.backends.KernelBackend` interface (``numpy`` reference
-kernels by default; ``bitplane`` compiled C kernels that fuse the
-whole ``local_steps`` loop and the whole straight walk when a C
-compiler is present — see
+kernels; ``bitplane`` compiled C kernels that fuse the whole
+``local_steps`` loop and the whole straight walk, which the default
+``auto`` picks wherever a C compiler is present — see
 :mod:`repro.backends` and ``docs/backends.md``).  The engine owns all
 search state; backends are stateless kernel sets, so swapping backends
 never changes the walk: every registered backend is tested to be
@@ -98,11 +98,12 @@ class BulkSearchEngine:
         Initial window offsets.  Default staggers blocks across the bit
         range so equal-window blocks don't walk in lockstep.
     backend:
-        Kernel backend: a registry name (``"numpy"``, ``"bitplane"``), a
-        :class:`~repro.backends.KernelBackend` instance, or ``None`` to
-        consult the ``REPRO_BACKEND`` environment variable and default
-        to ``"numpy"``.  Backend choice never changes the search —
-        only how fast the kernels run.
+        Kernel backend: a registry name (``"auto"``, ``"numpy"``,
+        ``"bitplane"``), a :class:`~repro.backends.KernelBackend`
+        instance, or ``None`` to consult the ``REPRO_BACKEND``
+        environment variable and default to ``"auto"`` (``bitplane``
+        where a C compiler exists, else ``numpy``).  Backend choice
+        never changes the search — only how fast the kernels run.
     bus:
         Optional :class:`~repro.telemetry.TelemetryBus`.  The engine
         emits one aggregate event per :meth:`straight_to` /
@@ -254,14 +255,6 @@ class BulkSearchEngine:
                 f"backend.{self.backend.name}.straight_ns",
                 time.perf_counter_ns() - t0,
             )
-            bus.counters.inc("engine.straight_flips", total)
-            bus.counters.inc("engine.straight_retirements", retired)
-            # Keep the session counter families reconciled with
-            # EngineCounters: straight flips evaluate n neighbours each,
-            # and both phases contribute to engine.flips.
-            bus.counters.inc("engine.flips", total)
-            bus.counters.inc("engine.evaluated", total * self.n)
-            bus.counters.inc("engine.delta_updates", updates)
             bus.emit(
                 "engine.straight",
                 flips=total,
@@ -279,8 +272,8 @@ class BulkSearchEngine:
         ``l_b`` bits at its rotating offset, flips the one with minimum
         Δ, and advances its offset by ``l_b`` (mod n).  The whole
         multi-step loop is delegated to the backend, which may fuse it
-        into a single JIT kernel (the numpy reference pays one Python
-        iteration per step).
+        into one compiled C call (``bitplane``; the numpy reference
+        pays one Python iteration per step).
         """
         if steps < 0:
             raise ValueError(f"steps must be non-negative, got {steps}")
@@ -305,10 +298,6 @@ class BulkSearchEngine:
         self.counters.delta_updates += updates
         self.counters.local_flips += steps * self.B
         if bus.enabled and steps:
-            bus.counters.inc("engine.local_flips", steps * self.B)
-            bus.counters.inc("engine.flips", steps * self.B)
-            bus.counters.inc("engine.evaluated", steps * self.B * n)
-            bus.counters.inc("engine.delta_updates", updates)
             bus.counters.inc(
                 f"backend.{self.backend.name}.local_steps_ns",
                 time.perf_counter_ns() - t0,

@@ -190,11 +190,12 @@ class RelayBus:
     batch; the host re-emits them on the real bus — stamping the worker
     id — which assigns the authoritative timestamp and sequence number.
 
-    Counter increments are accepted (components call
-    ``bus.counters.inc`` unconditionally inside ``enabled`` guards) but
-    deliberately dropped: the host reconciles session counters from the
-    cumulative worker counter snapshots instead, which survive event
-    loss and double-restart races.
+    Counter increments (today only the engine's ``backend.*_ns``
+    timings) are accepted but never shipped.  Run counters need no
+    relay: each worker reports its cumulative
+    :meth:`~repro.abs.device.DeviceSimulator.totals` with every result,
+    the host sums them into ``SolveResult.counters``, and the run adds
+    that record to the session counters once.
     """
 
     enabled = True

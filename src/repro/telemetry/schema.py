@@ -217,8 +217,10 @@ STAMP_FIELDS: dict[str, Sequence[str]] = {"job": INT}
 #: ``telemetry-consistency`` rule in ``repro.analysis`` statically
 #: extracts every ``bus.counters.inc(...)`` site from the tree and
 #: cross-checks both directions (undeclared increments *and* dead
-#: declarations are errors).  Keep in lock-step with
-#: docs/observability.md.
+#: declarations are errors).  Run counters — every key of
+#: ``SolveResult.counters`` — reach the bus through one fold in
+#: ``repro.abs.fleet.assemble_result``; the rest are bus-only.  Keep in
+#: lock-step with docs/observability.md.
 COUNTER_NAMES: frozenset[str] = frozenset(
     {
         # solution pool (repro.ga.pool)

@@ -79,18 +79,23 @@ class RngFactory:
         """The root entropy (useful for logging how a run was seeded)."""
         return self._root.entropy
 
+    def seed_sequence(self, name: str, index: int = 0) -> np.random.SeedSequence:
+        """The seed of logical stream ``(name, index)``.
+
+        Small and picklable: ship it to another process and
+        ``as_generator`` it there to get exactly :meth:`stream`.
+        """
+        # Hash the name into spawn_key material deterministically.
+        key = tuple(name.encode("utf-8")) + (index,)
+        return np.random.SeedSequence(entropy=self._root.entropy, spawn_key=key)
+
     def stream(self, name: str, index: int = 0) -> np.random.Generator:
         """Return the generator for logical stream ``(name, index)``.
 
         The mapping is stable: the same ``(root seed, name, index)``
         always yields the same stream.
         """
-        # Hash the name into spawn_key material deterministically.
-        key = tuple(name.encode("utf-8")) + (index,)
-        child = np.random.SeedSequence(
-            entropy=self._root.entropy, spawn_key=key
-        )
-        return np.random.default_rng(child)
+        return np.random.default_rng(self.seed_sequence(name, index))
 
     def streams(self, name: str, count: int) -> list[np.random.Generator]:
         """Return ``count`` generators for stream family ``name``."""

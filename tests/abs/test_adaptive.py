@@ -153,7 +153,7 @@ class TestAdaptOverlapRegression:
         a.observe(np.array([-5.0]))
         a.adapt(np.array([16], dtype=np.int64))
         assert sink.records() == []
-        assert bus.counters.get("adapt.reassignments") == 0
+        assert a.adaptations == 0
 
     @pytest.mark.parametrize("n_blocks", [2, 3, 4, 5, 8])
     def test_winners_and_losers_disjoint_at_half_fraction(self, n_blocks):
@@ -206,10 +206,13 @@ class TestObserveNonFiniteRegression:
         assert a.nonfinite_observations == 3
 
     def test_nonfinite_counter_on_bus(self):
+        """The adapter counts on its attribute only; the count reaches
+        the bus through the solve's ``result.counters`` fold."""
         bus = TelemetryBus()
         a = WindowAdapter(64, 2, period=1, seed=0, bus=bus)
         a.observe(np.array([np.nan, 1.0]))
-        assert bus.counters.get("adapt.nonfinite_observations") == 1
+        assert a.nonfinite_observations == 1
+        assert bus.counters.snapshot() == {}
 
 
 @pytest.mark.diverse
@@ -295,4 +298,4 @@ class TestVariantController:
         assert len(events) == 1
         assert events[0]["from_variant"] == "b"
         assert events[0]["to_variant"] == "a"
-        assert bus.counters.get("adapt.variant_reassignments") == 1
+        assert c.reassignments == 1

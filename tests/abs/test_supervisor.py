@@ -264,8 +264,8 @@ class TestSupervisorTelemetry:
         assert degrade.fields["healthy_left"] == 1
         for record in sink.records():
             validate_record(record)
-        assert bus.counters.get("supervisor.restarts") == 2
-        assert bus.counters.get("supervisor.workers_lost") == 1
+        assert sup.workers_restarted == 2
+        assert sup.workers_lost == 1
 
 
 class TestRebindChannels:

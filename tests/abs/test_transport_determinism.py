@@ -81,17 +81,33 @@ class TestCrossTransportDeterminism:
         assert b.counters["exchange.tcp.connects"] >= 1
         assert b.counters["exchange.tcp.frames_from_device"] >= 1
 
-    @pytest.mark.parametrize("exchange", ALL_TRANSPORTS)
-    def test_process_lockstep_matches_sync(self, problem, exchange):
+    @pytest.mark.parametrize(
+        "exchange,adapt",
+        [
+            pytest.param("shm", False, id="shm"),
+            pytest.param("tcp", False, id="tcp", marks=pytest.mark.tcp),
+            # Window adaptation draws from its own per-device stream,
+            # which must be the same one in both modes.
+            pytest.param("shm", True, id="shm-adapt"),
+            pytest.param("tcp", True, id="tcp-adapt", marks=pytest.mark.tcp),
+        ],
+    )
+    def test_process_lockstep_matches_sync(self, problem, exchange, adapt):
+        knobs = dict(adapt_windows=True, adapt_period=2) if adapt else {}
         sync_cfg = AbsConfig(
             n_gpus=1, blocks_per_gpu=6, local_steps=8, pool_capacity=16,
-            max_rounds=10, seed=42,
+            max_rounds=10, seed=42, **knobs,
         )
         s = AdaptiveBulkSearch(problem, sync_cfg).solve("sync")
-        p = AdaptiveBulkSearch(problem, lockstep_cfg(exchange)).solve("process")
+        p = AdaptiveBulkSearch(
+            problem, lockstep_cfg(exchange, **knobs)
+        ).solve("process")
         assert fingerprint(s) == fingerprint(p)
         # The search-work counters agree too (timing-free subset).
-        for key in ("engine.flips", "engine.evaluated", "pool.inserted"):
+        keys = ("engine.flips", "engine.evaluated", "pool.inserted")
+        if adapt:
+            keys += ("adapt.reassignments",)
+        for key in keys:
             assert s.counters[key] == p.counters[key], key
 
     @pytest.mark.parametrize("exchange", ALL_TRANSPORTS)

@@ -8,8 +8,8 @@ the suite checks the invariants no interleaving may break:
 - the maintained ``energy``/``delta`` agree with an O(n²) from-scratch
   recompute (:func:`tests.helpers.engine_check.assert_engine_valid`);
 - ``best_energy`` is genuinely achieved by ``best_x``;
-- counters are monotone, internally consistent, and reconcile exactly
-  with the telemetry bus's session counters.
+- counters are monotone and internally consistent;
+- an attached telemetry bus never changes the walk.
 
 Skips gracefully (via ``importorskip``) when hypothesis is absent.
 """
@@ -125,23 +125,6 @@ class TestInterleavingInvariants:
         for b in range(B):
             if eng.best_energy[b] < _INT64_MAX:
                 assert eng.best_energy[b] == qubo_energy(problem, eng.best_x[b])
-
-    @given(ops=st.lists(_op, min_size=1, max_size=10))
-    @settings(max_examples=15, deadline=None)
-    def test_counters_reconcile_with_bus(self, backend_name, ops):
-        """Session counters on an attached bus must equal the engine's
-        own counters — the same contract the solver pipeline relies on
-        (tests/telemetry/test_reconciliation.py), held at engine level
-        under arbitrary interleavings."""
-        bus = TelemetryBus()
-        eng = BulkSearchEngine(
-            _dense_problem(), B, backend=_backend(backend_name), bus=bus
-        )
-        for op, payload in ops:
-            _apply(eng, op, payload)
-        session = bus.counters.snapshot()
-        for key, value in eng.counters.as_dict().items():
-            assert session.get(key, 0) == value, key
 
     @given(ops=st.lists(_op, min_size=1, max_size=10))
     @settings(max_examples=10, deadline=None)

@@ -1,8 +1,11 @@
 """Tests for the one-call convenience API."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.abs import AbsConfig
 from repro.api import IsingResult, solve, solve_ising
 from repro.qubo import QuboMatrix, energy, qubo_to_ising
 from repro.qubo.ising import bits_to_spins
@@ -44,6 +47,33 @@ class TestSolve:
         q = QuboMatrix.random(16, seed=6)
         res = solve(q, seed=0)  # must not raise; 2 s default budget
         assert res.elapsed <= 10.0
+
+    def test_every_config_field_is_a_keyword(self, monkeypatch):
+        """``solve`` forwards each AbsConfig field under its own name."""
+        import repro.api as api
+
+        seen = {}
+
+        class Recorder:
+            def __init__(self, weights, config, *, telemetry):
+                seen["config"] = config
+
+            def solve(self, mode):
+                return mode
+
+        monkeypatch.setattr(api, "AdaptiveBulkSearch", Recorder)
+        want = AbsConfig(
+            max_rounds=3, seed=9, blocks_per_gpu=4, adapt_windows=True,
+            backend="numpy", exchange="tcp", lockstep=True, variants="fleet",
+        )
+        kwargs = {f.name: getattr(want, f.name) for f in dataclasses.fields(want)}
+        assert solve(np.zeros((4, 4)), mode="process", **kwargs) == "process"
+        assert seen["config"] == want
+
+    def test_misspelled_field_rejected(self):
+        q = QuboMatrix.random(8, seed=6)
+        with pytest.raises(TypeError, match="max_round"):
+            solve(q, max_round=3)
 
 
 class TestSolveIsing:
