@@ -1,6 +1,6 @@
 # Developer conveniences for the ABS reproduction.
 
-.PHONY: install test test-fast test-process test-backends test-exchange test-tcp test-analysis test-diverse test-service analyze docs-check lint check bench bench-full bench-exchange bench-cluster bench-service bench-list bench-e2e bench-compare trace-demo examples clean
+.PHONY: install test test-fast test-process test-backends test-exchange test-tcp test-analysis test-diverse test-service analyze docs-check lint check bench bench-full bench-exchange bench-cluster bench-service bench-sparse bench-list bench-e2e bench-compare trace-demo examples clean
 
 install:
 	pip install -e .[test]
@@ -71,6 +71,9 @@ bench-cluster:          ## round throughput: N socket workers (tcp) vs shm -> BE
 
 bench-service:          ## warm fleet vs cold one-shot jobs/sec + cache hits -> BENCH_service.json
 	pytest benchmarks/bench_service.py -q
+
+bench-sparse:           ## CSR kernels: flips/s at fixed degree stays flat from n=2000 to n=20000 (the per-flip cost guard CI runs)
+	pytest benchmarks/bench_ablation_sparse.py -q
 
 bench-e2e:              ## repository benchmark, all four workloads (extra flags via ARGS="--workload W --out F")
 	python -m benchmarks.e2e run $(ARGS)

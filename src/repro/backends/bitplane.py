@@ -35,12 +35,22 @@ Two dense weight tiers are chosen automatically by ``prepare_dense``:
   reference (the dominant cost at n = 1024).
 - ``dense_w64`` — the general int64 fallback tier, same fused loop.
 
-Sparse problems use a CSR scatter variant (``sparse_w64``) whose
-delta-write count matches the reference exactly: ``degree(k) + 1`` per
-flip.  In every tier the weight rows are stored with a **zeroed
+In both dense tiers the weight rows are stored with a **zeroed
 diagonal**: Eq. 16 only touches ``j ≠ k`` and the kernel pre-writes
 ``d[k] = -d_k``, which then survives the fused row add (it gains
 ``W_kk = 0``) and participates in the running neighbourhood minimum.
+
+Sparse problems use a CSR scatter variant (``sparse_w64``) whose
+delta-write count matches the reference exactly: ``degree(k) + 1`` per
+flip.  Its selection and incumbent tracking do not rescan all n deltas
+either: each block keeps one Δ minimum per 64-bit plane word (over the
+word's bits matching the straight-search target, and over those still
+differing), updated in O(1) when a write can only lower it and
+rescanned (≤ 64 entries) when it may have risen.  A query scans the
+``⌈n/64⌉`` word minima for the first word holding the overall minimum,
+then that word for its first entry of that value, the reference's tie
+rule.  A flip costs O(degree + n/64).  The minima live in a scratch
+buffer allocated per call, never on the (shareable) prepared weights.
 
 A C compiler is an *optional* dependency: when none is found (or
 ``REPRO_NO_CC`` is set, which the test suite uses to exercise the
@@ -268,70 +278,6 @@ int64_t bp_local_steps_w64(
     return steps * B * n;
 }
 
-int64_t bp_local_steps_sparse(
-    const int64_t *RESTRICT indptr,  /* n+1 (off-diagonal CSR) */
-    const int64_t *RESTRICT indices,
-    const int64_t *RESTRICT data,
-    uint64_t *RESTRICT Xp,
-    int64_t  *RESTRICT delta,
-    int64_t  *RESTRICT energy,
-    int64_t  *RESTRICT best_e,
-    uint64_t *RESTRICT bestp,
-    int64_t  *RESTRICT bestflip,
-    int64_t  *RESTRICT offsets,
-    const int64_t *RESTRICT windows,
-    int64_t n, int64_t B, int64_t nw, int64_t steps)
-{
-    int64_t updates = 0;
-    for (int64_t t = 0; t < steps; t++) {
-        for (int64_t b = 0; b < B; b++) {
-            int64_t *RESTRICT d = delta + b * n;
-            uint64_t *RESTRICT xp = Xp + b * nw;
-            int64_t off = offsets[b], l = windows[b];
-            int64_t k = off;
-            int64_t wmin = d[off];
-            for (int64_t j = 1; j < l; j++) {
-                int64_t idx = off + j;
-                if (idx >= n) idx -= n;
-                if (d[idx] < wmin) { wmin = d[idx]; k = idx; }
-            }
-            /* Eq. 16 scatter over the flipped bit's CSR neighbours; the
-             * CSR holds off-diagonal entries only, so j != k always and
-             * flipping k's plane bit first is order-equivalent. */
-            int64_t dk_old = d[k];
-            uint64_t kbit = 1ULL << (k & 63);
-            int sk = (xp[k >> 6] & kbit) ? -1 : 1;
-            xp[k >> 6] ^= kbit;
-            for (int64_t p = indptr[k]; p < indptr[k + 1]; p++) {
-                int64_t j = indices[p];
-                int sj = (xp[j >> 6] >> (j & 63)) & 1 ? -1 : 1;
-                int64_t w2 = data[p] + data[p];
-                d[j] += (sj == sk) ? w2 : -w2;
-            }
-            updates += indptr[k + 1] - indptr[k] + 1;
-            d[k] = -dk_old;
-            energy[b] += dk_old;
-            /* Reference update_best: full first-minimum scan. */
-            int64_t pos = 0, mn = d[0];
-            for (int64_t j = 1; j < n; j++)
-                if (d[j] < mn) { mn = d[j]; pos = j; }
-            int64_t cand = energy[b] + mn;
-            if (cand < best_e[b]) {
-                best_e[b] = cand;
-                memcpy(bestp + b * nw, xp, (size_t)nw * 8);
-                bestflip[b] = pos;
-            }
-            if (energy[b] < best_e[b]) {
-                best_e[b] = energy[b];
-                memcpy(bestp + b * nw, xp, (size_t)nw * 8);
-                bestflip[b] = -1;
-            }
-            offsets[b] = (off + l) % n;
-        }
-    }
-    return updates;
-}
-
 /* Batched Algorithm 5 over bit-plane state.
  *
  * Blocks are independent, so each walks to its target row Tp in turn:
@@ -506,10 +452,232 @@ int64_t bp_straight_w64(
     return flips * n;
 }
 
+/* Sparse (CSR) kernels: one delta minimum per 64-bit plane word.
+ *
+ * A flip writes only degree(k) + 1 deltas, so these kernels never
+ * rescan all n of them for the next minimum.  Each block keeps, in the
+ * caller's per-call scratch, two minima per word c: ms[c] over its bits
+ * that match the target (every bit, in local search) and md[c] over its
+ * still-differing bits, INT64_MAX for an empty set.  The minimum over
+ * all of word c's bits is min(ms[c], md[c]).  The two sets are
+ * disjoint, so each write touches one minimum, picked by address.  A
+ * write that can only lower it updates it in place; one that may raise
+ * it (the old value was the minimum, the new one is larger) marks the
+ * word, and so does a flipped k leaving the differing set.  Marked
+ * words are rescanned (<= 64 entries) before the next query.  A query
+ * scans the nw word minima for the first word holding the overall
+ * minimum, then that word for its first entry of that value: the
+ * reference's first-minimum tie rule.  Per flip: O(degree + n/64),
+ * not O(n).
+ */
+
+#define SAME 1  /* mark bits: the word's ms / md awaits a rescan */
+#define DIFF 2
+
+typedef struct {
+    int64_t *ms;        /* 2*nw word minima: ms, then md = ms + nw */
+    int64_t *mark;      /* nw: pending SAME | DIFF rescans per word */
+    int64_t *list;      /* the marked words */
+    int64_t nmarked, nw;
+} WordMins;
+
+/* Carves the word minima out of a 4*nw scratch buffer. */
+static WordMins word_mins(int64_t *scratch, int64_t nw)
+{
+    WordMins wm = {scratch, scratch + 2 * nw, scratch + 3 * nw, 0, nw};
+    memset(wm.mark, 0, (size_t)nw * 8);
+    return wm;
+}
+
+static inline void wm_mark(WordMins *wm, int64_t c, int64_t bit)
+{
+    if (!wm->mark[c]) wm->list[wm->nmarked++] = c;
+    wm->mark[c] |= bit;
+}
+
+/* An entry of word c under minimum *m went from o to v, and v undercuts
+ * *m or o held it (the caller's test: rare, so this stays out of the
+ * scatter loop).  Lowers *m, or marks the word when *m may rise. */
+static __attribute__((noinline, cold)) void wm_fix(
+    WordMins *wm, int64_t *m, int64_t c, int64_t bit, int64_t o, int64_t v)
+{
+    if (v < *m) *m = v;
+    else if (v > o) wm_mark(wm, c, bit);
+}
+
+/* Minimum delta over the entries of word c whose bit is set in m;
+ * INT64_MAX when none.  The blend keeps the loop vectorizable. */
+static inline int64_t word_min(const int64_t *d, int64_t n, int64_t c,
+                               uint64_t m)
+{
+    int64_t base = c << 6, lim = n - base, mn = INT64_MAX;
+    if (lim > 64) lim = 64;
+    for (int64_t j = 0; j < lim; j++) {
+        int64_t dm = -(int64_t)((m >> j) & 1);
+        int64_t dv = (d[base + j] & dm) | (INT64_MAX & ~dm);
+        if (dv < mn) mn = dv;
+    }
+    return mn;
+}
+
+static inline int64_t mins_min(const int64_t *m, int64_t len)
+{
+    int64_t mn = INT64_MAX;
+    for (int64_t c = 0; c < len; c++)
+        if (m[c] < mn) mn = m[c];
+    return mn;
+}
+
+/* Recomputes word c's minima named by bits; tp == NULL: no target. */
+static inline void wm_scan(WordMins *wm, const int64_t *d, const uint64_t *xp,
+                           const uint64_t *tp, int64_t n, int64_t c,
+                           int64_t bits)
+{
+    uint64_t diff = tp ? xp[c] ^ tp[c] : 0;
+    if (bits & SAME) wm->ms[c] = word_min(d, n, c, ~diff);
+    if (bits & DIFF) wm->ms[wm->nw + c] = diff ? word_min(d, n, c, diff) : INT64_MAX;
+}
+
+static void wm_flush(WordMins *wm, const int64_t *d, const uint64_t *xp,
+                     const uint64_t *tp, int64_t n)
+{
+    for (int64_t i = 0; i < wm->nmarked; i++) {
+        int64_t c = wm->list[i];
+        wm_scan(wm, d, xp, tp, n, c, wm->mark[c]);
+        wm->mark[c] = 0;
+    }
+    wm->nmarked = 0;
+}
+
+/* Eq. 16 scatter for flipping bit k over its CSR neighbours, keeping
+ * the word minima exact or marked; with a target tp, k itself leaves
+ * the differing set.  The CSR holds off-diagonal entries only, so
+ * j != k always and flipping k's plane bit first is order-equivalent.
+ * Returns k's old delta.  Kept out of line: the scatter loop then gets
+ * the registers to itself. */
+static __attribute__((noinline)) int64_t sparse_flip(
+    const int64_t *RESTRICT indptr, const int64_t *RESTRICT indices,
+    const int64_t *RESTRICT data, int64_t *RESTRICT d,
+    uint64_t *RESTRICT xp, const uint64_t *RESTRICT tp, WordMins *wm,
+    int64_t k)
+{
+    int64_t *RESTRICT ms = wm->ms;
+    int64_t nw = wm->nw, dk_old = d[k], ck = k >> 6, end = indptr[k + 1];
+    uint64_t kbit = 1ULL << (k & 63);
+    int64_t sk = (xp[ck] & kbit) != 0;      /* s_k = -1 */
+    xp[ck] ^= kbit;
+    if (tp) wm_mark(wm, ck, DIFF);
+    for (int64_t p = indptr[k]; p < end; p++) {
+        int64_t j = indices[p], c = j >> 6;
+        uint64_t xw = xp[c];
+        int64_t w2 = data[p] + data[p];
+        int64_t o = d[j], v = o + ((int64_t)((xw >> (j & 63)) & 1) == sk ? w2 : -w2);
+        d[j] = v;
+        int64_t in = tp ? (int64_t)((xw ^ tp[c]) >> (j & 63)) & 1 : 0;
+        int64_t *m = ms + c + (nw & -in);
+        if ((v < *m) | (o == *m))
+            wm_fix(wm, m, c, SAME << in, o, v);
+    }
+    d[k] = -dk_old;
+    /* k now matches its target: a write into ms (an insertion when it
+     * came from md, where the rule only ever marks needlessly). */
+    if ((-dk_old < ms[ck]) | (dk_old == ms[ck]))
+        wm_fix(wm, ms + ck, ck, SAME, dk_old, -dk_old);
+    return dk_old;
+}
+
+/* Incumbent update after one flip: the best neighbour (energy plus mn,
+ * the minimum of d, at its first index) before the position itself, as
+ * update_best does; with scan == 0 the position only, as
+ * track_position does. */
+static inline void sparse_incumbent(
+    const int64_t *d, const uint64_t *xp, const WordMins *wm, int64_t scan,
+    int64_t mn, int64_t e, int64_t *best_e, uint64_t *bestp,
+    int64_t *bestflip)
+{
+    const int64_t *ms = wm->ms, *md = wm->ms + wm->nw;
+    if (scan && e + mn < *best_e) {
+        int64_t c = 0, pos;
+        while (ms[c] != mn && md[c] != mn) c++;
+        for (pos = c << 6; d[pos] != mn; pos++) ;
+        *best_e = e + mn;
+        memcpy(bestp, xp, (size_t)wm->nw * 8);
+        *bestflip = pos;
+    }
+    if (e < *best_e) {
+        *best_e = e;
+        memcpy(bestp, xp, (size_t)wm->nw * 8);
+        *bestflip = -1;
+    }
+}
+
+/* The first word c with md[c] == v that still has differing bits (an
+ * empty word holds INT64_MAX too).  Eight words per test, so the
+ * comparisons vectorize. */
+static inline int64_t first_diff_word(const int64_t *md, const uint64_t *xp,
+                                      const uint64_t *tp, int64_t nw,
+                                      int64_t v)
+{
+    int64_t c = 0;
+    for (; c + 8 <= nw; c += 8) {
+        int64_t hit = 0;
+        for (int64_t i = 0; i < 8; i++)
+            hit |= (md[c + i] == v) & ((xp[c + i] ^ tp[c + i]) != 0);
+        if (hit) break;
+    }
+    while (md[c] != v || !(xp[c] ^ tp[c])) c++;
+    return c;
+}
+
+int64_t bp_local_steps_sparse(
+    const int64_t *RESTRICT indptr,  /* n+1 (off-diagonal CSR) */
+    const int64_t *RESTRICT indices,
+    const int64_t *RESTRICT data,
+    int64_t  *RESTRICT scratch,      /* 4*nw: this call's word minima */
+    uint64_t *RESTRICT Xp,
+    int64_t  *RESTRICT delta,
+    int64_t  *RESTRICT energy,
+    int64_t  *RESTRICT best_e,
+    uint64_t *RESTRICT bestp,
+    int64_t  *RESTRICT bestflip,
+    int64_t  *RESTRICT offsets,
+    const int64_t *RESTRICT windows,
+    int64_t n, int64_t B, int64_t nw, int64_t steps)
+{
+    int64_t updates = 0;
+    WordMins wm = word_mins(scratch, nw);
+    /* Blocks are independent, so each runs all its steps in turn and
+     * one set of word minima serves every block. */
+    for (int64_t b = 0; b < B; b++) {
+        int64_t *RESTRICT d = delta + b * n;
+        uint64_t *RESTRICT xp = Xp + b * nw;
+        for (int64_t c = 0; c < nw; c++)
+            wm_scan(&wm, d, xp, NULL, n, c, SAME | DIFF);
+        for (int64_t t = 0; t < steps; t++) {
+            int64_t off = offsets[b], l = windows[b];
+            int64_t k = off;
+            int64_t wmin = d[off];
+            for (int64_t j = 1; j < l; j++) {
+                int64_t idx = off + j;
+                if (idx >= n) idx -= n;
+                if (d[idx] < wmin) { wmin = d[idx]; k = idx; }
+            }
+            energy[b] += sparse_flip(indptr, indices, data, d, xp, NULL, &wm, k);
+            updates += indptr[k + 1] - indptr[k] + 1;
+            wm_flush(&wm, d, xp, NULL, n);
+            sparse_incumbent(d, xp, &wm, 1, mins_min(wm.ms, nw), energy[b],
+                             best_e + b, bestp + b * nw, bestflip + b);
+            offsets[b] = (off + l) % n;
+        }
+    }
+    return updates;
+}
+
 int64_t bp_straight_sparse(
     const int64_t *RESTRICT indptr,  /* n+1 (off-diagonal CSR) */
     const int64_t *RESTRICT indices,
     const int64_t *RESTRICT data,
+    int64_t  *RESTRICT scratch,      /* 4*nw: this call's word minima */
     uint64_t *RESTRICT Xp,
     int64_t  *RESTRICT delta,
     const uint64_t *RESTRICT Tp,
@@ -520,31 +688,40 @@ int64_t bp_straight_sparse(
     int64_t n, int64_t B, int64_t nw, int64_t scan)
 {
     int64_t updates = 0;
+    WordMins wm = word_mins(scratch, nw);
+    const int64_t *md = wm.ms + nw;
     for (int64_t b = 0; b < B; b++) {
         int64_t *RESTRICT d = delta + b * n;
         uint64_t *RESTRICT xp = Xp + b * nw;
         const uint64_t *RESTRICT tp = Tp + b * nw;
-        int64_t k = diff_find_d64(d, xp, tp, nw, diff_min_d64(d, xp, tp, nw));
-        while (k >= 0) {
-            int64_t dk_old = d[k];
-            uint64_t kbit = 1ULL << (k & 63);
-            int sk = (xp[k >> 6] & kbit) ? -1 : 1;
-            xp[k >> 6] ^= kbit;
-            for (int64_t p = indptr[k]; p < indptr[k + 1]; p++) {
-                int64_t j = indices[p];
-                int sj = (xp[j >> 6] >> (j & 63)) & 1 ? -1 : 1;
-                int64_t w2 = data[p] + data[p];
-                d[j] += (sj == sk) ? w2 : -w2;
+        int64_t left = 0;
+        for (int64_t c = 0; c < nw; c++)
+            left += __builtin_popcountll(xp[c] ^ tp[c]);
+        if (left == 0) continue;
+        for (int64_t c = 0; c < nw; c++)
+            wm_scan(&wm, d, xp, tp, n, c, SAME | DIFF);
+        for (int64_t flipped = 0;; flipped = 1) {
+            /* One pass serves both queries: the minimum over all bits
+             * (the last flip's incumbent check) and over the
+             * still-differing bits (the next flip). */
+            int64_t mn = INT64_MAX, dmn = INT64_MAX;
+            for (int64_t c = 0; c < nw; c++) {
+                int64_t lo = wm.ms[c] < md[c] ? wm.ms[c] : md[c];
+                if (lo < mn) mn = lo;
+                if (md[c] < dmn) dmn = md[c];
             }
+            if (flipped)
+                sparse_incumbent(d, xp, &wm, scan, mn, energy[b],
+                                 best_e + b, bestp + b * nw, bestflip + b);
+            if (left-- == 0) break;
+            /* The first still-differing bit of minimum delta. */
+            int64_t c = first_diff_word(md, xp, tp, nw, dmn);
+            uint64_t m = xp[c] ^ tp[c];
+            while (d[(c << 6) + CTZ(m)] != dmn) m &= m - 1;
+            int64_t k = (c << 6) + CTZ(m);
+            energy[b] += sparse_flip(indptr, indices, data, d, xp, tp, &wm, k);
             updates += indptr[k + 1] - indptr[k] + 1;
-            d[k] = -dk_old;
-            energy[b] += dk_old;
-            int64_t mn = INT64_MAX;
-            if (scan)
-                for (int64_t j = 0; j < n; j++)
-                    if (d[j] < mn) mn = d[j];
-            STRAIGHT_INCUMBENT(d, mn);
-            k = diff_find_d64(d, xp, tp, nw, diff_min_d64(d, xp, tp, nw));
+            wm_flush(&wm, d, xp, tp, n);
         }
     }
     return updates;
@@ -678,13 +855,13 @@ def _private(path: Path, *, is_dir: bool) -> bool:
 def _bind(path: Path) -> ctypes.CDLL:
     """dlopen ``path`` and type every kernel (AttributeError if missing).
 
-    Every kernel takes its weight arrays (CSR: three), then 8 state
-    arrays (``run_local_steps``) or 7 (``run_straight``), then the four
-    int64 scalars.
+    Every kernel takes its weight arrays (CSR: three, then the per-call
+    word-minima scratch), then 8 state arrays (``run_local_steps``) or 7
+    (``run_straight``), then the four int64 scalars.
     """
     lib = ctypes.CDLL(str(path))
     for variant, (local, straight) in _KERNELS.items():
-        weights = 3 if variant == "sparse_w64" else 1
+        weights = 4 if variant == "sparse_w64" else 1
         for fname, arrays in ((local, weights + 8), (straight, weights + 7)):
             fn = getattr(lib, fname)
             fn.argtypes = [ctypes.c_void_p] * arrays + [ctypes.c_int64] * 4
@@ -931,7 +1108,12 @@ class BitplaneBackend(NumpyBackend):
         else:
             d = np.ascontiguousarray(delta, dtype=np.int64)
         if planes.variant == "sparse_w64":
-            weights = (_ptr(pw.indptr), _ptr(pw.indices), _ptr(pw.data))
+            # The CSR kernels' word minima live for this call only:
+            # prepared weights are shared across engines.
+            scratch = np.empty(4 * planes.nw, dtype=np.int64)
+            weights = (
+                _ptr(pw.indptr), _ptr(pw.indices), _ptr(pw.data), _ptr(scratch)
+            )
         else:
             weights = (_ptr(planes.weights),)
         updates = fn(*weights, _ptr(Xp), _ptr(d), *rest)

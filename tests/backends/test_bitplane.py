@@ -5,8 +5,9 @@ pins ``bitplane`` step-for-step against the scalar references via the
 ``available_backends()`` parametrization; this module covers what that
 sweep cannot: the packed-plane helper algebra, the ``REPRO_NO_CC``
 fallback lane, dtype-tier selection including the forced int64 tier,
-and explicit single-step lockstep runs of both dense tiers and the
-sparse CSR kernel.
+explicit single-step lockstep runs of both dense tiers and the sparse
+CSR kernel, and the CSR kernels' per-word Δ minima: ties, ragged sizes,
+a raised word minimum, and prepared weights shared across engines.
 """
 
 import warnings
@@ -25,6 +26,7 @@ from repro.backends.bitplane import (
     unpack_rows,
 )
 from repro.gpusim import BulkSearchEngine
+from repro.problems.maxcut import maxcut_to_qubo, maxcut_to_sparse_qubo, random_graph
 from repro.qubo import QuboMatrix, SparseQubo
 from repro.telemetry import MemorySink, TelemetryBus, validate_record
 
@@ -189,8 +191,12 @@ class TestTierSelection:
         assert not np.diagonal(pw.planes.weights).any()
 
 
+_FIELDS = ("X", "delta", "energy", "best_energy", "best_x", "offsets")
+
+
 def _lockstep(problem, *, steps, windows=16, sparse=False):
-    """Two engines, one step at a time: every intermediate state equal."""
+    """Two engines, one step at a time: every intermediate state equal.
+    Returns the bitplane engine."""
     weights = SparseQubo.from_dense(problem.W) if sparse else problem
     ref = BulkSearchEngine(weights, 6, windows=windows, backend="numpy")
     bit = BulkSearchEngine(weights, 6, windows=windows, backend=resolve_backend("bitplane"))
@@ -198,11 +204,12 @@ def _lockstep(problem, *, steps, windows=16, sparse=False):
     for step in range(steps):
         ref.local_steps(1)
         bit.local_steps(1)
-        for field in ("X", "delta", "energy", "best_energy", "best_x", "offsets"):
+        for field in _FIELDS:
             assert np.array_equal(getattr(ref, field), getattr(bit, field)), (
                 f"{field} diverged at step {step + 1}"
             )
     assert ref.counters.as_dict() == bit.counters.as_dict()
+    return bit
 
 
 @needs_cc
@@ -254,3 +261,117 @@ class TestSingleStepEquivalence:
         batch.local_steps(30)
         for field in ("X", "delta", "energy", "best_energy", "best_x", "offsets"):
             assert np.array_equal(getattr(one, field), getattr(batch, field))
+
+
+def _assert_same(ref, bit, context):
+    for field in _FIELDS:
+        assert np.array_equal(getattr(ref, field), getattr(bit, field)), (
+            f"{context}: {field} diverged"
+        )
+    assert ref.counters.as_dict() == bit.counters.as_dict(), context
+
+
+def _walk(eng, targets):
+    """Straight search under both incumbent rules, then local search."""
+    eng.straight_to(targets, scan_neighbors=True)
+    eng.local_steps(9)
+    eng.straight_to(targets ^ 1, scan_neighbors=False)
+    eng.local_steps(9)
+
+
+def _isolated_qubo(n, seed):
+    """Weighted sparse problem on n bits where every third vertex has
+    no edges (a degree-0 CSR row) but keeps its linear term."""
+    rng = np.random.default_rng(seed)
+    W = np.zeros((n, n), dtype=np.int64)
+    live = np.flatnonzero(np.arange(n) % 3 != 0)
+    for _ in range(2 * len(live)):
+        i, j = rng.choice(live, 2)
+        if i != j:
+            W[i, j] = W[j, i] = rng.integers(-4, 5)
+    np.fill_diagonal(W, rng.integers(-6, 7, n))
+    return SparseQubo.from_dense(W)
+
+
+@needs_cc
+class TestSparseWordMinima:
+    """The CSR kernels keep one Δ minimum per 64-bit plane word instead
+    of rescanning all n entries per flip; every answer must still be
+    the numpy reference's, first-minimum tie rule included."""
+
+    @pytest.mark.parametrize("windows", [1, 16])
+    def test_ties_every_step(self, windows):
+        # Unweighted MaxCut: Δ ties everywhere, so update_best must take
+        # the first minimum across three plane words at every step.
+        q = maxcut_to_qubo(random_graph(130, 520, seed=43))
+        bit = _lockstep(q, steps=40, windows=windows, sparse=True)
+        assert bit._pw.planes.variant == "sparse_w64"
+        tied = (bit.delta == bit.delta.min(axis=1, keepdims=True)).sum(axis=1)
+        assert tied.max() > 1
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+    def test_sizes_with_isolated_vertices(self, n):
+        q = _isolated_qubo(n, seed=n)
+        targets = np.random.default_rng(n).integers(0, 2, (3, n), dtype=np.uint8)
+        windows = min(n, 5)
+        ref = BulkSearchEngine(q, 3, windows=windows, backend="numpy")
+        bit = BulkSearchEngine(q, 3, windows=windows, backend="bitplane")
+        assert bit._pw.planes.variant == "sparse_w64"
+        _walk(ref, targets)
+        _walk(bit, targets)
+        _assert_same(ref, bit, f"n={n}")
+
+    @pytest.mark.parametrize("run", ["local", "straight-scan", "straight-track"])
+    def test_raised_word_minimum_is_rescanned(self, run):
+        # Flipping bit 0 (word 0) raises its neighbour bit 70 from the
+        # unique minimum of word 1 (Δ = -10) to Δ = +30.  Word 1's new
+        # minimum, bit 80 (Δ = -5), is found only by rescanning word 1.
+        n = 130
+        W = np.zeros((n, n), dtype=np.int64)
+        W[0, 0], W[70, 70], W[80, 80], W[129, 129] = -20, -10, -5, -3
+        W[0, 70] = W[70, 0] = 20
+        q = SparseQubo.from_dense(W)
+        ref, bit = (
+            BulkSearchEngine(q, 1, windows=1, offsets=np.zeros(1, dtype=np.int64),
+                             backend=backend)
+            for backend in ("numpy", "bitplane")
+        )
+        assert ref.delta[0, 64:128].argmin() == 70 - 64
+        if run == "local":
+            # Window 1 at offset 0: k = 0, then update_best.
+            for eng in (ref, bit):
+                eng.local_steps(1)
+            assert ref.delta[0, 70] == 30 and ref.delta[0, 64:128].min() == -5
+        else:
+            # Bits {0, 70, 80} differ: k = 0 (Δ = -20), then the
+            # still-differing minimum must move from bit 70 to bit 80.
+            target = np.zeros((1, n), dtype=np.uint8)
+            target[0, [0, 70, 80]] = 1
+            for eng in (ref, bit):
+                eng.straight_to(target, scan_neighbors=run == "straight-scan")
+        _assert_same(ref, bit, run)
+
+    def test_kernels_stay_stateless_under_shared_weights(self):
+        # The service's per-digest cache hands one PreparedWeights to
+        # many engines; the kernels' scratch must never live on it.
+        q = maxcut_to_sparse_qubo(random_graph(300, 1500, weighted=True, seed=47))
+        rng = np.random.default_rng(48)
+        targets = [rng.integers(0, 2, (4, 300), dtype=np.uint8) for _ in range(2)]
+        owner = BulkSearchEngine(q, 1, backend="bitplane")
+        assert owner._pw.planes.variant == "sparse_w64"
+        shared = [
+            BulkSearchEngine(q, 4, windows=w, backend="bitplane", prepared=owner.prepared)
+            for w in (3, 11)
+        ]
+        alone = [BulkSearchEngine(q, 4, windows=w, backend="bitplane") for w in (3, 11)]
+        for t in range(2):
+            for eng, tgt in zip(shared, targets):
+                eng.straight_to(tgt if t == 0 else tgt ^ 1)
+            for eng in shared:
+                eng.local_steps(25)
+        for eng, tgt in zip(alone, targets):
+            for t in range(2):
+                eng.straight_to(tgt if t == 0 else tgt ^ 1)
+                eng.local_steps(25)
+        for a, b in zip(shared, alone):
+            _assert_same(b, a, "shared prepared weights")

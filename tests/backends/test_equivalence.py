@@ -156,6 +156,10 @@ def _straight_problem(kind):
     """n = 130 (three words, not a multiple of 64) in every kernel tier."""
     if kind == "sparse":
         return maxcut_to_sparse_qubo(random_graph(130, 520, weighted=True, seed=31))
+    if kind == "sparse-ties":
+        # Unweighted MaxCut at average degree 4: Δ ties everywhere, so
+        # the CSR kernel's per-word minima must yield the lowest index.
+        return maxcut_to_sparse_qubo(random_graph(130, 260, seed=44))
     if kind == "ties":
         # Weights in {-2, ..., 2}: Δ ties everywhere, so the lowest
         # index must win at every straight-search step.
@@ -171,7 +175,7 @@ def _straight_problem(kind):
 #: The bitplane kernel tier each straight-search problem selects.
 _TIERS = {
     "int16": "dense_w16_d32", "wide": "dense_w64", "ties": "dense_w16_d32",
-    "sparse": "sparse_w64",
+    "sparse": "sparse_w64", "sparse-ties": "sparse_w64",
 }
 
 
@@ -181,7 +185,7 @@ class TestStraightTiers:
     bits away (every bit differs) and at a random target."""
 
     @pytest.mark.parametrize("scan_neighbors", [True, False])
-    @pytest.mark.parametrize("kind", ["int16", "wide", "ties", "sparse"])
+    @pytest.mark.parametrize("kind", ["int16", "wide", "ties", "sparse", "sparse-ties"])
     def test_matches_scalar_and_numpy(self, backend, kind, scan_neighbors, rng):
         weights = _straight_problem(kind)
         n = weights.n
@@ -205,7 +209,7 @@ class TestStraightTiers:
             start[2] ^ 1,
             rng.integers(0, 2, n, dtype=np.uint8),
         ])
-        if kind == "ties":
+        if kind in ("ties", "sparse-ties"):
             assert (eng.delta[2] == eng.delta[2].min()).sum() > 1
         scalar = []
         for b in range(4):
