@@ -1,6 +1,6 @@
 # Developer conveniences for the ABS reproduction.
 
-.PHONY: install test test-fast test-process test-backends test-exchange test-tcp test-analysis test-diverse test-service analyze docs-check lint check bench bench-full bench-exchange bench-cluster bench-service bench-sparse bench-list bench-e2e bench-compare trace-demo examples clean
+.PHONY: install test test-fast test-process test-backends test-exchange test-tcp test-analysis test-diverse test-service analyze docs-check lint check bench bench-full bench-exchange bench-cluster bench-service bench-sparse bench-list bench-e2e bench-e2e-smoke bench-compare trace-demo examples clean
 
 install:
 	pip install -e .[test]
@@ -77,6 +77,9 @@ bench-sparse:           ## CSR kernels: flips/s at fixed degree stays flat from 
 
 bench-e2e:              ## repository benchmark, all four workloads (extra flags via ARGS="--workload W --out F")
 	python -m benchmarks.e2e run $(ARGS)
+
+bench-e2e-smoke:        ## repository benchmark at tiny size, untraced and traced: every metric emitted, answers checked, tracing changes no answer (the only check of the methods the e2e tracer wraps)
+	python -m pytest benchmarks/e2e -q
 
 bench-compare:          ## compare two e2e result files against the BENCHMARK.json bounds: A=old.json B=new.json (FILE#SET works)
 	@test -n "$(A)" -a -n "$(B)" || { echo "usage: make bench-compare A=<results.json[#set]> B=<results.json[#set]>"; exit 2; }

@@ -42,7 +42,7 @@ class BackendUnavailable(RuntimeError):
 def resolve_backend_strict(name: str):
     """Resolve ``name`` and *fail hard* if it degraded to a fallback.
 
-    The registry's graceful degradation (``fallback_from``) is the
+    The graceful degradation of ``bitplane`` (``fallback_from``) is the
     right behaviour for solves; for benches it is a lie waiting to be
     published.  Raises :class:`BackendUnavailable` instead of recording
     fallback measurement points.
@@ -54,9 +54,10 @@ def resolve_backend_strict(name: str):
         backend = resolve_backend(name)
     if backend.fallback_from:
         raise BackendUnavailable(
-            f"backend {name!r} is unavailable on this machine (resolved to "
-            f"{backend.name!r} via fallback) — refusing to bench the fallback "
-            f"under the requested backend's name"
+            f"backend {name!r} is unavailable on this machine "
+            f"({backend.fallback_reason}; resolved to {backend.name!r} via "
+            "fallback) — refusing to bench the fallback under the requested "
+            "backend's name"
         )
     return backend
 

@@ -64,9 +64,8 @@ class AbsConfig:
     window:
         Figure-2 selection window: int, ``"spread"``, or per-block list.
     backend:
-        Kernel backend name for the bulk engine (``"auto"``,
-        ``"numpy"``, ``"bitplane"``, or any name registered with
-        :func:`repro.backends.register_backend`).  ``None`` (default)
+        Kernel backend name for the bulk engine: ``"auto"``,
+        ``"numpy"`` or ``"bitplane"``.  ``None`` (default)
         consults the ``REPRO_BACKEND`` environment variable and falls
         back to ``"auto"``: ``bitplane`` where a C compiler builds its
         kernels, else ``numpy``.  Backend choice never changes the

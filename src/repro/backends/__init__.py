@@ -1,11 +1,10 @@
-"""Pluggable kernel backends for the bulk engine.
+"""Kernel backends for the bulk engine.
 
-The hot kernels of :class:`~repro.gpusim.engine.BulkSearchEngine` —
-the Eq. (16) dense flip, the sparse scatter flip, Figure 2's windowed
-min-Δ selection, best-neighbour tracking, and the Algorithm 5 straight-
-search mask/argmin — live behind the :class:`KernelBackend` interface
-so execution substrates can be swapped without touching the search
-semantics:
+The two walks of :class:`~repro.gpusim.engine.BulkSearchEngine` —
+Algorithm 4's windowed local search and Algorithm 5's straight search,
+each built from the Eq. (16) delta refresh — live behind the
+:class:`KernelBackend` interface so execution substrates can be swapped
+without touching the search semantics:
 
 - ``numpy`` — the vectorized reference implementation (always
   available; ground truth for the differential-equivalence suite);
@@ -14,7 +13,8 @@ semantics:
   under ``$TMPDIR``): the whole ``run_local_steps`` batch and the whole
   ``run_straight`` walk are one C call each.  Falls back to ``numpy``
   (with a one-time warning and a ``backend.fallback`` telemetry event)
-  when no C compiler is available (or ``REPRO_NO_CC`` is set).
+  when no C compiler is available, ``REPRO_NO_CC`` is set, or the
+  build fails.
 
 ``auto``, the default, is not a backend of its own: it resolves to
 ``bitplane`` where the kernels load or compile and to ``numpy``
@@ -27,9 +27,8 @@ it is the decomposition loop's exact finisher.
 Selection flows through :attr:`AbsConfig.backend <repro.abs.config.AbsConfig>`,
 ``repro.solve(backend=...)``, the CLI ``--backend`` flag, or the
 ``REPRO_BACKEND`` environment variable; unset, the default is
-``auto``.  A future CuPy/GPU backend plugs into the same seam via
-:func:`register_backend` — every registered backend is automatically
-pinned step-for-step to the scalar references by
+``auto``.  Every backend in :func:`available_backends` is pinned
+step-for-step to the scalar references by
 ``tests/backends/test_equivalence.py``.
 
 See ``docs/backends.md`` for the interface contract and a
@@ -39,7 +38,7 @@ how-to-add-a-backend walkthrough.
 from __future__ import annotations
 
 import os
-from typing import Callable, Union
+from typing import Union
 
 from repro.backends.base import KernelBackend, PreparedWeights
 from repro.backends.bitplane import (
@@ -61,35 +60,20 @@ DEFAULT_BACKEND = AUTO_BACKEND
 
 BackendSpec = Union[str, KernelBackend, None]
 
-_REGISTRY: dict[str, Callable[[], KernelBackend]] = {}
-
-
-def register_backend(name: str, factory: Callable[[], KernelBackend]) -> None:
-    """Register ``factory`` under ``name`` (overwrites re-registrations).
-
-    The factory must return a ready :class:`KernelBackend`; it may
-    return a *different* backend than requested to express graceful
-    degradation (set ``fallback_from`` on the instance so telemetry can
-    report the substitution).
-    """
-    if not name or not isinstance(name, str) or name == AUTO_BACKEND:
-        raise ValueError(
-            f"backend name must be a non-empty string other than "
-            f"{AUTO_BACKEND!r}, got {name!r}"
-        )
-    _REGISTRY[name] = factory
+#: Each concrete backend name and what constructs it.
+_FACTORIES = {"bitplane": make_bitplane_backend, "numpy": NumpyBackend}
 
 
 def available_backends() -> tuple[str, ...]:
-    """Registered backend names, sorted (registration ≠ availability:
+    """The concrete backend names, sorted (listed ≠ available:
     ``bitplane`` is always listed and falls back without a compiler).
     ``auto`` is not listed: it only ever picks one of these."""
-    return tuple(sorted(_REGISTRY))
+    return tuple(sorted(_FACTORIES))
 
 
 def check_backend_name(name: str) -> None:
-    """Raise ``ValueError`` unless ``name`` is ``auto`` or registered."""
-    if name != AUTO_BACKEND and name not in _REGISTRY:
+    """Raise ``ValueError`` unless ``name`` is ``auto`` or a backend."""
+    if name != AUTO_BACKEND and name not in _FACTORIES:
         raise ValueError(
             f"unknown backend {name!r} (registered: {', '.join(available_backends())}), "
             f"or {AUTO_BACKEND!r}"
@@ -99,21 +83,24 @@ def check_backend_name(name: str) -> None:
 def get_backend(name: str) -> KernelBackend:
     """Construct a fresh backend instance for ``name``.
 
-    ``auto`` gives the compiled ``bitplane`` backend where its kernels
-    load, else ``numpy``, with no warning and no ``fallback_from`` tag.
+    ``bitplane`` gives the compiled backend, or the NumPy one tagged
+    ``fallback_from="bitplane"`` (with a one-time warning) where its
+    kernels neither load nor compile.  ``auto`` gives the compiled
+    backend where its kernels load, else ``numpy``, with no warning and
+    no ``fallback_from`` tag.
     """
     check_backend_name(name)
     if name == AUTO_BACKEND:
         backend = load_bitplane_backend()
         return backend if backend is not None else NumpyBackend()
-    return _REGISTRY[name]()
+    return _FACTORIES[name]()
 
 
 def resolve_backend(spec: BackendSpec = None) -> KernelBackend:
     """Resolve a backend from a name, an instance, or the environment.
 
     Precedence: an explicit :class:`KernelBackend` instance is used
-    as-is; an explicit name is looked up in the registry; ``None``
+    as-is; an explicit name goes to :func:`get_backend`; ``None``
     consults :data:`BACKEND_ENV_VAR` and finally defaults to
     :data:`DEFAULT_BACKEND`.
     """
@@ -126,9 +113,6 @@ def resolve_backend(spec: BackendSpec = None) -> KernelBackend:
     name = spec or os.environ.get(BACKEND_ENV_VAR, "") or DEFAULT_BACKEND
     return get_backend(name)
 
-
-register_backend("numpy", NumpyBackend)
-register_backend("bitplane", make_bitplane_backend)
 
 __all__ = [
     "KernelBackend",
@@ -143,6 +127,5 @@ __all__ = [
     "get_backend",
     "graycode_minimum",
     "make_bitplane_backend",
-    "register_backend",
     "resolve_backend",
 ]

@@ -1,32 +1,28 @@
 """The kernel-backend contract for the bulk engine.
 
-The hot path of :class:`~repro.gpusim.engine.BulkSearchEngine` is five
-kernels, each the batched analogue of one paper construct:
+:class:`~repro.gpusim.engine.BulkSearchEngine` calls a backend for two
+things, the two walks of the paper's per-block device kernel (§3.2,
+Figure 5):
 
-==================  =====================================================
-kernel              paper anchor
-==================  =====================================================
-``flip``            Eq. (16) delta refresh (dense row add / sparse
-                    scatter over the flipped bit's neighbours)
-``select_window``   Figure 2 windowed min-Δ selection (rotating offset,
-                    per-block window ``l``)
-``select_straight`` Algorithm 5 line 3: min-Δ over still-differing bits
-``update_best``     Algorithm 4's inner ``E(X) + d_i < E(B)`` incumbent
-                    check over all ``n`` exposed neighbours
-``track_position``  the literal Algorithm 5 variant that only considers
-                    visited solutions
-==================  =====================================================
+=====================  ==================================================
+method                 paper anchor
+=====================  ==================================================
+``run_local_steps``    Algorithm 4: ``steps`` forced flips per block,
+                       each a Figure 2 windowed min-Δ select, an
+                       Eq. (16) delta refresh and the incumbent check
+``run_straight``       Algorithm 5: walk every block to its target,
+                       flipping the still-differing bit of minimum Δ
+=====================  ==================================================
 
-A backend implements these against the shared batched state arrays
-(``X`` uint8 ``B×n``, ``delta``/``energy`` int64, ``best_*``) and may
-additionally fuse the whole :meth:`run_local_steps` loop (the dominant
-hot path — one Python-level iteration per forced flip in the reference
-implementation) and the whole Algorithm 5 walk, :meth:`run_straight`.
-All arithmetic is int64; every kernel must be **bit-for-bit
+plus a one-time weight conversion, ``prepare_dense`` /
+``prepare_sparse``, whose :class:`PreparedWeights` the engine hands back
+on every walk.  A backend implements the walks against the shared
+batched state arrays (``X`` uint8 ``B×n``, ``delta``/``energy`` int64,
+``best_*``).  All arithmetic is int64; every walk must be **bit-for-bit
 identical** to the NumPy reference backend, including argmin
 tie-breaking (first minimum wins).  The differential suite in
-``tests/backends/test_equivalence.py`` pins every registered backend to
-the scalar references automatically.
+``tests/backends/test_equivalence.py`` pins every backend in
+:func:`~repro.backends.available_backends` to the scalar references.
 
 Backends are stateless with respect to the search: all search state
 lives in the engine's arrays, so backends can be swapped between runs.
@@ -39,8 +35,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_INT64_MAX = np.iinfo(np.int64).max
-
 
 @dataclass(frozen=True)
 class PreparedWeights:
@@ -49,8 +43,9 @@ class PreparedWeights:
     ``dense`` is a contiguous int64 ``n×n`` matrix, or ``None`` for a
     sparse problem, in which case the off-diagonal weights are given in
     CSR form (``indptr``/``indices``/``data``, both triangles stored).
-    Backends receive this object on every kernel call and may stash
-    derived artifacts keyed by it (e.g. compiled closures).
+    Backends receive this object on every walk; a backend's own
+    ``prepare_*`` may return a subclass carrying derived artifacts (the
+    bitplane backend's packed weight rows and kernel handles).
     """
 
     n: int
@@ -70,17 +65,21 @@ class KernelBackend(ABC):
     Attributes
     ----------
     name:
-        Registry name; stamped on ``solve.start`` telemetry and on
+        Backend name; stamped on ``solve.start`` telemetry and on
         :attr:`SolveResult.counters` consumers via the engine.
     fallback_from:
         When this instance was substituted for an unavailable backend
         (e.g. ``bitplane`` without a C compiler), the originally
         requested name; ``None`` otherwise.  The engine emits a
         ``backend.fallback`` telemetry event when set.
+    fallback_reason:
+        Why the requested backend was unavailable (set together with
+        ``fallback_from``); the ``backend.fallback`` event's ``reason``.
     """
 
     name: str = "?"
     fallback_from: str | None = None
+    fallback_reason: str = ""
 
     # ------------------------------------------------------------------
     # Weight preparation
@@ -100,85 +99,9 @@ class KernelBackend(ABC):
         )
 
     # ------------------------------------------------------------------
-    # Primitive kernels
+    # The two walks the engine calls
     # ------------------------------------------------------------------
     @abstractmethod
-    def flip(
-        self,
-        pw: PreparedWeights,
-        X: np.ndarray,
-        delta: np.ndarray,
-        energy: np.ndarray,
-        ids: np.ndarray,
-        ks: np.ndarray,
-    ) -> int:
-        """Flip bit ``ks[i]`` of block ``ids[i]`` for all i (Eq. 16).
-
-        Mutates ``X``/``delta``/``energy`` in place and returns the
-        number of delta-vector entries written: ``m·n`` on the dense
-        path, ``Σ (degree(k_i) + 1)`` on the sparse path — the honest
-        work metric behind the ``engine.delta_updates`` counter (the
-        paper's ``evaluated`` exposure metric stays ``m·n`` either way).
-        """
-
-    @abstractmethod
-    def select_window(
-        self,
-        delta: np.ndarray,
-        offsets: np.ndarray,
-        windows: np.ndarray,
-    ) -> np.ndarray:
-        """Figure 2: per-block min-Δ bit inside the rotating window.
-
-        Returns the length-``B`` int64 array of chosen bit indices.
-        Ties break toward the *earliest lane* (lowest offset distance),
-        exactly like ``np.argmin`` over the windowed extract.
-        """
-
-    @abstractmethod
-    def select_straight(
-        self,
-        delta: np.ndarray,
-        diff: np.ndarray,
-        ids: np.ndarray,
-    ) -> np.ndarray:
-        """Algorithm 5 line 3 for blocks ``ids``: min-Δ differing bit.
-
-        ``diff`` is the full ``B×n`` uint8 array ``X ^ T``; the result
-        has one chosen index per entry of ``ids``.  Ties break toward
-        the lowest bit index.
-        """
-
-    @abstractmethod
-    def update_best(
-        self,
-        X: np.ndarray,
-        delta: np.ndarray,
-        energy: np.ndarray,
-        best_energy: np.ndarray,
-        best_x: np.ndarray,
-        ids: np.ndarray,
-    ) -> None:
-        """Incumbent check over all ``n`` exposed neighbours + position.
-
-        Must test the best neighbour (``E + min Δ``) *before* the walk
-        position itself, matching the scalar reference's update order.
-        """
-
-    @abstractmethod
-    def track_position(
-        self,
-        X: np.ndarray,
-        energy: np.ndarray,
-        best_energy: np.ndarray,
-        best_x: np.ndarray,
-        ids: np.ndarray,
-    ) -> None:
-        """Literal Algorithm 5 tracking: visited solutions only."""
-
-    # ------------------------------------------------------------------
-    # Fused hot loop
-    # ------------------------------------------------------------------
     def run_local_steps(
         self,
         pw: PreparedWeights,
@@ -193,23 +116,20 @@ class KernelBackend(ABC):
     ) -> int:
         """Batched Algorithm 4: ``steps`` forced flips for every block.
 
-        Default implementation composes the primitive kernels with one
-        Python iteration per step; JIT backends override it with a
-        fused multi-step kernel.  Mutates all state arrays (including
-        ``offsets``, advanced by ``windows`` each step, mod n) in place
-        and returns the total delta-entry writes (see :meth:`flip`).
+        Each step picks the Figure 2 min-Δ bit inside the block's
+        rotating window (first minimum wins), applies the Eq. (16)
+        refresh, then checks the incumbent: the best neighbour
+        (``E + min Δ``, lowest index on ties) before the position
+        itself.  Mutates all state arrays (including ``offsets``,
+        advanced by ``windows`` each step, mod n) in place and returns
+        the number of delta entries written: ``n`` per flip on the
+        dense path, ``degree(k) + 1`` on the sparse path — the honest
+        work metric behind the ``engine.delta_updates`` counter (the
+        paper's ``evaluated`` exposure metric stays ``flips·n`` either
+        way).
         """
-        n = pw.n
-        B = X.shape[0]
-        ids = np.arange(B)
-        updates = 0
-        for _ in range(steps):
-            ks = self.select_window(delta, offsets, windows)
-            updates += self.flip(pw, X, delta, energy, ids, ks)
-            self.update_best(X, delta, energy, best_energy, best_x, ids)
-            offsets[:] = (offsets + windows) % n
-        return updates
 
+    @abstractmethod
     def run_straight(
         self,
         pw: PreparedWeights,
@@ -226,28 +146,11 @@ class KernelBackend(ABC):
         Each block repeatedly flips its still-differing bit of minimum
         Δ (lowest index on ties) until it equals its row of ``T`` (uint8
         ``B×n``); blocks retire independently.  After every flip the
-        incumbent is updated by :meth:`update_best` (``scan_neighbors``)
-        or :meth:`track_position`.  Mutates the state arrays in place
-        and returns the total delta-entry writes (see :meth:`flip`).
-
-        Default implementation composes the primitive kernels with one
-        Python iteration per flip round; compiled backends override it
-        with one fused call.
+        incumbent is checked as in :meth:`run_local_steps`
+        (``scan_neighbors``) or against the walk position only (the
+        literal Algorithm 5).  Mutates the state arrays in place and
+        returns the delta entries written (see :meth:`run_local_steps`).
         """
-        ids_all = np.arange(X.shape[0])
-        updates = 0
-        while True:
-            diff = X ^ T
-            active = diff.any(axis=1)
-            if not active.any():
-                return updates
-            ids = ids_all[active]
-            ks = self.select_straight(delta, diff, ids)
-            updates += self.flip(pw, X, delta, energy, ids, ks)
-            if scan_neighbors:
-                self.update_best(X, delta, energy, best_energy, best_x, ids)
-            else:
-                self.track_position(X, energy, best_energy, best_x, ids)
 
     def __repr__(self) -> str:
         suffix = f", fallback_from={self.fallback_from!r}" if self.fallback_from else ""

@@ -35,6 +35,9 @@ Two dense weight tiers are chosen automatically by ``prepare_dense``:
   reference (the dominant cost at n = 1024).
 - ``dense_w64`` — the general int64 fallback tier, same fused loop.
 
+Both tiers' kernels are one C text, :data:`_C_DENSE`, instantiated per
+tier with its weight and delta types.
+
 In both dense tiers the weight rows are stored with a **zeroed
 diagonal**: Eq. 16 only touches ``j ≠ k`` and the kernel pre-writes
 ``d[k] = -d_k``, which then survives the fused row add (it gains
@@ -57,10 +60,10 @@ A C compiler is an *optional* dependency: when none is found (or
 fallback lane), :func:`load_bitplane_backend` returns ``None`` — even
 when the compile cache holds a library — and :func:`make_bitplane_backend`
 returns the NumPy reference backend tagged ``fallback_from="bitplane"``
-and warns once per process.  A build that fails is not retried in the
-same process.  The packed-plane helpers (:func:`pack_rows` /
-:func:`unpack_rows` / :func:`hamming_distances`) are plain NumPy and
-always available.
+and with the cause in ``fallback_reason``, and warns once per process.
+A build that fails is not retried in the same process.  The
+packed-plane helpers (:func:`pack_rows` / :func:`unpack_rows`) are
+plain NumPy and always available.
 """
 
 from __future__ import annotations
@@ -71,6 +74,7 @@ import os
 import platform
 import shutil
 import stat
+import string
 import subprocess
 import tempfile
 import warnings
@@ -87,7 +91,6 @@ __all__ = [
     "BitplaneBackend",
     "BitplanePreparedWeights",
     "cc_available",
-    "hamming_distances",
     "load_bitplane_backend",
     "make_bitplane_backend",
     "pack_rows",
@@ -96,13 +99,38 @@ __all__ = [
 
 _warned = False
 
-_C_SOURCE = r"""
+_C_PRELUDE = r"""
 #include <stdint.h>
 #include <string.h>
 
 #define RESTRICT __restrict__
+#define CTZ(m) ((int64_t)__builtin_ctzll(m))
 
-/* Batched Algorithm-4 loops over bit-plane state.
+/* Incumbent update after one flip: the best neighbour (energy + mn at
+ * the first minimum of d) before the position itself, as update_best
+ * does; with scan == 0 the position only, as track_position does. */
+#define STRAIGHT_INCUMBENT(D, MN)                                        \
+    do {                                                                 \
+        if (scan && energy[b] + (int64_t)(MN) < best_e[b]) {             \
+            int64_t pos = 0;                                             \
+            while ((D)[pos] != (MN)) pos++;                              \
+            best_e[b] = energy[b] + (int64_t)(MN);                       \
+            memcpy(bestp + b * nw, xp, (size_t)nw * 8);                  \
+            bestflip[b] = pos;                                           \
+        }                                                                \
+        if (energy[b] < best_e[b]) {                                     \
+            best_e[b] = energy[b];                                       \
+            memcpy(bestp + b * nw, xp, (size_t)nw * 8);                  \
+            bestflip[b] = -1;                                            \
+        }                                                                \
+    } while (0)
+"""
+
+#: The dense kernels of one weight tier, written once: ``${WT}`` weight
+#: rows, ``${DT}`` deltas whose maximum is ``${DMAX}``, exported symbols
+#: suffixed ``_${SFX}``.  Instantiated for each of :data:`_DENSE_TIERS`.
+_C_DENSE = string.Template(r"""
+/* Dense tier ${SFX}: ${WT} weight rows, ${DT} deltas.
  *
  * X is packed little-endian: bit i of block b is bit (i & 63) of word
  * Xp[b*nw + (i >> 6)].  Weight rows arrive with a ZEROED diagonal so
@@ -111,10 +139,11 @@ _C_SOURCE = r"""
  * Compile with -fwrapv: signed wraparound must match numpy exactly.
  */
 
-int64_t bp_local_steps_w16_d32(
-    const int16_t *RESTRICT W,      /* n*n off-diagonal weights, diag zeroed */
+/* Batched Algorithm 4: steps forced flips for every block. */
+int64_t bp_local_steps_${SFX}(
+    const ${WT} *RESTRICT W,      /* n*n off-diagonal weights, diag zeroed */
     uint64_t *RESTRICT Xp,          /* B*nw packed state planes */
-    int32_t  *RESTRICT delta,       /* B*n */
+    ${DT} *RESTRICT delta,        /* B*n */
     int64_t  *RESTRICT energy,      /* B */
     int64_t  *RESTRICT best_e,      /* B */
     uint64_t *RESTRICT bestp,       /* B*nw incumbent snapshot planes */
@@ -125,37 +154,37 @@ int64_t bp_local_steps_w16_d32(
 {
     for (int64_t t = 0; t < steps; t++) {
         for (int64_t b = 0; b < B; b++) {
-            int32_t *RESTRICT d = delta + b * n;
+            ${DT} *RESTRICT d = delta + b * n;
             uint64_t *RESTRICT xp = Xp + b * nw;
             /* Figure 2 windowed min-delta select (first minimum wins). */
             int64_t off = offsets[b], l = windows[b];
             int64_t k = off;
-            int32_t wmin = d[off];
+            ${DT} wmin = d[off];
             for (int64_t j = 1; j < l; j++) {
                 int64_t idx = off + j;
                 if (idx >= n) idx -= n;
                 if (d[idx] < wmin) { wmin = d[idx]; k = idx; }
             }
             /* Eq. 16 flip, fused with the incumbent's min scan. */
-            int32_t dk_old = d[k];
+            ${DT} dk_old = d[k];
             uint64_t kbit = 1ULL << (k & 63);
             int sk = (xp[k >> 6] & kbit) ? -1 : 1;
             xp[k >> 6] ^= kbit;
             d[k] = -dk_old;
             energy[b] += (int64_t)dk_old;
-            const int16_t *RESTRICT row = W + k * n;
-            int32_t mn = INT32_MAX;
+            const ${WT} *RESTRICT row = W + k * n;
+            ${DT} mn = ${DMAX};
             if (sk > 0) {
                 for (int64_t w = 0; w < nw; w++) {
                     uint64_t bits = xp[w];
                     int64_t base = w << 6;
                     int64_t lim = n - base; if (lim > 64) lim = 64;
-                    int32_t *RESTRICT dd = d + base;
-                    const int16_t *RESTRICT rr = row + base;
+                    ${DT} *RESTRICT dd = d + base;
+                    const ${WT} *RESTRICT rr = row + base;
                     for (int64_t j = 0; j < lim; j++) {
-                        int32_t msk = -(int32_t)((bits >> j) & 1);
-                        int32_t r2 = 2 * (int32_t)rr[j];
-                        int32_t v = dd[j] + ((r2 ^ msk) - msk);
+                        ${DT} msk = -(${DT})((bits >> j) & 1);
+                        ${DT} r2 = 2 * (${DT})rr[j];
+                        ${DT} v = dd[j] + ((r2 ^ msk) - msk);
                         dd[j] = v;
                         if (v < mn) mn = v;
                     }
@@ -165,12 +194,12 @@ int64_t bp_local_steps_w16_d32(
                     uint64_t bits = xp[w];
                     int64_t base = w << 6;
                     int64_t lim = n - base; if (lim > 64) lim = 64;
-                    int32_t *RESTRICT dd = d + base;
-                    const int16_t *RESTRICT rr = row + base;
+                    ${DT} *RESTRICT dd = d + base;
+                    const ${WT} *RESTRICT rr = row + base;
                     for (int64_t j = 0; j < lim; j++) {
-                        int32_t msk = -(int32_t)(~(bits >> j) & 1);
-                        int32_t r2 = 2 * (int32_t)rr[j];
-                        int32_t v = dd[j] + ((r2 ^ msk) - msk);
+                        ${DT} msk = -(${DT})(~(bits >> j) & 1);
+                        ${DT} r2 = 2 * (${DT})rr[j];
+                        ${DT} v = dd[j] + ((r2 ^ msk) - msk);
                         dd[j] = v;
                         if (v < mn) mn = v;
                     }
@@ -196,103 +225,9 @@ int64_t bp_local_steps_w16_d32(
     return steps * B * n;
 }
 
-int64_t bp_local_steps_w64(
-    const int64_t *RESTRICT W,      /* n*n off-diagonal weights, diag zeroed */
-    uint64_t *RESTRICT Xp,
-    int64_t  *RESTRICT delta,
-    int64_t  *RESTRICT energy,
-    int64_t  *RESTRICT best_e,
-    uint64_t *RESTRICT bestp,
-    int64_t  *RESTRICT bestflip,
-    int64_t  *RESTRICT offsets,
-    const int64_t *RESTRICT windows,
-    int64_t n, int64_t B, int64_t nw, int64_t steps)
-{
-    for (int64_t t = 0; t < steps; t++) {
-        for (int64_t b = 0; b < B; b++) {
-            int64_t *RESTRICT d = delta + b * n;
-            uint64_t *RESTRICT xp = Xp + b * nw;
-            int64_t off = offsets[b], l = windows[b];
-            int64_t k = off;
-            int64_t wmin = d[off];
-            for (int64_t j = 1; j < l; j++) {
-                int64_t idx = off + j;
-                if (idx >= n) idx -= n;
-                if (d[idx] < wmin) { wmin = d[idx]; k = idx; }
-            }
-            int64_t dk_old = d[k];
-            uint64_t kbit = 1ULL << (k & 63);
-            int sk = (xp[k >> 6] & kbit) ? -1 : 1;
-            xp[k >> 6] ^= kbit;
-            d[k] = -dk_old;
-            energy[b] += dk_old;
-            const int64_t *RESTRICT row = W + k * n;
-            int64_t mn = INT64_MAX;
-            if (sk > 0) {
-                for (int64_t w = 0; w < nw; w++) {
-                    uint64_t bits = xp[w];
-                    int64_t base = w << 6;
-                    int64_t lim = n - base; if (lim > 64) lim = 64;
-                    int64_t *RESTRICT dd = d + base;
-                    const int64_t *RESTRICT rr = row + base;
-                    for (int64_t j = 0; j < lim; j++) {
-                        int64_t msk = -(int64_t)((bits >> j) & 1);
-                        int64_t r2 = rr[j] + rr[j];
-                        int64_t v = dd[j] + ((r2 ^ msk) - msk);
-                        dd[j] = v;
-                        if (v < mn) mn = v;
-                    }
-                }
-            } else {
-                for (int64_t w = 0; w < nw; w++) {
-                    uint64_t bits = xp[w];
-                    int64_t base = w << 6;
-                    int64_t lim = n - base; if (lim > 64) lim = 64;
-                    int64_t *RESTRICT dd = d + base;
-                    const int64_t *RESTRICT rr = row + base;
-                    for (int64_t j = 0; j < lim; j++) {
-                        int64_t msk = -(int64_t)(~(bits >> j) & 1);
-                        int64_t r2 = rr[j] + rr[j];
-                        int64_t v = dd[j] + ((r2 ^ msk) - msk);
-                        dd[j] = v;
-                        if (v < mn) mn = v;
-                    }
-                }
-            }
-            int64_t cand = energy[b] + mn;
-            if (cand < best_e[b]) {
-                int64_t pos = 0;
-                while (d[pos] != mn) pos++;
-                best_e[b] = cand;
-                memcpy(bestp + b * nw, xp, (size_t)nw * 8);
-                bestflip[b] = pos;
-            }
-            if (energy[b] < best_e[b]) {
-                best_e[b] = energy[b];
-                memcpy(bestp + b * nw, xp, (size_t)nw * 8);
-                bestflip[b] = -1;
-            }
-            offsets[b] = (off + l) % n;
-        }
-    }
-    return steps * B * n;
-}
-
-/* Batched Algorithm 5 over bit-plane state.
- *
- * Blocks are independent, so each walks to its target row Tp in turn:
- * flip the still-differing bit (set in xp ^ tp) of minimum delta, the
- * lowest index on ties, until xp == tp.  The dense Eq. 16 row add is
- * fused with two running minima: over still-differing bits (the next
- * k) and over all bits (update_best's neighbour check).  With scan == 0
- * only visited solutions are incumbent candidates (track_position).
- */
-
-#define CTZ(m) ((int64_t)__builtin_ctzll(m))
-
 /* First still-differing bit whose delta equals v; -1 when none. */
-static int64_t diff_find_d32(const int32_t *d, const uint64_t *xp,
-                             const uint64_t *tp, int64_t nw, int32_t v)
+static int64_t diff_find_${SFX}(const ${DT} *d, const uint64_t *xp,
+                             const uint64_t *tp, int64_t nw, ${DT} v)
 {
     for (int64_t w = 0; w < nw; w++)
         for (uint64_t m = xp[w] ^ tp[w]; m; m &= m - 1)
@@ -300,58 +235,28 @@ static int64_t diff_find_d32(const int32_t *d, const uint64_t *xp,
     return -1;
 }
 
-static int64_t diff_find_d64(const int64_t *d, const uint64_t *xp,
-                             const uint64_t *tp, int64_t nw, int64_t v)
-{
-    for (int64_t w = 0; w < nw; w++)
-        for (uint64_t m = xp[w] ^ tp[w]; m; m &= m - 1)
-            if (d[(w << 6) + CTZ(m)] == v) return (w << 6) + CTZ(m);
-    return -1;
-}
-
-static int32_t diff_min_d32(const int32_t *d, const uint64_t *xp,
+/* Minimum delta over the still-differing bits; ${DMAX} when none. */
+static ${DT} diff_min_${SFX}(const ${DT} *d, const uint64_t *xp,
                             const uint64_t *tp, int64_t nw)
 {
-    int32_t mn = INT32_MAX;
+    ${DT} mn = ${DMAX};
     for (int64_t w = 0; w < nw; w++)
         for (uint64_t m = xp[w] ^ tp[w]; m; m &= m - 1)
             if (d[(w << 6) + CTZ(m)] < mn) mn = d[(w << 6) + CTZ(m)];
     return mn;
 }
 
-static int64_t diff_min_d64(const int64_t *d, const uint64_t *xp,
-                            const uint64_t *tp, int64_t nw)
-{
-    int64_t mn = INT64_MAX;
-    for (int64_t w = 0; w < nw; w++)
-        for (uint64_t m = xp[w] ^ tp[w]; m; m &= m - 1)
-            if (d[(w << 6) + CTZ(m)] < mn) mn = d[(w << 6) + CTZ(m)];
-    return mn;
-}
-
-/* Incumbent update after one flip: the best neighbour (energy + mn at
- * the first minimum of d) before the position itself, as update_best
- * does; with scan == 0 the position only, as track_position does. */
-#define STRAIGHT_INCUMBENT(D, MN)                                        \
-    do {                                                                 \
-        if (scan && energy[b] + (int64_t)(MN) < best_e[b]) {             \
-            int64_t pos = 0;                                             \
-            while ((D)[pos] != (MN)) pos++;                              \
-            best_e[b] = energy[b] + (int64_t)(MN);                       \
-            memcpy(bestp + b * nw, xp, (size_t)nw * 8);                  \
-            bestflip[b] = pos;                                           \
-        }                                                                \
-        if (energy[b] < best_e[b]) {                                     \
-            best_e[b] = energy[b];                                       \
-            memcpy(bestp + b * nw, xp, (size_t)nw * 8);                  \
-            bestflip[b] = -1;                                            \
-        }                                                                \
-    } while (0)
-
-int64_t bp_straight_w16_d32(
-    const int16_t *RESTRICT W,      /* n*n off-diagonal weights, diag zeroed */
+/* Batched Algorithm 5.  Blocks are independent, so each walks to its
+ * target row Tp in turn: flip the still-differing bit (set in xp ^ tp)
+ * of minimum delta, the lowest index on ties, until xp == tp.  The
+ * Eq. 16 row add is fused with two running minima: over still-differing
+ * bits (the next k) and over all bits (update_best's neighbour check).
+ * With scan == 0 only visited solutions are incumbent candidates
+ * (track_position). */
+int64_t bp_straight_${SFX}(
+    const ${WT} *RESTRICT W,      /* n*n off-diagonal weights, diag zeroed */
     uint64_t *RESTRICT Xp,          /* B*nw packed state planes */
-    int32_t  *RESTRICT delta,       /* B*n */
+    ${DT} *RESTRICT delta,        /* B*n */
     const uint64_t *RESTRICT Tp,    /* B*nw packed target planes */
     int64_t  *RESTRICT energy,
     int64_t  *RESTRICT best_e,
@@ -361,97 +266,54 @@ int64_t bp_straight_w16_d32(
 {
     int64_t flips = 0;
     for (int64_t b = 0; b < B; b++) {
-        int32_t *RESTRICT d = delta + b * n;
+        ${DT} *RESTRICT d = delta + b * n;
         uint64_t *RESTRICT xp = Xp + b * nw;
         const uint64_t *RESTRICT tp = Tp + b * nw;
-        int64_t k = diff_find_d32(d, xp, tp, nw, diff_min_d32(d, xp, tp, nw));
+        int64_t k = diff_find_${SFX}(d, xp, tp, nw, diff_min_${SFX}(d, xp, tp, nw));
         while (k >= 0) {
-            int32_t dk_old = d[k];
+            ${DT} dk_old = d[k];
             uint64_t kbit = 1ULL << (k & 63);
             int neg = (xp[k >> 6] & kbit) != 0;     /* s_k = -1 */
             xp[k >> 6] ^= kbit;
             d[k] = -dk_old;
             energy[b] += (int64_t)dk_old;
             flips++;
-            const int16_t *RESTRICT row = W + k * n;
-            int32_t mn = INT32_MAX, dmn = INT32_MAX;
+            const ${WT} *RESTRICT row = W + k * n;
+            ${DT} mn = ${DMAX}, dmn = ${DMAX};
             for (int64_t w = 0; w < nw; w++) {
                 uint64_t bits = neg ? ~xp[w] : xp[w];
                 uint64_t dbits = xp[w] ^ tp[w];
                 int64_t base = w << 6;
                 int64_t lim = n - base; if (lim > 64) lim = 64;
-                int32_t *RESTRICT dd = d + base;
-                const int16_t *RESTRICT rr = row + base;
+                ${DT} *RESTRICT dd = d + base;
+                const ${WT} *RESTRICT rr = row + base;
                 for (int64_t j = 0; j < lim; j++) {
-                    int32_t msk = -(int32_t)((bits >> j) & 1);
-                    int32_t r2 = 2 * (int32_t)rr[j];
-                    int32_t v = dd[j] + ((r2 ^ msk) - msk);
+                    ${DT} msk = -(${DT})((bits >> j) & 1);
+                    ${DT} r2 = 2 * (${DT})rr[j];
+                    ${DT} v = dd[j] + ((r2 ^ msk) - msk);
                     dd[j] = v;
                     if (v < mn) mn = v;
-                    int32_t dm = -(int32_t)((dbits >> j) & 1);
-                    int32_t dv = (v & dm) | (INT32_MAX & ~dm);  /* blend: vectorizes */
+                    ${DT} dm = -(${DT})((dbits >> j) & 1);
+                    ${DT} dv = (v & dm) | (${DMAX} & ~dm);  /* blend: vectorizes */
                     if (dv < dmn) dmn = dv;
                 }
             }
             STRAIGHT_INCUMBENT(d, mn);
-            k = diff_find_d32(d, xp, tp, nw, dmn);
+            k = diff_find_${SFX}(d, xp, tp, nw, dmn);
         }
     }
     return flips * n;
 }
+""")
 
-int64_t bp_straight_w64(
-    const int64_t *RESTRICT W,      /* n*n off-diagonal weights, diag zeroed */
-    uint64_t *RESTRICT Xp,
-    int64_t  *RESTRICT delta,
-    const uint64_t *RESTRICT Tp,
-    int64_t  *RESTRICT energy,
-    int64_t  *RESTRICT best_e,
-    uint64_t *RESTRICT bestp,
-    int64_t  *RESTRICT bestflip,
-    int64_t n, int64_t B, int64_t nw, int64_t scan)
-{
-    int64_t flips = 0;
-    for (int64_t b = 0; b < B; b++) {
-        int64_t *RESTRICT d = delta + b * n;
-        uint64_t *RESTRICT xp = Xp + b * nw;
-        const uint64_t *RESTRICT tp = Tp + b * nw;
-        int64_t k = diff_find_d64(d, xp, tp, nw, diff_min_d64(d, xp, tp, nw));
-        while (k >= 0) {
-            int64_t dk_old = d[k];
-            uint64_t kbit = 1ULL << (k & 63);
-            int neg = (xp[k >> 6] & kbit) != 0;
-            xp[k >> 6] ^= kbit;
-            d[k] = -dk_old;
-            energy[b] += dk_old;
-            flips++;
-            const int64_t *RESTRICT row = W + k * n;
-            int64_t mn = INT64_MAX, dmn = INT64_MAX;
-            for (int64_t w = 0; w < nw; w++) {
-                uint64_t bits = neg ? ~xp[w] : xp[w];
-                uint64_t dbits = xp[w] ^ tp[w];
-                int64_t base = w << 6;
-                int64_t lim = n - base; if (lim > 64) lim = 64;
-                int64_t *RESTRICT dd = d + base;
-                const int64_t *RESTRICT rr = row + base;
-                for (int64_t j = 0; j < lim; j++) {
-                    int64_t msk = -(int64_t)((bits >> j) & 1);
-                    int64_t r2 = rr[j] + rr[j];
-                    int64_t v = dd[j] + ((r2 ^ msk) - msk);
-                    dd[j] = v;
-                    if (v < mn) mn = v;
-                    int64_t dm = -(int64_t)((dbits >> j) & 1);
-                    int64_t dv = (v & dm) | (INT64_MAX & ~dm);
-                    if (dv < dmn) dmn = dv;
-                }
-            }
-            STRAIGHT_INCUMBENT(d, mn);
-            k = diff_find_d64(d, xp, tp, nw, dmn);
-        }
-    }
-    return flips * n;
-}
+#: ``(WT, DT, DMAX, SFX)`` for each dense tier :data:`_C_DENSE` is
+#: instantiated for (see ``prepare_dense`` for when each applies).
+_DENSE_TIERS = (
+    ("int16_t", "int32_t", "INT32_MAX", "w16_d32"),
+    ("int64_t", "int64_t", "INT64_MAX", "w64"),
+)
 
+_C_SPARSE = r"""
 /* Sparse (CSR) kernels: one delta minimum per 64-bit plane word.
  *
  * A flip writes only degree(k) + 1 deltas, so these kernels never
@@ -728,6 +590,11 @@ int64_t bp_straight_sparse(
 }
 """
 
+_C_SOURCE = _C_PRELUDE + "".join(
+    _C_DENSE.substitute(WT=wt, DT=dt, DMAX=dmax, SFX=sfx)
+    for wt, dt, dmax, sfx in _DENSE_TIERS
+) + _C_SPARSE
+
 #: ``variant -> (run_local_steps kernel, run_straight kernel)``.
 _KERNELS = {
     "dense_w16_d32": ("bp_local_steps_w16_d32", "bp_straight_w16_d32"),
@@ -764,17 +631,6 @@ def unpack_rows(planes: np.ndarray, n: int) -> np.ndarray:
     return np.unpackbits(
         planes.view(np.uint8), axis=-1, bitorder="little", count=n
     )
-
-
-def hamming_distances(planes_a: np.ndarray, planes_b: np.ndarray) -> np.ndarray:
-    """Per-row Hamming distance between packed states: XOR + popcount.
-
-    This is the Algorithm 5 straight-search distance (= the exact flip
-    count ``straight_to`` performs per block) computed on bit planes in
-    ``⌈n/64⌉`` word operations instead of ``n`` byte compares.
-    """
-    diff = np.bitwise_xor(planes_a, planes_b)
-    return np.bitwise_count(diff).sum(axis=-1, dtype=np.int64)
 
 
 # --------------------------------------------------------------------------
@@ -974,17 +830,29 @@ def load_bitplane_backend() -> BitplaneBackend | None:
     return BitplaneBackend()
 
 
+def _unavailable_reason() -> str:
+    """Why :func:`load_bitplane_backend` gave ``None``: the compiler is
+    masked, there is none, or the build failed."""
+    if os.environ.get("REPRO_NO_CC", ""):
+        return "REPRO_NO_CC is set"
+    if _find_cc() is None:
+        return "no C compiler found ($CC, cc, gcc or clang)"
+    return f"the kernel build failed: {BitplaneBackend._build_error}"
+
+
 def make_bitplane_backend() -> KernelBackend:
-    """The ``bitplane`` registry factory: compiled backend or tagged fallback."""
+    """What the name ``bitplane`` resolves to: the compiled backend, or
+    the NumPy one tagged with ``fallback_from`` and ``fallback_reason``."""
     global _warned
     backend = load_bitplane_backend()
     if backend is not None:
         return backend
+    reason = _unavailable_reason()
     if not _warned:
         _warned = True
         warnings.warn(
-            "backend 'bitplane' requested but no working C compiler is "
-            "available; falling back to the NumPy reference backend "
+            f"backend 'bitplane' requested but its C kernels are unavailable "
+            f"({reason}); falling back to the NumPy reference backend "
             "(install cc/gcc/clang, or unset REPRO_NO_CC, to enable the "
             "compiled bit-plane kernels)",
             RuntimeWarning,
@@ -992,6 +860,7 @@ def make_bitplane_backend() -> KernelBackend:
         )
     fallback = NumpyBackend()
     fallback.fallback_from = "bitplane"
+    fallback.fallback_reason = reason
     return fallback
 
 
@@ -1022,17 +891,15 @@ class BitplanePreparedWeights(PreparedWeights):
     planes: _Planes | None = None
 
 
-class BitplaneBackend(NumpyBackend):
+class BitplaneBackend(KernelBackend):
     """Packed-state backend with C-compiled ``run_local_steps`` and
     ``run_straight``.
 
     Both walks — the Algorithm 4 multi-step loop and the Algorithm 5
-    straight walk — run on packed planes in one C call each; the
-    primitive kernels (``flip``/``select_*``/``update_best``/
-    ``track_position``) stay the NumPy reference's, which nothing on
-    the engine's hot path calls any more.  State is packed on entry and
-    unpacked on exit of each call, an O(B·n/8) conversion amortized
-    over every fused flip of the call.
+    straight walk — run on packed planes in one C call each.  State is
+    packed on entry and unpacked on exit of each call, an O(B·n/8)
+    conversion amortized over every fused flip of the call.  The walks
+    take only weights from this backend's own ``prepare_*``.
     """
 
     name = "bitplane"
@@ -1094,6 +961,20 @@ class BitplaneBackend(NumpyBackend):
             planes=planes,
         )
 
+    @staticmethod
+    def _planes(pw: PreparedWeights) -> _Planes:
+        """The kernel artifacts of ``pw``; ``TypeError`` for weights that
+        did not come from a bitplane ``prepare_*`` (their layout is
+        unknown)."""
+        planes = getattr(pw, "planes", None)
+        if planes is None:
+            raise TypeError(
+                "the bitplane backend needs weights from its own prepare_dense"
+                f"/prepare_sparse, got {type(pw).__name__} (prepared= must come "
+                "from an engine over the same weights and backend)"
+            )
+        return planes
+
     def _call(
         self, fn: Any, pw: PreparedWeights, Xp: np.ndarray, delta: np.ndarray,
         *rest: Any,
@@ -1133,13 +1014,9 @@ class BitplaneBackend(NumpyBackend):
         windows: np.ndarray,
         steps: int,
     ) -> int:
-        planes = getattr(pw, "planes", None)
-        if steps == 0 or planes is None:
-            # Foreign PreparedWeights (not from our prepare_*): run the
-            # reference composition rather than guessing a layout.
-            return super().run_local_steps(
-                pw, X, delta, energy, best_energy, best_x, offsets, windows, steps
-            )
+        planes = self._planes(pw)
+        if steps == 0:
+            return 0
         n, nw, B = pw.n, planes.nw, int(X.shape[0])
         Xp = pack_rows(X, nw)
         bestp = np.zeros((B, nw), dtype=np.uint64)
@@ -1171,11 +1048,7 @@ class BitplaneBackend(NumpyBackend):
         best_x: np.ndarray,
         scan_neighbors: bool,
     ) -> int:
-        planes = getattr(pw, "planes", None)
-        if planes is None:
-            return super().run_straight(
-                pw, X, T, delta, energy, best_energy, best_x, scan_neighbors
-            )
+        planes = self._planes(pw)
         n, nw, B = pw.n, planes.nw, int(X.shape[0])
         Xp = pack_rows(X, nw)
         Tp = pack_rows(T, nw)

@@ -16,7 +16,7 @@ runs only ``2^n_low`` times.
 outer loop (``DecompositionConfig.exact_below``): subproblems at or
 below the threshold are solved to proven optimality instead of by a
 cold inner ABS run.  It is an exact solver, not a step kernel, so it
-is not a registered engine backend.
+is not an engine backend.
 """
 
 from __future__ import annotations

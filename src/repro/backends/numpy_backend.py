@@ -1,11 +1,28 @@
 """The NumPy reference backend — the semantics every backend is pinned to.
 
-These kernels are the original :class:`BulkSearchEngine` implementations
-extracted behind :class:`~repro.backends.base.KernelBackend`: fully
-vectorized over blocks, one Python-level iteration per forced flip in
-:meth:`run_local_steps` (inherited from the base class).  Always
-available; the differential-equivalence suite treats it as ground truth
-against the scalar Algorithm 4/5 references.
+The two walks of :class:`~repro.backends.base.KernelBackend` are composed
+here from five primitive kernels, each the batched analogue of one paper
+construct:
+
+==================  =====================================================
+kernel              paper anchor
+==================  =====================================================
+``flip``            Eq. (16) delta refresh (dense row add / sparse
+                    scatter over the flipped bit's neighbours)
+``select_window``   Figure 2 windowed min-Δ selection (rotating offset,
+                    per-block window ``l``)
+``select_straight`` Algorithm 5 line 3: min-Δ over still-differing bits
+``update_best``     Algorithm 4's inner ``E(X) + d_i < E(B)`` incumbent
+                    check over all ``n`` exposed neighbours
+``track_position``  the literal Algorithm 5 variant that only considers
+                    visited solutions
+==================  =====================================================
+
+Each primitive is fully vectorized over blocks; the walks take one
+Python-level iteration per forced flip (:meth:`run_local_steps`) or per
+flip round (:meth:`run_straight`).  Always available; the
+differential-equivalence suite treats it as ground truth against the
+scalar Algorithm 4/5 references.
 """
 
 from __future__ import annotations
@@ -23,6 +40,64 @@ class NumpyBackend(KernelBackend):
     name = "numpy"
 
     # ------------------------------------------------------------------
+    # The two walks, composed from the primitives
+    # ------------------------------------------------------------------
+    def run_local_steps(
+        self,
+        pw: PreparedWeights,
+        X: np.ndarray,
+        delta: np.ndarray,
+        energy: np.ndarray,
+        best_energy: np.ndarray,
+        best_x: np.ndarray,
+        offsets: np.ndarray,
+        windows: np.ndarray,
+        steps: int,
+    ) -> int:
+        """Algorithm 4 as one Python iteration per step: select, flip,
+        incumbent check, offset advance (see the base class)."""
+        n = pw.n
+        B = X.shape[0]
+        ids = np.arange(B)
+        updates = 0
+        for _ in range(steps):
+            ks = self.select_window(delta, offsets, windows)
+            updates += self.flip(pw, X, delta, energy, ids, ks)
+            self.update_best(X, delta, energy, best_energy, best_x, ids)
+            offsets[:] = (offsets + windows) % n
+        return updates
+
+    def run_straight(
+        self,
+        pw: PreparedWeights,
+        X: np.ndarray,
+        T: np.ndarray,
+        delta: np.ndarray,
+        energy: np.ndarray,
+        best_energy: np.ndarray,
+        best_x: np.ndarray,
+        scan_neighbors: bool,
+    ) -> int:
+        """Algorithm 5 as one Python iteration per flip round over the
+        still-active blocks: select, flip, then :meth:`update_best`
+        (``scan_neighbors``) or :meth:`track_position` (see the base
+        class)."""
+        ids_all = np.arange(X.shape[0])
+        updates = 0
+        while True:
+            diff = X ^ T
+            active = diff.any(axis=1)
+            if not active.any():
+                return updates
+            ids = ids_all[active]
+            ks = self.select_straight(delta, diff, ids)
+            updates += self.flip(pw, X, delta, energy, ids, ks)
+            if scan_neighbors:
+                self.update_best(X, delta, energy, best_energy, best_x, ids)
+            else:
+                self.track_position(X, energy, best_energy, best_x, ids)
+
+    # ------------------------------------------------------------------
     # Eq. (16) flip
     # ------------------------------------------------------------------
     def flip(
@@ -34,6 +109,12 @@ class NumpyBackend(KernelBackend):
         ids: np.ndarray,
         ks: np.ndarray,
     ) -> int:
+        """Flip bit ``ks[i]`` of block ``ids[i]`` for all i (Eq. 16).
+
+        Mutates ``X``/``delta``/``energy`` in place and returns the
+        number of delta entries written: ``m·n`` dense, ``Σ (degree(k_i)
+        + 1)`` sparse.
+        """
         if pw.is_sparse:
             return self._flip_sparse(pw, X, delta, energy, ids, ks)
         W = pw.dense
@@ -110,6 +191,11 @@ class NumpyBackend(KernelBackend):
         offsets: np.ndarray,
         windows: np.ndarray,
     ) -> np.ndarray:
+        """Figure 2: per-block min-Δ bit inside the rotating window.
+
+        Ties break toward the *earliest lane* (lowest offset distance),
+        exactly like ``np.argmin`` over the windowed extract.
+        """
         B, n = delta.shape
         ids = np.arange(B)
         l_max = int(windows.max())
@@ -125,6 +211,8 @@ class NumpyBackend(KernelBackend):
         diff: np.ndarray,
         ids: np.ndarray,
     ) -> np.ndarray:
+        """Algorithm 5 line 3 for blocks ``ids``: the min-Δ bit set in
+        ``diff`` (``X ^ T``, all ``B`` rows), lowest index on ties."""
         masked = np.where(diff[ids].astype(bool), delta[ids], _INT64_MAX)
         return masked.argmin(axis=1)
 
@@ -140,6 +228,9 @@ class NumpyBackend(KernelBackend):
         best_x: np.ndarray,
         ids: np.ndarray,
     ) -> None:
+        """Incumbent check over all ``n`` exposed neighbours, then the
+        position: the best neighbour is tested first, matching the
+        scalar reference's update order."""
         sub_delta = delta[ids]
         pos = sub_delta.argmin(axis=1)
         cand = energy[ids] + sub_delta[np.arange(len(ids)), pos]
@@ -163,6 +254,7 @@ class NumpyBackend(KernelBackend):
         best_x: np.ndarray,
         ids: np.ndarray,
     ) -> None:
+        """Literal Algorithm 5 tracking: visited solutions only."""
         at_pos = energy[ids] < best_energy[ids]
         rid = ids[at_pos]
         best_energy[rid] = energy[rid]

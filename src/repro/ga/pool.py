@@ -213,9 +213,7 @@ class SolutionPool:
     def _near_indices(self, key: bytes) -> np.ndarray:
         """Sorted positions of entries closer than ``min_distance``.
 
-        XOR/popcount over the cached ``np.packbits`` rows — the PR 6
-        bit-plane idiom (:func:`repro.backends.bitplane
-        .hamming_distances`) on the pool's own packed keys.  Exact
+        XOR/popcount over the pool's own ``np.packbits`` keys.  Exact
         duplicates never reach this check (the key set catches them).
         """
         cand = np.frombuffer(key, dtype=np.uint8)

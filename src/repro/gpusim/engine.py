@@ -192,7 +192,7 @@ class BulkSearchEngine:
                 "backend.fallback",
                 requested=self.backend.fallback_from,
                 using=self.backend.name,
-                reason=f"backend {self.backend.fallback_from!r} not importable",
+                reason=self.backend.fallback_reason,
             )
 
     @property

@@ -1,13 +1,15 @@
 """Bit-plane backend: packing helpers, tiers, fallback, exactness.
 
-The registry-wide differential suite (``test_equivalence.py``) already
-pins ``bitplane`` step-for-step against the scalar references via the
+The differential suite (``test_equivalence.py``) already pins
+``bitplane`` step-for-step against the scalar references via the
 ``available_backends()`` parametrization; this module covers what that
-sweep cannot: the packed-plane helper algebra, the ``REPRO_NO_CC``
-fallback lane, dtype-tier selection including the forced int64 tier,
-explicit single-step lockstep runs of both dense tiers and the sparse
-CSR kernel, and the CSR kernels' per-word Δ minima: ties, ragged sizes,
-a raised word minimum, and prepared weights shared across engines.
+sweep cannot: the packed-plane helper algebra, the fallback lane and
+the cause it reports (``REPRO_NO_CC``, no compiler, a failed build),
+the refusal of another backend's prepared weights, dtype-tier selection
+including the forced int64 tier, explicit single-step lockstep runs of
+both dense tiers and the sparse CSR kernel, and the CSR kernels'
+per-word Δ minima: ties, ragged sizes, a raised word minimum, and
+prepared weights shared across engines.
 """
 
 import warnings
@@ -20,7 +22,6 @@ from repro.backends import NumpyBackend, resolve_backend
 from repro.backends.bitplane import (
     BitplaneBackend,
     cc_available,
-    hamming_distances,
     make_bitplane_backend,
     pack_rows,
     unpack_rows,
@@ -58,17 +59,6 @@ class TestPackedPlanes:
         x = np.ones((2, 70), dtype=np.uint8)
         planes = pack_rows(x)
         assert planes[0, 1] == (1 << (70 - 64)) - 1
-
-    @pytest.mark.parametrize("n", [1, 64, 100, 257])
-    def test_hamming_matches_unpacked_xor(self, n):
-        rng = np.random.default_rng(n + 1)
-        X = rng.integers(0, 2, (9, n), dtype=np.uint8)
-        target = rng.integers(0, 2, (n,), dtype=np.uint8)
-        got = hamming_distances(pack_rows(X), pack_rows(target[None, :]))
-        expected = (X ^ target).sum(axis=1)
-        assert np.array_equal(got, expected)
-        # The distance IS the straight-search flip count (Algorithm 5).
-        assert got.dtype == np.int64
 
 
 class TestFallback:
@@ -108,11 +98,14 @@ class TestFallback:
         assert len(events) == 1
         assert events[0].fields["requested"] == "bitplane"
         assert events[0].fields["using"] == "numpy"
+        assert events[0].fields["reason"] == "REPRO_NO_CC is set"
         for record in sink.records():
             validate_record(record)
 
-    def test_failed_build_is_not_retried(self, monkeypatch, tmp_path):
-        # A compiler that exists but cannot build: every spawn is counted.
+    @pytest.fixture
+    def broken_cc(self, monkeypatch, tmp_path):
+        """A compiler that exists but cannot build, and a counter of its
+        spawns; nothing loaded or failed yet in this process."""
         log = tmp_path / "calls"
         cc = tmp_path / "broken-cc"
         cc.write_text(f'#!/bin/sh\necho "$@" >> {log}\nexit 1\n')
@@ -127,6 +120,10 @@ class TestFallback:
         def spawns() -> int:
             return len(log.read_text().splitlines()) if log.exists() else 0
 
+        return spawns
+
+    def test_failed_build_is_not_retried(self, broken_cc):
+        spawns = broken_cc
         assert type(resolve_backend("auto")) is NumpyBackend
         assert spawns() == 3  # --version, then both flag sets
         with pytest.warns(RuntimeWarning, match="falling back"):
@@ -136,6 +133,22 @@ class TestFallback:
         assert spawns() == 3
         with pytest.raises(RuntimeError, match="compilation failed"):
             BitplaneBackend.ensure_compiled()
+
+    def test_reason_names_a_failed_build(self, broken_cc):
+        with pytest.warns(RuntimeWarning, match="kernel build failed"):
+            backend = make_bitplane_backend()
+        assert backend.fallback_reason.startswith(
+            "the kernel build failed: bit-plane kernel compilation failed"
+        )
+
+    def test_reason_names_a_missing_compiler(self, monkeypatch, tmp_path):
+        monkeypatch.delenv("REPRO_NO_CC", raising=False)
+        monkeypatch.delenv("CC", raising=False)
+        monkeypatch.setenv("PATH", str(tmp_path))  # holds no compiler
+        monkeypatch.setattr(bp_mod, "_warned", False)
+        with pytest.warns(RuntimeWarning, match="no C compiler found"):
+            backend = make_bitplane_backend()
+        assert backend.fallback_reason == "no C compiler found ($CC, cc, gcc or clang)"
 
     def test_fallback_still_solves(self, masked):
         from repro.api import solve
@@ -147,6 +160,27 @@ class TestFallback:
                 backend="bitplane",
             )
         assert res.best_energy <= 0
+
+
+@needs_cc
+class TestForeignPreparedWeights:
+    """``prepared=`` from another backend is refused, never run on a
+    guessed layout."""
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    def test_numpy_prepared_weights_raise(self, sparse):
+        g = random_graph(40, 120, weighted=True, seed=3)
+        weights = maxcut_to_sparse_qubo(g) if sparse else maxcut_to_qubo(g)
+        donor = BulkSearchEngine(weights, 2, backend="numpy")
+        eng = BulkSearchEngine(
+            weights, 2, backend=BitplaneBackend(), prepared=donor.prepared
+        )
+        with pytest.raises(TypeError, match="its own prepare_dense"):
+            eng.local_steps(3)
+        with pytest.raises(TypeError, match="its own prepare_dense"):
+            eng.local_steps(0)
+        with pytest.raises(TypeError, match="its own prepare_dense"):
+            eng.straight_to(np.ones((2, weights.n), dtype=np.uint8))
 
 
 @needs_cc

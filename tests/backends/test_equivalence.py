@@ -11,10 +11,11 @@ the expected trajectory per block from those primitives, comparing
 ``X``/``delta``/``energy``/``best_x``/``best_energy``/counters exactly
 (int64 arithmetic: no tolerances anywhere).
 
-Parametrized over the registry, so a newly registered backend is pinned
-automatically.  On machines without a C compiler, the ``bitplane`` name
-resolves to the tagged numpy fallback — the fallback lane is then what
-gets pinned, which is exactly what production would run.
+Parametrized over :func:`~repro.backends.available_backends`, so a
+backend added to that table is pinned automatically.  On machines
+without a C compiler, the ``bitplane`` name resolves to the tagged numpy
+fallback — the fallback lane is then what gets pinned, which is exactly
+what production would run.
 """
 
 import warnings
@@ -160,11 +161,14 @@ def _straight_problem(kind):
         # Unweighted MaxCut at average degree 4: Δ ties everywhere, so
         # the CSR kernel's per-word minima must yield the lowest index.
         return maxcut_to_sparse_qubo(random_graph(130, 260, seed=44))
-    if kind == "ties":
+    if kind in ("ties", "wide-ties"):
         # Weights in {-2, ..., 2}: Δ ties everywhere, so the lowest
-        # index must win at every straight-search step.
+        # index must win at every straight-search step.  Scaled beyond
+        # int16 ("wide-ties"), the same ties run on the int64 tier.
         rng = np.random.default_rng(29)
         W = np.triu(rng.integers(-2, 3, (130, 130)))
+        if kind == "wide-ties":
+            W = W * 2**15
         return QuboMatrix(W + np.triu(W, 1).T, check=False)
     q = QuboMatrix.random(130, seed=37)
     if kind == "wide":  # off-diagonals beyond int16: the int64 tier
@@ -175,7 +179,7 @@ def _straight_problem(kind):
 #: The bitplane kernel tier each straight-search problem selects.
 _TIERS = {
     "int16": "dense_w16_d32", "wide": "dense_w64", "ties": "dense_w16_d32",
-    "sparse": "sparse_w64", "sparse-ties": "sparse_w64",
+    "wide-ties": "dense_w64", "sparse": "sparse_w64", "sparse-ties": "sparse_w64",
 }
 
 
@@ -185,7 +189,9 @@ class TestStraightTiers:
     bits away (every bit differs) and at a random target."""
 
     @pytest.mark.parametrize("scan_neighbors", [True, False])
-    @pytest.mark.parametrize("kind", ["int16", "wide", "ties", "sparse", "sparse-ties"])
+    @pytest.mark.parametrize(
+        "kind", ["int16", "wide", "ties", "wide-ties", "sparse", "sparse-ties"]
+    )
     def test_matches_scalar_and_numpy(self, backend, kind, scan_neighbors, rng):
         weights = _straight_problem(kind)
         n = weights.n
@@ -209,7 +215,7 @@ class TestStraightTiers:
             start[2] ^ 1,
             rng.integers(0, 2, n, dtype=np.uint8),
         ])
-        if kind in ("ties", "sparse-ties"):
+        if kind in ("ties", "wide-ties", "sparse-ties"):
             assert (eng.delta[2] == eng.delta[2].min()).sum() > 1
         scalar = []
         for b in range(4):

@@ -1,4 +1,4 @@
-"""Registry, resolution, env override, and fallback behaviour."""
+"""Backend names, resolution, env override, and fallback behaviour."""
 
 import warnings
 
@@ -15,10 +15,8 @@ from repro.backends import (
     available_backends,
     cc_available,
     get_backend,
-    register_backend,
     resolve_backend,
 )
-from repro.backends import _REGISTRY
 from repro.gpusim import BulkSearchEngine
 from repro.qubo import QuboMatrix
 from repro.telemetry import MemorySink, TelemetryBus
@@ -37,25 +35,6 @@ class TestRegistry:
 
     def test_get_backend_returns_fresh_instances(self):
         assert get_backend("numpy") is not get_backend("numpy")
-
-    def test_register_custom_backend(self):
-        class Custom(NumpyBackend):
-            name = "custom-test"
-
-        register_backend("custom-test", Custom)
-        try:
-            assert "custom-test" in available_backends()
-            assert resolve_backend("custom-test").name == "custom-test"
-        finally:
-            del _REGISTRY["custom-test"]
-
-    def test_register_rejects_bad_names(self):
-        with pytest.raises(ValueError):
-            register_backend("", NumpyBackend)
-        with pytest.raises(ValueError):
-            register_backend(None, NumpyBackend)
-        with pytest.raises(ValueError, match="'auto'"):
-            register_backend(AUTO_BACKEND, NumpyBackend)
 
     def test_auto_is_not_listed(self):
         # The equivalence and property suites parametrize over this list;
@@ -168,3 +147,13 @@ class TestInterfaceContract:
                 backend = get_backend(name)
             assert isinstance(backend, KernelBackend)
             assert backend.name  # non-empty display name
+
+    def test_the_contract_is_the_two_walks(self):
+        # The engine calls prepare_* once and the two walks after that;
+        # the numpy primitives are that backend's own business.
+        assert KernelBackend.__abstractmethods__ == {"run_local_steps", "run_straight"}
+        for attr in ("prepare_dense", "prepare_sparse"):
+            assert attr in vars(KernelBackend)
+
+    def test_bitplane_inherits_nothing_from_numpy(self):
+        assert NumpyBackend not in bp_mod.BitplaneBackend.__mro__
