@@ -14,9 +14,9 @@ test-fast:              ## skip the slow example subprocess smoke tests
 test-process:           ## only the multiprocessing (worker supervision) tests
 	pytest -m process tests/
 
-test-backends:          ## backend suite: as-installed, with the C compiler masked (plus the determinism contracts, so the default auto backend is run on its numpy path too), then twice on one fresh TMPDIR (compile, then load from the kernel cache)
+test-backends:          ## backend suite: as-installed, with the C compiler masked (plus the determinism contracts and the sync ledger, so the default auto backend is run on its numpy path too), then twice on one fresh TMPDIR (compile, then load from the kernel cache)
 	pytest tests/backends -q
-	REPRO_NO_CC=1 pytest tests/backends tests/test_determinism.py \
+	REPRO_NO_CC=1 pytest tests/backends tests/test_determinism.py tests/abs/test_sync_ledger.py \
 		tests/abs/test_transport_determinism.py tests/service/test_service_determinism.py -q
 	tmp=$$(mktemp -d) && TMPDIR=$$tmp pytest tests/backends -q && TMPDIR=$$tmp pytest tests/backends -q; \
 		rc=$$?; rm -rf "$$tmp"; exit $$rc

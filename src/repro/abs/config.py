@@ -91,8 +91,8 @@ class AbsConfig:
     time_limit:
         Wall-clock budget in seconds.
     max_rounds:
-        Round-count budget (sync mode; in process mode it bounds the
-        host's polling loop).
+        Round budget: the number of device batches the host absorbs,
+        summed over devices, in either mode.
     seed:
         Root seed for every random stream in the run.
     max_worker_restarts:

@@ -8,7 +8,9 @@ stalled workers, and the host-side shared-memory weight segments.
 Every worker runs :func:`_fleet_worker_main`: a control loop that
 accepts ``WorkerJob`` frames over a per-worker control queue, re-arms
 the exchange endpoint under the job's epoch token, and runs the device
-rounds until the next frame (or shutdown) arrives.
+rounds until the next frame (or shutdown) arrives.  On the host side,
+:class:`FleetDevices` hands one job's workers to the host loop that
+sync mode runs too (:func:`~repro.abs.host.run_search_rounds`).
 
 Two callers share one fleet implementation:
 
@@ -48,14 +50,13 @@ frame — a replacement can never resurrect the previous job.
 
 from __future__ import annotations
 
-import math
 import queue as queue_mod
 import threading
 import time
 from collections import OrderedDict
 from multiprocessing import resource_tracker
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from dataclasses import dataclass, replace
+from typing import Any
 
 import numpy as np
 
@@ -63,12 +64,12 @@ from repro.abs.buffers import SharedWeights
 from repro.abs.config import AbsConfig
 from repro.abs.device import DevicePlan, DeviceSimulator
 from repro.abs.exchange import (
+    ResultBatch,
     make_host_transport,
     open_worker_endpoint,
     resolve_exchange,
 )
 from repro.abs.host import Host
-from repro.abs.result import SolveResult
 from repro.abs.supervisor import WorkerSupervisor
 from repro.telemetry.bus import NULL_BUS, NullBus, RelayBus, TelemetryBus
 
@@ -94,11 +95,6 @@ def encode_token(job_seq: int, incarnation: int) -> int:
 def decode_token(token: int) -> tuple[int, int]:
     """``token -> (job_seq, incarnation)``; inverse of :func:`encode_token`."""
     return divmod(int(token), JOB_STRIDE)
-
-
-def _merge_counts(into: dict[str, int], add: dict[str, int]) -> None:
-    for key, value in add.items():
-        into[key] = into.get(key, 0) + int(value)
 
 
 def _resolve_start_method(requested: str | None) -> str:
@@ -410,8 +406,8 @@ class WorkerFleet:
         self.jobs_armed = 0
         #: Jobs whose weights came from the digest-keyed segment cache.
         self.weights_hits = 0
-        # (restarts, lost, transport stats) when the previous job ended.
-        self._job_mark: tuple[int, int, dict[str, int]] = (0, 0, {})
+        # take_job_stats() totals when the previous job ended.
+        self._job_mark: dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # Identity
@@ -627,8 +623,9 @@ class WorkerFleet:
                 payload.setdefault("device", wid)
                 bus.emit(name, **payload)
 
-    def take_job_stats(self) -> tuple[int, int, dict[str, int]]:
-        """``(restarts, lost, transport stats)`` since the previous call.
+    def take_job_stats(self) -> dict[str, int]:
+        """This job's ``supervisor.*`` and transport counters (the
+        counts since the previous call).
 
         The supervisor and the transport count over the fleet's
         lifetime; a job's result reports only its own share.  Called
@@ -640,14 +637,13 @@ class WorkerFleet:
         sup = self.supervisor
         if sup is None:
             raise RuntimeError("fleet not started")
-        restarts, lost, stats = self._job_mark
-        now = {k: int(v) for k, v in self.transport.stats.items()}
-        self._job_mark = (sup.workers_restarted, sup.workers_lost, now)
-        return (
-            sup.workers_restarted - restarts,
-            sup.workers_lost - lost,
-            {k: v - stats.get(k, 0) for k, v in now.items()},
-        )
+        now = {
+            "supervisor.restarts": sup.workers_restarted,
+            "supervisor.workers_lost": sup.workers_lost,
+            **{k: int(v) for k, v in self.transport.stats.items()},
+        }
+        mark, self._job_mark = self._job_mark, now
+        return {k: v - mark.get(k, 0) for k, v in now.items()}
 
     # ------------------------------------------------------------------
     # Teardown
@@ -714,248 +710,81 @@ class WorkerFleet:
 
 
 # ----------------------------------------------------------------------
-# The process-mode host loop and result assembly
+# The fleet as the host loop's device set
 # ----------------------------------------------------------------------
-@dataclass
-class SearchOutcome:
-    """What one run of :func:`run_search_rounds` produced."""
+class FleetDevices:
+    """A started fleet running job ``job_seq``, as the host loop's
+    :class:`~repro.abs.host.DeviceSet` (Step-4 policy ``per-result``).
 
-    rounds: int = 0
-    sweeps: int = 0
-    engine_counts: dict[str, int] = field(default_factory=dict)
-    history: list[tuple[float, int]] = field(default_factory=list)
-    time_to_target: float | None = None
-    was_cancelled: bool = False
-
-
-def run_search_rounds(
-    cfg: AbsConfig,
-    host: Host,
-    fleet: WorkerFleet,
-    watch: Any,
-    *,
-    bus: TelemetryBus | NullBus,
-    met_target: Callable[[float], bool],
-    job_seq: int,
-    cancelled: Callable[[], bool] | None = None,
-) -> SearchOutcome:
-    """Drive one job's host loop over an armed fleet (Figure 5 host).
-
-    The fleet's workers must already be running the job identified by
-    ``job_seq`` (armed via :meth:`WorkerFleet.arm_job`).  Publishes
-    initial targets, then polls results / supervises / answers with
-    fresh GA targets until a stop criterion fires.  Frames from
-    *other* jobs — a previous job's results still in flight after a
-    re-arm — only feed the liveness clock; their solutions, counters,
-    and events are dropped (absorbing a stale job's solution into a
-    different problem's pool would be wrong, not merely stale).
+    Frames from *other* jobs — a previous job's results still in flight
+    after a re-arm — only feed the liveness clock; their solutions,
+    counters and events are dropped (absorbing a stale job's solution
+    into a different problem's pool would be wrong, not merely stale).
     """
-    transport = fleet.transport
-    supervisor = fleet.supervisor
-    out = SearchOutcome()
-    rounds_by_worker = [0] * cfg.n_gpus
-    counts_by_worker: list[dict[str, int]] = [{} for _ in range(cfg.n_gpus)]
-    banked_counts: dict[str, int] = {}
 
-    def _bank(g: int) -> None:
-        # Fold the defunct incarnation's cumulative totals into the
-        # run totals and reset the worker's latest slot for the
-        # replacement (which restarts its counters from zero).
-        _merge_counts(banked_counts, counts_by_worker[g])
-        counts_by_worker[g] = {}
+    sweep = False
 
-    def _supervise() -> None:
-        for action in supervisor.poll():
-            _bank(action.worker_id)
-            if action.kind == "restart":
-                # Rehydrate the replacement from the current pool:
-                # Algorithm 5 walks it from the zero state to these
-                # targets, so no other worker state needs recovery.
-                # (The channel is the replacement's — for the shm
-                # transport it publishes under the new epoch into
-                # the same surviving mailbox.)
-                ch = supervisor.target_channel(action.worker_id)
-                if ch is not None:
-                    ch.put(host.make_targets(cfg.blocks_per_gpu, device=action.worker_id))
+    def __init__(
+        self, fleet: WorkerFleet, job_seq: int, bus: TelemetryBus | NullBus
+    ) -> None:
+        if fleet.supervisor is None:
+            raise RuntimeError("fleet not started")
+        self.fleet = fleet
+        self.job_seq = job_seq
+        self.bus = bus
+        self._supervisor = fleet.supervisor
+        self._results = 0
+        self._polled: int | None = None  # worker whose result awaits Step 4
 
-    def _relay_events() -> None:
-        # See WorkerFleet.relay_events; the fleet also drains late
-        # bundles at re-arm and shutdown so nothing is dropped.
-        fleet.relay_events(bus, job_seq)
+    @property
+    def healthy_ids(self) -> list[int]:
+        return self._supervisor.healthy_ids
 
-    targets = host.initial_targets(cfg.total_blocks)
-    for g in range(cfg.n_gpus):
-        ch = supervisor.target_channel(g)
-        if ch is not None:
-            lo = g * cfg.blocks_per_gpu
-            ch.put(np.ascontiguousarray(targets[lo : lo + cfg.blocks_per_gpu]))
-
-    done = False
-    while not done:
-        _supervise()
-        batch = transport.poll(timeout=0.25)
-        if batch is None:
-            if cancelled is not None and cancelled():
-                out.was_cancelled = True
-                break
-            if cfg.time_limit is not None and watch.elapsed >= cfg.time_limit:
-                break
-            if supervisor.n_healthy == 0:
-                raise RuntimeError(
-                    "all ABS workers died before finishing "
-                    f"(after {supervisor.workers_restarted} restarts)"
+    def put(self, device: int, targets: np.ndarray) -> None:
+        ch = self._supervisor.target_channel(device)
+        if ch is None:  # lost: nobody reads this channel any more
+            return
+        ch.put(targets)
+        if device == self._polled:  # Step 4's answer to its last result
+            self._polled = None
+            if self.bus.enabled:
+                self.bus.emit(
+                    "host.queue",
+                    device=device,
+                    results_queued=self.fleet.transport.result_backlog(device),
                 )
-            continue
-        worker_id = batch.worker_id
+
+    def poll(self, timeout: float) -> ResultBatch | None:
+        batch = self.fleet.transport.poll(timeout=timeout)
+        if batch is None:
+            return None
+        wid = batch.worker_id
         batch_seq, batch_inc = decode_token(batch.incarnation)
-        if batch_seq != job_seq:
-            # A previous job's result still in flight: proof of life,
-            # nothing else — its solutions belong to another problem.
-            supervisor.note_result(worker_id, batch_inc)
-            continue
-        out.rounds += 1
-        rounds_by_worker[worker_id] += 1
-        fresh_result = supervisor.note_result(worker_id, batch_inc)
-        if fresh_result:
-            counts_by_worker[worker_id] = batch.counters
-        if bus.enabled:
-            bus.counters.inc("host.rounds")
-            if fresh_result:
-                _relay_events()
-            bus.emit(
+        fresh = self._supervisor.note_result(wid, batch_inc)
+        if batch_seq != self.job_seq:
+            return None
+        self._results += 1
+        self._polled = wid
+        if self.bus.enabled:
+            if fresh:
+                self.fleet.relay_events(self.bus, self.job_seq)
+            self.bus.emit(
                 "worker.result",
-                worker=worker_id,
-                round=out.rounds,
+                worker=wid,
+                round=self._results,
                 best_energy=int(batch.energies.min()),
                 evaluated=batch.counters["engine.evaluated"],
                 flips=batch.counters["engine.flips"],
             )
-        host.absorb_batch(batch.energies, batch.x)
-        if bus.enabled:
-            bus.emit(
-                "host.round",
-                round=out.rounds,
-                device=worker_id,
-                best_energy=host.best_energy,
-                pool_size=len(host.pool),
-                elapsed=watch.elapsed,
-            )
-        if math.isfinite(host.best_energy):
-            out.history.append((watch.elapsed, int(host.best_energy)))
-        if met_target(host.best_energy):
-            if out.time_to_target is None:
-                out.time_to_target = watch.elapsed
-            done = True
-        elif cancelled is not None and cancelled():
-            out.was_cancelled = True
-            done = True
-        elif cfg.time_limit is not None and watch.elapsed >= cfg.time_limit:
-            done = True
-        elif cfg.max_rounds is not None and out.rounds >= cfg.max_rounds:
-            done = True
-        else:
-            # Step 4: as many fresh targets as solutions arrived
-            # — but never feed a channel nobody reads any more.
-            ch = supervisor.target_channel(worker_id)
-            if ch is not None:
-                ch.put(host.make_targets(cfg.blocks_per_gpu, device=worker_id))
-                if bus.enabled:
-                    bus.emit(
-                        "host.queue",
-                        device=worker_id,
-                        results_queued=transport.result_backlog(worker_id),
-                    )
+        return batch if fresh else replace(batch, counters={})
 
-    if bus.enabled:
-        # Late bundles — e.g. a reconnect during the final round —
-        # would otherwise be dropped with the run already decided.
-        _relay_events()
-    out.engine_counts = dict(banked_counts)
-    for wcounts in counts_by_worker:
-        _merge_counts(out.engine_counts, wcounts)
-    healthy = supervisor.healthy_ids
-    sweep_counts = [rounds_by_worker[g] for g in healthy] or rounds_by_worker
-    out.sweeps = min(sweep_counts)
-    return out
+    def supervise(self) -> list[int]:
+        return [action.worker_id for action in self._supervisor.poll()]
 
+    def end_sweep(self, host: Host) -> None:
+        """Never called: a fleet answers per result."""
 
-def assemble_result(
-    cfg: AbsConfig,
-    n: int,
-    host: Host,
-    outcome: SearchOutcome,
-    elapsed: float,
-    *,
-    met_target: Callable[[float], bool],
-    bus: TelemetryBus | NullBus,
-    extra: dict[str, int],
-    restarts: int = 0,
-    lost: int = 0,
-    setup_ns: int = 0,
-    search_ns: int = 0,
-) -> SolveResult:
-    """Build the :class:`SolveResult` for one run, sync or process.
-
-    ``result.counters`` is derived from component state after the run,
-    so it exists whether or not a telemetry bus was attached:
-    ``outcome.engine_counts`` carries the summed device
-    :meth:`~repro.abs.device.DeviceSimulator.totals` (``evaluated`` and
-    ``flips`` are read from there),
-    ``extra`` the mode's own, and ``pool.inserted`` includes the initial
-    random seeding (Step 1 inserts at ``+∞``).  ``restarts``/``lost`` are
-    *per-job* numbers (:meth:`WorkerFleet.take_job_stats`), so a
-    long-lived fleet's history does not leak into every result.
-    ``setup_ns``/``search_ns`` land on the result (and the session
-    counters when telemetry is on) but deliberately **not** in
-    ``result.counters``: that snapshot is pinned bit-identical across
-    runs, transports, and telemetry on/off, and wall-clock never is.
-
-    With telemetry on, ``result.counters`` is also added to
-    ``bus.counters`` here — the only place run counters reach the
-    session, so the two agree key for key by construction.  A run that
-    raises before this point adds none.
-    """
-    ga = host.ga_counts
-    counters = {
-        "host.solutions_absorbed": host.absorbed,
-        "pool.inserted": host.pool.inserted,
-        "pool.rejected_duplicate": host.pool.rejected_duplicate,
-        "pool.rejected_worse": host.pool.rejected_worse,
-        "pool.rejected_diverse": host.pool.rejected_diverse,
-        "ga.mutation": ga["mutation"],
-        "ga.crossover": ga["crossover"],
-        "ga.copy": ga["copy"],
-        "adapt.reassignments": 0,
-        **outcome.engine_counts,
-        **extra,
-    }
-    engine = outcome.engine_counts
-    best_x = host.best_x if host.best_x is not None else np.zeros(n, np.uint8)
-    best_e = int(host.best_energy) if math.isfinite(host.best_energy) else 0
-    counters = dict(sorted(counters.items()))
-    if bus.enabled:
-        # The one path from run counters to the session counters.
-        for key, value in counters.items():
-            if value:
-                bus.counters.inc(key, value)
-        bus.counters.inc("solver.setup_ns", setup_ns)
-        bus.counters.inc("solver.search_ns", search_ns)
-    return SolveResult(
-        best_x=best_x,
-        best_energy=best_e,
-        elapsed=elapsed,
-        rounds=outcome.rounds,
-        sweeps=outcome.sweeps,
-        evaluated=engine.get("engine.evaluated", 0),
-        flips=engine.get("engine.flips", 0),
-        reached_target=met_target(host.best_energy),
-        time_to_target=outcome.time_to_target,
-        history=outcome.history,
-        n_gpus=cfg.n_gpus,
-        counters=counters,
-        workers_restarted=restarts,
-        workers_lost=lost,
-        pool_mean_distance=host.pool.mean_pairwise_distance(),
-        setup_ns=setup_ns,
-        search_ns=search_ns,
-    )
+    def finish(self) -> dict[str, int]:
+        if self.bus.enabled:  # bundles that landed after the last poll
+            self.fleet.relay_events(self.bus, self.job_seq)
+        return self.fleet.take_job_stats()

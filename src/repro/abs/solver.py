@@ -1,11 +1,8 @@
 """The top-level ABS solver: host + devices in sync or process mode.
 
-``"sync"`` mode interleaves the host loop and device rounds in one
-process — deterministic given a seed, and the mode every
-time-to-solution benchmark uses.  It keeps its own round loop on
-purpose: a homogeneous sweep draws one ``make_targets(total_blocks)``
-per sweep and records history per sweep, and only sync mode reassigns
-variants between devices (:class:`~repro.abs.adaptive.VariantController`).
+``"sync"`` mode runs every device in this process
+(:class:`InProcessDevices`) — deterministic given a seed, and the mode
+every time-to-solution benchmark uses.
 
 ``"process"`` mode runs one OS process per simulated GPU on a
 :class:`~repro.abs.fleet.WorkerFleet`, mirroring the paper's multi-GPU
@@ -25,9 +22,11 @@ workers the arrival order still varies).
 
 Both modes build the host and every device's
 :class:`~repro.abs.device.DevicePlan` with one job plan
-(:meth:`AdaptiveBulkSearch._job_plan`), count with one per-device
-record (:meth:`~repro.abs.device.DeviceSimulator.totals`), and build
-their result with one :func:`~repro.abs.fleet.assemble_result`.
+(:meth:`AdaptiveBulkSearch._job_plan`), run one host loop
+(:func:`~repro.abs.host.run_search_rounds`; the device set picks its
+Step-4 policy), and take one result path
+(:meth:`AdaptiveBulkSearch._search`), which recomputes the reported
+energy from ``best_x`` and raises if they disagree.
 ``SolveResult.setup_ns`` runs from ``solve()`` entry to the first
 round: in process mode that includes worker spawn and the job's arm
 handshake, and the search clock (and ``time_limit``) starts only after
@@ -53,30 +52,83 @@ frames stay picklable so ``spawn`` works too).
 
 from __future__ import annotations
 
-import math
 import time
+from typing import Callable
 
 import numpy as np
 
 from repro.abs.adaptive import AdaptPlan, VariantController
 from repro.abs.config import AbsConfig, resolve_windows
 from repro.abs.device import DevicePlan, DeviceSimulator
-from repro.abs.fleet import (
-    SearchOutcome,
-    WorkerFleet,
-    WorkerJob,
-    _merge_counts,
-    assemble_result,
-    fleet_params,
-    run_search_rounds,
-)
-from repro.abs.host import Host
+from repro.abs.exchange import ResultBatch
+from repro.abs.fleet import FleetDevices, WorkerFleet, WorkerJob, fleet_params
+from repro.abs.host import DeviceSet, Host, _merge_counts, run_search_rounds
 from repro.abs.result import SolveResult
 from repro.abs.variants import SearchVariant, get_variant, resolve_fleet
+from repro.ga.host import GaConfig
+from repro.qubo.energy import energy
 from repro.qubo.matrix import WeightsLike, as_weight_matrix
 from repro.telemetry.bus import NULL_BUS, NullBus, TelemetryBus
 from repro.utils.rng import RngFactory
 from repro.utils.timer import Stopwatch
+
+
+class InProcessDevices:
+    """Sync mode's :class:`~repro.abs.host.DeviceSet`: :meth:`poll` runs
+    the next device's round inline, in device order (Step-4 policy
+    ``sweep``; nothing to supervise).  Variant reassignment rides here,
+    which keeps it sync-only: each round's best feeds the
+    :class:`VariantController`, and :meth:`end_sweep` applies its
+    migration before the sweep's targets are drawn."""
+
+    sweep = True
+
+    def __init__(
+        self,
+        devices: list[DeviceSimulator],
+        controller: VariantController | None,
+        plan: Callable[[SearchVariant, int], DevicePlan],
+        ga: GaConfig,
+    ) -> None:
+        self.devices = devices
+        self.controller = controller
+        self._plan = plan
+        self._ga = ga
+        self.healthy_ids = list(range(len(devices)))
+        self._targets: dict[int, np.ndarray] = {}
+        self._next = 0
+
+    def put(self, device: int, targets: np.ndarray) -> None:
+        self._targets[device] = targets
+
+    def poll(self, timeout: float) -> ResultBatch:
+        g = self._next
+        self._next = (g + 1) % len(self.devices)
+        device = self.devices[g]
+        energies, xs = device.round(self._targets[g])
+        if self.controller is not None:
+            self.controller.observe(g, float(energies.min()))
+        return ResultBatch(g, 0, energies, xs, device.totals())
+
+    def supervise(self) -> list[int]:
+        return []
+
+    def end_sweep(self, host: Host) -> None:
+        move = self.controller.end_sweep() if self.controller else None
+        if move is not None:
+            g, _, to_name = move
+            variant = get_variant(to_name)
+            self.devices[g].apply(self._plan(variant, g))
+            host.set_device_ga(g, variant.effective_ga(self._ga))
+
+    def finish(self) -> dict[str, int]:
+        c = self.controller
+        if c is None:
+            return {}
+        return {
+            "adapt.variant_reassignments": c.reassignments,
+            "adapt.nonfinite_observations": c.nonfinite_observations,
+        }
 
 
 class AdaptiveBulkSearch:
@@ -121,18 +173,49 @@ class AdaptiveBulkSearch:
     def solve(self, mode: str = "sync") -> SolveResult:
         """Run to a stopping criterion; returns the best found solution.
 
-        ``"process"`` runs on a transient :class:`WorkerFleet`: built
-        from the config, started, handed this one job, shut down.
+        ``"sync"`` runs every device in this process
+        (:class:`InProcessDevices`).  ``"process"`` runs on a transient
+        :class:`WorkerFleet`: built from the config, started, handed
+        this one job, shut down.  Both drive the same host loop.
         """
-        if mode == "sync":
-            return self._solve_sync()
-        if mode != "process":
-            raise ValueError(f"unknown mode {mode!r} (use 'sync' or 'process')")
         t_entry = time.perf_counter_ns()
-        self._check_process_config()
-        with WorkerFleet(**fleet_params(self.config, self.n), bus=self.bus) as workers:
-            workers.start()
-            return self.solve_on_fleet(workers, setup_start_ns=t_entry)
+        cfg = self.config
+        if mode == "process":
+            self._check_process_config()
+            with WorkerFleet(**fleet_params(cfg, self.n), bus=self.bus) as workers:
+                workers.start()
+                return self.solve_on_fleet(workers, setup_start_ns=t_entry)
+        if mode != "sync":
+            raise ValueError(f"unknown mode {mode!r} (use 'sync' or 'process')")
+        variants = self._variants()
+        host, plans = self._job_plan(RngFactory(cfg.seed), variants)
+        devices = [
+            DeviceSimulator.from_plan(
+                self.W,
+                cfg.blocks_per_gpu,
+                plan,
+                backend=cfg.backend,
+                bus=self.bus,
+                device_id=g,
+            )
+            for g, plan in enumerate(plans)
+        ]
+        controller = (
+            VariantController(
+                [v.name for v in variants],
+                period=cfg.variant_adapt_period,
+                bus=self.bus,
+            )
+            if variants is not None and cfg.variant_adapt
+            else None
+        )
+        if self.bus.enabled:
+            self._emit_start("sync")
+        return self._search(
+            host,
+            InProcessDevices(devices, controller, self._device_plan, cfg.ga),
+            t_entry,
+        )
 
     # ------------------------------------------------------------------
     # Shared helpers
@@ -238,158 +321,110 @@ class AdaptiveBulkSearch:
             **({"variants": variants} if variants is not None else {}),
         )
 
-    def _emit_end(self, result: SolveResult) -> None:
-        self.bus.emit(
-            "solve.end",
-            best_energy=result.best_energy,
-            rounds=result.rounds,
-            sweeps=result.sweeps,
-            elapsed=result.elapsed,
-            evaluated=result.evaluated,
-            flips=result.flips,
-            reached_target=result.reached_target,
-            workers_restarted=result.workers_restarted,
-            workers_lost=result.workers_lost,
-        )
+    def _search(
+        self,
+        host: Host,
+        devices: DeviceSet,
+        t_entry: int,
+        cancelled: Callable[[], bool] | None = None,
+    ) -> SolveResult:
+        """The one result path, sync or process.
 
-    # ------------------------------------------------------------------
-    # Sync mode
-    # ------------------------------------------------------------------
-    def _apply_variant(
-        self, device: DeviceSimulator, host: Host, variant: SearchVariant, g: int
-    ) -> None:
-        """Reconfigure device ``g`` (and its GA stream) to ``variant``."""
-        device.apply(self._device_plan(variant, g))
-        host.set_device_ga(g, variant.effective_ga(self.config.ga))
-
-    def _sync_targets(
-        self, host: Host, variants: list[SearchVariant] | None
-    ) -> np.ndarray:
-        """Step 4 for one sync sweep.
-
-        Homogeneous runs keep the single ``make_targets(total)`` call —
-        and with it the base RNG draw order, bit-for-bit.  A variant
-        fleet generates each device's batch from that device's own
-        variant generator.
+        ``setup_ns`` runs from ``t_entry`` to here, then the search
+        clock runs the host loop.  ``result.counters`` is derived from
+        component state afterwards, telemetry or not: the devices'
+        summed :meth:`~repro.abs.device.DeviceSimulator.totals`, the
+        device set's own counters (:meth:`~repro.abs.host.DeviceSet.
+        finish`; the ``supervisor.*`` ones are this job's, so a
+        long-lived fleet's history does not leak into every result) and
+        the host's; ``pool.inserted`` includes the Step-1 seeding.
+        Wall-clock stays out of ``result.counters``: that snapshot is
+        pinned bit-identical across runs, transports, and telemetry on
+        and off.  With telemetry on it is also added to ``bus.counters``
+        here, the only place run counters reach the session; a run that
+        raises first (the answer check included) adds none.
         """
         cfg = self.config
-        if variants is None:
-            return host.make_targets(cfg.total_blocks)
-        return np.concatenate(
-            [
-                host.make_targets(cfg.blocks_per_gpu, device=g)
-                for g in range(cfg.n_gpus)
-            ]
-        )
-
-    def _solve_sync(self) -> SolveResult:
-        cfg = self.config
         bus = self.bus
-        t_entry = time.perf_counter_ns()
-        factory = RngFactory(cfg.seed)
-        variants = self._variants()
-        host, plans = self._job_plan(factory, variants)
-        devices = [
-            DeviceSimulator.from_plan(
-                self.W,
-                cfg.blocks_per_gpu,
-                plan,
-                backend=cfg.backend,
-                bus=bus,
-                device_id=g,
-            )
-            for g, plan in enumerate(plans)
-        ]
-        controller = (
-            VariantController(
-                [v.name for v in variants],
-                period=cfg.variant_adapt_period,
-                bus=bus,
-            )
-            if variants is not None and cfg.variant_adapt
-            else None
-        )
-
-        if bus.enabled:
-            self._emit_start("sync")
         setup_ns = time.perf_counter_ns() - t_entry
         watch = Stopwatch().start()
-        targets = host.initial_targets(cfg.total_blocks)
-        out = SearchOutcome()
-        rounds_by_device = [0] * cfg.n_gpus
-        done = False
-
-        while not done:
-            for g, device in enumerate(devices):
-                lo = g * cfg.blocks_per_gpu
-                batch = np.ascontiguousarray(
-                    targets[lo : lo + cfg.blocks_per_gpu]
-                )
-                energies, xs = device.round(batch)
-                host.absorb_batch(energies, xs)
-                if controller is not None:
-                    controller.observe(g, float(energies.min()))
-                out.rounds += 1
-                rounds_by_device[g] += 1
-                if bus.enabled:
-                    bus.counters.inc("host.rounds")
-                    bus.emit(
-                        "host.round",
-                        round=out.rounds,
-                        device=g,
-                        best_energy=host.best_energy,
-                        pool_size=len(host.pool),
-                        elapsed=watch.elapsed,
-                    )
-                if self._met_target(host.best_energy):
-                    if out.time_to_target is None:
-                        out.time_to_target = watch.elapsed
-                    done = True
-                    break
-                if cfg.time_limit is not None and watch.elapsed >= cfg.time_limit:
-                    done = True
-                    break
-                if cfg.max_rounds is not None and out.rounds >= cfg.max_rounds:
-                    done = True
-                    break
-            if math.isfinite(host.best_energy):
-                out.history.append((watch.elapsed, int(host.best_energy)))
-            if not done:
-                if controller is not None:
-                    move = controller.end_sweep()
-                    if move is not None:
-                        moved, _, to_name = move
-                        self._apply_variant(
-                            devices[moved], host, get_variant(to_name), moved
-                        )
-                targets = self._sync_targets(host, variants)
-
-        elapsed = watch.stop()
-        out.sweeps = min(rounds_by_device)
-        for d in devices:
-            _merge_counts(out.engine_counts, d.totals())
-        if controller is not None:
-            out.engine_counts["adapt.nonfinite_observations"] += (
-                controller.nonfinite_observations
-            )
-        result = assemble_result(
+        outcome = run_search_rounds(
             cfg,
-            self.n,
             host,
-            out,
-            elapsed,
-            met_target=self._met_target,
+            devices,
+            watch,
             bus=bus,
-            extra={
-                "adapt.variant_reassignments": (
-                    controller.reassignments if controller is not None else 0
-                ),
-            },
+            met_target=self._met_target,
+            cancelled=cancelled,
+        )
+        elapsed = watch.stop()
+        search_ns = int(round(elapsed * 1e9))
+        best_x = host.best_x
+        if best_x is not None:
+            # The answer oracle: the device-reported energy must be the
+            # reported solution's energy, recomputed from scratch.
+            check = energy(self.W, best_x)
+            if check != host.best_energy:
+                raise RuntimeError(
+                    f"reported best energy {int(host.best_energy)} but best_x "
+                    f"has energy {check}, recomputed from scratch"
+                )
+        ga = host.ga_counts
+        counters = {
+            "host.solutions_absorbed": host.absorbed,
+            "pool.inserted": host.pool.inserted,
+            "pool.rejected_duplicate": host.pool.rejected_duplicate,
+            "pool.rejected_worse": host.pool.rejected_worse,
+            "pool.rejected_diverse": host.pool.rejected_diverse,
+            "ga.mutation": ga["mutation"],
+            "ga.crossover": ga["crossover"],
+            "ga.copy": ga["copy"],
+            # Keys every mode reports, whether or not it adapts.
+            "adapt.reassignments": 0,
+            "adapt.variant_reassignments": 0,
+        }
+        engine = outcome.engine_counts
+        for add in (engine, devices.finish()):
+            _merge_counts(counters, add)
+        counters = dict(sorted(counters.items()))
+        if bus.enabled:
+            for key, value in counters.items():
+                if value:
+                    bus.counters.inc(key, value)
+            bus.counters.inc("solver.setup_ns", setup_ns)
+            bus.counters.inc("solver.search_ns", search_ns)
+        result = SolveResult(
+            best_x=best_x if best_x is not None else np.zeros(self.n, np.uint8),
+            best_energy=int(host.best_energy) if best_x is not None else 0,
+            elapsed=elapsed,
+            rounds=outcome.rounds,
+            sweeps=outcome.sweeps,
+            evaluated=engine.get("engine.evaluated", 0),
+            flips=engine.get("engine.flips", 0),
+            reached_target=self._met_target(host.best_energy),
+            time_to_target=outcome.time_to_target,
+            history=outcome.history,
+            n_gpus=cfg.n_gpus,
+            counters=counters,
+            workers_restarted=counters.get("supervisor.restarts", 0),
+            workers_lost=counters.get("supervisor.workers_lost", 0),
+            pool_mean_distance=host.pool.mean_pairwise_distance(),
             setup_ns=setup_ns,
-            search_ns=int(round(elapsed * 1e9)),
+            search_ns=search_ns,
         )
         if bus.enabled:
-            self._emit_end(result)
+            bus.emit(
+                "solve.end",
+                best_energy=result.best_energy,
+                rounds=result.rounds,
+                sweeps=result.sweeps,
+                elapsed=result.elapsed,
+                evaluated=result.evaluated,
+                flips=result.flips,
+                reached_target=result.reached_target,
+                workers_restarted=result.workers_restarted,
+                workers_lost=result.workers_lost,
+            )
         return result
 
     # ------------------------------------------------------------------
@@ -455,41 +490,6 @@ class AdaptiveBulkSearch:
             self._emit_start("process")
             bus.emit("exchange.open", **workers.transport.describe())
         workers.arm_job(jobs)
-        setup_ns = time.perf_counter_ns() - t_entry
-        watch = Stopwatch().start()
-        outcome = run_search_rounds(
-            cfg,
-            host,
-            workers,
-            watch,
-            bus=bus,
-            met_target=self._met_target,
-            job_seq=job_seq,
-            cancelled=cancelled,
+        return self._search(
+            host, FleetDevices(workers, job_seq, bus), t_entry, cancelled
         )
-        elapsed = watch.stop()
-        restarts, lost, transport_stats = workers.take_job_stats()
-        result = assemble_result(
-            cfg,
-            self.n,
-            host,
-            outcome,
-            elapsed,
-            met_target=self._met_target,
-            bus=bus,
-            extra={
-                "supervisor.restarts": restarts,
-                "supervisor.workers_lost": lost,
-                # Process-mode fleets are static; keep the key for
-                # counter parity with sync-mode snapshots.
-                "adapt.variant_reassignments": 0,
-                **transport_stats,
-            },
-            restarts=restarts,
-            lost=lost,
-            setup_ns=setup_ns,
-            search_ns=int(round(elapsed * 1e9)),
-        )
-        if bus.enabled:
-            self._emit_end(result)
-        return result

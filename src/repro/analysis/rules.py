@@ -213,7 +213,8 @@ def _check_telemetry(modules: Sequence[Module]) -> Iterable[Finding]:
     # counter also counts as live when its name appears as a string
     # constant anywhere: run counters are kept in plain dicts and
     # attributes, and reach the bus only through the one fold of
-    # ``SolveResult.counters`` in ``assemble_result``, by variable name.
+    # ``SolveResult.counters`` in ``AdaptiveBulkSearch._search``, by
+    # variable name.
     for name, lineno in events.items():
         if name not in live_events:
             yield schema_module.finding(
@@ -475,8 +476,9 @@ _HOT_KERNEL_METHODS = frozenset({
 })
 
 #: Call roots that mean process/filesystem/warning work.  Legal in
-#: ``prepare_*()`` and registry factories (that is where the bitplane
-#: backend compiles its C library); never in a hot kernel method.
+#: ``prepare_*()`` and module-level factories such as
+#: ``make_bitplane_backend`` (that is where the bitplane backend
+#: compiles its C library); never in a hot kernel method.
 #: ``ctypes``/``os`` are deliberately absent — calling an already
 #: compiled function is exactly what a hot kernel is for.
 _HOT_KERNEL_FORBIDDEN_ROOTS = frozenset({
@@ -513,8 +515,9 @@ def _module_mutable_globals(tree: ast.Module) -> set[str]:
 def _kernel_scopes(tree: ast.Module) -> Iterator[ast.FunctionDef | ast.AsyncFunctionDef]:
     """Kernel bodies: Backend-subclass methods and *nested* functions.
 
-    Module-level helper functions (registry management, factory entry
-    points) are legitimately stateful; the purity constraint applies to
+    Module-level helper functions (the constructors in the
+    ``repro.backends`` name table, such as ``make_bitplane_backend``)
+    are legitimately stateful; the purity constraint applies to
     the code that runs per flip — backend methods and any closures
     defined inside them (a kernel a future JIT backend would compile).
     """
@@ -621,7 +624,8 @@ def _check_kernel_purity(module: Module) -> Iterable[Finding]:
                         call, rule,
                         f"hot kernel {func.name!r} calls {dotted!r} — "
                         "process/file/warning work belongs in prepare_*() "
-                        "or the registry factory, not the per-flip path",
+                        "or a module-level factory such as "
+                        "make_bitplane_backend, not the per-flip path",
                     )
 
 

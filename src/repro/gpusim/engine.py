@@ -23,8 +23,8 @@ kernels; ``bitplane`` compiled C kernels that fuse the whole
 ``auto`` picks wherever a C compiler is present — see
 :mod:`repro.backends` and ``docs/backends.md``).  The engine owns all
 search state; backends are stateless kernel sets, so swapping backends
-never changes the walk: every registered backend is tested to be
-step-for-step identical to the scalar reference
+never changes the walk: every backend in the ``repro.backends`` name
+table is tested to be step-for-step identical to the scalar reference
 :class:`~repro.search.bulk.BulkLocalSearch` /
 :func:`~repro.search.straight.straight_search`
 (``tests/backends/test_equivalence.py``).
@@ -98,12 +98,13 @@ class BulkSearchEngine:
         Initial window offsets.  Default staggers blocks across the bit
         range so equal-window blocks don't walk in lockstep.
     backend:
-        Kernel backend: a registry name (``"auto"``, ``"numpy"``,
-        ``"bitplane"``), a :class:`~repro.backends.KernelBackend`
-        instance, or ``None`` to consult the ``REPRO_BACKEND``
-        environment variable and default to ``"auto"`` (``bitplane``
-        where a C compiler exists, else ``numpy``).  Backend choice
-        never changes the search — only how fast the kernels run.
+        Kernel backend: a name from the ``repro.backends`` table
+        (``"auto"``, ``"numpy"``, ``"bitplane"``), a
+        :class:`~repro.backends.KernelBackend` instance, or ``None`` to
+        consult the ``REPRO_BACKEND`` environment variable and default
+        to ``"auto"`` (``bitplane`` where a C compiler exists, else
+        ``numpy``).  Backend choice never changes the search — only how
+        fast the kernels run.
     bus:
         Optional :class:`~repro.telemetry.TelemetryBus`.  The engine
         emits one aggregate event per :meth:`straight_to` /

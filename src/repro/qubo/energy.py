@@ -55,9 +55,9 @@ def energy(weights: WeightsLike, x: np.ndarray) -> int:
     if sq is not None:
         return sq.energy(x)
     W = as_weight_matrix(weights)
-    xb = check_bit_vector(x, W.shape[0])
-    xi = xb.astype(np.int64)
-    return int(xi @ W.astype(np.int64, copy=False) @ xi)
+    ones = np.flatnonzero(check_bit_vector(x, W.shape[0]))
+    # Σ W_ij over set bits i, j: a row gather, not an int64 copy of W.
+    return int(W[ones].sum(axis=0, dtype=np.int64)[ones].sum())
 
 
 def energy_batch(weights: WeightsLike, X: np.ndarray) -> np.ndarray:

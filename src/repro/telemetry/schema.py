@@ -218,9 +218,9 @@ STAMP_FIELDS: dict[str, Sequence[str]] = {"job": INT}
 #: extracts every ``bus.counters.inc(...)`` site from the tree and
 #: cross-checks both directions (undeclared increments *and* dead
 #: declarations are errors).  Run counters — every key of
-#: ``SolveResult.counters`` — reach the bus through one fold in
-#: ``repro.abs.fleet.assemble_result``; the rest are bus-only.  Keep in
-#: lock-step with docs/observability.md.
+#: ``SolveResult.counters`` — reach the bus through one fold in the
+#: solver's result path (``AdaptiveBulkSearch._search``); the rest are
+#: bus-only.  Keep in lock-step with docs/observability.md.
 COUNTER_NAMES: frozenset[str] = frozenset(
     {
         # solution pool (repro.ga.pool)

@@ -1,9 +1,11 @@
 """Tests for the sync-mode ABS solver."""
 
+import re
+
 import numpy as np
 import pytest
 
-from repro.abs import AbsConfig, AdaptiveBulkSearch
+from repro.abs import AbsConfig, AdaptiveBulkSearch, DeviceSimulator
 from repro.qubo import QuboMatrix, energy
 from repro.search import solve_exact
 
@@ -107,3 +109,26 @@ class TestSolveSync:
             q, AbsConfig(max_rounds=30, blocks_per_gpu=8, seed=11)
         ).solve("sync")
         assert long.best_energy <= short.best_energy
+
+
+class TestAnswerOracle:
+    def test_under_reported_energy_raises(self, small, monkeypatch):
+        """A device that under-reports one block's energy is caught:
+        the solver recomputes the reported answer's energy from
+        scratch instead of returning the wrong value."""
+        real = DeviceSimulator.round
+
+        def lying_round(self, targets):
+            energies, xs = real(self, targets)
+            if self.device_id == 1 and self.rounds == 2:
+                energies = energies.copy()
+                energies[0] -= 10**9
+            return energies, xs
+
+        monkeypatch.setattr(DeviceSimulator, "round", lying_round)
+        cfg = AbsConfig(n_gpus=2, max_rounds=6, blocks_per_gpu=4, seed=3)
+        with pytest.raises(RuntimeError, match="recomputed from scratch") as err:
+            AdaptiveBulkSearch(small, cfg).solve("sync")
+        found = re.search(r"energy (-?\d+) but best_x has energy (-?\d+)", str(err.value))
+        reported, actual = map(int, found.groups())
+        assert actual - reported == 10**9

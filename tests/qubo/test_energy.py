@@ -72,6 +72,20 @@ class TestEnergy:
             )
             assert energy(W, x) == direct
 
+    @pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64])
+    def test_matches_python_ints_at_extreme_weights(self, dtype, rng):
+        """No wraparound: every weight at its dtype's limit, summed in
+        Python integers as the reference."""
+        n = 96
+        lim = np.iinfo(np.int16).max
+        W = rng.choice([-lim, lim], size=(n, n))
+        W = np.triu(W) + np.triu(W, 1).T
+        for _ in range(3):
+            x = rng.integers(0, 2, n, dtype=np.uint8)
+            ones = [int(i) for i in np.flatnonzero(x)]
+            direct = sum(int(W[i, j]) for i in ones for j in ones)
+            assert energy(W.astype(dtype), x) == direct
+
 
 class TestEnergyBatch:
     def test_matches_scalar(self, small_qubo, rng):

@@ -1,8 +1,9 @@
 """Run counters on the bus are exactly the sum of ``result.counters``.
 
-Every run builds ``SolveResult.counters`` from component state
-(:func:`repro.abs.fleet.assemble_result`) and folds it into the bus's
-session counters there — the one path run counters take to the bus.
+Every run builds ``SolveResult.counters`` from component state in the
+solver's one result path (``AdaptiveBulkSearch._search``) and folds it
+into the bus's session counters there — the one path run counters take
+to the bus.
 So after one solve on a fresh bus every ``result.counters`` key has
 the same session value, in sync mode and over both process-mode
 transports, and a bus shared by several runs holds their sum.
