@@ -1,6 +1,6 @@
 # Developer conveniences for the ABS reproduction.
 
-.PHONY: install test test-fast test-process test-backends test-exchange test-tcp test-analysis test-diverse test-service analyze docs-check lint check bench bench-full bench-exchange bench-cluster bench-service bench-sparse bench-list bench-e2e bench-e2e-smoke bench-compare trace-demo examples clean
+.PHONY: install test test-fast test-process test-backends test-exchange test-analysis test-diverse test-service analyze docs-check lint check bench bench-full bench-exchange bench-service bench-sparse bench-list bench-e2e bench-e2e-smoke bench-compare trace-demo examples clean
 
 install:
 	pip install -e .[test]
@@ -21,12 +21,8 @@ test-backends:          ## backend suite: as-installed, with the C compiler mask
 	tmp=$$(mktemp -d) && TMPDIR=$$tmp pytest tests/backends -q && TMPDIR=$$tmp pytest tests/backends -q; \
 		rc=$$?; rm -rf "$$tmp"; exit $$rc
 
-test-exchange:          ## exchange + process suites on the shm rings (the tcp lane is `make test-tcp`)
-	REPRO_EXCHANGE=shm pytest -m "exchange_shm or process" tests/ -q
-
-test-tcp:               ## tcp transport lane: codec, fault injection, determinism (auto-skips where loopback binds are forbidden)
-	pytest -m tcp tests/ -q
-	REPRO_EXCHANGE=tcp pytest -m "exchange_shm or process" tests/ -q
+test-exchange:          ## exchange + process suites on the shm rings
+	pytest -m "exchange_shm or process" tests/ -q
 
 test-analysis:          ## static-analyzer + interleaving-explorer suite
 	PYTHONPATH=src pytest -m analysis tests/
@@ -65,9 +61,6 @@ bench-full:             ## full instance lists (minutes to hours)
 
 bench-exchange:         ## host-side exchange + GA hot-path speedup (Figure 5 rings)
 	pytest benchmarks/bench_exchange.py -q
-
-bench-cluster:          ## round throughput: N socket workers (tcp) vs shm -> BENCH_cluster.json
-	pytest benchmarks/bench_cluster.py -q
 
 bench-service:          ## warm fleet vs cold one-shot jobs/sec + cache hits -> BENCH_service.json
 	pytest benchmarks/bench_service.py -q

@@ -15,8 +15,7 @@ Two execution modes are provided by :class:`~repro.abs.solver.AdaptiveBulkSearch
 - ``"process"`` — one OS process per simulated GPU (the multi-GPU
   configuration of Figure 5) on a :class:`~repro.abs.fleet.WorkerFleet`,
   weights shared via shared memory, targets/solutions exchanged through
-  the :mod:`repro.abs.exchange` transport (bit-packed shared-memory
-  rings by default; ``exchange="tcp"`` on request).
+  the :mod:`repro.abs.exchange` bit-packed shared-memory rings.
   Used by the Figure 8 scaling benchmark.
 """
 

@@ -2,7 +2,7 @@
 
 In the paper the weight matrix sits in every GPU's global memory and
 solutions travel as packed bit vectors.  Here (the target and solution
-buffers themselves are the exchange transports of
+buffers themselves are the exchange rings of
 :mod:`repro.abs.exchange`):
 
 - :class:`SharedWeights` places the (large, read-only) weight matrix in

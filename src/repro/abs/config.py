@@ -115,14 +115,12 @@ class AbsConfig:
         so ``"spawn"`` works on platforms without ``fork`` (and is the
         safe choice in threaded parents).
     exchange:
-        Process mode only: the host↔worker transport.  ``"shm"`` (the
-        default) exchanges targets and solutions through preallocated
+        Process mode only: the host↔worker transport.  ``"shm"`` is the
+        one transport: targets and solutions cross in preallocated
         bit-packed shared-memory rings — the paper's Figure-5 buffers
-        (:mod:`repro.abs.exchange`); ``"tcp"`` frames the same
-        bit-packed payloads over loopback sockets (:mod:`repro.abs.tcp`)
-        so workers can join and leave elastically.  ``None`` consults
-        the ``REPRO_EXCHANGE`` environment variable, then defaults to
-        ``"shm"``.  Transport choice never changes the search result.
+        (:mod:`repro.abs.exchange`).  ``None`` consults the
+        ``REPRO_EXCHANGE`` environment variable, then defaults to
+        ``"shm"``; any other name raises ``ValueError``.
     diversity_min_dist:
         Diverse-ABS pool admission (arXiv:2207.03069): reject a
         candidate whose Hamming distance to some pool entry is below

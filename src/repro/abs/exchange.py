@@ -19,18 +19,15 @@ module is the process-mode realization of those buffers:
   counters; ``head``/``tail`` are the global counters of Figure 5.
   The producer blocks (briefly, with a stall counter) only when the
   host has fallen a full ring behind.
-- :class:`ShmHostTransport` — the default of the two process-mode
-  transports behind ``AbsConfig.exchange``.  Both present one
-  interface to the fleet: per-worker target channels with ``put``,
-  ``worker_ref``, a ``poll`` for the next :class:`ResultBatch`,
-  ``describe``, ``drain``, ``close``, the telemetry side channel
-  (``event_bundles``, ``result_backlog``), and byte statistics.  The
-  other transport (``"tcp"``, :mod:`repro.abs.tcp`) carries the same
-  packed payloads over length-prefixed socket frames so device workers
-  can live on other hosts; it is imported lazily from the factory
-  below.
-- :func:`open_worker_endpoint` — the worker-side counterpart, built
-  from a picklable ``worker_ref``.
+- :class:`ShmHostTransport` — the host side, which
+  :class:`~repro.abs.fleet.WorkerFleet` builds: one mailbox and one
+  ring per worker, per-worker target channels with ``put``, a
+  picklable ``worker_ref``, a ``poll`` for the next
+  :class:`ResultBatch`, ``describe``, ``drain``, ``close``, the
+  telemetry side channel (``event_bundles``, ``result_backlog``), and
+  byte statistics.
+- :class:`ShmWorkerEndpoint` — the worker-side counterpart, attached
+  from a ``worker_ref``.
 
 Solutions cross the boundary bit-packed (:func:`~repro.abs.buffers.
 pack_solutions`, 8× smaller) — the analogue of the paper packing 32
@@ -56,25 +53,20 @@ import queue as queue_mod
 import time
 from dataclasses import dataclass, field
 from multiprocessing import shared_memory
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 import numpy as np
 
 from repro.abs.buffers import pack_solutions, packed_length, unpack_solutions
 
-if TYPE_CHECKING:  # runtime import is lazy — tcp imports this module
-    from repro.abs.tcp import TcpHostTransport, TcpWorkerEndpoint
-
 #: Transport names accepted by ``AbsConfig.exchange`` / ``REPRO_EXCHANGE``.
-EXCHANGE_NAMES = ("shm", "tcp")
+EXCHANGE_NAMES = ("shm",)
 
-#: Explicit wire dtypes for everything that crosses a process or host
-#: boundary (shm ring/mailbox views, tcp frame payloads).  Pinned
-#: little-endian so the wire format is identical on every platform —
-#: a bare ``np.int64`` view would silently flip byte order on a
-#: big-endian host and corrupt every mixed-endian shm attach or tcp
-#: stream.  ``tests/abs/test_exchange.py`` pins these against golden
-#: bytes.
+#: Explicit wire dtypes for everything that crosses the process
+#: boundary (the ring and mailbox views).  Pinned little-endian so the
+#: layout is identical on every platform — a bare ``np.int64`` view
+#: would silently flip byte order on a big-endian host.
+#: ``tests/abs/test_exchange.py`` pins these.
 WIRE_I64 = np.dtype("<i8")
 WIRE_U8 = np.dtype("u1")
 
@@ -120,7 +112,8 @@ def resolve_exchange(value: str | None) -> str:
     """Resolve the process-mode transport name.
 
     Explicit config beats the ``REPRO_EXCHANGE`` environment variable;
-    unset, the default is ``"shm"`` (the Figure-5 rings).
+    unset, the default is ``"shm"`` (the Figure-5 rings), which is also
+    the only name accepted.
     """
     if value is None:
         value = os.environ.get("REPRO_EXCHANGE") or "shm"
@@ -418,7 +411,7 @@ class SolutionRing(_ShmRegion):
 
 
 # ----------------------------------------------------------------------
-# Host-side transports
+# Host side
 # ----------------------------------------------------------------------
 class _MailboxTargetChannel:
     """Host-side handle for one worker's mailbox + incarnation epoch."""
@@ -439,19 +432,8 @@ class _MailboxTargetChannel:
         )
 
 
-def _new_stats() -> dict[str, int]:
-    return {
-        "exchange.targets_published": 0,
-        "exchange.results_consumed": 0,
-        "exchange.bytes_to_device": 0,
-        "exchange.bytes_from_device": 0,
-        "exchange.packs": 0,
-        "exchange.unpacks": 0,
-    }
-
-
 class ShmHostTransport:
-    """The default transport: Figure-5 rings in shared memory."""
+    """Host side of the exchange: Figure-5 rings in shared memory."""
 
     name = "shm"
 
@@ -459,7 +441,14 @@ class ShmHostTransport:
         self.n_workers = int(n_workers)
         self.n_blocks = int(n_blocks)
         self.n = int(n)
-        self.stats = _new_stats()
+        self.stats = {
+            "exchange.targets_published": 0,
+            "exchange.results_consumed": 0,
+            "exchange.bytes_to_device": 0,
+            "exchange.bytes_from_device": 0,
+            "exchange.packs": 0,
+            "exchange.unpacks": 0,
+        }
         self._mailboxes = [TargetMailbox.create(n_blocks, n) for _ in range(n_workers)]
         self._rings = [SolutionRing.create(n_blocks, n) for _ in range(n_workers)]
         # Telemetry events are variable-sized Python objects; they take
@@ -477,8 +466,8 @@ class ShmHostTransport:
         )
 
     def worker_ref(self, worker_id: int) -> tuple:
+        """What :class:`ShmWorkerEndpoint` attaches from (picklable)."""
         return (
-            "shm",
             self._mailboxes[worker_id].descriptor,
             self._rings[worker_id].descriptor,
             self._events_q,
@@ -564,36 +553,16 @@ class ShmHostTransport:
             ring.unlink()
 
 
-def make_host_transport(
-    name: str, ctx: Any, *, n_workers: int, n_blocks: int, n: int
-) -> "ShmHostTransport | TcpHostTransport":
-    """Instantiate the host side of the named transport."""
-    if name == "shm":
-        return ShmHostTransport(ctx, n_workers, n_blocks, n)
-    if name == "tcp":
-        # Imported lazily: the tcp module depends on this one for the
-        # shared wire pieces (ResultBatch, counters, wire dtypes).
-        from repro.abs.tcp import TcpHostTransport
-
-        return TcpHostTransport(ctx, n_workers, n_blocks, n)
-    raise ValueError(f"unknown exchange transport {name!r}")
-
-
 # ----------------------------------------------------------------------
-# Worker-side endpoints
+# Worker side
 # ----------------------------------------------------------------------
 class ShmWorkerEndpoint:
-    """Worker side of the shared-memory transport."""
+    """Worker side of the exchange, attached from a ``worker_ref``."""
 
     def __init__(
-        self,
-        mailbox_desc: tuple,
-        ring_desc: tuple,
-        events_q: Any,
-        worker_id: int,
-        incarnation: int,
-        stop_evt: Any,
+        self, ref: tuple, *, worker_id: int, incarnation: int, stop_evt: Any
     ) -> None:
+        mailbox_desc, ring_desc, events_q = ref
         self._mailbox = TargetMailbox.attach(mailbox_desc)
         self._ring = SolutionRing.attach(ring_desc)
         self._events_q = events_q
@@ -659,21 +628,3 @@ class ShmWorkerEndpoint:
     def close(self) -> None:
         self._mailbox.close()
         self._ring.close()
-
-
-def open_worker_endpoint(
-    ref: tuple, *, worker_id: int, incarnation: int, stop_evt: Any
-) -> "ShmWorkerEndpoint | TcpWorkerEndpoint":
-    """Build the worker-side endpoint from a picklable ``worker_ref``."""
-    kind = ref[0]
-    if kind == "shm":
-        return ShmWorkerEndpoint(
-            ref[1], ref[2], ref[3], worker_id, incarnation, stop_evt
-        )
-    if kind == "tcp":
-        from repro.abs.tcp import TcpWorkerEndpoint
-
-        return TcpWorkerEndpoint(
-            ref[1], worker_id=worker_id, incarnation=incarnation, stop_evt=stop_evt
-        )
-    raise ValueError(f"unknown worker endpoint kind {kind!r}")

@@ -2,7 +2,7 @@
 
 Process mode runs one OS process per simulated GPU.  A
 :class:`WorkerFleet` owns those processes, the exchange transport
-(shared-memory mailboxes/rings or a TCP listener), the
+(the shared-memory mailboxes and rings), the
 :class:`~repro.abs.supervisor.WorkerSupervisor` that restarts dead or
 stalled workers, and the host-side shared-memory weight segments.
 Every worker runs :func:`_fleet_worker_main`: a control loop that
@@ -63,12 +63,7 @@ import numpy as np
 from repro.abs.buffers import SharedWeights
 from repro.abs.config import AbsConfig
 from repro.abs.device import DevicePlan, DeviceSimulator
-from repro.abs.exchange import (
-    ResultBatch,
-    make_host_transport,
-    open_worker_endpoint,
-    resolve_exchange,
-)
+from repro.abs.exchange import ResultBatch, ShmHostTransport, ShmWorkerEndpoint
 from repro.abs.host import Host
 from repro.abs.supervisor import WorkerSupervisor
 from repro.telemetry.bus import NULL_BUS, NullBus, RelayBus, TelemetryBus
@@ -129,7 +124,6 @@ def fleet_params(cfg: AbsConfig, n: int) -> dict[str, Any]:
     """
     return {
         "n": int(n),
-        "exchange": resolve_exchange(cfg.exchange),
         "n_workers": cfg.n_gpus,
         "n_blocks": cfg.blocks_per_gpu,
         "max_restarts": cfg.max_worker_restarts,
@@ -244,7 +238,7 @@ def _fleet_worker_main(
     kernel input, so reuse cannot couple searches).
     """
     proxy = _StopProxy(stop_evt, control)
-    endpoint = open_worker_endpoint(
+    endpoint = ShmWorkerEndpoint(
         exchange_ref,
         worker_id=worker_id,
         incarnation=incarnation,
@@ -327,10 +321,8 @@ class WorkerFleet:
     Parameters
     ----------
     n:
-        Problem size in bits — part of the fleet geometry (transports
-        size their mailboxes/rings from it).
-    exchange:
-        Transport name (``None`` resolves like ``AbsConfig.exchange``).
+        Problem size in bits — part of the fleet geometry (the
+        transport sizes its mailboxes/rings from it).
     n_workers, n_blocks:
         Fleet geometry: worker processes and blocks per worker.
     bus:
@@ -354,7 +346,6 @@ class WorkerFleet:
         self,
         n: int,
         *,
-        exchange: str | None = None,
         n_workers: int,
         n_blocks: int,
         bus: TelemetryBus | NullBus | None = None,
@@ -368,19 +359,14 @@ class WorkerFleet:
         from multiprocessing import get_context
 
         self.n = int(n)
-        self.exchange = resolve_exchange(exchange)
         self.n_workers = int(n_workers)
         self.n_blocks = int(n_blocks)
         self.bus = bus if bus is not None else NULL_BUS
         self.start_method = start_method
         self.ctx = get_context(_resolve_start_method(start_method))
         self.stop_evt = self.ctx.Event()
-        self.transport = make_host_transport(
-            self.exchange,
-            self.ctx,
-            n_workers=self.n_workers,
-            n_blocks=self.n_blocks,
-            n=self.n,
+        self.transport = ShmHostTransport(
+            self.ctx, self.n_workers, self.n_blocks, self.n
         )
         self.supervisor: WorkerSupervisor | None = None
         self._max_restarts = int(max_restarts)
@@ -417,7 +403,6 @@ class WorkerFleet:
         """This fleet's :func:`fleet_params`: what a job must match."""
         return {
             "n": self.n,
-            "exchange": self.exchange,
             "n_workers": self.n_workers,
             "n_blocks": self.n_blocks,
             "max_restarts": self._max_restarts,
@@ -442,8 +427,9 @@ class WorkerFleet:
         # tracker only if it already runs; otherwise each worker starts
         # its own on its first attach, and that tracker unlinks the
         # job's weight segment when the worker dies, so the replacement
-        # cannot attach (the tcp transport creates no segment before
-        # the first job).
+        # cannot attach.  Creating the transport's segments already
+        # starts it; the call keeps that a stated requirement rather
+        # than a side effect.
         resource_tracker.ensure_running()
         self.supervisor = WorkerSupervisor(
             self.n_workers,
@@ -557,8 +543,8 @@ class WorkerFleet:
         if any(j.job_seq != job_seq for j in jobs):
             raise ValueError("all jobs in one arm must share a job_seq")
         # Flush the previous job's buffered event bundles under *its*
-        # sequence before the epoch moves — e.g. a reconnect that
-        # landed after that job's host loop stopped polling.
+        # sequence before the epoch moves — e.g. a final round's device
+        # events that landed after that job's host loop stopped polling.
         self.relay_events(self.bus, prev_seq)
         with self._lock:
             self._job_seq = job_seq
@@ -603,11 +589,10 @@ class WorkerFleet:
         """Re-emit buffered worker-side event bundles for ``job_seq``.
 
         Worker telemetry (``device.round``, ``engine.*``, ``adapt.*``)
-        and host-transport synthetics (``exchange.reconnect``) ride the
-        transport's side channel; re-emit them stamped with the worker
-        id, but only for the worker's current incarnation *and this
-        job* — a killed predecessor's (or a previous job's) buffered
-        events would misattribute counters otherwise.
+        rides the transport's side channel; re-emit it stamped with the
+        worker id, but only for the worker's current incarnation *and
+        this job* — a killed predecessor's (or a previous job's)
+        buffered events would misattribute counters otherwise.
         """
         if not bus.enabled or self.supervisor is None:
             self.transport.event_bundles()  # discard, don't accumulate
@@ -630,9 +615,8 @@ class WorkerFleet:
         The supervisor and the transport count over the fleet's
         lifetime; a job's result reports only its own share.  Called
         once per job after its host loop ends, so whatever happened
-        between two jobs (a worker killed while idle, a reconnect)
-        lands on the next one, and a fresh fleet's first job sees
-        everything since spawn.
+        between two jobs (a worker killed while idle) lands on the next
+        one, and a fresh fleet's first job sees everything since spawn.
         """
         sup = self.supervisor
         if sup is None:
@@ -673,10 +657,9 @@ class WorkerFleet:
             if p.is_alive():
                 p.terminate()
                 p.join(timeout=1.0)
-        # Workers are down, so every frame they ever sent has been
-        # accepted: one last relay catches bundles that arrived after
-        # the host loop stopped polling (a late reconnect, the final
-        # round's device events).
+        # Workers are down, so every bundle they ever sent is queued:
+        # one last relay catches those that arrived after the host loop
+        # stopped polling (the final round's device events).
         try:
             self.relay_events(self.bus, last_seq)
         except Exception:  # pragma: no cover - teardown best-effort

@@ -11,11 +11,10 @@ config, runs one job on it through :meth:`AdaptiveBulkSearch.
 solve_on_fleet`, and shuts it down; the solver service runs many jobs
 on one fleet through the same method.  The weight matrix lives in
 shared memory (one copy, like GPU global memory), targets flow host →
-device and solutions device → host through the exchange transport
-(:mod:`repro.abs.exchange` — bit-packed shared-memory rings by default,
-TCP sockets on request), and nobody blocks on anybody — a device that
-sees no fresh targets keeps searching from its current state, exactly
-the paper's asynchronous tolerance.
+device and solutions device → host through the bit-packed
+shared-memory rings of :mod:`repro.abs.exchange`, and nobody blocks on
+anybody — a device that sees no fresh targets keeps searching from its
+current state, exactly the paper's asynchronous tolerance.
 ``AbsConfig.lockstep`` makes workers wait for fresh targets after every
 round, which makes a single-worker run deterministic (with several
 workers the arrival order still varies).
@@ -60,7 +59,7 @@ import numpy as np
 from repro.abs.adaptive import AdaptPlan, VariantController
 from repro.abs.config import AbsConfig, resolve_windows
 from repro.abs.device import DevicePlan, DeviceSimulator
-from repro.abs.exchange import ResultBatch
+from repro.abs.exchange import ResultBatch, resolve_exchange
 from repro.abs.fleet import FleetDevices, WorkerFleet, WorkerJob, fleet_params
 from repro.abs.host import DeviceSet, Host, _merge_counts, run_search_rounds
 from repro.abs.result import SolveResult
@@ -291,6 +290,9 @@ class AdaptiveBulkSearch:
         return host, plans
 
     def _check_process_config(self) -> None:
+        # Refuse a transport name from REPRO_EXCHANGE as AbsConfig
+        # refuses one from the config.
+        resolve_exchange(self.config.exchange)
         if self.config.variant_adapt:
             raise ValueError(
                 "variant_adapt is sync-mode only: process-mode fleets are "
@@ -339,8 +341,7 @@ class AdaptiveBulkSearch:
         long-lived fleet's history does not leak into every result) and
         the host's; ``pool.inserted`` includes the Step-1 seeding.
         Wall-clock stays out of ``result.counters``: that snapshot is
-        pinned bit-identical across runs, transports, and telemetry on
-        and off.  With telemetry on it is also added to ``bus.counters``
+        pinned bit-identical across runs and telemetry on and off.  With telemetry on it is also added to ``bus.counters``
         here, the only place run counters reach the session; a run that
         raises first (the answer check included) adds none.
         """

@@ -16,8 +16,8 @@ package turns those conventions into a CI gate:
   ``kernel-purity``, ``shm-protocol``).
 - :mod:`repro.analysis.lockcheck` — the ``lock-discipline`` rule: a
   machine-checked guarded-by convention (``# guarded-by: <lock>``
-  annotations) for the service/fleet/supervisor/tcp thread-level
-  state, with lock-order cycle detection and ``Condition.wait``
+  annotations) for the service/fleet/supervisor thread-level state,
+  with lock-order cycle detection and ``Condition.wait``
   predicate-loop enforcement.
 - :mod:`repro.analysis.interleave` — a deterministic interleaving
   explorer that drives the real ``TargetMailbox`` / ``SolutionRing``

@@ -25,26 +25,9 @@ therefore proves (within the explored bounds):
   meta/energies/packed components, including across wraparound
   (``slots=2`` with more writes than slots forces it).
 
-The tcp transport (:mod:`repro.abs.tcp`) gets the same treatment with
-a different adversary: inside one TCP connection frames cannot tear or
-reorder (the kernel guarantees ordered byte delivery and the codec's
-CRC turns damage into reconnects), so the explored hazard is *loss of
-the connection* — in-flight frames vanish, and the reconnect handshake
-replays the host's freshest target frame.  The step machines model the
-target stream (freshest-wins generation filter against HELLO replay)
-and the result stream (at-most-once sends against drops), proving:
-
-- **tcp targets**: accepted generations are strictly increasing with
-  payloads intact across any pattern of drops and replays;
-- **tcp results**: the host observes a strictly increasing subsequence
-  of what the worker sent — suffix loss is allowed, duplication and
-  reordering never.
-
 Known, deliberate bugs can be injected (``bug=...``) to prove the
 checker actually detects protocol violations; the test suite pins both
-directions.  The tcp models take ``no_gen_filter`` / ``resend_stale``
-(target stream) and ``dup_resend`` / ``reorder`` (result stream).
-Scope and limits: ``docs/analysis.md``.
+directions.  Scope and limits: ``docs/analysis.md``.
 """
 
 from __future__ import annotations
@@ -64,8 +47,6 @@ __all__ = [
     "InterleaveViolation",
     "explore_mailbox",
     "explore_ring",
-    "explore_tcp_results",
-    "explore_tcp_targets",
     "run_all",
 ]
 
@@ -377,227 +358,6 @@ class _RingConsumer(_Actor):
 
 
 # --------------------------------------------------------------------------
-# tcp stream step machines (repro.abs.tcp)
-# --------------------------------------------------------------------------
-#
-# The world is a tiny byte region modelling one TCP connection: a
-# connected flag, a bounded FIFO of in-flight frames (TCP's in-order
-# delivery *is* the FIFO; there is no interleaving that reorders it),
-# and — for the target stream — the host's cached freshest frame that
-# the HELLO handshake replays.  A dropper actor is the only adversary:
-# it severs the connection, losing every in-flight frame at once.
-
-#: Byte offsets into the stream region.
-_S_CONN = 0      # 1 while the connection is up
-_S_QLEN = 1      # frames currently in flight
-_S_QUEUE = 2     # gens/seqs of in-flight frames, FIFO order
-_S_QCAP = 3      # in-flight bound (socket buffer stand-in)
-_S_PAYLOAD = _S_QUEUE + _S_QCAP    # targets only: per-frame payload byte
-_S_LATEST_GEN = _S_PAYLOAD + _S_QCAP   # targets only: host's cached gen
-_S_LATEST_PAY = _S_LATEST_GEN + 1      # targets only: its payload byte
-_TARGET_REGION = _S_LATEST_PAY + 1
-_RESULT_REGION = _S_QUEUE + _S_QCAP
-
-
-def _tcp_payload(gen: int) -> int:
-    """Deterministic payload byte for generation ``gen`` — a stamped
-    frame whose payload disagrees with its generation is corrupt."""
-    return (41 * gen + 3) & 0xFF
-
-
-class _StreamDropper(_Actor):
-    """The network adversary: sever the connection, losing every frame
-    still in flight.  Reconnecting is the *peer's* job (and where the
-    HELLO replay semantics live), so this actor only cuts."""
-
-    name = "drop"
-
-    def __init__(self, region: bytearray, depth: int) -> None:
-        super().__init__(depth)
-        self.region = region
-
-    def step(self) -> None:
-        r = self.region
-        if r[_S_CONN] == 0:
-            self._end_op(None)  # already down
-            return
-        r[_S_CONN] = 0
-        for j in range(r[_S_QLEN]):  # in-flight frames are gone
-            r[_S_QUEUE + j] = 0
-            if len(r) == _TARGET_REGION:
-                r[_S_PAYLOAD + j] = 0
-        r[_S_QLEN] = 0
-        self._end_op("drop")
-
-
-class _TcpTargetSender(_Actor):
-    """``TcpHostTransport._publish_targets``: stamp the next generation,
-    cache it as the freshest frame, and send it if the stream is up —
-    a send to a severed stream is simply lost (the worker will replay
-    the cache when it reconnects)."""
-
-    name = "send_targets"
-
-    def __init__(self, region: bytearray, depth: int) -> None:
-        super().__init__(depth)
-        self.region = region
-
-    def step(self) -> None:
-        r = self.region
-        if r[_S_CONN] and r[_S_QLEN] >= _S_QCAP:
-            return  # stream backed up: spin until the worker drains
-        gen = r[_S_LATEST_GEN] + 1
-        r[_S_LATEST_GEN] = gen
-        r[_S_LATEST_PAY] = _tcp_payload(gen)
-        if r[_S_CONN]:
-            r[_S_QUEUE + r[_S_QLEN]] = gen
-            r[_S_PAYLOAD + r[_S_QLEN]] = _tcp_payload(gen)
-            r[_S_QLEN] += 1
-        self._end_op(gen)
-
-
-class _TcpTargetReceiver(_Actor):
-    """``TcpWorkerEndpoint`` receive loop: reconnect (triggering the
-    host's HELLO replay of its freshest frame) or take the next frame,
-    keeping a batch only when its generation is strictly newer than
-    anything already used.
-
-    ``bug='no_gen_filter'`` accepts replayed frames — the HELLO replay
-    then hands the worker a generation it already searched.
-    ``bug='resend_stale'`` models a host that stamps the replay with
-    the current generation but serves the previously cached payload —
-    the freshness filter passes and a corrupt batch gets through."""
-
-    name = "recv_targets"
-
-    def __init__(self, region: bytearray, depth: int, bug: str | None = None) -> None:
-        super().__init__(depth, bug)
-        self.region = region
-        self.locals = {"last_gen": 0}
-
-    def step(self) -> None:
-        r, loc = self.region, self.locals
-        if r[_S_CONN] == 0:
-            # Reconnect + HELLO: the host replays its freshest cached
-            # frame so the rejoining worker is current immediately.
-            r[_S_CONN] = 1
-            lg = r[_S_LATEST_GEN]
-            if lg and r[_S_QLEN] < _S_QCAP:
-                pay = (
-                    _tcp_payload(lg - 1)
-                    if self.bug == "resend_stale"
-                    else r[_S_LATEST_PAY]
-                )
-                r[_S_QUEUE + r[_S_QLEN]] = lg
-                r[_S_PAYLOAD + r[_S_QLEN]] = pay
-                r[_S_QLEN] += 1
-            self._end_op("reconnect")
-            return
-        if r[_S_QLEN] == 0:
-            self._end_op(None)  # empty poll
-            return
-        gen, payload = r[_S_QUEUE], r[_S_PAYLOAD]
-        for j in range(1, r[_S_QLEN]):  # in-order delivery: pop the head
-            r[_S_QUEUE + j - 1] = r[_S_QUEUE + j]
-            r[_S_PAYLOAD + j - 1] = r[_S_PAYLOAD + j]
-        r[_S_QLEN] -= 1
-        r[_S_QUEUE + r[_S_QLEN]] = 0
-        r[_S_PAYLOAD + r[_S_QLEN]] = 0
-        if self.bug != "no_gen_filter" and gen <= loc["last_gen"]:
-            self._end_op(None)  # replayed or stale: skipped, never reused
-            return
-        if payload != _tcp_payload(gen):
-            raise InterleaveViolation(
-                f"corrupt tcp target frame: generation {gen} carried "
-                f"payload {payload}, expected {_tcp_payload(gen)}"
-            )
-        if gen <= loc["last_gen"]:
-            raise InterleaveViolation(
-                f"tcp target freshness broken: generation {gen} accepted "
-                f"after {loc['last_gen']} (replayed frame reused)"
-            )
-        loc["last_gen"] = gen
-        self._end_op(gen)
-
-
-class _TcpResultSender(_Actor):
-    """``TcpWorkerEndpoint.publish``: reconnect if the stream is down,
-    then send this round's result *at most once* — a send that dies
-    mid-flight is dropped for good, because the totals are cumulative
-    and the next round's snapshot covers the gap.
-
-    ``bug='dup_resend'`` retries the last frame on reconnect (the
-    tempting at-least-once mistake) — the host then sees a result it
-    already consumed."""
-
-    name = "send_result"
-
-    def __init__(self, region: bytearray, depth: int, bug: str | None = None) -> None:
-        super().__init__(depth, bug)
-        self.region = region
-        self.locals = {"last_sent": 0}
-
-    def step(self) -> None:
-        r, loc = self.region, self.locals
-        if self.pc == 0:
-            if r[_S_CONN] == 0:
-                r[_S_CONN] = 1  # reconnect + HELLO
-                if self.bug == "dup_resend" and loc["last_sent"]:
-                    if r[_S_QLEN] < _S_QCAP:
-                        r[_S_QUEUE + r[_S_QLEN]] = loc["last_sent"]
-                        r[_S_QLEN] += 1
-            self.pc = 1
-            return
-        if r[_S_CONN] and r[_S_QLEN] >= _S_QCAP:
-            return  # stream backed up: spin until the host drains
-        seq = self.op + 1
-        if r[_S_CONN]:
-            r[_S_QUEUE + r[_S_QLEN]] = seq
-            r[_S_QLEN] += 1
-        # else: the connection died under the send — at-most-once means
-        # this snapshot is lost for good, never retried.
-        loc["last_sent"] = seq
-        self._end_op(seq)
-
-
-class _TcpResultReceiver(_Actor):
-    """Host-side result intake: take the next in-flight frame and check
-    that observed sequence numbers are strictly increasing — the FIFO /
-    no-duplication half of the SolutionRing contract, with suffix loss
-    (a severed stream) explicitly allowed.
-
-    ``bug='reorder'`` delivers a later frame first — the reordering TCP
-    itself can never produce, proving the checker would notice if the
-    in-order assumption were violated."""
-
-    name = "recv_result"
-
-    def __init__(self, region: bytearray, depth: int, bug: str | None = None) -> None:
-        super().__init__(depth, bug)
-        self.region = region
-        self.locals = {"last_seq": 0}
-
-    def step(self) -> None:
-        r, loc = self.region, self.locals
-        if r[_S_QLEN] == 0:
-            self._end_op(None)  # empty poll
-            return
-        idx = 1 if (self.bug == "reorder" and r[_S_QLEN] >= 2) else 0
-        seq = r[_S_QUEUE + idx]
-        for j in range(idx + 1, r[_S_QLEN]):
-            r[_S_QUEUE + j - 1] = r[_S_QUEUE + j]
-        r[_S_QLEN] -= 1
-        r[_S_QUEUE + r[_S_QLEN]] = 0
-        if seq <= loc["last_seq"]:
-            raise InterleaveViolation(
-                f"tcp result FIFO broken: sequence {seq} observed after "
-                f"{loc['last_seq']} (duplicated or reordered frame)"
-            )
-        loc["last_seq"] = seq
-        self._end_op(seq)
-
-
-# --------------------------------------------------------------------------
 # the explorer
 # --------------------------------------------------------------------------
 
@@ -745,54 +505,9 @@ def explore_ring(
                     depth, ring._shm.data, actors)  # type: ignore[attr-defined]
 
 
-def explore_tcp_targets(
-    depth: int = 6, drops: int = 2, bug: str | None = None
-) -> InterleaveReport:
-    """Exhaustively interleave ``depth`` target sends against ``depth``
-    worker receive/reconnect steps, under up to ``drops`` connection
-    losses (each loss discards every in-flight frame and forces the
-    HELLO replay on reconnect)."""
-    region = bytearray(_TARGET_REGION)
-    region[_S_CONN] = 1
-    actors: list[_Actor] = [
-        _TcpTargetSender(region, depth),
-        _TcpTargetReceiver(
-            region, depth,
-            bug=bug if bug in ("no_gen_filter", "resend_stale") else None,
-        ),
-        _StreamDropper(region, drops),
-    ]
-    return _explore(f"TcpTargetStream(bug={bug})" if bug else "TcpTargetStream",
-                    depth, region, actors)
-
-
-def explore_tcp_results(
-    depth: int = 6, drops: int = 2, bug: str | None = None
-) -> InterleaveReport:
-    """Exhaustively interleave ``depth`` at-most-once result sends
-    against ``depth`` host consumes, under up to ``drops`` connection
-    losses — proving the host's view is a strictly increasing
-    subsequence (suffix loss allowed; duplication and reorder never)."""
-    region = bytearray(_RESULT_REGION)
-    region[_S_CONN] = 1
-    actors: list[_Actor] = [
-        _TcpResultSender(
-            region, depth, bug=bug if bug == "dup_resend" else None
-        ),
-        _TcpResultReceiver(
-            region, depth, bug=bug if bug == "reorder" else None
-        ),
-        _StreamDropper(region, drops),
-    ]
-    return _explore(f"TcpResultStream(bug={bug})" if bug else "TcpResultStream",
-                    depth, region, actors)
-
-
 def run_all(depth: int = 6) -> list[InterleaveReport]:
-    """All four structures at ``depth`` (`repro analyze --interleave`)."""
+    """Both structures at ``depth`` (`repro analyze --interleave`)."""
     return [
         explore_mailbox(depth=depth),
         explore_ring(depth=depth),
-        explore_tcp_targets(depth=depth),
-        explore_tcp_results(depth=depth),
     ]

@@ -1,9 +1,9 @@
 """``lock-discipline``: a guarded-by convention for threaded host state.
 
-PR 9 made the reproduction a long-lived multi-threaded *service* — a
-dispatcher thread, user-facing ``submit``/``status``/``cancel`` calls,
-a tcp acceptor thread — and its review immediately surfaced a real
-concurrency bug (a result-cache insert racing the cancellation check).
+The solver service is a long-lived multi-threaded host — a dispatcher
+thread, user-facing ``submit``/``status``/``cancel`` calls, the fleet's
+supervise thread — and its first review surfaced a real concurrency
+bug (a result-cache insert racing the cancellation check).
 The wire-level exchange structures are already model-checked by
 :mod:`repro.analysis.interleave`; this rule covers the *thread-level*
 state those checks cannot see, by making the locking contract a

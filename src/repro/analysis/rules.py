@@ -656,30 +656,6 @@ def _is_exchange_module(module: Module) -> bool:
     return posix.endswith("abs/exchange.py") or posix.endswith("/exchange.py")
 
 
-#: TCP frame-layout symbols owned by repro.abs.tcp.  The wire format
-#: (magic, header struct, payload heads, counter vector order) must
-#: never be re-derived or poked at outside the transport module — the
-#: codec functions are the only sanctioned surface.
-_TCP_LAYOUT_NAMES = frozenset({
-    "FRAME_MAGIC",
-    "FRAME_HEADER",
-    "MAX_FRAME_PAYLOAD",
-    "_TARGETS_HEAD",
-    "_RESULT_HEAD",
-    "_WIRE_COUNTER_KEYS",
-})
-
-
-def _is_transport_module(module: Module) -> bool:
-    """Modules allowed to know a transport's byte layout (shm or tcp)."""
-    posix = module.path.as_posix()
-    return (
-        _is_exchange_module(module)
-        or posix.endswith("abs/tcp.py")
-        or posix.endswith("/tcp.py")
-    )
-
-
 def _is_checker_module(module: Module) -> bool:
     return "repro/analysis/" in module.path.as_posix()
 
@@ -778,32 +754,6 @@ def _check_shm_protocol(module: Module) -> Iterable[Finding]:
                             "protocol module",
                         )
 
-    # The tcp lane's layout confinement: the frame wire format lives in
-    # repro.abs.tcp only.  Importing a layout symbol — or defining a
-    # same-named one — anywhere else means some module is packing or
-    # parsing frames by hand instead of using the codec functions.
-    if not _is_transport_module(module) and not checker:
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.ImportFrom) and node.module == "repro.abs.tcp":
-                for alias in node.names:
-                    if alias.name in _TCP_LAYOUT_NAMES:
-                        yield module.finding(
-                            node, rule,
-                            f"tcp frame-layout symbol {alias.name} imported "
-                            "outside the transport module — the wire format "
-                            "is owned by repro.abs.tcp (use the codec "
-                            "functions)",
-                        )
-            elif isinstance(node, (ast.Name, ast.Attribute)):
-                name = node.id if isinstance(node, ast.Name) else node.attr
-                if name in _TCP_LAYOUT_NAMES:
-                    yield module.finding(
-                        node, rule,
-                        f"tcp frame layout ({name}) referenced outside the "
-                        "transport module — frame bytes are packed and "
-                        "parsed only in repro.abs.tcp",
-                    )
-
     # Store-ordering checks for any seqlock/SPSC-shaped method (the real
     # exchange classes and protocol fixtures alike).
     for cls in (n for n in ast.walk(module.tree) if isinstance(n, ast.ClassDef)):
@@ -858,10 +808,8 @@ def _check_shm_protocol(module: Module) -> Iterable[Finding]:
 RULE_SHM_PROTOCOL = register_rule(Rule(
     id="shm-protocol",
     description=(
-        "transport byte layouts stay in their modules: SharedMemory.buf "
-        "arithmetic inside exchange.py, tcp frame structs inside tcp.py; "
-        "seqlock/SPSC methods must order payload stores/copies around the "
-        "header words"
+        "SharedMemory.buf arithmetic stays inside exchange.py; seqlock/SPSC "
+        "methods must order payload stores/copies around the header words"
     ),
     scope="module",
     check=_check_shm_protocol,

@@ -574,10 +574,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=EXCHANGE_NAMES,
         default=None,
         help="process mode: host<->worker transport — shm (Figure-5 "
-        "bit-packed shared-memory rings, the default) or tcp (framed "
-        "loopback sockets, elastic workers); default: $REPRO_EXCHANGE "
-        "or shm."
-        "  Never changes the search result.",
+        "bit-packed shared-memory rings) is the only one; default: "
+        "$REPRO_EXCHANGE or shm.",
     )
     p.add_argument(
         "--lockstep",
@@ -795,7 +793,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SUITE",
         help="also model-check concurrency: 'exchange' explores the "
-        "seqlock/SPSC/tcp stream protocols, 'service' the solver "
+        "seqlock/SPSC ring protocols, 'service' the solver "
         "service's job lifecycle, 'all' (the default when the flag "
         "is bare) both",
     )

@@ -12,8 +12,7 @@ Semantics that matter:
 - **Determinism**: a job run through the service produces the same
   result, bit for bit, as a one-shot ``AdaptiveBulkSearch.solve()``
   with the same problem, config, and seed (pinned by
-  ``tests/service/test_service_determinism.py`` on the shm and tcp
-  transports).  The warm path reuses *state-free* plumbing only.
+  ``tests/service/test_service_determinism.py``).  The warm path reuses *state-free* plumbing only.
 - **Scheduling**: highest priority first, FIFO within a priority
   (``(-priority, submit_seq)`` heap).  One job runs at a time — the
   fleet is a shared search engine, not a thread pool.

@@ -105,22 +105,13 @@ EVENT_SCHEMAS: dict[str, EventSpec] = {
         required={"device": INT, "results_queued": INT}
     ),
     # Exchange transport (process mode; see repro.abs.exchange) -------
-    # Emitted once per solve after the transport is built.  On the shm
-    # transport the slot sizes are the bit-packed shared-memory record
-    # sizes; the tcp transport reports its frame sizes and
-    # ``ring_slots == 0``.
+    # Emitted once per solve after the transport is built.  The slot
+    # sizes are the bit-packed shared-memory record sizes.
     "exchange.open": EventSpec(
         required={
             "transport": STR, "workers": INT, "ring_slots": INT,
             "target_slot_bytes": INT, "result_slot_bytes": INT,
         },
-        optional={"port": INT},  # tcp transport: the acceptor's port
-    ),
-    # Emitted by the tcp transport when a worker slot connects again
-    # after its first HELLO — a crash, a dropped stream, or an elastic
-    # rejoin.  ``connects`` counts lifetime connections for that slot.
-    "exchange.reconnect": EventSpec(
-        required={"device": INT, "incarnation": INT, "connects": INT}
     ),
     "worker.result": EventSpec(
         required={
@@ -267,12 +258,6 @@ COUNTER_NAMES: frozenset[str] = frozenset(
         "exchange.unpacks",
         "exchange.publish_stalls",
         "exchange.target_waits",
-        # tcp exchange transport (repro.abs.tcp)
-        "exchange.tcp.connects",
-        "exchange.tcp.reconnects",
-        "exchange.tcp.frames_to_device",
-        "exchange.tcp.frames_from_device",
-        "exchange.tcp.dropped_results",
         # solver phase timings (repro.abs.solver)
         "solver.setup_ns",
         "solver.search_ns",

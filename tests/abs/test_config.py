@@ -88,13 +88,15 @@ class TestAbsConfig:
 
 class TestRemovedChoices:
     def test_removed_names_are_rejected_with_remaining_choices(self, monkeypatch):
-        """``queue`` is not a transport and ``numba`` and ``graycode``
-        are not backends; asking for any of them fails and names what
-        can be chosen."""
+        """``queue`` and ``tcp`` are not transports and ``numba`` and
+        ``graycode`` are not backends; asking for any of them fails and
+        names what can be chosen."""
         from repro.abs.exchange import resolve_exchange
 
-        with pytest.raises(ValueError, match=r"\('shm', 'tcp'\).*'queue'"):
+        with pytest.raises(ValueError, match=r"\('shm',\).*'queue'"):
             AbsConfig(exchange="queue")
+        with pytest.raises(ValueError, match=r"\('shm',\).*'tcp'"):
+            AbsConfig(exchange="tcp")
         with pytest.raises(
             ValueError,
             match=r"'numba' \(registered: bitplane, numpy\)",
@@ -106,5 +108,21 @@ class TestRemovedChoices:
         ):
             AbsConfig(backend="graycode")
         monkeypatch.setenv("REPRO_EXCHANGE", "queue")
-        with pytest.raises(ValueError, match=r"'queue' \(use one of: shm, tcp\)"):
+        with pytest.raises(ValueError, match=r"'queue' \(use one of: shm\)"):
             resolve_exchange(None)
+        monkeypatch.setenv("REPRO_EXCHANGE", "tcp")
+        with pytest.raises(ValueError, match=r"'tcp' \(use one of: shm\)"):
+            resolve_exchange(None)
+
+    def test_process_solve_refuses_removed_transport_from_env(self, monkeypatch):
+        """``REPRO_EXCHANGE=tcp`` fails a process solve before any
+        worker spawns, instead of being ignored."""
+        from repro.abs import AdaptiveBulkSearch
+        from repro.qubo import QuboMatrix
+
+        monkeypatch.setenv("REPRO_EXCHANGE", "tcp")
+        solver = AdaptiveBulkSearch(
+            QuboMatrix.random(8, seed=0), AbsConfig(max_rounds=1)
+        )
+        with pytest.raises(ValueError, match=r"'tcp' \(use one of: shm\)"):
+            solver.solve("process")

@@ -93,8 +93,8 @@ class TestRound:
 
 class TestTotals:
     def test_keys_are_the_wire_counter_keys(self, problem):
-        """``totals()`` is the record the shm meta slots and the tcp
-        RESULT counter vector carry: same keys, same order."""
+        """``totals()`` is the record the shm meta slots carry: same
+        keys, same order."""
         dev = DeviceSimulator(
             problem, 4, windows=4, local_steps=4, tabu_steps=8,
             adapter=WindowAdapter(problem.n, 4, period=1, seed=3),

@@ -17,12 +17,13 @@ from repro.abs.buffers import pack_solutions, packed_length, unpack_solutions
 from repro.abs.exchange import (
     DEFAULT_RING_SLOTS,
     EXCHANGE_NAMES,
+    WIRE_I64,
+    WIRE_U8,
     ResultBatch,
     ShmHostTransport,
+    ShmWorkerEndpoint,
     SolutionRing,
     TargetMailbox,
-    make_host_transport,
-    open_worker_endpoint,
     resolve_exchange,
 )
 
@@ -58,7 +59,8 @@ class TestResolveExchange:
 
     def test_env_consulted(self, monkeypatch):
         monkeypatch.setenv("REPRO_EXCHANGE", "tcp")
-        assert resolve_exchange(None) == "tcp"
+        with pytest.raises(ValueError, match=r"'tcp' \(use one of: shm\)"):
+            resolve_exchange(None)
 
     def test_explicit_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_EXCHANGE", "tcp")
@@ -69,7 +71,37 @@ class TestResolveExchange:
             resolve_exchange("carrier-pigeon")
 
     def test_names_catalog(self):
-        assert EXCHANGE_NAMES == ("shm", "tcp")
+        assert EXCHANGE_NAMES == ("shm",)
+
+
+def test_wire_dtypes_are_explicit_little_endian():
+    """The shm rings share these dtypes; native-order
+    ``np.int64`` would silently flip on a big-endian host."""
+    assert WIRE_I64 == np.dtype("<i8") and WIRE_I64.byteorder in ("<", "=")
+    assert np.dtype("<i8").itemsize == 8
+    assert WIRE_U8 == np.dtype("u1")
+
+
+def test_shm_packing_paths_use_wire_dtypes():
+    """The regression for the latent-bug audit: the mailbox/ring views
+    and the shm publish path must produce little-endian int64
+    and plain uint8 regardless of platform defaults."""
+    from repro.abs.exchange import SolutionRing, TargetMailbox
+
+    box = TargetMailbox.create(1, 8)
+    try:
+        assert box._header.dtype == WIRE_I64
+        assert box._slots.dtype == WIRE_U8
+    finally:
+        box.unlink()
+    ring = SolutionRing.create(1, 8, slots=2)
+    try:
+        assert ring._header.dtype == WIRE_I64
+        assert ring._meta.dtype == WIRE_I64
+        assert ring._energies.dtype == WIRE_I64
+        assert ring._packed.dtype == WIRE_U8
+    finally:
+        ring.unlink()
 
 
 class TestTargetMailbox:
@@ -204,27 +236,17 @@ class TestSolutionRing:
             SolutionRing.create(1, 8, slots=0)
 
 
-#: EXCHANGE_NAMES with the tcp lane carrying its marker, so the
-#: loopback guard in tests/conftest.py can skip it in sandboxes that
-#: forbid socket binds.
-TRANSPORT_PARAMS = [
-    pytest.param(name, marks=pytest.mark.tcp) if name == "tcp"
-    else pytest.param(name)
-    for name in EXCHANGE_NAMES
-]
-
-
 class TestTransportEndToEnd:
     """Host transport + worker endpoint talking in one process."""
 
-    @pytest.mark.parametrize("name", TRANSPORT_PARAMS)
+    @pytest.mark.parametrize("name", EXCHANGE_NAMES)
     def test_round_trip(self, name):
         ctx = multiprocessing.get_context()
         stop = ctx.Event()
-        transport = make_host_transport(name, ctx, n_workers=1, n_blocks=3, n=20)
+        transport = ShmHostTransport(ctx, n_workers=1, n_blocks=3, n=20)
         try:
             ch = transport.make_target_channel(0, 0)
-            endpoint = open_worker_endpoint(
+            endpoint = ShmWorkerEndpoint(
                 transport.worker_ref(0), worker_id=0, incarnation=0,
                 stop_evt=stop,
             )
@@ -256,7 +278,7 @@ class TestTransportEndToEnd:
 
     def test_poll_timeout_returns_none(self):
         ctx = multiprocessing.get_context()
-        transport = make_host_transport("shm", ctx, n_workers=1, n_blocks=2, n=8)
+        transport = ShmHostTransport(ctx, n_workers=1, n_blocks=2, n=8)
         try:
             assert transport.poll(timeout=0.05) is None
         finally:
@@ -265,10 +287,10 @@ class TestTransportEndToEnd:
     def test_event_side_channel(self):
         ctx = multiprocessing.get_context()
         stop = ctx.Event()
-        transport = make_host_transport("shm", ctx, n_workers=1, n_blocks=2, n=8)
+        transport = ShmHostTransport(ctx, n_workers=1, n_blocks=2, n=8)
         try:
             ch = transport.make_target_channel(0, 0)
-            endpoint = open_worker_endpoint(
+            endpoint = ShmWorkerEndpoint(
                 transport.worker_ref(0), worker_id=0, incarnation=0,
                 stop_evt=stop,
             )
@@ -295,22 +317,19 @@ class TestTransportEndToEnd:
             transport.drain()
             transport.close()
 
-    @pytest.mark.parametrize("name", TRANSPORT_PARAMS)
+    @pytest.mark.parametrize("name", EXCHANGE_NAMES)
     def test_describe_shapes(self, name):
         ctx = multiprocessing.get_context()
-        transport = make_host_transport(name, ctx, n_workers=2, n_blocks=4, n=33)
+        transport = ShmHostTransport(ctx, n_workers=2, n_blocks=4, n=33)
         try:
             d = transport.describe()
             assert d["transport"] == name
             assert d["workers"] == 2
             assert d["target_slot_bytes"] > 0
             assert d["result_slot_bytes"] > 0
-            if name == "shm":
-                assert d["ring_slots"] == DEFAULT_RING_SLOTS
-                # Bit-packing: 33 bits fit in 5 bytes per block.
-                assert d["target_slot_bytes"] == 4 * packed_length(33)
-            if name == "tcp":
-                assert d["port"] > 0  # the acceptor's ephemeral port
+            assert d["ring_slots"] == DEFAULT_RING_SLOTS
+            # Bit-packing: 33 bits fit in 5 bytes per block.
+            assert d["target_slot_bytes"] == 4 * packed_length(33)
         finally:
             transport.close()
 

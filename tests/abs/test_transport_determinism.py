@@ -1,9 +1,9 @@
-"""Cross-transport determinism and sweeps accounting.
+"""Process-mode determinism and sweeps accounting.
 
 The exchange layer's contract is that it only *moves bits*: a seeded
-solve must visit the same solutions whichever transport carries them,
-whether telemetry is on or off, and (in lockstep mode) whether the
-devices run in-process or as OS processes.  These tests pin that
+solve must visit the same solutions whether telemetry is on or off,
+and (in lockstep mode) whether the devices run in-process or as OS
+processes.  These tests pin that
 contract bit-for-bit.
 
 Free-running process mode is timing-dependent by design (the paper's
@@ -27,13 +27,8 @@ from repro.telemetry import MemorySink, TelemetryBus
 
 pytestmark = [pytest.mark.process, pytest.mark.timeout(120)]
 
-#: Both transports; the tcp lane carries its marker so the loopback
-#: guard in tests/conftest.py can skip it where socket binds are
-#: forbidden.
-ALL_TRANSPORTS = [
-    "shm",
-    pytest.param("tcp", marks=pytest.mark.tcp),
-]
+#: The transports: the shared-memory rings are the only one.
+ALL_TRANSPORTS = ["shm"]
 
 
 @pytest.fixture
@@ -62,34 +57,13 @@ def fingerprint(res):
 
 
 class TestCrossTransportDeterminism:
-    @pytest.mark.tcp
-    def test_tcp_bit_identical_to_shm(self, problem):
-        """The acceptance bar: tcp ≡ shm bit-for-bit in
-        lockstep mode, and telemetry-inert — the solver's search
-        counters agree exactly modulo the transport's own
-        ``exchange.*`` accounting."""
-        a = AdaptiveBulkSearch(problem, lockstep_cfg("shm")).solve("process")
-        b = AdaptiveBulkSearch(problem, lockstep_cfg("tcp")).solve("process")
-        assert fingerprint(a) == fingerprint(b)
-        solver_keys = {
-            k for k in (set(a.counters) | set(b.counters))
-            if not k.startswith("exchange.")
-        }
-        for key in sorted(solver_keys):
-            assert a.counters.get(key, 0) == b.counters.get(key, 0), key
-        # and the tcp lane really ran over sockets
-        assert b.counters["exchange.tcp.connects"] >= 1
-        assert b.counters["exchange.tcp.frames_from_device"] >= 1
-
     @pytest.mark.parametrize(
         "exchange,adapt",
         [
             pytest.param("shm", False, id="shm"),
-            pytest.param("tcp", False, id="tcp", marks=pytest.mark.tcp),
             # Window adaptation draws from its own per-device stream,
             # which must be the same one in both modes.
             pytest.param("shm", True, id="shm-adapt"),
-            pytest.param("tcp", True, id="tcp-adapt", marks=pytest.mark.tcp),
         ],
     )
     def test_process_lockstep_matches_sync(self, problem, exchange, adapt):

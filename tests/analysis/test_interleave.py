@@ -2,9 +2,9 @@
 
 Three layers:
 
-1. the real protocols pass *exhaustively* at depth ≥ 6 for all four
-   structures — the shm mailbox/ring and the tcp target/result
-   streams (the ISSUE acceptance bar, well under the 60 s budget);
+1. the real protocols pass *exhaustively* at depth ≥ 6 for both
+   structures — the shm mailbox and ring (well under the 60 s
+   budget);
 2. the step machines are pinned byte-for-byte against the real
    ``publish``/``write`` methods and cross-validated by running the
    real ``fetch``/``consume`` over machine-written memory — so the
@@ -28,8 +28,6 @@ from repro.analysis.interleave import (
     _ring_packed,
     explore_mailbox,
     explore_ring,
-    explore_tcp_results,
-    explore_tcp_targets,
     make_mailbox,
     make_ring,
     run_all,
@@ -62,22 +60,10 @@ def test_ring_depth6_exhaustive_no_violations_with_wraparound():
 
 
 @pytest.mark.timeout(60)
-def test_tcp_streams_depth6_exhaustive_no_violations():
-    """Target freshness + result FIFO hold across every interleaving of
-    sends, receives, and up to two connection losses."""
-    targets = explore_tcp_targets(depth=6)
-    assert targets.ok, targets.violations
-    assert targets.states > 1_000 and targets.terminals > 0
-    results = explore_tcp_results(depth=6)
-    assert results.ok, results.violations
-    assert results.states > 1_000 and results.terminals > 0
-
-
-@pytest.mark.timeout(60)
 def test_run_all_covers_all_structures():
     reports = run_all(depth=6)
     assert [r.structure for r in reports] == [
-        "TargetMailbox", "SolutionRing", "TcpTargetStream", "TcpResultStream",
+        "TargetMailbox", "SolutionRing",
     ]
     assert all(r.ok for r in reports)
 
@@ -166,23 +152,3 @@ def test_ring_bugs_detected(bug):
         "torn ring record" in v or "ring FIFO broken" in v
         for v in report.violations
     )
-
-
-@pytest.mark.timeout(60)
-@pytest.mark.parametrize("bug", ["no_gen_filter", "resend_stale"])
-def test_tcp_target_bugs_detected(bug):
-    report = explore_tcp_targets(depth=4, bug=bug)
-    assert not report.ok
-    assert any(
-        "tcp target freshness broken" in v or "corrupt tcp target frame" in v
-        for v in report.violations
-    )
-    assert any("schedule:" in v for v in report.violations)  # repro recipe
-
-
-@pytest.mark.timeout(60)
-@pytest.mark.parametrize("bug", ["dup_resend", "reorder"])
-def test_tcp_result_bugs_detected(bug):
-    report = explore_tcp_results(depth=4, bug=bug)
-    assert not report.ok
-    assert any("tcp result FIFO broken" in v for v in report.violations)

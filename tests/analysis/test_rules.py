@@ -150,17 +150,6 @@ def test_shm_flags_ordering_and_out_of_module_access():
     assert "_header word accessed outside" in joined
 
 
-def test_tcp_layout_confined_to_transport_module():
-    findings = run_rule("shm-protocol", "tcp_bad")
-    joined = " ".join(f"{f.path}:{f.line} {f.message}" for f in findings)
-    assert "FRAME_HEADER" in joined and "imported outside" in joined
-    assert "_RESULT_HEAD" in joined and "referenced outside" in joined
-
-
-def test_tcp_codec_surface_is_sanctioned():
-    assert run_rule("shm-protocol", "tcp_ok") == []
-
-
 # -- framework behavior ----------------------------------------------------
 
 def test_noqa_rule_scoped_suppression():

@@ -18,8 +18,8 @@ from repro.telemetry import MemorySink, TelemetryBus
 
 pytestmark = [pytest.mark.service, pytest.mark.process, pytest.mark.timeout(180)]
 
-#: Both transports: shm and tcp.
-TRANSPORTS = ["shm", pytest.param("tcp", marks=pytest.mark.tcp)]
+#: The transports: the shared-memory rings are the only one.
+TRANSPORTS = ["shm"]
 
 
 def fingerprint(res):

@@ -16,9 +16,8 @@ from repro.qubo import QuboMatrix
 from repro.service import SolverService
 from repro.telemetry import MemorySink, TelemetryBus, validate_record
 
-#: Both process-mode transports; tcp carries its marker so the
-#: loopback guard in tests/conftest.py can skip it.
-TRANSPORTS = ["shm", pytest.param("tcp", marks=pytest.mark.tcp)]
+#: The process-mode transports: the shared-memory rings are the only one.
+TRANSPORTS = ["shm"]
 
 
 @pytest.fixture

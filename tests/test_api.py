@@ -64,7 +64,7 @@ class TestSolve:
         monkeypatch.setattr(api, "AdaptiveBulkSearch", Recorder)
         want = AbsConfig(
             max_rounds=3, seed=9, blocks_per_gpu=4, adapt_windows=True,
-            backend="numpy", exchange="tcp", lockstep=True, variants="fleet",
+            backend="numpy", exchange="shm", lockstep=True, variants="fleet",
         )
         kwargs = {f.name: getattr(want, f.name) for f in dataclasses.fields(want)}
         assert solve(np.zeros((4, 4)), mode="process", **kwargs) == "process"
