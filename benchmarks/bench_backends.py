@@ -15,6 +15,13 @@ points** — and ``bitplane`` specifically is required to be available,
 so a machine that silently lost its C compiler fails the bench instead
 of publishing numpy numbers under the bitplane name.
 
+The ``straight`` section times Algorithm 5 (``straight_to``) at the
+``random-dense-sync`` shape, ``n=1024, B=32``, each walk starting right
+after ``reset_best()`` (as a search round does), on the bitplane kernels
+built with each compiler flag set alone: ``native`` (``-march=native``)
+and ``portable`` (the fallback set).  Each build compiles into its own
+throwaway cache, and both must end in the same state.
+
 The ``graycode_exact`` section times the exact Gray-code enumerator
 (``graycode_minimum``, not an engine backend) in states/s and
 cross-checks the optimum against ``repro.search.exact.solve_exact``.
@@ -27,13 +34,19 @@ Runnable both ways::
 
 from __future__ import annotations
 
+import hashlib
 import json
+import tempfile
 import time
+from contextlib import contextmanager
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
+import repro.backends.bitplane as bp
 from repro.backends import available_backends
+from repro.backends.bitplane import BitplaneBackend
 from repro.backends.graycode import graycode_minimum
 from repro.gpusim import BulkSearchEngine
 from repro.qubo import QuboMatrix
@@ -70,6 +83,14 @@ if FULL:
 #: n=1024 acceptance point (ISSUE 6 gate).
 BITPLANE_MIN_SPEEDUP = 10.0
 
+#: The straight-search point: the ``random-dense-sync`` workload's
+#: ``(n, B)``, and how many walks to random targets are timed.
+_STRAIGHT_POINT = (1024, 32)
+_STRAIGHT_WALKS = 5
+
+#: The compiler flag sets the straight section builds the kernels with.
+_FLAG_SET_NAMES = {"native": bp._FLAG_SETS[0], "portable": bp._FLAG_SETS[1]}
+
 #: Gray-code enumeration size for the exact-finisher section (2^18
 #: states — sub-second, large enough for a stable states/s figure).
 _GRAYCODE_N = 18
@@ -94,6 +115,70 @@ def _measure(backend, requested: str, n: int, blocks: int, steps: int) -> dict:
         "flips": blocks * steps,
         "flips_per_s": round(blocks * steps / elapsed, 1),
         "final_energy_checksum": int(eng.energy.sum()),
+    }
+
+
+@contextmanager
+def _built_with(flags: tuple[str, ...]):
+    """A :class:`BitplaneBackend` whose kernels are compiled with ``flags``
+    alone, into a throwaway cache (the user's cache is left alone)."""
+    with tempfile.TemporaryDirectory() as root, \
+            mock.patch.object(bp, "_FLAG_SETS", (flags,)), \
+            mock.patch.object(tempfile, "tempdir", root), \
+            mock.patch.object(BitplaneBackend, "_lib", None), \
+            mock.patch.object(BitplaneBackend, "_build_error", None):
+        BitplaneBackend.ensure_compiled()
+        yield BitplaneBackend()
+
+
+def _measure_straight(backend, n: int, blocks: int, walks: int) -> dict:
+    """Timed ``straight_to`` walks, each right after ``reset_best()``."""
+    problem = QuboMatrix.random(n, seed=n)
+    eng = BulkSearchEngine(
+        problem, blocks, windows=16, offsets=np.zeros(blocks, dtype=np.int64),
+        backend=backend,
+    )
+    eng.local_steps(64)  # walk from a local-search state, as a round does
+    rng = np.random.default_rng(n)
+    flips, elapsed = 0, 0.0
+    for _ in range(walks):
+        targets = rng.integers(0, 2, (blocks, n), dtype=np.uint8)
+        eng.reset_best()
+        t0 = time.perf_counter()
+        flips += eng.straight_to(targets)
+        elapsed += time.perf_counter() - t0
+    state = hashlib.sha256()
+    for field in ("X", "delta", "energy", "best_energy", "best_x"):
+        state.update(np.ascontiguousarray(getattr(eng, field)).tobytes())
+    return {
+        "elapsed_s": round(elapsed, 6),
+        "flips": flips,
+        "flips_per_s": round(flips / elapsed, 1),
+        "state_sha256": state.hexdigest(),
+    }
+
+
+def _bench_straight() -> dict:
+    """Straight-search flips/s on each flag set's build of the kernels."""
+    n, blocks = _STRAIGHT_POINT
+    builds, unavailable = {}, {}
+    for name, flags in _FLAG_SET_NAMES.items():
+        try:
+            with _built_with(flags) as backend:
+                builds[name] = {
+                    "flags": list(flags),
+                    **_measure_straight(backend, n, blocks, _STRAIGHT_WALKS),
+                }
+        except bp._BUILD_ERRORS as exc:
+            unavailable[name] = str(exc)
+    return {
+        "n": n,
+        "blocks": blocks,
+        "walks": _STRAIGHT_WALKS,
+        "builds": builds,
+        "unavailable": unavailable,
+        # Two builds of one C source must walk the same path.
+        "identical_results": len({b["state_sha256"] for b in builds.values()}) == 1,
     }
 
 
@@ -151,6 +236,7 @@ def run_bench() -> dict:
         "measured": sorted(available),
         "unavailable": unavailable,
         "points": points,
+        "straight": _bench_straight(),
         "graycode_exact": _bench_graycode_exact(),
     }
     RESULTS_DIR.mkdir(exist_ok=True)
@@ -180,6 +266,14 @@ def _render(payload: dict) -> str:
     lines = [table.render()]
     for name, reason in sorted(payload["unavailable"].items()):
         lines.append(f"unavailable: {name} — {reason}")
+    st = payload["straight"]
+    for name, build in sorted(st["builds"].items()):
+        lines.append(
+            f"straight_to n={st['n']} B={st['blocks']} ({name} build): "
+            f"{build['flips_per_s']:,.0f} flips/s"
+        )
+    for name, reason in sorted(st["unavailable"].items()):
+        lines.append(f"straight_to ({name} build) unavailable: {reason}")
     g = payload["graycode_exact"]
     lines.append(
         f"graycode exact: n={g['n']}, {g['states_per_s']:,.0f} states/s, "
@@ -211,6 +305,11 @@ def test_bench_backends(report):
     assert speedup >= BITPLANE_MIN_SPEEDUP, (
         f"bitplane speedup {speedup:.2f}x at n=1024 is below the "
         f"{BITPLANE_MIN_SPEEDUP:.0f}x acceptance gate"
+    )
+    # The portable set is the fallback every toolchain must build.
+    assert "portable" in payload["straight"]["builds"], payload["straight"]
+    assert payload["straight"]["identical_results"], (
+        "the native and portable kernel builds walked different paths"
     )
     assert payload["graycode_exact"]["agrees_with_solve_exact"]
     report("Backend throughput", _render(payload))

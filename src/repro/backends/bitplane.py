@@ -8,14 +8,20 @@ the CPU analogue of that representation.  State ``X`` is packed into
 Figure-5 exchange rings ship via ``np.packbits``), and the whole
 ``run_local_steps`` hot loop (Figure 2 windowed min-Δ select → Eq. 16
 delta refresh → Algorithm 4 incumbent check → offset advance) runs as
-one C call per batch: the per-step sign vectors ``1 - 2x`` are read
-directly from the packed planes with shifts and masks instead of a
-``B × n`` integer multiply, and the Eq. 16 row add is fused with the
-incumbent's neighbourhood min scan so ``delta`` is traversed once per
-flip instead of twice.  The Algorithm 5 straight walk
-(``run_straight``) is one C call too: each block walks to its target,
-and its row add also keeps the minimum Δ over the still-differing bits,
-which picks the next flip.
+one C call per batch.  As a device block keeps its bits in registers,
+the dense kernels unpack each block's planes once per call into an int8
+sign mask (``-1`` where ``x_j = 1``), of which a flip updates one entry;
+the Eq. 16 row add reads the sign of ``1 - 2x`` from it.  That row add
+is fused with the incumbent's neighbourhood min scan, so ``delta`` is
+traversed once per flip, and it keeps one Δ minimum per 64 entries (per
+plane word).  The first minimum, which the incumbent records, is then
+found in the first word holding it, not by rescanning all n entries.
+The Algorithm 5 straight walk (``run_straight``) is one C call too:
+each block walks to its target, reading a second, still-differing mask
+(``-1`` where ``x_j ≠ t_j``), and its row add also keeps the word
+minima over the still-differing bits, through which the next flip is
+found the same way.  The planes stay the state (incumbent snapshots
+copy them); masks and word minima live in per-call scratch.
 
 The C translation unit is compiled once per machine (``cc -O3 -fwrapv
 -shared``) into a content-addressed cache under
@@ -36,12 +42,13 @@ Two dense weight tiers are chosen automatically by ``prepare_dense``:
 - ``dense_w64`` — the general int64 fallback tier, same fused loop.
 
 Both tiers' kernels are one C text, :data:`_C_DENSE`, instantiated per
-tier with its weight and delta types.
+tier with its weight and delta types; the sign masks are int8 in both
+(measured faster than Δ-width masks at n = 1024).
 
 In both dense tiers the weight rows are stored with a **zeroed
 diagonal**: Eq. 16 only touches ``j ≠ k`` and the kernel pre-writes
 ``d[k] = -d_k``, which then survives the fused row add (it gains
-``W_kk = 0``) and participates in the running neighbourhood minimum.
+``W_kk = 0``) and counts towards its word's minimum.
 
 Sparse problems use a CSR scatter variant (``sparse_w64``) whose
 delta-write count matches the reference exactly: ``degree(k) + 1`` per
@@ -106,24 +113,20 @@ _C_PRELUDE = r"""
 #define RESTRICT __restrict__
 #define CTZ(m) ((int64_t)__builtin_ctzll(m))
 
-/* Incumbent update after one flip: the best neighbour (energy + mn at
- * the first minimum of d) before the position itself, as update_best
- * does; with scan == 0 the position only, as track_position does. */
-#define STRAIGHT_INCUMBENT(D, MN)                                        \
-    do {                                                                 \
-        if (scan && energy[b] + (int64_t)(MN) < best_e[b]) {             \
-            int64_t pos = 0;                                             \
-            while ((D)[pos] != (MN)) pos++;                              \
-            best_e[b] = energy[b] + (int64_t)(MN);                       \
-            memcpy(bestp + b * nw, xp, (size_t)nw * 8);                  \
-            bestflip[b] = pos;                                           \
-        }                                                                \
-        if (energy[b] < best_e[b]) {                                     \
-            best_e[b] = energy[b];                                       \
-            memcpy(bestp + b * nw, xp, (size_t)nw * 8);                  \
-            bestflip[b] = -1;                                            \
-        }                                                                \
-    } while (0)
+/* Unpacks n bits of planes p into the mask m: m[j] = bit j ? -1 : 0. */
+static void unpack_mask(int8_t *RESTRICT m, const uint64_t *RESTRICT p, int64_t n)
+{
+    for (int64_t j = 0; j < n; j++)
+        m[j] = -(int8_t)((p[j >> 6] >> (j & 63)) & 1);
+}
+
+/* The same for the bits set in p ^ q: the still-differing mask. */
+static void unpack_diff(int8_t *RESTRICT m, const uint64_t *RESTRICT p,
+                        const uint64_t *RESTRICT q, int64_t n)
+{
+    for (int64_t j = 0; j < n; j++)
+        m[j] = -(int8_t)(((p[j >> 6] ^ q[j >> 6]) >> (j & 63)) & 1);
+}
 """
 
 #: The dense kernels of one weight tier, written once: ``${WT}`` weight
@@ -133,15 +136,90 @@ _C_DENSE = string.Template(r"""
 /* Dense tier ${SFX}: ${WT} weight rows, ${DT} deltas.
  *
  * X is packed little-endian: bit i of block b is bit (i & 63) of word
- * Xp[b*nw + (i >> 6)].  Weight rows arrive with a ZEROED diagonal so
- * the pre-written d[k] = -d_k survives the fused Eq. 16 pass (it gains
- * W[k][k] = 0) and is seen by the running neighbourhood minimum.
- * Compile with -fwrapv: signed wraparound must match numpy exactly.
+ * Xp[b*nw + (i >> 6)].  The planes stay the state (incumbent snapshots
+ * copy them), but the hot loops read a block's bits from int8 masks
+ * unpacked once per call into the caller's scratch: sx[j] = x_j ? -1 : 0
+ * and, in straight search, sd[j] = (x_j != t_j) ? -1 : 0.  A flip of k
+ * updates one entry of each.  Weight rows arrive with a ZEROED diagonal
+ * so the pre-written d[k] = -d_k survives the fused Eq. 16 pass (it
+ * gains W[k][k] = 0) and is seen by the running minima.  That pass
+ * keeps one minimum per 64 entries (per plane word), so finding the
+ * first entry of a minimum scans nw word minima and then <= 64 entries,
+ * not all n.  Compile with -fwrapv: signed wraparound must match numpy
+ * exactly.
  */
 
-/* Batched Algorithm 4: steps forced flips for every block. */
+/* Scratch layout: wm[nw] word minima over all entries, wdm[nw] over the
+ * still-differing ones, then the masks sx[64*nw] and sd[64*nw]. */
+typedef struct {
+    ${DT} *wm, *wdm;
+    int8_t *sx, *sd;
+} Scratch_${SFX};
+
+static Scratch_${SFX} scratch_${SFX}(void *p, int64_t nw)
+{
+    Scratch_${SFX} s;
+    s.wm = (${DT} *)p;
+    s.wdm = s.wm + nw;
+    s.sx = (int8_t *)(s.wdm + nw);
+    s.sd = s.sx + 64 * nw;
+    return s;
+}
+
+/* Eq. 16 row add for one flip, d[j] += +-2 W[k][j], over one word's lim
+ * entries: the sign is sx[j] ^ fs, fs = k's old mask entry.  Returns the
+ * word's minimum. */
+static inline ${DT} row_add_${SFX}(${DT} *RESTRICT d, const ${WT} *RESTRICT r,
+                                 const int8_t *RESTRICT sx, int8_t fs,
+                                 int64_t lim)
+{
+    ${DT} mn = ${DMAX};
+    for (int64_t j = 0; j < lim; j++) {
+        ${DT} msk = (${DT})(int8_t)(sx[j] ^ fs);
+        ${DT} r2 = 2 * (${DT})r[j];
+        ${DT} v = d[j] + ((r2 ^ msk) - msk);
+        d[j] = v;
+        if (v < mn) mn = v;
+    }
+    return mn;
+}
+
+/* The first index of minimum v: the first word holding it, then that
+ * word's first entry of value v (the reference's first-minimum rule). */
+static inline int64_t first_min_${SFX}(const ${DT} *d, const ${DT} *wm, ${DT} v)
+{
+    int64_t c = 0;
+    while (wm[c] != v) c++;
+    int64_t pos = c << 6;
+    while (d[pos] != v) pos++;
+    return pos;
+}
+
+/* Algorithm 4 incumbent after one flip: the best neighbour (energy + mn
+ * at the first minimum of d) before the position itself, as update_best
+ * does; with scan == 0 the position only, as track_position does. */
+static inline void incumbent_${SFX}(
+    const ${DT} *d, const ${DT} *wm, const uint64_t *xp, int64_t nw,
+    int64_t scan, ${DT} mn, int64_t e, int64_t *best_e, uint64_t *bestp,
+    int64_t *bestflip)
+{
+    if (scan && e + (int64_t)mn < *best_e) {
+        *best_e = e + (int64_t)mn;
+        memcpy(bestp, xp, (size_t)nw * 8);
+        *bestflip = first_min_${SFX}(d, wm, mn);
+    }
+    if (e < *best_e) {
+        *best_e = e;
+        memcpy(bestp, xp, (size_t)nw * 8);
+        *bestflip = -1;
+    }
+}
+
+/* Batched Algorithm 4: steps forced flips for every block.  Blocks are
+ * independent, so each runs all its steps in turn on one set of masks. */
 int64_t bp_local_steps_${SFX}(
     const ${WT} *RESTRICT W,      /* n*n off-diagonal weights, diag zeroed */
+    void     *RESTRICT scratch,     /* this call's masks and word minima */
     uint64_t *RESTRICT Xp,          /* B*nw packed state planes */
     ${DT} *RESTRICT delta,        /* B*n */
     int64_t  *RESTRICT energy,      /* B */
@@ -152,10 +230,12 @@ int64_t bp_local_steps_${SFX}(
     const int64_t *RESTRICT windows,
     int64_t n, int64_t B, int64_t nw, int64_t steps)
 {
-    for (int64_t t = 0; t < steps; t++) {
-        for (int64_t b = 0; b < B; b++) {
-            ${DT} *RESTRICT d = delta + b * n;
-            uint64_t *RESTRICT xp = Xp + b * nw;
+    Scratch_${SFX} s = scratch_${SFX}(scratch, nw);
+    for (int64_t b = 0; b < B; b++) {
+        ${DT} *RESTRICT d = delta + b * n;
+        uint64_t *RESTRICT xp = Xp + b * nw;
+        unpack_mask(s.sx, xp, n);
+        for (int64_t t = 0; t < steps; t++) {
             /* Figure 2 windowed min-delta select (first minimum wins). */
             int64_t off = offsets[b], l = windows[b];
             int64_t k = off;
@@ -165,60 +245,26 @@ int64_t bp_local_steps_${SFX}(
                 if (idx >= n) idx -= n;
                 if (d[idx] < wmin) { wmin = d[idx]; k = idx; }
             }
-            /* Eq. 16 flip, fused with the incumbent's min scan. */
+            /* Eq. 16 flip, fused with the word minima. */
             ${DT} dk_old = d[k];
-            uint64_t kbit = 1ULL << (k & 63);
-            int sk = (xp[k >> 6] & kbit) ? -1 : 1;
-            xp[k >> 6] ^= kbit;
+            int8_t fs = s.sx[k];
+            s.sx[k] = ~fs;
+            xp[k >> 6] ^= 1ULL << (k & 63);
             d[k] = -dk_old;
             energy[b] += (int64_t)dk_old;
             const ${WT} *RESTRICT row = W + k * n;
             ${DT} mn = ${DMAX};
-            if (sk > 0) {
-                for (int64_t w = 0; w < nw; w++) {
-                    uint64_t bits = xp[w];
-                    int64_t base = w << 6;
-                    int64_t lim = n - base; if (lim > 64) lim = 64;
-                    ${DT} *RESTRICT dd = d + base;
-                    const ${WT} *RESTRICT rr = row + base;
-                    for (int64_t j = 0; j < lim; j++) {
-                        ${DT} msk = -(${DT})((bits >> j) & 1);
-                        ${DT} r2 = 2 * (${DT})rr[j];
-                        ${DT} v = dd[j] + ((r2 ^ msk) - msk);
-                        dd[j] = v;
-                        if (v < mn) mn = v;
-                    }
-                }
-            } else {
-                for (int64_t w = 0; w < nw; w++) {
-                    uint64_t bits = xp[w];
-                    int64_t base = w << 6;
-                    int64_t lim = n - base; if (lim > 64) lim = 64;
-                    ${DT} *RESTRICT dd = d + base;
-                    const ${WT} *RESTRICT rr = row + base;
-                    for (int64_t j = 0; j < lim; j++) {
-                        ${DT} msk = -(${DT})(~(bits >> j) & 1);
-                        ${DT} r2 = 2 * (${DT})rr[j];
-                        ${DT} v = dd[j] + ((r2 ^ msk) - msk);
-                        dd[j] = v;
-                        if (v < mn) mn = v;
-                    }
-                }
+            for (int64_t w = 0; w < nw; w++) {
+                /* Full words get a constant trip count: no remainder loop. */
+                int64_t base = w << 6, lim = n - base;
+                ${DT} m = lim >= 64
+                    ? row_add_${SFX}(d + base, row + base, s.sx + base, fs, 64)
+                    : row_add_${SFX}(d + base, row + base, s.sx + base, fs, lim);
+                s.wm[w] = m;
+                if (m < mn) mn = m;
             }
-            /* Algorithm 4 incumbent: best neighbour first, then position. */
-            int64_t cand = energy[b] + (int64_t)mn;
-            if (cand < best_e[b]) {
-                int64_t pos = 0;
-                while (d[pos] != mn) pos++;     /* first minimum */
-                best_e[b] = cand;
-                memcpy(bestp + b * nw, xp, (size_t)nw * 8);
-                bestflip[b] = pos;
-            }
-            if (energy[b] < best_e[b]) {
-                best_e[b] = energy[b];
-                memcpy(bestp + b * nw, xp, (size_t)nw * 8);
-                bestflip[b] = -1;
-            }
+            incumbent_${SFX}(d, s.wm, xp, nw, 1, mn, energy[b], best_e + b,
+                             bestp + b * nw, bestflip + b);
             offsets[b] = (off + l) % n;
         }
     }
@@ -246,15 +292,38 @@ static ${DT} diff_min_${SFX}(const ${DT} *d, const uint64_t *xp,
     return mn;
 }
 
+/* One word of the straight-search pass: the Eq. 16 row add with two
+ * minima, over all entries (*wdm gets the one over still-differing
+ * entries).  The blend keeps the loop vectorizable. */
+static inline ${DT} straight_word_${SFX}(
+    ${DT} *RESTRICT d, const ${WT} *RESTRICT r, const int8_t *RESTRICT sx,
+    const int8_t *RESTRICT sd, int8_t fs, int64_t lim, ${DT} *RESTRICT wdm)
+{
+    ${DT} mn = ${DMAX}, dmn = ${DMAX};
+    for (int64_t j = 0; j < lim; j++) {
+        ${DT} msk = (${DT})(int8_t)(sx[j] ^ fs);
+        ${DT} r2 = 2 * (${DT})r[j];
+        ${DT} v = d[j] + ((r2 ^ msk) - msk);
+        d[j] = v;
+        if (v < mn) mn = v;
+        ${DT} dm = (${DT})sd[j];
+        ${DT} dv = (v & dm) | (${DMAX} & ~dm);
+        if (dv < dmn) dmn = dv;
+    }
+    *wdm = dmn;
+    return mn;
+}
+
 /* Batched Algorithm 5.  Blocks are independent, so each walks to its
  * target row Tp in turn: flip the still-differing bit (set in xp ^ tp)
  * of minimum delta, the lowest index on ties, until xp == tp.  The
- * Eq. 16 row add is fused with two running minima: over still-differing
- * bits (the next k) and over all bits (update_best's neighbour check).
+ * Eq. 16 row add keeps two minima per word: over still-differing bits
+ * (the next k) and over all bits (update_best's neighbour check).
  * With scan == 0 only visited solutions are incumbent candidates
  * (track_position). */
 int64_t bp_straight_${SFX}(
     const ${WT} *RESTRICT W,      /* n*n off-diagonal weights, diag zeroed */
+    void     *RESTRICT scratch,     /* this call's masks and word minima */
     uint64_t *RESTRICT Xp,          /* B*nw packed state planes */
     ${DT} *RESTRICT delta,        /* B*n */
     const uint64_t *RESTRICT Tp,    /* B*nw packed target planes */
@@ -264,42 +333,51 @@ int64_t bp_straight_${SFX}(
     int64_t  *RESTRICT bestflip,
     int64_t n, int64_t B, int64_t nw, int64_t scan)
 {
+    Scratch_${SFX} s = scratch_${SFX}(scratch, nw);
     int64_t flips = 0;
     for (int64_t b = 0; b < B; b++) {
         ${DT} *RESTRICT d = delta + b * n;
         uint64_t *RESTRICT xp = Xp + b * nw;
         const uint64_t *RESTRICT tp = Tp + b * nw;
         int64_t k = diff_find_${SFX}(d, xp, tp, nw, diff_min_${SFX}(d, xp, tp, nw));
+        if (k < 0) continue;
+        unpack_mask(s.sx, xp, n);
+        unpack_diff(s.sd, xp, tp, n);
         while (k >= 0) {
             ${DT} dk_old = d[k];
-            uint64_t kbit = 1ULL << (k & 63);
-            int neg = (xp[k >> 6] & kbit) != 0;     /* s_k = -1 */
-            xp[k >> 6] ^= kbit;
+            int8_t fs = s.sx[k];
+            s.sx[k] = ~fs;
+            s.sd[k] = 0;
+            xp[k >> 6] ^= 1ULL << (k & 63);
             d[k] = -dk_old;
             energy[b] += (int64_t)dk_old;
             flips++;
             const ${WT} *RESTRICT row = W + k * n;
             ${DT} mn = ${DMAX}, dmn = ${DMAX};
             for (int64_t w = 0; w < nw; w++) {
-                uint64_t bits = neg ? ~xp[w] : xp[w];
-                uint64_t dbits = xp[w] ^ tp[w];
-                int64_t base = w << 6;
-                int64_t lim = n - base; if (lim > 64) lim = 64;
-                ${DT} *RESTRICT dd = d + base;
-                const ${WT} *RESTRICT rr = row + base;
-                for (int64_t j = 0; j < lim; j++) {
-                    ${DT} msk = -(${DT})((bits >> j) & 1);
-                    ${DT} r2 = 2 * (${DT})rr[j];
-                    ${DT} v = dd[j] + ((r2 ^ msk) - msk);
-                    dd[j] = v;
-                    if (v < mn) mn = v;
-                    ${DT} dm = -(${DT})((dbits >> j) & 1);
-                    ${DT} dv = (v & dm) | (${DMAX} & ~dm);  /* blend: vectorizes */
-                    if (dv < dmn) dmn = dv;
-                }
+                int64_t base = w << 6, lim = n - base;
+                ${DT} m = lim >= 64
+                    ? straight_word_${SFX}(d + base, row + base, s.sx + base,
+                                            s.sd + base, fs, 64, s.wdm + w)
+                    : straight_word_${SFX}(d + base, row + base, s.sx + base,
+                                            s.sd + base, fs, lim, s.wdm + w);
+                s.wm[w] = m;
+                if (m < mn) mn = m;
+                if (s.wdm[w] < dmn) dmn = s.wdm[w];
             }
-            STRAIGHT_INCUMBENT(d, mn);
-            k = diff_find_${SFX}(d, xp, tp, nw, dmn);
+            incumbent_${SFX}(d, s.wm, xp, nw, scan, mn, energy[b], best_e + b,
+                             bestp + b * nw, bestflip + b);
+            if (dmn == ${DMAX}) {
+                /* No differing entry below the sentinel: none is left,
+                 * or one holds it exactly, which the minima cannot tell. */
+                k = diff_find_${SFX}(d, xp, tp, nw, dmn);
+            } else {
+                int64_t c = 0;
+                while (s.wdm[c] != dmn) c++;
+                uint64_t m = xp[c] ^ tp[c];
+                while (d[(c << 6) + CTZ(m)] != dmn) m &= m - 1;
+                k = (c << 6) + CTZ(m);
+            }
         }
     }
     return flips * n;
@@ -711,13 +789,14 @@ def _private(path: Path, *, is_dir: bool) -> bool:
 def _bind(path: Path) -> ctypes.CDLL:
     """dlopen ``path`` and type every kernel (AttributeError if missing).
 
-    Every kernel takes its weight arrays (CSR: three, then the per-call
-    word-minima scratch), then 8 state arrays (``run_local_steps``) or 7
-    (``run_straight``), then the four int64 scalars.
+    Every kernel takes its weight arrays (dense: one; CSR: three), then
+    its per-call scratch (see :meth:`BitplaneBackend._call`), then 8
+    state arrays (``run_local_steps``) or 7 (``run_straight``), then the
+    four int64 scalars.
     """
     lib = ctypes.CDLL(str(path))
     for variant, (local, straight) in _KERNELS.items():
-        weights = 4 if variant == "sparse_w64" else 1
+        weights = 4 if variant == "sparse_w64" else 2
         for fname, arrays in ((local, weights + 8), (straight, weights + 7)):
             fn = getattr(lib, fname)
             fn.argtypes = [ctypes.c_void_p] * arrays + [ctypes.c_int64] * 4
@@ -929,23 +1008,25 @@ class BitplaneBackend(KernelBackend):
         W = np.ascontiguousarray(W, dtype=np.int64)
         n = int(W.shape[0])
         nw = (n + 63) // 64
-        diag = np.ascontiguousarray(np.diagonal(W))
-        Woff = W.copy()
         # Eq. 16 touches j != k only and the kernel pre-writes
         # d[k] = -d_k, so the stored rows carry a zero diagonal.
-        np.fill_diagonal(Woff, 0)
-        use_w16 = bool(Woff.min() >= -(2**15) and Woff.max() < 2**15)
+        use_w16 = bool(W.min() >= -(2**15) and W.max() < 2**15)
+        if not use_w16:  # only the diagonal may be out of int16 range
+            off = np.where(np.eye(n, dtype=bool), 0, W)
+            use_w16 = bool(off.min() >= -(2**15) and off.max() < 2**15)
         if use_w16:
-            off_sum = np.abs(Woff).sum(axis=1)
+            w16 = W.astype(np.int16)  # a wrapped diagonal is zeroed next
+            np.fill_diagonal(w16, 0)
+            off_sum = np.abs(w16, dtype=np.int32).sum(axis=1, dtype=np.int64)
             dmax = float(
-                (np.abs(diag.astype(np.float64)) + 2.0 * off_sum).max()
+                (np.abs(np.diagonal(W).astype(np.float64)) + 2.0 * off_sum).max()
             )
             use_w16 = dmax <= float(2**31 - 2)
         if use_w16:
-            planes = _Planes(
-                "dense_w16_d32", np.ascontiguousarray(Woff.astype(np.int16)), nw, lib
-            )
+            planes = _Planes("dense_w16_d32", w16, nw, lib)
         else:
+            Woff = W.copy()
+            np.fill_diagonal(Woff, 0)
             planes = _Planes("dense_w64", Woff, nw, lib)
         return BitplanePreparedWeights(n=n, dense=W, planes=planes)
 
@@ -988,15 +1069,19 @@ class BitplaneBackend(KernelBackend):
             d = np.ascontiguousarray(delta.astype(np.int32))
         else:
             d = np.ascontiguousarray(delta, dtype=np.int64)
+        # The kernels' scratch lives for this call only: prepared weights
+        # are shared across engines.
         if planes.variant == "sparse_w64":
-            # The CSR kernels' word minima live for this call only:
-            # prepared weights are shared across engines.
+            # Two word minima per plane word, plus the rescan marks.
             scratch = np.empty(4 * planes.nw, dtype=np.int64)
             weights = (
                 _ptr(pw.indptr), _ptr(pw.indices), _ptr(pw.data), _ptr(scratch)
             )
         else:
-            weights = (_ptr(planes.weights),)
+            # Two word minima per plane word, then two int8 masks of
+            # 64 entries per word: 2 + 2 * 64 / 8 int64 slots per word.
+            scratch = np.empty(18 * planes.nw, dtype=np.int64)
+            weights = (_ptr(planes.weights), _ptr(scratch))
         updates = fn(*weights, _ptr(Xp), _ptr(d), *rest)
         if d is not delta:
             delta[:] = d

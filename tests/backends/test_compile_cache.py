@@ -9,16 +9,21 @@ a copy is a new path and a new inode, so ``dlopen`` really opens it.
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro.backends.bitplane as bp
 from repro.backends import NumpyBackend
 from repro.backends.bitplane import BitplaneBackend, make_bitplane_backend
+from repro.gpusim import BulkSearchEngine
+from repro.qubo import QuboMatrix
+from tests.helpers.engine_check import assert_engines_equal
 
 pytestmark = pytest.mark.skipif(bp._find_cc() is None, reason="no C compiler")
 
@@ -190,3 +195,31 @@ def test_compiles_leave_no_scratch_dirs(cache_root):
         bp._load_library()
     assert leftovers(cache_root) == []
     assert len(list(bp._cache_dir().glob("*.so"))) == 1
+
+
+def test_portable_build_walks_match_numpy(cache_root, monkeypatch, rng):
+    # Where -march=native works, no other test runs the portable build,
+    # and the dense kernels' mask loops vectorize differently there.
+    monkeypatch.setattr(bp, "_FLAG_SETS", (bp._FLAG_SETS[1],))
+    monkeypatch.setattr(BitplaneBackend, "_lib", None)
+    monkeypatch.setattr(BitplaneBackend, "_build_error", None)
+    backend = BitplaneBackend()
+    lib = backend.ensure_compiled()
+    cc = bp._find_cc()
+    version = subprocess.run([cc, "--version"], capture_output=True, text=True).stdout
+    key = bp._cache_key(os.path.realpath(shutil.which(cc) or cc), version, bp._BASE_FLAGS)
+    assert lib._name == str(bp._cache_dir() / f"{key}.so")
+    q = QuboMatrix.random(130, seed=37)
+    wide = QuboMatrix(np.asarray(q.W, dtype=np.int64) * 5, check=False)
+    for weights, variant in ((q, "dense_w16_d32"), (wide, "dense_w64")):
+        ref = BulkSearchEngine(weights, 4, windows=5, backend="numpy")
+        eng = BulkSearchEngine(weights, 4, windows=5, backend=backend)
+        assert eng.prepared.planes.variant == variant
+        for scan_neighbors in (True, False):
+            targets = rng.integers(0, 2, (4, weights.n), dtype=np.uint8)
+            for e in (ref, eng):
+                e.reset_best()
+                e.straight_to(targets, scan_neighbors=scan_neighbors)
+                e.reset_best()
+                e.local_steps(20)
+            assert_engines_equal(eng, ref, context=f"{variant}, scan={scan_neighbors}")

@@ -30,7 +30,7 @@ from repro.qubo import QuboMatrix, SearchState
 from repro.search.bulk import _scan_best
 from repro.search.policies import WindowMinDeltaPolicy
 from repro.search.straight import straight_search
-from tests.helpers.engine_check import assert_engine_valid
+from tests.helpers.engine_check import assert_engine_valid, assert_engines_equal
 
 _INT64_MAX = np.iinfo(np.int64).max
 
@@ -153,6 +153,16 @@ class TestStraightEquivalence:
         assert_engine_valid(eng, context="independent retirement")
 
 
+def _tie_problem(n, wide, seed):
+    """Weights in {-2, ..., 2}, so Δ ties everywhere; scaled beyond
+    int16 when ``wide``, so the same ties run on the int64 tier."""
+    rng = np.random.default_rng(seed)
+    W = np.triu(rng.integers(-2, 3, (n, n)))
+    if wide:
+        W = W * 2**15
+    return QuboMatrix(W + np.triu(W, 1).T, check=False)
+
+
 def _straight_problem(kind):
     """n = 130 (three words, not a multiple of 64) in every kernel tier."""
     if kind == "sparse":
@@ -162,14 +172,8 @@ def _straight_problem(kind):
         # the CSR kernel's per-word minima must yield the lowest index.
         return maxcut_to_sparse_qubo(random_graph(130, 260, seed=44))
     if kind in ("ties", "wide-ties"):
-        # Weights in {-2, ..., 2}: Δ ties everywhere, so the lowest
-        # index must win at every straight-search step.  Scaled beyond
-        # int16 ("wide-ties"), the same ties run on the int64 tier.
-        rng = np.random.default_rng(29)
-        W = np.triu(rng.integers(-2, 3, (130, 130)))
-        if kind == "wide-ties":
-            W = W * 2**15
-        return QuboMatrix(W + np.triu(W, 1).T, check=False)
+        # The lowest index must win at every straight-search step.
+        return _tie_problem(130, kind == "wide-ties", seed=29)
     q = QuboMatrix.random(130, seed=37)
     if kind == "wide":  # off-diagonals beyond int16: the int64 tier
         return QuboMatrix(np.asarray(q.W, dtype=np.int64) * 5, check=False)
@@ -238,6 +242,38 @@ class TestStraightTiers:
             assert np.array_equal(getattr(eng, field), getattr(ref, field)), field
         assert eng.counters.as_dict() == ref.counters.as_dict()
         assert eng.counters.straight_retirements == 3
+
+
+class TestIncumbentHeavyWalks:
+    """Walks right after ``reset_best()``: with no incumbent left, the
+    first flips all take a new one, so the dense kernels look up the
+    first minimum of Δ (through their per-word minima) far more often
+    than from a seeded incumbent.  Tie-heavy weights at sizes around the
+    64-bit word boundary put that first minimum in later words and in a
+    partial last word."""
+
+    @pytest.mark.parametrize("scan_neighbors", [True, False])
+    @pytest.mark.parametrize("wide", [False, True], ids=["w16_d32", "w64"])
+    @pytest.mark.parametrize("n", [63, 64, 65, 130])
+    def test_state_matches_numpy_after_every_call(
+        self, backend, n, wide, scan_neighbors, rng
+    ):
+        weights = _tie_problem(n, wide, seed=n)
+        ref = BulkSearchEngine(weights, 4, windows=5, backend="numpy")
+        eng = BulkSearchEngine(weights, 4, windows=5, backend=backend)
+        planes = getattr(eng.prepared, "planes", None)
+        if planes is not None:
+            assert planes.variant == ("dense_w64" if wide else "dense_w16_d32")
+        for call in range(4):
+            targets = rng.integers(0, 2, (4, n), dtype=np.uint8)
+            for e in (ref, eng):
+                e.reset_best()
+                e.straight_to(targets, scan_neighbors=scan_neighbors)
+            assert_engines_equal(eng, ref, context=f"straight call {call}")
+            for e in (ref, eng):
+                e.reset_best()
+                e.local_steps(9)
+            assert_engines_equal(eng, ref, context=f"local call {call}")
 
 
 class TestSparseEquivalence:

@@ -52,6 +52,19 @@ def assert_engine_valid(engine: BulkSearchEngine, *, context: str = "") -> None:
             )
 
 
+def assert_engines_equal(
+    engine: BulkSearchEngine, ref: BulkSearchEngine, *, context: str = ""
+) -> None:
+    """Assert two engines hold the same search state and counters."""
+    for field in ("X", "delta", "energy", "best_energy", "best_x", "offsets"):
+        assert np.array_equal(getattr(engine, field), getattr(ref, field)), (
+            f"{context}: {field} diverged"
+        )
+    assert engine.counters.as_dict() == ref.counters.as_dict(), (
+        f"{context}: counters diverged"
+    )
+
+
 def _bits_preview(x: np.ndarray, limit: int = 32) -> str:
     bits = "".join(str(int(v)) for v in x[:limit])
     return bits + ("…" if x.shape[0] > limit else "")
