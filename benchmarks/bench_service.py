@@ -60,9 +60,8 @@ def _jobs():
     problems = {
         n: QuboMatrix.random(n, seed=n) for n in _PROBLEM_SIZES
     }
-    # Problem-major order: fleet geometry is keyed by problem size, so
-    # interleaving sizes would rebuild the fleet on every job.  A
-    # caller batching mixed sizes should do the same (docs/service.md).
+    # Problem-major order.  One fleet serves every size, so the order
+    # only decides when each problem's weights are first prepared.
     jobs = []
     for n, q in problems.items():
         for seed in range(_SEEDS_PER_PROBLEM):

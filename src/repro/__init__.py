@@ -31,7 +31,7 @@ from repro.abs import AbsConfig, AdaptiveBulkSearch, SolveResult
 from repro.api import solve, solve_ising
 from repro.qubo import IsingModel, QuboMatrix, SearchState, SparseQubo
 
-__version__ = "1.22.0"
+__version__ = "1.23.0"
 
 __all__ = [
     "QuboMatrix",

@@ -34,7 +34,7 @@ from repro.abs.exchange import (
     TargetMailbox,
     resolve_exchange,
 )
-from repro.abs.fleet import WorkerFleet, WorkerJob, decode_token, encode_token
+from repro.abs.fleet import WorkerFleet, WorkerJob
 from repro.abs.host import Host
 from repro.abs.result import SolveResult
 from repro.abs.solver import AdaptiveBulkSearch
@@ -73,6 +73,4 @@ __all__ = [
     "WorkerSupervisor",
     "WorkerFleet",
     "WorkerJob",
-    "encode_token",
-    "decode_token",
 ]

@@ -19,28 +19,29 @@ module is the process-mode realization of those buffers:
   counters; ``head``/``tail`` are the global counters of Figure 5.
   The producer blocks (briefly, with a stall counter) only when the
   host has fallen a full ring behind.
-- :class:`ShmHostTransport` — the host side, which
-  :class:`~repro.abs.fleet.WorkerFleet` builds: one mailbox and one
-  ring per worker, per-worker target channels with ``put``, a
-  picklable ``worker_ref``, a ``poll`` for the next
-  :class:`ResultBatch`, ``describe``, ``drain``, ``close``, the
-  telemetry side channel (``event_bundles``, ``result_backlog``), and
-  byte statistics.
+- :class:`ShmHostTransport` — the host side of one job, which
+  :meth:`~repro.abs.fleet.WorkerFleet.arm_job` builds for the job's
+  size: one mailbox and one ring per worker, per-worker target
+  ``channels`` with ``put``, a picklable ``worker_ref``, a ``poll``
+  for the next :class:`ResultBatch`, ``result_backlog``,
+  ``describe``, ``close``, and byte statistics.
 - :class:`ShmWorkerEndpoint` — the worker-side counterpart, attached
   from a ``worker_ref``.
 
 Solutions cross the boundary bit-packed (:func:`~repro.abs.buffers.
 pack_solutions`, 8× smaller) — the analogue of the paper packing 32
 solution bits per register word.  Telemetry events are variable-sized
-Python objects, so they take a side queue and only when telemetry is
-enabled; the search path never depends on them.
+Python objects, so they take a side queue (the fleet's, shared by
+every job) and only when telemetry is enabled; the search path never
+depends on them.
 
 Correctness notes: the seqlock writer never touches the slot it last
 published (generation ``g`` lives in slot ``g % 2``), so a reader that
 saw a stable generation counter read a consistent payload.  The ring
 is strictly SPSC — the producer owns ``head``, the consumer ``tail``.
-Worker restarts (see :mod:`repro.abs.supervisor`) reuse the same
-segments: the mailbox stamps each publish with an *epoch* (the worker
+Segments belong to one job and are never shared across jobs.  Worker
+restarts within a job (see :mod:`repro.abs.supervisor`) reuse them:
+the mailbox stamps each publish with an *epoch* (the worker
 incarnation it is meant for) so a replacement ignores its
 predecessor's targets, and every ring record carries the producer's
 incarnation so the host can tell stale results from fresh ones.
@@ -49,7 +50,6 @@ incarnation so the host can tell stale results from fresh ones.
 from __future__ import annotations
 
 import os
-import queue as queue_mod
 import time
 from dataclasses import dataclass, field
 from multiprocessing import shared_memory
@@ -414,17 +414,15 @@ class SolutionRing(_ShmRegion):
 # Host side
 # ----------------------------------------------------------------------
 class _MailboxTargetChannel:
-    """Host-side handle for one worker's mailbox + incarnation epoch."""
+    """Host-side handle for one worker's mailbox."""
 
-    def __init__(
-        self, mailbox: TargetMailbox, epoch: int, stats: dict[str, int]
-    ) -> None:
+    def __init__(self, mailbox: TargetMailbox, stats: dict[str, int]) -> None:
         self._mailbox = mailbox
-        self._epoch = int(epoch)
         self._stats = stats
 
-    def put(self, targets: np.ndarray) -> None:
-        self._mailbox.publish(targets, self._epoch)
+    def put(self, targets: np.ndarray, epoch: int) -> None:
+        """Publish ``targets`` for the worker incarnation ``epoch``."""
+        self._mailbox.publish(targets, epoch)
         self._stats["exchange.targets_published"] += 1
         self._stats["exchange.packs"] += 1
         self._stats["exchange.bytes_to_device"] += (
@@ -433,11 +431,11 @@ class _MailboxTargetChannel:
 
 
 class ShmHostTransport:
-    """Host side of the exchange: Figure-5 rings in shared memory."""
+    """Host side of one job's exchange: Figure-5 rings in shared memory."""
 
     name = "shm"
 
-    def __init__(self, ctx: Any, n_workers: int, n_blocks: int, n: int) -> None:
+    def __init__(self, n_workers: int, n_blocks: int, n: int) -> None:
         self.n_workers = int(n_workers)
         self.n_blocks = int(n_blocks)
         self.n = int(n)
@@ -451,40 +449,18 @@ class ShmHostTransport:
         }
         self._mailboxes = [TargetMailbox.create(n_blocks, n) for _ in range(n_workers)]
         self._rings = [SolutionRing.create(n_blocks, n) for _ in range(n_workers)]
-        # Telemetry events are variable-sized Python objects; they take
-        # a side queue (used only when telemetry is enabled) so the
-        # fixed-size rings stay search-only.
-        self._events_q = ctx.Queue()
-        self._pending_events: list[tuple[int, int, list]] = []
+        #: Per-worker target channels (indexed by worker id).
+        self.channels = [_MailboxTargetChannel(box, self.stats) for box in self._mailboxes]
         self._rr = 0  # round-robin fairness cursor over worker rings
-
-    def make_target_channel(self, worker_id: int, incarnation: int) -> Any:
-        # Rings and mailboxes survive restarts — the replacement binds
-        # to the same segments; the epoch keeps stale targets out.
-        return _MailboxTargetChannel(
-            self._mailboxes[worker_id], incarnation, self.stats
-        )
 
     def worker_ref(self, worker_id: int) -> tuple:
         """What :class:`ShmWorkerEndpoint` attaches from (picklable)."""
-        return (
-            self._mailboxes[worker_id].descriptor,
-            self._rings[worker_id].descriptor,
-            self._events_q,
-        )
-
-    def _drain_events(self) -> None:
-        try:
-            while True:
-                self._pending_events.append(self._events_q.get_nowait())
-        except queue_mod.Empty:
-            pass
+        return (self._mailboxes[worker_id].descriptor, self._rings[worker_id].descriptor)
 
     def poll(self, timeout: float) -> ResultBatch | None:
         deadline = time.monotonic() + timeout
         n = self.n_workers
         while True:
-            self._drain_events()
             for i in range(n):
                 w = (self._rr + 1 + i) % n
                 record = self._rings[w].consume()
@@ -516,12 +492,6 @@ class ShmHostTransport:
                 return None
             time.sleep(_POLL_SLEEP)
 
-    def event_bundles(self) -> list[tuple[int, int, list]]:
-        self._drain_events()
-        out = self._pending_events
-        self._pending_events = []
-        return out
-
     def result_backlog(self, worker_id: int) -> int:
         """Result records the worker has written but the host not read."""
         return self._rings[worker_id].backlog()
@@ -538,14 +508,6 @@ class ShmHostTransport:
             + self.n_blocks * pn,
         }
 
-    def drain(self) -> None:
-        """Empty the event side queue so its feeder thread can exit."""
-        try:
-            while True:
-                self._events_q.get_nowait()
-        except (queue_mod.Empty, OSError, EOFError):
-            pass
-
     def close(self) -> None:
         for box in self._mailboxes:
             box.unlink()
@@ -557,16 +519,27 @@ class ShmHostTransport:
 # Worker side
 # ----------------------------------------------------------------------
 class ShmWorkerEndpoint:
-    """Worker side of the exchange, attached from a ``worker_ref``."""
+    """Worker side of one job's exchange, attached from a ``worker_ref``.
+
+    ``events_q`` is the fleet's telemetry side queue; event bundles go
+    onto it tagged ``(worker_id, job_seq, incarnation)``.
+    """
 
     def __init__(
-        self, ref: tuple, *, worker_id: int, incarnation: int, stop_evt: Any
+        self,
+        ref: tuple,
+        events_q: Any,
+        *,
+        worker_id: int,
+        job_seq: int,
+        incarnation: int,
+        stop_evt: Any,
     ) -> None:
-        mailbox_desc, ring_desc, events_q = ref
+        mailbox_desc, ring_desc = ref
         self._mailbox = TargetMailbox.attach(mailbox_desc)
         self._ring = SolutionRing.attach(ring_desc)
         self._events_q = events_q
-        self._worker_id = int(worker_id)
+        self._tag = (int(worker_id), int(job_seq), int(incarnation))
         self._incarnation = int(incarnation)
         self._stop_evt = stop_evt
         self._last_gen = 0
@@ -587,14 +560,6 @@ class ShmWorkerEndpoint:
             return None
         self._last_gen, targets = got
         return targets
-
-    def rearm(self, token: int) -> None:
-        """Adopt a new epoch token (warm-fleet job switch).
-
-        The mailbox generation counter keeps running across jobs, so
-        ``_last_gen`` stays; only the epoch filter changes.
-        """
-        self._incarnation = int(token)
 
     def publish(
         self,
@@ -622,7 +587,7 @@ class ShmWorkerEndpoint:
             meta, np.asarray(energies, dtype=WIRE_I64), pack_solutions(x)
         )
         if events:
-            self._events_q.put((self._worker_id, self._incarnation, events))
+            self._events_q.put((*self._tag, events))
         return True
 
     def close(self) -> None:

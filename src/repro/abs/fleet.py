@@ -1,14 +1,14 @@
 """Worker fleets: the plumbing every process-mode solve runs on.
 
 Process mode runs one OS process per simulated GPU.  A
-:class:`WorkerFleet` owns those processes, the exchange transport
-(the shared-memory mailboxes and rings), the
+:class:`WorkerFleet` owns those processes, the current job's exchange
+transport (the shared-memory mailboxes and rings), the
 :class:`~repro.abs.supervisor.WorkerSupervisor` that restarts dead or
 stalled workers, and the host-side shared-memory weight segments.
 Every worker runs :func:`_fleet_worker_main`: a control loop that
-accepts ``WorkerJob`` frames over a per-worker control queue, re-arms
-the exchange endpoint under the job's epoch token, and runs the device
-rounds until the next frame (or shutdown) arrives.  On the host side,
+accepts ``WorkerJob`` frames over a per-worker control queue, attaches
+an exchange endpoint to the job's segments, and runs the device rounds
+until the next frame (or shutdown) arrives.  On the host side,
 :class:`FleetDevices` hands one job's workers to the host loop that
 sync mode runs too (:func:`~repro.abs.host.run_search_rounds`).
 
@@ -19,26 +19,25 @@ Two callers share one fleet implementation:
   :meth:`~repro.abs.solver.AdaptiveBulkSearch.solve_on_fleet`, and
   shuts it down;
 - the solver service (:mod:`repro.service`) keeps a fleet up across a
-  whole job stream.  The paper's host/device split has no per-problem
-  worker state beyond the weights and the GA targets, so spawn,
-  transport, and backend-prepared weights survive from job to job.
+  whole job stream, whatever the problem sizes.  The paper's
+  host/device split has no per-problem worker state beyond the weights
+  and the GA targets, so processes and backend-prepared weights
+  survive from job to job.
 
-**Epoch tokens.**  The exchange layer already discards traffic whose
-epoch does not match (that is how worker restarts skip a predecessor's
-stale targets).  The fleet widens the epoch into a token::
+**Per-job segments.**  Like the paper's fixed target and solution
+buffers (Figure 5), nothing in the exchange protocol ties a process to
+one problem size.  Each job gets its own mailboxes and rings, sized
+for its ``n``: ``arm_job`` creates them and unlinks the previous job's,
+and the job frame names them, so a worker reads only its current job's
+traffic.  Within a job the mailbox epoch and the ring record carry the
+bare worker incarnation, which is how a restart skips its
+predecessor's targets.  Job sequence numbers start at 1; they tag the
+ack handshake and the telemetry side queue, which is fleet-level
+(a queue cannot travel inside a frame).
 
-    token = job_seq * JOB_STRIDE + incarnation
-
-so one integer simultaneously identifies *which job* and *which
-incarnation of the worker slot* produced a frame.  Job sequence
-numbers start at 1.  Cross-job traffic (a result published
-microseconds before a re-arm) is filtered by the host exactly like a
-stale incarnation's.
-
-**Re-arm handshake.**  ``arm_job`` re-stamps every healthy worker's
-target channel with the new token, delivers one ``WorkerJob`` frame per
-worker, and waits until every healthy worker acknowledges the new job
-sequence number.  A worker acks only after it has attached the
+**Re-arm handshake.**  ``arm_job`` builds the job's segments, delivers
+one ``WorkerJob`` frame per worker, and waits until every healthy
+worker acknowledges the new job sequence number.  A worker acks only after it has attached the
 weights, prepared (and, for ``bitplane``, compiled) its backend and
 built its device, so the ack is the boundary between a job's
 ``setup_ns`` and its search clock: the host publishes the first
@@ -68,28 +67,34 @@ from repro.abs.host import Host
 from repro.abs.supervisor import WorkerSupervisor
 from repro.telemetry.bus import NULL_BUS, NullBus, RelayBus, TelemetryBus
 
-#: Epoch tokens pack ``(job_seq, incarnation)`` into one integer:
-#: ``job_seq * JOB_STRIDE + incarnation``.  The stride bounds restarts
-#: per job at ~1M — far beyond any restart budget.
-JOB_STRIDE = 1 << 20
-
 #: Interval for worker control-queue polls and host ack polls.
 _POLL_INTERVAL = 0.25
 
 #: Sentinel control frame asking a worker to exit cleanly.
 _SHUTDOWN = "shutdown"
 
+#: Host-side shared-memory weight segments kept alive across jobs,
+#: keyed by problem digest (dense problems only; sparse ones ship by
+#: pickle and need no segment).
+_WEIGHTS_CACHE_SIZE = 8
 
-def encode_token(job_seq: int, incarnation: int) -> int:
-    """Pack a job sequence number and an incarnation into one epoch."""
-    if not 0 <= incarnation < JOB_STRIDE:
-        raise ValueError(f"incarnation out of range: {incarnation}")
-    return job_seq * JOB_STRIDE + incarnation
+#: Per-worker cap on cached backend-prepared weights
+#: (``PreparedWeights`` keyed by ``(backend, digest)``).
+_PREPARED_CACHE_SIZE = 4
+
+#: Per-worker cap on attached weight segments (keyed by descriptor).
+_ATTACHED_WEIGHTS_SIZE = 2 * _PREPARED_CACHE_SIZE
 
 
-def decode_token(token: int) -> tuple[int, int]:
-    """``token -> (job_seq, incarnation)``; inverse of :func:`encode_token`."""
-    return divmod(int(token), JOB_STRIDE)
+def _drain(q: Any) -> list:
+    """Everything queued on ``q`` now; nothing once it is torn down."""
+    items = []
+    try:
+        while True:
+            items.append(q.get_nowait())
+    except (queue_mod.Empty, OSError, EOFError, ValueError):
+        pass
+    return items
 
 
 def _resolve_start_method(requested: str | None) -> str:
@@ -113,17 +118,18 @@ def _resolve_start_method(requested: str | None) -> str:
     return "fork" if "fork" in available else mp.get_start_method()
 
 
-def fleet_params(cfg: AbsConfig, n: int) -> dict[str, Any]:
-    """The :class:`WorkerFleet` a config needs for an ``n``-bit problem.
+def fleet_params(cfg: AbsConfig) -> dict[str, Any]:
+    """The :class:`WorkerFleet` a config needs.
 
     The one mapping from an :class:`AbsConfig` to fleet construction
     arguments.  A one-shot ``solve("process")`` and the service build
     their fleets from it, the service keys fleet reuse on it, and
     ``solve_on_fleet`` refuses a fleet whose :attr:`WorkerFleet.params`
-    differ from it.
+    differ from it.  The problem size is not among them: each job's
+    exchange segments are sized when it is armed, so one fleet serves
+    every size.
     """
     return {
-        "n": int(n),
         "n_workers": cfg.n_gpus,
         "n_blocks": cfg.blocks_per_gpu,
         "max_restarts": cfg.max_worker_restarts,
@@ -140,11 +146,11 @@ class WorkerJob:
     """One job assignment, shipped to a worker as a control frame.
 
     Carries everything a device needs for one job, minus what the
-    worker already owns (its id, its endpoint, the stop event).
-    ``job_seq`` rather than a full token:
-    the worker combines it with its *own* incarnation number, so a
-    frame delivered to a freshly restarted worker re-arms under the
-    replacement's epoch, not its dead predecessor's.
+    worker already owns (its id, its incarnation, the telemetry queue,
+    the stop event).  ``exchange_ref`` names the job's own mailbox and
+    ring; :meth:`WorkerFleet.arm_job` fills it in.  A frame delivered to
+    a freshly restarted worker is read under the replacement's
+    incarnation, never its dead predecessor's.
     """
 
     job_seq: int
@@ -155,6 +161,7 @@ class WorkerJob:
     backend: str | None
     telemetry_enabled: bool
     lockstep: bool
+    exchange_ref: tuple = ()
 
 
 class _StopProxy:
@@ -218,32 +225,27 @@ def _fleet_worker_main(
     worker_id: int,
     incarnation: int,
     control: Any,
-    exchange_ref: tuple,
+    events_q: Any,
     stop_evt: Any,
     ack_q: Any,
-    prepared_cache_size: int,
 ) -> None:
     """Device-process entry point (module-level, picklable).
 
-    Sits in a control loop: each ``WorkerJob`` frame re-arms the
-    exchange endpoint under the job's epoch token, builds a *fresh*
-    :class:`DeviceSimulator` (engines start from the canonical zero
-    state — a service job must match a one-shot solve bit-for-bit), and
-    runs :func:`run_device_rounds` until the next frame arrives.  What
-    persists across jobs is exactly the expensive, state-free plumbing:
-    the process itself, the exchange endpoint, attached shared-memory
-    weight segments (keyed by segment descriptor — the host may evict
-    and recreate a segment for the same problem), and backend
-    ``PreparedWeights`` (keyed by ``(backend, digest)``; read-only
-    kernel input, so reuse cannot couple searches).
+    Sits in a control loop: each ``WorkerJob`` frame closes the previous
+    job's exchange endpoint and attaches a fresh one to the job's own
+    segments, builds a *fresh* :class:`DeviceSimulator` (engines start
+    from the canonical zero state — a service job must match a one-shot
+    solve bit-for-bit), and runs :func:`run_device_rounds` until the
+    next frame arrives.  What persists across jobs is exactly the
+    expensive, state-free plumbing: the process itself, the telemetry
+    side queue ``events_q`` (handed over at spawn), attached
+    shared-memory weight segments (keyed by segment descriptor — the
+    host may evict and recreate a segment for the same problem), and
+    backend ``PreparedWeights`` (keyed by ``(backend, digest)``;
+    read-only kernel input, so reuse cannot couple searches).
     """
     proxy = _StopProxy(stop_evt, control)
-    endpoint = ShmWorkerEndpoint(
-        exchange_ref,
-        worker_id=worker_id,
-        incarnation=incarnation,
-        stop_evt=proxy,
-    )
+    endpoint: ShmWorkerEndpoint | None = None
     shm_cache: OrderedDict[tuple, SharedWeights] = OrderedDict()
     prepared_cache: OrderedDict[tuple, object] = OrderedDict()
     try:
@@ -257,6 +259,22 @@ def _fleet_worker_main(
             if frame == _SHUTDOWN:
                 break
             job: WorkerJob = frame
+            if endpoint is not None:
+                endpoint.close()
+                endpoint = None
+            try:
+                endpoint = ShmWorkerEndpoint(
+                    job.exchange_ref,
+                    events_q,
+                    worker_id=worker_id,
+                    job_seq=job.job_seq,
+                    incarnation=incarnation,
+                    stop_evt=proxy,
+                )
+            except FileNotFoundError:
+                # A superseded frame: the host armed a newer job, and
+                # unlinked this one's segments, before it was read.
+                continue
             kind, payload = job.weights_ref
             if kind == "shm":
                 key = tuple(payload)
@@ -266,13 +284,12 @@ def _fleet_worker_main(
                 else:
                     shared = SharedWeights.attach(payload)
                     shm_cache[key] = shared
-                    while len(shm_cache) > max(1, prepared_cache_size * 2):
+                    while len(shm_cache) > _ATTACHED_WEIGHTS_SIZE:
                         _, old = shm_cache.popitem(last=False)
                         old.close()
                 weights: Any = shared.array
             else:
                 weights = payload
-            endpoint.rearm(encode_token(job.job_seq, incarnation))
             relay = RelayBus() if job.telemetry_enabled else NULL_BUS
             ckey = (job.backend, job.digest)
             prepared = (
@@ -293,7 +310,7 @@ def _fleet_worker_main(
                 pw = device.engine.prepared
                 if pw is not None:
                     prepared_cache[ckey] = pw
-                    while len(prepared_cache) > max(1, prepared_cache_size):
+                    while len(prepared_cache) > _PREPARED_CACHE_SIZE:
                         prepared_cache.popitem(last=False)
             ack_q.put((worker_id, job.job_seq))
             run_device_rounds(
@@ -307,7 +324,8 @@ def _fleet_worker_main(
     except (KeyboardInterrupt, BrokenPipeError):  # parent went away
         pass
     finally:
-        endpoint.close()
+        if endpoint is not None:
+            endpoint.close()
         for shared in shm_cache.values():
             shared.close()
 
@@ -316,15 +334,14 @@ def _fleet_worker_main(
 # Host side
 # ----------------------------------------------------------------------
 class WorkerFleet:
-    """Processes + exchange transport + supervisor, reusable across jobs.
+    """Processes + supervisor + per-job exchange, reusable across jobs.
 
     Parameters
     ----------
-    n:
-        Problem size in bits — part of the fleet geometry (the
-        transport sizes its mailboxes/rings from it).
     n_workers, n_blocks:
-        Fleet geometry: worker processes and blocks per worker.
+        Fleet geometry: worker processes and blocks per worker.  The
+        problem size is not part of it; :meth:`arm_job` sizes each
+        job's exchange segments.
     bus:
         Telemetry bus for supervisor events.  The service swaps in a
         per-job stamped view via :meth:`WorkerSupervisor` sharing.
@@ -333,10 +350,6 @@ class WorkerFleet:
         *lifetime*, not one job (documented in ``docs/service.md``).
     start_method:
         Multiprocessing start method (``None``: platform preference).
-    prepared_cache_size:
-        Per-worker cap on cached backend-prepared weights.
-    weights_cache_size:
-        Host-side cap on cached shared-memory weight segments.
     arm_timeout:
         Seconds one :meth:`arm_job` handshake may take (covers worker
         spawn and backend preparation on a fresh fleet).
@@ -344,7 +357,6 @@ class WorkerFleet:
 
     def __init__(
         self,
-        n: int,
         *,
         n_workers: int,
         n_blocks: int,
@@ -352,39 +364,37 @@ class WorkerFleet:
         max_restarts: int = 2,
         stall_timeout: float | None = None,
         start_method: str | None = None,
-        prepared_cache_size: int = 4,
-        weights_cache_size: int = 8,
         arm_timeout: float = 30.0,
     ) -> None:
         from multiprocessing import get_context
 
-        self.n = int(n)
         self.n_workers = int(n_workers)
         self.n_blocks = int(n_blocks)
         self.bus = bus if bus is not None else NULL_BUS
         self.start_method = start_method
         self.ctx = get_context(_resolve_start_method(start_method))
         self.stop_evt = self.ctx.Event()
-        self.transport = ShmHostTransport(
-            self.ctx, self.n_workers, self.n_blocks, self.n
-        )
         self.supervisor: WorkerSupervisor | None = None
         self._max_restarts = int(max_restarts)
         self._stall_timeout = stall_timeout
-        self._prepared_cache_size = int(prepared_cache_size)
-        self._weights_cache_size = int(weights_cache_size)
         self._arm_timeout = float(arm_timeout)
         # One lock covers the state shared between the arming thread,
         # the supervise thread (whose restart callbacks land in
-        # _spawn/_make_channel), and whichever thread calls shutdown().
-        # The weights cache, the job counters and the accounting marks
-        # stay unannotated: only the arming thread touches them.
+        # _spawn), and whichever thread calls shutdown().  The weights
+        # cache, the job counters and the accounting marks stay
+        # unannotated: only the arming thread touches them.
         self._lock = threading.Lock()
         self._job_seq = 0  # guarded-by: _lock
         self._current_jobs: list[WorkerJob] | None = None  # guarded-by: _lock
+        #: The current job's mailboxes and rings (None before the first arm).
+        self._transport: ShmHostTransport | None = None  # guarded-by: _lock
         self._controls: dict[int, Any] = {}  # guarded-by: _lock
         self._all_controls: list[Any] = []  # guarded-by: _lock
         self._ack_q = self.ctx.Queue()
+        # Worker telemetry bundles, tagged (worker_id, job_seq,
+        # incarnation).  Fleet-level and handed over at spawn: a queue
+        # cannot travel inside a job frame.
+        self._events_q = self.ctx.Queue()
         #: problem digest -> host-side SharedWeights (LRU, owner).
         self._weights_cache: OrderedDict[str, SharedWeights] = OrderedDict()
         self._closed = False  # guarded-by: _lock
@@ -392,7 +402,7 @@ class WorkerFleet:
         self.jobs_armed = 0
         #: Jobs whose weights came from the digest-keyed segment cache.
         self.weights_hits = 0
-        # take_job_stats() totals when the previous job ended.
+        # take_job_stats() supervisor totals when the previous job ended.
         self._job_mark: dict[str, int] = {}
 
     # ------------------------------------------------------------------
@@ -402,7 +412,6 @@ class WorkerFleet:
     def params(self) -> dict[str, Any]:
         """This fleet's :func:`fleet_params`: what a job must match."""
         return {
-            "n": self.n,
             "n_workers": self.n_workers,
             "n_blocks": self.n_blocks,
             "max_restarts": self._max_restarts,
@@ -416,6 +425,15 @@ class WorkerFleet:
         with self._lock:
             return self._job_seq
 
+    @property
+    def transport(self) -> ShmHostTransport:
+        """The current job's exchange, built by :meth:`arm_job`."""
+        with self._lock:
+            transport = self._transport
+        if transport is None:
+            raise RuntimeError("no job armed")
+        return transport
+
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
@@ -423,32 +441,23 @@ class WorkerFleet:
         """Spawn incarnation 0 of every worker; jobs follow via :meth:`arm_job`."""
         if self.supervisor is not None:
             raise RuntimeError("fleet already started")
-        # Forked workers share the parent's shared-memory resource
-        # tracker only if it already runs; otherwise each worker starts
-        # its own on its first attach, and that tracker unlinks the
-        # job's weight segment when the worker dies, so the replacement
-        # cannot attach.  Creating the transport's segments already
-        # starts it; the call keeps that a stated requirement rather
-        # than a side effect.
+        # No shared-memory segment exists before the first arm, so this
+        # call is what starts the resource tracker, before any worker
+        # is spawned.  Workers then share the parent's tracker;
+        # otherwise each would start its own on its first attach, and
+        # that tracker unlinks the job's segments when the worker dies,
+        # so the replacement could not attach.
         resource_tracker.ensure_running()
         self.supervisor = WorkerSupervisor(
             self.n_workers,
             self._spawn,
-            channel_factory=self._make_channel,
             max_restarts=self._max_restarts,
             stall_timeout=self._stall_timeout,
             bus=self.bus,
         )
         self.supervisor.start()
 
-    def _make_channel(self, worker_id: int, incarnation: int) -> Any:
-        # A restart mid-arm may run this on the supervise thread, so
-        # the job_seq read locks.
-        with self._lock:
-            token = encode_token(self._job_seq, incarnation)
-        return self.transport.make_target_channel(worker_id, token)
-
-    def _spawn(self, worker_id: int, incarnation: int, channel: Any) -> Any:
+    def _spawn(self, worker_id: int, incarnation: int) -> Any:
         control = self.ctx.Queue()
         with self._lock:
             self._controls[worker_id] = control
@@ -470,10 +479,9 @@ class WorkerFleet:
                 worker_id,
                 incarnation,
                 control,
-                self.transport.worker_ref(worker_id),
+                self._events_q,
                 self.stop_evt,
                 self._ack_q,
-                self._prepared_cache_size,
             ),
             daemon=True,
         )
@@ -512,19 +520,23 @@ class WorkerFleet:
         # Undigested segments still enter the cache (under a unique key)
         # so shutdown unlinks them; they just can never be re-hit.
         self._weights_cache[digest or f"anon-{shared.descriptor[0]}"] = shared
-        while len(self._weights_cache) > max(1, self._weights_cache_size):
+        while len(self._weights_cache) > _WEIGHTS_CACHE_SIZE:
             self._weights_cache.popitem(last=False)[1].unlink()
         return ("shm", shared.descriptor), False
 
-    def arm_job(self, jobs: list[WorkerJob]) -> None:
-        """Deliver one job frame per worker and wait for the ack gate.
+    def arm_job(self, n: int, jobs: list[WorkerJob]) -> None:
+        """Build the job's exchange, deliver one job frame per worker,
+        and wait for the ack gate.
 
-        ``jobs`` is indexed by worker id and must share one
-        ``job_seq`` (from :meth:`next_job_seq`).  On return every
-        healthy worker has re-armed its endpoint under the new epoch
-        token and finished its per-job setup (weight attach, backend
-        prepare and compile, device build): the return marks the end
-        of the job's ``setup_ns`` and the start of its search clock.
+        ``n`` is the job's problem size; ``jobs`` is indexed by worker
+        id and must share one ``job_seq`` (from :meth:`next_job_seq`).
+        The job gets fresh mailboxes and rings sized for ``n``, and the
+        previous job's are closed and unlinked (a worker still running
+        that job keeps its mapping until it reads the new frame).  On
+        return every healthy worker has attached the new segments and
+        finished its per-job setup (weight attach, backend prepare and
+        compile, device build): the return marks the end of the job's
+        ``setup_ns`` and the start of its search clock.
         Workers that die during the handshake are restarted and
         re-armed at spawn with the current frame; the call fails only
         when no healthy worker remains or the timeout expires.
@@ -543,16 +555,29 @@ class WorkerFleet:
         if any(j.job_seq != job_seq for j in jobs):
             raise ValueError("all jobs in one arm must share a job_seq")
         # Flush the previous job's buffered event bundles under *its*
-        # sequence before the epoch moves — e.g. a final round's device
+        # sequence before the job moves — e.g. a final round's device
         # events that landed after that job's host loop stopped polling.
         self.relay_events(self.bus, prev_seq)
+        transport = ShmHostTransport(self.n_workers, self.n_blocks, n)
+        jobs = [
+            replace(job, exchange_ref=transport.worker_ref(wid))
+            for wid, job in enumerate(jobs)
+        ]
         with self._lock:
-            self._job_seq = job_seq
-            self._current_jobs = list(jobs)
+            closed = self._closed
+            if not closed:
+                stale, self._transport = self._transport, transport
+                self._job_seq = job_seq
+                self._current_jobs = jobs
+        if closed:  # shutdown() ran meanwhile and unlinked what it saw
+            transport.close()
+            raise RuntimeError("fleet is shut down")
+        if stale is not None:
+            stale.close()
         sup = self.supervisor
-        # Live workers keep their incarnation; only the channel epoch
-        # moves to the new job's token (_make_channel reads _job_seq).
-        sup.rebind_channels()
+        # Live workers keep their incarnation; a worker idle between
+        # jobs must not count as stalled.
+        sup.reset_progress()
         # Snapshot: a mid-handshake restart adds its own control entry
         # and self-arms with the frame set above, so missing it is fine.
         with self._lock:
@@ -589,19 +614,19 @@ class WorkerFleet:
         """Re-emit buffered worker-side event bundles for ``job_seq``.
 
         Worker telemetry (``device.round``, ``engine.*``, ``adapt.*``)
-        rides the transport's side channel; re-emit it stamped with the
-        worker id, but only for the worker's current incarnation *and
-        this job* — a killed predecessor's (or a previous job's)
-        buffered events would misattribute counters otherwise.
+        rides the fleet's side queue; re-emit it stamped with the worker
+        id, but only for the worker's current incarnation *and this
+        job* — a killed predecessor's (or a previous job's) buffered
+        events would misattribute counters otherwise.  Bundles that do
+        not qualify are dropped, not kept.
         """
-        if not bus.enabled or self.supervisor is None:
-            self.transport.event_bundles()  # discard, don't accumulate
+        bundles = _drain(self._events_q)
+        sup = self.supervisor
+        if not bus.enabled or sup is None:
             return
-        for wid, winc, wevents in self.transport.event_bundles():
-            wseq, inc = decode_token(winc)
-            if wseq != job_seq or inc != self.supervisor.incarnation(wid):
-                continue
-            if self.supervisor.target_channel(wid) is None:  # lost
+        healthy = sup.healthy_ids
+        for wid, wseq, inc, wevents in bundles:
+            if wseq != job_seq or inc != sup.incarnation(wid) or wid not in healthy:
                 continue
             for name, fields in wevents:
                 payload = dict(fields)
@@ -609,14 +634,14 @@ class WorkerFleet:
                 bus.emit(name, **payload)
 
     def take_job_stats(self) -> dict[str, int]:
-        """This job's ``supervisor.*`` and transport counters (the
-        counts since the previous call).
+        """This job's ``supervisor.*`` and transport counters.
 
-        The supervisor and the transport count over the fleet's
-        lifetime; a job's result reports only its own share.  Called
-        once per job after its host loop ends, so whatever happened
-        between two jobs (a worker killed while idle) lands on the next
-        one, and a fresh fleet's first job sees everything since spawn.
+        The supervisor counts over the fleet's lifetime, so a job
+        reports the counts since the previous call.  Called once per
+        job after its host loop ends, so whatever happened between two
+        jobs (a worker killed while idle) lands on the next one, and a
+        fresh fleet's first job sees everything since spawn.  The
+        transport belongs to the job, so its counts are the job's own.
         """
         sup = self.supervisor
         if sup is None:
@@ -624,16 +649,17 @@ class WorkerFleet:
         now = {
             "supervisor.restarts": sup.workers_restarted,
             "supervisor.workers_lost": sup.workers_lost,
-            **{k: int(v) for k, v in self.transport.stats.items()},
         }
         mark, self._job_mark = self._job_mark, now
-        return {k: v - mark.get(k, 0) for k, v in now.items()}
+        stats = {k: v - mark.get(k, 0) for k, v in now.items()}
+        stats.update(self.transport.stats)
+        return stats
 
     # ------------------------------------------------------------------
     # Teardown
     # ------------------------------------------------------------------
     def shutdown(self) -> None:
-        """Stop workers, drain control queues, tear the transport down."""
+        """Stop workers, drain control queues, unlink every segment."""
         # Atomic test-and-set: the service can race its own failure
         # teardown against close(), and only one caller may proceed to
         # join/terminate/unlink below.
@@ -665,22 +691,14 @@ class WorkerFleet:
         except Exception:  # pragma: no cover - teardown best-effort
             pass
         # Drain the control queues so their feeder threads can exit,
-        # then tear down the transport (unlinks the shm rings/mailboxes).
+        # then unlink the current job's rings and mailboxes.
         with self._lock:
             all_controls = list(self._all_controls)
-        for control in all_controls:
-            try:
-                while True:
-                    control.get_nowait()
-            except (queue_mod.Empty, OSError, EOFError):
-                pass
-        try:
-            while True:
-                self._ack_q.get_nowait()
-        except (queue_mod.Empty, OSError, EOFError):
-            pass
-        self.transport.drain()
-        self.transport.close()
+            transport = self._transport
+        for q in (*all_controls, self._ack_q):
+            _drain(q)
+        if transport is not None:
+            transport.close()
         for shared in self._weights_cache.values():
             shared.unlink()
         self._weights_cache.clear()
@@ -699,10 +717,9 @@ class FleetDevices:
     """A started fleet running job ``job_seq``, as the host loop's
     :class:`~repro.abs.host.DeviceSet` (Step-4 policy ``per-result``).
 
-    Frames from *other* jobs — a previous job's results still in flight
-    after a re-arm — only feed the liveness clock; their solutions,
-    counters and events are dropped (absorbing a stale job's solution
-    into a different problem's pool would be wrong, not merely stale).
+    The job's transport is its own, so every result it polls belongs to
+    this job.  A result from a killed incarnation still feeds the pool,
+    but not the progress clock or the counters.
     """
 
     sweep = False
@@ -716,6 +733,7 @@ class FleetDevices:
         self.job_seq = job_seq
         self.bus = bus
         self._supervisor = fleet.supervisor
+        self._transport = fleet.transport
         self._results = 0
         self._polled: int | None = None  # worker whose result awaits Step 4
 
@@ -724,28 +742,25 @@ class FleetDevices:
         return self._supervisor.healthy_ids
 
     def put(self, device: int, targets: np.ndarray) -> None:
-        ch = self._supervisor.target_channel(device)
-        if ch is None:  # lost: nobody reads this channel any more
+        sup = self._supervisor
+        if device not in sup.healthy_ids:  # lost: nobody reads this mailbox
             return
-        ch.put(targets)
+        self._transport.channels[device].put(targets, sup.incarnation(device))
         if device == self._polled:  # Step 4's answer to its last result
             self._polled = None
             if self.bus.enabled:
                 self.bus.emit(
                     "host.queue",
                     device=device,
-                    results_queued=self.fleet.transport.result_backlog(device),
+                    results_queued=self._transport.result_backlog(device),
                 )
 
     def poll(self, timeout: float) -> ResultBatch | None:
-        batch = self.fleet.transport.poll(timeout=timeout)
+        batch = self._transport.poll(timeout=timeout)
         if batch is None:
             return None
         wid = batch.worker_id
-        batch_seq, batch_inc = decode_token(batch.incarnation)
-        fresh = self._supervisor.note_result(wid, batch_inc)
-        if batch_seq != self.job_seq:
-            return None
+        fresh = self._supervisor.note_result(wid, batch.incarnation)
         self._results += 1
         self._polled = wid
         if self.bus.enabled:

@@ -181,7 +181,7 @@ class AdaptiveBulkSearch:
         cfg = self.config
         if mode == "process":
             self._check_process_config()
-            with WorkerFleet(**fleet_params(cfg, self.n), bus=self.bus) as workers:
+            with WorkerFleet(**fleet_params(cfg), bus=self.bus) as workers:
                 workers.start()
                 return self.solve_on_fleet(workers, setup_start_ns=t_entry)
         if mode != "sync":
@@ -464,7 +464,7 @@ class AdaptiveBulkSearch:
             time.perf_counter_ns() if setup_start_ns is None else setup_start_ns
         )
         self._check_process_config()
-        wanted = fleet_params(cfg, self.n)
+        wanted = fleet_params(cfg)
         if workers.params != wanted:
             raise ValueError(
                 f"fleet parameters {workers.params} do not match job "
@@ -489,8 +489,9 @@ class AdaptiveBulkSearch:
         ]
         if bus.enabled:
             self._emit_start("process")
+        workers.arm_job(self.n, jobs)
+        if bus.enabled:
             bus.emit("exchange.open", **workers.transport.describe())
-        workers.arm_job(jobs)
         return self._search(
             host, FleetDevices(workers, job_seq, bus), t_entry, cancelled
         )

@@ -19,12 +19,12 @@ real OS processes:
 
 The state machine lives here, decoupled from transport plumbing: the
 fleet passes a ``spawn`` callable (create + start one worker process)
-and a ``channel_factory(worker_id, incarnation)`` (the target channel a
-given incarnation reads — a handle onto the *surviving* mailbox or
-stream, stamped with that incarnation's epoch), and calls
-:meth:`WorkerSupervisor.poll` from its polling loop.  Everything is
-injectable (clock, spawn, channels), so the supervision logic is unit
-tested without real processes.
+and calls :meth:`WorkerSupervisor.poll` from its polling loop.  The
+exchange is not the supervisor's concern: a replacement attaches the
+current job's segments, and the host addresses its targets to the
+slot's current :meth:`~WorkerSupervisor.incarnation`.  Everything is
+injectable (clock, spawn), so the supervision logic is unit tested
+without real processes.
 
 Telemetry: ``supervisor.stall`` when a progress deadline is missed,
 ``supervisor.restart`` per replacement, ``supervisor.degrade`` when a
@@ -76,7 +76,6 @@ class _WorkerState:
     __slots__ = (
         "worker_id",
         "proc",
-        "channel",
         "incarnation",
         "restarts_used",
         "last_progress",
@@ -86,7 +85,6 @@ class _WorkerState:
     def __init__(self, worker_id: int) -> None:
         self.worker_id = worker_id
         self.proc: Any = None
-        self.channel: Any = None
         self.incarnation = 0
         self.restarts_used = 0
         self.last_progress = 0.0
@@ -101,17 +99,10 @@ class WorkerSupervisor:
     n_workers:
         Number of worker slots (``AbsConfig.n_gpus``).
     spawn:
-        ``spawn(worker_id, incarnation, channel) -> process`` — create
-        and start one worker process for that incarnation; ``channel``
-        is the handle ``channel_factory`` just made for it.
-        The returned object needs ``is_alive()``, ``terminate()``,
-        ``kill()``, ``join(timeout)``, and ``exitcode``.
-    channel_factory:
-        ``channel_factory(worker_id, incarnation) -> channel`` — the
-        target channel that incarnation reads.  The underlying mailbox
-        or stream *survives* restarts; the factory returns a handle
-        bound to the new incarnation's epoch, which makes the
-        replacement skip anything published for its predecessor.
+        ``spawn(worker_id, incarnation) -> process`` — create and start
+        one worker process for that incarnation.  The returned object
+        needs ``is_alive()``, ``terminate()``, ``kill()``,
+        ``join(timeout)``, and ``exitcode``.
     max_restarts:
         Restart budget *per worker*; 0 disables restarts entirely.
     stall_timeout:
@@ -127,9 +118,8 @@ class WorkerSupervisor:
     def __init__(
         self,
         n_workers: int,
-        spawn: Callable[[int, int, Any], Any],
+        spawn: Callable[[int, int], Any],
         *,
-        channel_factory: Callable[[int, int], Any],
         max_restarts: int = 2,
         stall_timeout: float | None = None,
         bus: TelemetryBus | NullBus | None = None,
@@ -142,14 +132,13 @@ class WorkerSupervisor:
         if stall_timeout is not None and stall_timeout <= 0:
             raise ValueError(f"stall_timeout must be positive, got {stall_timeout}")
         self._spawn = spawn
-        self._channel_factory = channel_factory
         self._max_restarts = int(max_restarts)
         self._stall_timeout = stall_timeout
         self._bus = bus if bus is not None else NULL_BUS
         self._clock = clock
         self._workers = [_WorkerState(g) for g in range(n_workers)]
         # Per-worker state (_workers) is externally synchronized — poll,
-        # rebind, and note_result all run on the owning host loop.  The
+        # reset_progress, and note_result all run on the owning host loop.  The
         # ever-spawned registry is different: fleet shutdown() walks it
         # from whatever thread closes the service, concurrently with a
         # supervise-thread restart appending to it.  Scopes stay
@@ -172,36 +161,22 @@ class WorkerSupervisor:
         self._started = True
         now = self._clock()
         for st in self._workers:
-            st.channel = self._channel_factory(st.worker_id, st.incarnation)
-            st.proc = self._spawn(st.worker_id, st.incarnation, st.channel)
+            st.proc = self._spawn(st.worker_id, st.incarnation)
             with self._registry_lock:
                 self._all_procs.append(st.proc)
             st.last_progress = now
 
-    def target_channel(self, worker_id: int) -> Any | None:
-        """Current-incarnation target channel; ``None`` once lost."""
-        st = self._workers[worker_id]
-        return None if st.lost else st.channel
+    def reset_progress(self) -> None:
+        """Restart every healthy worker's progress clock.
 
-    def rebind_channels(self) -> None:
-        """Re-stamp every healthy worker's target channel in place.
-
-        Used by the fleet when re-arming live workers with a new job:
-        ``channel_factory`` is called again for each worker's current
-        incarnation, and the fleet has already moved its job sequence,
-        so the new handle publishes into the surviving mailbox/stream
-        under the new job's epoch token.  Unlike a restart, the
-        incarnation does not change and no process is spawned.
-        Progress clocks are reset so a worker is not declared stalled
-        for time spent idle between jobs.
+        Used by the fleet when it arms live workers with a new job, so
+        a worker is not declared stalled for time spent idle between
+        jobs.
         """
         if not self._started:
             raise RuntimeError("supervisor not started")
         now = self._clock()
         for st in self._workers:
-            if st.lost:
-                continue
-            st.channel = self._channel_factory(st.worker_id, st.incarnation)
             st.last_progress = now
 
     def incarnation(self, worker_id: int) -> int:
@@ -232,7 +207,7 @@ class WorkerSupervisor:
 
         A result is fresh when it came from the worker's current
         incarnation.  Stale results (shipped by a killed predecessor,
-        still sitting in its ring or stream) are safe to *absorb* — any
+        still sitting in its ring) are safe to *absorb* — any
         solution is a valid solution — but must not reset the
         replacement's progress clock nor update its counter snapshot,
         so the caller branches on the return value.
@@ -293,8 +268,7 @@ class WorkerSupervisor:
     ) -> WorkerAction:
         st.restarts_used += 1
         st.incarnation += 1
-        st.channel = self._channel_factory(st.worker_id, st.incarnation)
-        st.proc = self._spawn(st.worker_id, st.incarnation, st.channel)
+        st.proc = self._spawn(st.worker_id, st.incarnation)
         with self._registry_lock:
             self._all_procs.append(st.proc)
         st.last_progress = self._clock()

@@ -414,8 +414,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     service_config = ServiceConfig(
         result_cache_size=args.result_cache_size,
-        weights_cache_size=args.weights_cache_size,
-        prepared_cache_size=args.prepared_cache_size,
         max_queue=args.max_queue,
         default_priority=args.default_priority,
         arm_timeout=args.arm_timeout,
@@ -713,21 +711,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(problem, config, seed) run digest; deterministic seeded jobs "
         "only — sync, or lockstep on one worker, no time_limit "
         "(default 128; 0 disables)",
-    )
-    p.add_argument(
-        "--weights-cache-size",
-        type=int,
-        default=8,
-        metavar="N",
-        help="shared-memory weight segments kept across jobs, keyed by "
-        "problem digest (default 8)",
-    )
-    p.add_argument(
-        "--prepared-cache-size",
-        type=int,
-        default=4,
-        metavar="N",
-        help="per-worker cache of backend-prepared weights (default 4)",
     )
     p.add_argument(
         "--max-queue",

@@ -24,13 +24,6 @@ class ServiceConfig:
         mode, or ``lockstep=True`` with ``n_gpus=1``) — anything else,
         multi-worker lockstep included, is a sample, and a cached copy
         would silently change semantics.  0 disables the cache.
-    weights_cache_size:
-        Host-side shared-memory weight segments kept alive across jobs,
-        keyed by problem digest (dense problems only; sparse ones ship
-        by pickle and need no segment).
-    prepared_cache_size:
-        Per-worker cap on cached backend-prepared weights
-        (``PreparedWeights`` keyed by ``(backend, digest)``).
     max_queue:
         Maximum queued (not yet running) jobs; ``submit`` raises when
         full.  0 means unbounded.
@@ -43,8 +36,6 @@ class ServiceConfig:
     """
 
     result_cache_size: int = 128
-    weights_cache_size: int = 8
-    prepared_cache_size: int = 4
     max_queue: int = 0
     default_priority: int = 0
     arm_timeout: float = 30.0
@@ -53,14 +44,6 @@ class ServiceConfig:
         if self.result_cache_size < 0:
             raise ValueError(
                 f"result_cache_size must be >= 0, got {self.result_cache_size}"
-            )
-        if self.weights_cache_size < 1:
-            raise ValueError(
-                f"weights_cache_size must be >= 1, got {self.weights_cache_size}"
-            )
-        if self.prepared_cache_size < 1:
-            raise ValueError(
-                f"prepared_cache_size must be >= 1, got {self.prepared_cache_size}"
             )
         if self.max_queue < 0:
             raise ValueError(f"max_queue must be >= 0, got {self.max_queue}")

@@ -4,8 +4,9 @@
 WorkerFleet` and a background dispatcher thread.  Callers ``submit``
 QUBO jobs and collect results asynchronously; the service amortizes
 everything a one-shot ``solve("process")`` pays per call — process
-spawn, exchange-transport allocation, shared-memory weight copies, and
-backend weight preparation — across the whole job stream.
+spawn, shared-memory weight copies, and backend weight preparation —
+across the whole job stream, whatever the problem sizes.  Each job
+still gets its own small exchange segments, sized for its ``n``.
 
 Semantics that matter:
 
@@ -127,8 +128,8 @@ class SolverService:
         self._running: _Job | None = None  # guarded-by: _lock
         self._fleet: WorkerFleet | None = None  # guarded-by: _lock
         self._fleet_key: tuple[Any, ...] | None = None  # guarded-by: _lock
+        # Insertion-ordered, so the first key is the oldest (FIFO).
         self._result_cache: dict[str, SolveResult] = {}  # guarded-by: _lock
-        self._cache_order: list[str] = []  # guarded-by: _lock
         self._closed = False  # guarded-by: _lock
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop, name="solver-service", daemon=True
@@ -425,9 +426,8 @@ class SolverService:
                 and not cancelled
             ):
                 self._result_cache[job.run_key] = copy.deepcopy(result)
-                self._cache_order.append(job.run_key)
-                while len(self._cache_order) > self.config.result_cache_size:
-                    self._result_cache.pop(self._cache_order.pop(0), None)
+                while len(self._result_cache) > self.config.result_cache_size:
+                    del self._result_cache[next(iter(self._result_cache))]
             job.result = result
             self._finish(job, CANCELLED if cancelled else DONE)
 
@@ -440,7 +440,7 @@ class SolverService:
 
     @staticmethod
     def _job_key(job: _Job) -> tuple[Any, ...]:
-        return tuple(fleet_params(job.solver.config, job.solver.n).items())
+        return tuple(fleet_params(job.solver.config).items())
 
     def _ensure_fleet(self, job: _Job) -> WorkerFleet:
         # Only the dispatcher thread builds or swaps fleets, so there
@@ -457,10 +457,8 @@ class SolverService:
             stale.shutdown()
         if fleet is None:
             fleet = WorkerFleet(
-                **fleet_params(job.solver.config, job.solver.n),
+                **fleet_params(job.solver.config),
                 bus=self.bus,
-                prepared_cache_size=self.config.prepared_cache_size,
-                weights_cache_size=self.config.weights_cache_size,
                 arm_timeout=self.config.arm_timeout,
             )
             fleet.start()

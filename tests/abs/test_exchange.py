@@ -8,7 +8,6 @@ worker processes.  Full host↔worker integration runs in
 """
 
 import multiprocessing
-import time
 
 import numpy as np
 import pytest
@@ -243,16 +242,15 @@ class TestTransportEndToEnd:
     def test_round_trip(self, name):
         ctx = multiprocessing.get_context()
         stop = ctx.Event()
-        transport = ShmHostTransport(ctx, n_workers=1, n_blocks=3, n=20)
+        transport = ShmHostTransport(n_workers=1, n_blocks=3, n=20)
         try:
-            ch = transport.make_target_channel(0, 0)
             endpoint = ShmWorkerEndpoint(
-                transport.worker_ref(0), worker_id=0, incarnation=0,
-                stop_evt=stop,
+                transport.worker_ref(0), ctx.Queue(), worker_id=0, job_seq=1,
+                incarnation=0, stop_evt=stop,
             )
             try:
                 t = random_targets(3, 20, seed=5)
-                ch.put(t)
+                transport.channels[0].put(t, 0)
                 got = endpoint.fetch_targets(wait=True)
                 assert (got == t).all()
                 energies = np.array([-3, -1, -2], dtype=np.int64)
@@ -273,12 +271,10 @@ class TestTransportEndToEnd:
             finally:
                 endpoint.close()
         finally:
-            transport.drain()
             transport.close()
 
     def test_poll_timeout_returns_none(self):
-        ctx = multiprocessing.get_context()
-        transport = ShmHostTransport(ctx, n_workers=1, n_blocks=2, n=8)
+        transport = ShmHostTransport(n_workers=1, n_blocks=2, n=8)
         try:
             assert transport.poll(timeout=0.05) is None
         finally:
@@ -287,12 +283,12 @@ class TestTransportEndToEnd:
     def test_event_side_channel(self):
         ctx = multiprocessing.get_context()
         stop = ctx.Event()
-        transport = ShmHostTransport(ctx, n_workers=1, n_blocks=2, n=8)
+        events_q = ctx.Queue()
+        transport = ShmHostTransport(n_workers=1, n_blocks=2, n=8)
         try:
-            ch = transport.make_target_channel(0, 0)
             endpoint = ShmWorkerEndpoint(
-                transport.worker_ref(0), worker_id=0, incarnation=0,
-                stop_evt=stop,
+                transport.worker_ref(0), events_q, worker_id=0, job_seq=3,
+                incarnation=1, stop_evt=stop,
             )
             try:
                 events = [("device.round", {"round": 1})]
@@ -302,25 +298,19 @@ class TestTransportEndToEnd:
                 )
                 assert transport.poll(timeout=5.0) is not None
                 # The side queue's feeder thread may trail the shm
-                # ring by a moment; the solver tolerates that (bundles
-                # ride a later poll), so the test waits bounded-time.
-                deadline = time.monotonic() + 5.0
-                bundles = transport.event_bundles()
-                while not bundles and time.monotonic() < deadline:
-                    time.sleep(0.005)
-                    bundles = transport.event_bundles()
-                assert bundles == [(0, 0, events)]
-                assert transport.event_bundles() == []  # drained
+                # ring by a moment; the fleet tolerates that (bundles
+                # ride a later relay), so the test waits bounded-time.
+                # Bundles are tagged (worker_id, job_seq, incarnation).
+                assert events_q.get(timeout=5.0) == (0, 3, 1, events)
+                assert events_q.empty()
             finally:
                 endpoint.close()
         finally:
-            transport.drain()
             transport.close()
 
     @pytest.mark.parametrize("name", EXCHANGE_NAMES)
     def test_describe_shapes(self, name):
-        ctx = multiprocessing.get_context()
-        transport = ShmHostTransport(ctx, n_workers=2, n_blocks=4, n=33)
+        transport = ShmHostTransport(n_workers=2, n_blocks=4, n=33)
         try:
             d = transport.describe()
             assert d["transport"] == name
@@ -337,8 +327,7 @@ class TestTransportEndToEnd:
         import glob
 
         before = set(glob.glob("/dev/shm/*"))
-        ctx = multiprocessing.get_context()
-        transport = ShmHostTransport(ctx, n_workers=2, n_blocks=2, n=16)
+        transport = ShmHostTransport(n_workers=2, n_blocks=2, n=16)
         transport.close()
         after = set(glob.glob("/dev/shm/*"))
         assert after <= before

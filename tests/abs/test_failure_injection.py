@@ -143,9 +143,11 @@ class TestFaultRecovery:
             if worker_id == 2 and incarnation == 0:
                 from repro.abs.exchange import ShmWorkerEndpoint
 
-                exchange_ref, stop_evt = rest[1], rest[2]
-                ShmWorkerEndpoint(  # attach the rings first, then die
-                    exchange_ref, worker_id=2, incarnation=0, stop_evt=stop_evt
+                control, events_q, stop_evt = rest[0], rest[1], rest[2]
+                job = control.get(timeout=60)
+                ShmWorkerEndpoint(  # attach the job's rings first, then die
+                    job.exchange_ref, events_q, worker_id=2,
+                    job_seq=job.job_seq, incarnation=0, stop_evt=stop_evt,
                 )
                 os._exit(11)
             if worker_id == 2:

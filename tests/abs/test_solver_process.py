@@ -199,7 +199,7 @@ class TestWorkerSupervision:
         real_worker = fleet_mod._fleet_worker_main
 
         def flaky_worker(worker_id, incarnation, *rest):
-            # (control, exchange_ref, stop_evt, ack_q, prepared_cache_size)
+            # (control, events_q, stop_evt, ack_q)
             control, stop_evt, ack_q = rest[0], rest[2], rest[3]
             if worker_id == 1 and incarnation == 0:
                 os._exit(9)
@@ -308,3 +308,96 @@ class TestWorkerSupervision:
         assert res.flips == first["flips"] + last["flips"]
         assert res.evaluated == res.counters["engine.evaluated"]
         assert res.flips == res.counters["engine.flips"]
+
+
+class _IdleProc:
+    """A worker process stand-in that is alive until ``alive`` drops."""
+
+    def __init__(self):
+        self.alive = True
+        self.exitcode = None
+
+    def is_alive(self):
+        return self.alive
+
+    def join(self, timeout=None):
+        pass
+
+
+class TestFleetDevicesPublish:
+    def test_lost_worker_mailbox_gets_no_publish(self):
+        """Targets go to healthy workers only, stamped with the slot's
+        current incarnation; a lost worker's mailbox stays untouched."""
+        from types import SimpleNamespace
+
+        from repro.abs.exchange import ShmHostTransport, TargetMailbox
+        from repro.abs.fleet import FleetDevices
+        from repro.abs.supervisor import WorkerSupervisor
+        from repro.telemetry import NULL_BUS
+
+        procs = {}
+
+        def spawn(worker_id, incarnation):
+            procs[worker_id] = _IdleProc()
+            return procs[worker_id]
+
+        sup = WorkerSupervisor(2, spawn, max_restarts=1)
+        sup.start()
+        procs[0].alive = False
+        sup.poll()  # worker 0 restarted: incarnation 1
+        for _ in range(2):  # worker 1 restarted, then out of budget
+            procs[1].alive = False
+            sup.poll()
+        assert sup.healthy_ids == [0]
+        transport = ShmHostTransport(n_workers=2, n_blocks=2, n=8)
+        boxes = [TargetMailbox.attach(transport.worker_ref(w)[0]) for w in (0, 1)]
+        try:
+            devices = FleetDevices(
+                SimpleNamespace(supervisor=sup, transport=transport), 1, NULL_BUS
+            )
+            targets = np.ones((2, 8), dtype=np.uint8)
+            devices.put(0, targets)
+            devices.put(1, targets)
+            assert transport.stats["exchange.targets_published"] == 1
+            assert boxes[1].generation == 0
+            assert boxes[0].fetch(0, 0) is None  # not for the dead incarnation
+            gen, got = boxes[0].fetch(0, 1)
+            assert gen == 1 and (got == targets).all()
+        finally:
+            for box in boxes:
+                box.close()
+            transport.close()
+
+
+class TestSupersededFrame:
+    def test_frame_whose_segments_are_gone_is_skipped(self):
+        """A replacement spawned with job A's frame may read it only
+        after the host armed job B and unlinked A's segments.  The
+        worker skips that frame (no crash, no ack) and keeps serving."""
+        import queue
+        import threading
+
+        from repro.abs.exchange import ShmHostTransport
+
+        transport = ShmHostTransport(n_workers=1, n_blocks=2, n=8)
+        gone = transport.worker_ref(0)
+        transport.close()
+        frame = fleet_mod.WorkerJob(
+            job_seq=1,
+            weights_ref=("sparse", None),
+            digest=None,
+            n_blocks=2,
+            plan=None,
+            backend=None,
+            telemetry_enabled=False,
+            lockstep=True,
+            exchange_ref=gone,
+        )
+        control, ack_q = queue.Queue(), queue.Queue()
+        control.put(frame)
+        control.put(fleet_mod._SHUTDOWN)
+        fleet_mod._fleet_worker_main(
+            0, 1, control, queue.Queue(), threading.Event(), ack_q
+        )
+        assert control.empty()
+        assert ack_q.empty()

@@ -49,12 +49,12 @@ class Harness:
     """Records every spawn; exposes the latest proc per worker."""
 
     def __init__(self):
-        self.spawned = []  # (worker_id, incarnation, queue)
+        self.spawned = []  # (worker_id, incarnation)
         self.procs = {}
 
-    def spawn(self, worker_id, incarnation, target_q):
+    def spawn(self, worker_id, incarnation):
         proc = FakeProc(worker_id, incarnation)
-        self.spawned.append((worker_id, incarnation, target_q))
+        self.spawned.append((worker_id, incarnation))
         self.procs[worker_id] = proc
         return proc
 
@@ -73,7 +73,6 @@ def make_supervisor(n_workers=2, **kwargs):
     sup = WorkerSupervisor(
         n_workers,
         harness.spawn,
-        channel_factory=lambda wid, inc: object(),
         clock=clock,
         **kwargs,
     )
@@ -84,7 +83,7 @@ class TestLifecycle:
     def test_start_spawns_every_worker_once(self):
         sup, harness, _ = make_supervisor(n_workers=3)
         sup.start()
-        assert [(w, i) for w, i, _ in harness.spawned] == [(0, 0), (1, 0), (2, 0)]
+        assert harness.spawned == [(0, 0), (1, 0), (2, 0)]
         assert sup.n_healthy == 3
         assert sup.healthy_ids == [0, 1, 2]
         assert len(sup.all_processes) == 3
@@ -102,15 +101,11 @@ class TestLifecycle:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            WorkerSupervisor(0, lambda *a: None, channel_factory=lambda wid, inc: object())
+            WorkerSupervisor(0, lambda *a: None)
         with pytest.raises(ValueError):
-            WorkerSupervisor(
-                1, lambda *a: None, channel_factory=lambda wid, inc: object(), max_restarts=-1
-            )
+            WorkerSupervisor(1, lambda *a: None, max_restarts=-1)
         with pytest.raises(ValueError):
-            WorkerSupervisor(
-                1, lambda *a: None, channel_factory=lambda wid, inc: object(), stall_timeout=0.0
-            )
+            WorkerSupervisor(1, lambda *a: None, stall_timeout=0.0)
 
     def test_healthy_workers_produce_no_actions(self):
         sup, _, _ = make_supervisor()
@@ -124,7 +119,6 @@ class TestRestartOnDeath:
     def test_dead_worker_restarted_with_fresh_channel(self):
         sup, harness, _ = make_supervisor(max_restarts=2)
         sup.start()
-        q0 = sup.target_channel(1)
         harness.procs[1].die(exitcode=1)
         actions = sup.poll()
         assert [(a.worker_id, a.kind, a.reason) for a in actions] == [
@@ -133,10 +127,7 @@ class TestRestartOnDeath:
         assert actions[0].exitcode == 1
         assert sup.workers_restarted == 1
         assert sup.incarnation(1) == 1
-        # Replacement reads a *new* channel handle; the old one is
-        # retained only for final draining.
-        assert sup.target_channel(1) is not q0
-        assert harness.spawned[-1][:2] == (1, 1)
+        assert harness.spawned[-1] == (1, 1)
         # The healthy worker was untouched.
         assert sup.incarnation(0) == 0
 
@@ -150,7 +141,7 @@ class TestRestartOnDeath:
         assert [(a.worker_id, a.kind) for a in actions] == [(1, "lost")]
         assert sup.workers_lost == 1
         assert sup.n_healthy == 1
-        assert sup.target_channel(1) is None
+        assert sup.healthy_ids == [0]
         # A lost worker is never polled again.
         assert sup.poll() == []
 
@@ -240,7 +231,6 @@ class TestSupervisorTelemetry:
         sup = WorkerSupervisor(
             2,
             harness.spawn,
-            channel_factory=lambda wid, inc: object(),
             max_restarts=1,
             stall_timeout=5.0,
             bus=bus,
@@ -268,33 +258,21 @@ class TestSupervisorTelemetry:
         assert sup.workers_lost == 1
 
 
-class TestRebindChannels:
-    def test_rebind_restamps_through_channel_factory(self):
-        """A fleet re-arm asks the channel factory again for every
-        healthy worker's current incarnation; no process is spawned
-        and lost workers stay without a channel."""
-        made = []
-
-        def factory(wid, inc):
-            made.append((wid, inc))
-            return object()
-
-        harness = Harness()
-        sup = WorkerSupervisor(
-            2, harness.spawn, channel_factory=factory, max_restarts=0,
-            clock=FakeClock(),
-        )
+class TestResetProgress:
+    def test_reset_restarts_every_progress_clock(self):
+        """A fleet arming live workers with a new job resets their
+        progress clocks: time idle between jobs is not a stall, and no
+        process is spawned."""
+        clock = FakeClock()
+        sup, harness, _ = make_supervisor(stall_timeout=5.0, clock=clock)
         sup.start()
-        harness.procs[1].die()
-        sup.poll()  # worker 1 is lost (no restart budget)
-        before = sup.target_channel(0)
-        sup.rebind_channels()
-        assert made == [(0, 0), (1, 0), (0, 0)]
-        assert sup.target_channel(0) is not before
-        assert sup.target_channel(1) is None
+        clock.now = 4.0
+        sup.reset_progress()
+        clock.now = 8.0  # 4 s since the reset < 5 s deadline
+        assert sup.poll() == []
         assert len(harness.spawned) == 2
 
-    def test_rebind_before_start_rejected(self):
+    def test_reset_before_start_rejected(self):
         sup, _, _ = make_supervisor()
         with pytest.raises(RuntimeError, match="not started"):
-            sup.rebind_channels()
+            sup.reset_progress()

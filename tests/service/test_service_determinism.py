@@ -87,6 +87,33 @@ class TestBitIdentity:
         assert repeat.counters == first.counters
 
 
+class TestAlternatingSizes:
+    def test_one_fleet_serves_every_size(self):
+        """Sizes 24/40/24 through one service: one fleet spawn, each job
+        on its own exchange segments, every answer its one-shot's, and
+        no shared-memory segment left behind."""
+        import glob
+
+        small, large = QuboMatrix.random(24, seed=321), QuboMatrix.random(40, seed=5)
+        stream = [
+            (small, lockstep_cfg("shm", seed=42)),
+            (large, lockstep_cfg("shm", seed=7)),
+            (small, lockstep_cfg("shm", seed=9)),
+        ]
+        one_shots = [AdaptiveBulkSearch(q, c).solve("process") for q, c in stream]
+        before = set(glob.glob("/dev/shm/*"))
+        bus = TelemetryBus([MemorySink()])
+        with SolverService(telemetry=bus) as svc:
+            ids = [svc.submit(q, c) for q, c in stream]
+            served = [svc.result(j, timeout=120) for j in ids]
+        assert set(glob.glob("/dev/shm/*")) <= before
+        for got, want in zip(served, one_shots):
+            assert fingerprint(got) == fingerprint(want)
+        counts = bus.counters.snapshot()
+        assert counts["service.fleet_spawns"] == 1
+        assert counts["service.fleet_rearms"] == 3
+
+
 class TestCacheEligibility:
     def test_two_worker_lockstep_is_never_cached(self, problem):
         """Lockstep makes only a *single* worker deterministic: with two,

@@ -93,6 +93,44 @@ class TestWorkerDeathWithJobInFlight:
         assert served.workers_restarted == 1
         assert fingerprint(served) == fingerprint(one_shot)
 
+    def test_worker_killed_arming_a_new_size(self, problem, monkeypatch):
+        """The first incarnation runs the n=24 job, then dies on reading
+        the n=40 frame, before acking it.  The replacement is spawned
+        mid-arm with the current frame and attaches the new job's
+        segments: no second fleet, and the answer is the one-shot's."""
+        real = fleet_mod._fleet_worker_main
+
+        class DieOnSecondJob:
+            def __init__(self, control):
+                self._control = control
+
+            def get(self, timeout=None):
+                frame = self._control.get(timeout=timeout)
+                if isinstance(frame, fleet_mod.WorkerJob) and frame.job_seq > 1:
+                    os._exit(11)
+                return frame
+
+            def empty(self):
+                return self._control.empty()
+
+        def dies_arming_second_job(worker_id, incarnation, control, *rest):
+            if incarnation == 0:
+                control = DieOnSecondJob(control)
+            return real(worker_id, incarnation, control, *rest)
+
+        monkeypatch.setattr(fleet_mod, "_fleet_worker_main", dies_arming_second_job)
+        large = QuboMatrix.random(40, seed=5)
+        cfg_a, cfg_b = lockstep_cfg(seed=1), lockstep_cfg(seed=2)
+        bus = TelemetryBus([MemorySink()])
+        with SolverService(telemetry=bus) as svc:
+            svc.result(svc.submit(problem, cfg_a), timeout=120)
+            served = svc.result(svc.submit(large, cfg_b), timeout=120)
+        monkeypatch.setattr(fleet_mod, "_fleet_worker_main", real)
+        one_shot = AdaptiveBulkSearch(large, cfg_b).solve("process")
+        assert served.workers_restarted == 1
+        assert fingerprint(served) == fingerprint(one_shot)
+        assert bus.counters.snapshot()["service.fleet_spawns"] == 1
+
     def test_worker_killed_between_jobs(self, problem):
         """Kill the idle worker after job A; job B's arm handshake must
         detect the death, restart, and arm the replacement with job B
