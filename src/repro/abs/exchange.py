@@ -17,16 +17,33 @@ module is the process-mode realization of those buffers:
   result records per worker.  Each slot carries the per-block best
   energies, the bit-packed best solutions, and the worker's cumulative
   counters; ``head``/``tail`` are the global counters of Figure 5.
-  The producer blocks (briefly, with a stall counter) only when the
-  host has fallen a full ring behind.
+  The producer blocks (with a stall counter) only when the host has
+  fallen a full ring behind.
 - :class:`ShmHostTransport` — the host side of one job, which
   :meth:`~repro.abs.fleet.WorkerFleet.arm_job` builds for the job's
   size: one mailbox and one ring per worker, per-worker target
-  ``channels`` with ``put``, a picklable ``worker_ref``, a ``poll``
-  for the next :class:`ResultBatch`, ``result_backlog``,
-  ``describe``, ``close``, and byte statistics.
+  ``channels`` with ``put``, a picklable ``worker_ref``, the worker's
+  ``bells``, a ``poll`` for the next :class:`ResultBatch`,
+  ``result_backlog``, ``end_job``, ``describe``, ``close``, and byte
+  statistics.
 - :class:`ShmWorkerEndpoint` — the worker-side counterpart, attached
   from a ``worker_ref``.
+
+**Doorbells.**  The paper's host polls the device's global counter and
+its kernels never stop.  Here host and workers share CPU cores, so
+nobody spins on a counter: every store that a peer may be waiting for
+is followed by a *ring* of that peer's bell (a counting semaphore the
+fleet creates, one per worker plus one shared by the host).  A target
+publish rings the worker's bell, a result write rings the host bell,
+and a consume rings the producer's bell, because a ring slot is free.
+A waiter checks the shared state, blocks in ``acquire`` for at most
+:data:`_BELL_TIMEOUT`, drains any further rings without blocking, and
+checks again.  Ringing only after the store is what makes a lost
+wakeup impossible (:mod:`repro.analysis.interleave` explores it); the
+timeout is a fallback that only matters when a peer dies between its
+store and its ring.  When a job ends the host sets the mailbox's
+*job-over* word and rings every worker bell, so a worker blocked in a
+target wait or a full-ring stall returns to its control loop at once.
 
 Solutions cross the boundary bit-packed (:func:`~repro.abs.buffers.
 pack_solutions`, 8× smaller) — the analogue of the paper packing 32
@@ -50,6 +67,7 @@ incarnation so the host can tell stale results from fresh ones.
 from __future__ import annotations
 
 import os
+import threading
 import time
 from dataclasses import dataclass, field
 from multiprocessing import shared_memory
@@ -72,7 +90,8 @@ WIRE_U8 = np.dtype("u1")
 
 #: Result slots per worker ring.  The host absorbs much faster than a
 #: worker produces, so a short ring suffices; a full ring only means
-#: the producer naps (counted in ``exchange.publish_stalls``).
+#: the producer waits for a consume (counted in
+#: ``exchange.publish_stalls``).
 DEFAULT_RING_SLOTS = 4
 
 #: Cumulative worker counters shipped in the fixed-width ring meta
@@ -97,15 +116,34 @@ _M_COUNT = 1
 _M_COUNTERS = 2  # ..., one slot per ENGINE_COUNTER_KEYS entry
 _M_PUBLISH_STALLS = _M_COUNTERS + len(ENGINE_COUNTER_KEYS)
 _M_TARGET_WAITS = _M_PUBLISH_STALLS + 1
-assert _M_TARGET_WAITS < _META_SLOTS
+_M_TARGET_WAIT_NS = _M_TARGET_WAITS + 1
+assert _M_TARGET_WAIT_NS < _META_SLOTS
 
 # Mailbox/ring header layout (int64 slots).
 _HEADER_SLOTS = 4
 _H_SEQ = 0  # mailbox: generation counter; ring: head (producer-owned)
 _H_EPOCH = 1  # mailbox: incarnation of the latest publish; ring: tail
+_H_OVER = 2  # mailbox: nonzero once the host ended the job
 
-#: Seconds slept while polling a counter that has not moved.
-_POLL_SLEEP = 0.0005
+#: Longest single block on a bell, in seconds.  Every store is followed
+#: by a ring, so a wait that runs this long means a peer died between
+#: its store and its ring, or the waiter's stop condition changed
+#: (``stop_evt``) without one.
+_BELL_TIMEOUT = 0.05
+
+
+def _await_ring(bell: Any, timeout: float) -> bool:
+    """Block on ``bell`` for up to ``timeout`` s, then drain further rings.
+
+    Returns whether a ring arrived.  The caller re-checks the shared
+    state afterwards: every ring drained here came after a store that
+    the re-check will see.
+    """
+    rang = bell.acquire(True, timeout)
+    if rang:
+        while bell.acquire(False):
+            pass
+    return rang
 
 
 def resolve_exchange(value: str | None) -> str:
@@ -180,7 +218,8 @@ class _ShmRegion:
 class TargetMailbox(_ShmRegion):
     """Double-buffered target batch in shared memory (host → worker).
 
-    Layout: an int64 header ``[generation, epoch, …]`` followed by two
+    Layout: an int64 header ``[generation, epoch, job_over, …]``
+    followed by two
     bit-packed ``(n_blocks, ⌈n/8⌉)`` payload slots.  Generation ``g``
     is published into slot ``g % 2``, so the slot of the *current*
     generation is never overwritten by the next publish — the seqlock
@@ -236,6 +275,15 @@ class TargetMailbox(_ShmRegion):
     def generation(self) -> int:
         """Latest published generation (0 before the first publish)."""
         return int(self._header[_H_SEQ])
+
+    @property
+    def job_over(self) -> bool:
+        """Whether the host has ended this mailbox's job."""
+        return bool(self._header[_H_OVER])
+
+    def end_job(self) -> None:
+        """Host side: tell the worker this job's traffic is over."""
+        self._header[_H_OVER] = 1
 
     def publish(self, targets: np.ndarray, epoch: int) -> int:
         """Host side: publish a fresh ``(n_blocks, n)`` target batch.
@@ -414,15 +462,19 @@ class SolutionRing(_ShmRegion):
 # Host side
 # ----------------------------------------------------------------------
 class _MailboxTargetChannel:
-    """Host-side handle for one worker's mailbox."""
+    """Host-side handle for one worker's mailbox and bell."""
 
-    def __init__(self, mailbox: TargetMailbox, stats: dict[str, int]) -> None:
+    def __init__(
+        self, mailbox: TargetMailbox, stats: dict[str, int], bell: Any
+    ) -> None:
         self._mailbox = mailbox
         self._stats = stats
+        self._bell = bell
 
     def put(self, targets: np.ndarray, epoch: int) -> None:
         """Publish ``targets`` for the worker incarnation ``epoch``."""
         self._mailbox.publish(targets, epoch)
+        self._bell.release()  # after the generation store it announces
         self._stats["exchange.targets_published"] += 1
         self._stats["exchange.packs"] += 1
         self._stats["exchange.bytes_to_device"] += (
@@ -431,11 +483,24 @@ class _MailboxTargetChannel:
 
 
 class ShmHostTransport:
-    """Host side of one job's exchange: Figure-5 rings in shared memory."""
+    """Host side of one job's exchange: Figure-5 rings in shared memory.
+
+    ``worker_bells`` (one per worker) and ``host_bell`` are the fleet's
+    doorbells; a transport built without them makes private ones, which
+    serve endpoints in this process only.
+    """
 
     name = "shm"
 
-    def __init__(self, n_workers: int, n_blocks: int, n: int) -> None:
+    def __init__(
+        self,
+        n_workers: int,
+        n_blocks: int,
+        n: int,
+        *,
+        worker_bells: list[Any] | None = None,
+        host_bell: Any = None,
+    ) -> None:
         self.n_workers = int(n_workers)
         self.n_blocks = int(n_blocks)
         self.n = int(n)
@@ -447,50 +512,85 @@ class ShmHostTransport:
             "exchange.packs": 0,
             "exchange.unpacks": 0,
         }
+        if worker_bells is None:
+            worker_bells = [threading.Semaphore(0) for _ in range(n_workers)]
+        self._worker_bells = list(worker_bells)
+        self._host_bell = host_bell if host_bell is not None else threading.Semaphore(0)
+        #: Host waits that ran to the full :data:`_BELL_TIMEOUT` unrung.
+        self.bell_timeouts = 0
         self._mailboxes = [TargetMailbox.create(n_blocks, n) for _ in range(n_workers)]
         self._rings = [SolutionRing.create(n_blocks, n) for _ in range(n_workers)]
         #: Per-worker target channels (indexed by worker id).
-        self.channels = [_MailboxTargetChannel(box, self.stats) for box in self._mailboxes]
+        self.channels = [
+            _MailboxTargetChannel(box, self.stats, bell)
+            for box, bell in zip(self._mailboxes, self._worker_bells)
+        ]
         self._rr = 0  # round-robin fairness cursor over worker rings
 
     def worker_ref(self, worker_id: int) -> tuple:
         """What :class:`ShmWorkerEndpoint` attaches from (picklable)."""
         return (self._mailboxes[worker_id].descriptor, self._rings[worker_id].descriptor)
 
-    def poll(self, timeout: float) -> ResultBatch | None:
-        deadline = time.monotonic() + timeout
+    def bells(self, worker_id: int) -> tuple[Any, Any]:
+        """``(worker bell, host bell)``: the endpoint's ``bells`` argument."""
+        return self._worker_bells[worker_id], self._host_bell
+
+    def _consume_next(self) -> ResultBatch | None:
+        """The next record in round-robin order over the worker rings."""
         n = self.n_workers
+        for i in range(n):
+            w = (self._rr + 1 + i) % n
+            record = self._rings[w].consume()
+            if record is None:
+                continue
+            self._worker_bells[w].release()  # a ring slot is free
+            self._rr = w
+            meta, energies, packed = record
+            count = int(meta[_M_COUNT])
+            xs = unpack_solutions(packed[:count], self.n)
+            counters = {
+                key: int(meta[_M_COUNTERS + j])
+                for j, key in enumerate(ENGINE_COUNTER_KEYS)
+            }
+            counters["exchange.publish_stalls"] = int(meta[_M_PUBLISH_STALLS])
+            counters["exchange.target_waits"] = int(meta[_M_TARGET_WAITS])
+            counters["exchange.target_wait_ns"] = int(meta[_M_TARGET_WAIT_NS])
+            self.stats["exchange.results_consumed"] += 1
+            self.stats["exchange.unpacks"] += 1
+            self.stats["exchange.bytes_from_device"] += energies.nbytes + packed.nbytes
+            return ResultBatch(
+                worker_id=w,
+                incarnation=int(meta[_M_INCARNATION]),
+                energies=energies[:count],
+                x=xs,
+                counters=counters,
+            )
+        return None
+
+    def poll(self, timeout: float) -> ResultBatch | None:
+        """The next result, waiting on the host bell for up to ``timeout`` s."""
+        deadline = time.monotonic() + timeout
         while True:
-            for i in range(n):
-                w = (self._rr + 1 + i) % n
-                record = self._rings[w].consume()
-                if record is None:
-                    continue
-                self._rr = w
-                meta, energies, packed = record
-                count = int(meta[_M_COUNT])
-                xs = unpack_solutions(packed[:count], self.n)
-                counters = {
-                    key: int(meta[_M_COUNTERS + j])
-                    for j, key in enumerate(ENGINE_COUNTER_KEYS)
-                }
-                counters["exchange.publish_stalls"] = int(meta[_M_PUBLISH_STALLS])
-                counters["exchange.target_waits"] = int(meta[_M_TARGET_WAITS])
-                self.stats["exchange.results_consumed"] += 1
-                self.stats["exchange.unpacks"] += 1
-                self.stats["exchange.bytes_from_device"] += (
-                    energies.nbytes + packed.nbytes
-                )
-                return ResultBatch(
-                    worker_id=w,
-                    incarnation=int(meta[_M_INCARNATION]),
-                    energies=energies[:count],
-                    x=xs,
-                    counters=counters,
-                )
-            if time.monotonic() >= deadline:
+            batch = self._consume_next()
+            if batch is not None:
+                return batch
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
                 return None
-            time.sleep(_POLL_SLEEP)
+            wait = min(remaining, _BELL_TIMEOUT)
+            if not _await_ring(self._host_bell, wait) and wait == _BELL_TIMEOUT:
+                self.bell_timeouts += 1
+
+    def end_job(self) -> None:
+        """Mark every mailbox's job over and ring every worker bell.
+
+        A worker blocked in a target wait or a full-ring stall returns
+        to its control loop; one that is running a round stops after
+        it.  Idempotent.
+        """
+        for box, bell in zip(self._mailboxes, self._worker_bells):
+            box.end_job()
+            bell.release()
 
     def result_backlog(self, worker_id: int) -> int:
         """Result records the worker has written but the host not read."""
@@ -522,7 +622,10 @@ class ShmWorkerEndpoint:
     """Worker side of one job's exchange, attached from a ``worker_ref``.
 
     ``events_q`` is the fleet's telemetry side queue; event bundles go
-    onto it tagged ``(worker_id, job_seq, incarnation)``.
+    onto it tagged ``(worker_id, job_seq, incarnation)``.  ``bells`` is
+    ``(this worker's bell, the host bell)`` from the fleet; without
+    them the endpoint rings and waits on private bells nobody else
+    holds, so its waits end only on their timeout.
     """
 
     def __init__(
@@ -534,6 +637,7 @@ class ShmWorkerEndpoint:
         job_seq: int,
         incarnation: int,
         stop_evt: Any,
+        bells: tuple[Any, Any] | None = None,
     ) -> None:
         mailbox_desc, ring_desc = ref
         self._mailbox = TargetMailbox.attach(mailbox_desc)
@@ -542,20 +646,35 @@ class ShmWorkerEndpoint:
         self._tag = (int(worker_id), int(job_seq), int(incarnation))
         self._incarnation = int(incarnation)
         self._stop_evt = stop_evt
+        if bells is None:
+            bells = (threading.Semaphore(0), threading.Semaphore(0))
+        self._bell, self._host_bell = bells
         self._last_gen = 0
         self._publish_stalls = 0
         self._target_waits = 0
+        self._target_wait_ns = 0
+        #: Waits that ran to the full :data:`_BELL_TIMEOUT` unrung.
+        self.bell_timeouts = 0
+
+    def stopping(self) -> bool:
+        """Whether the host ended this job or the fleet is stopping."""
+        return self._mailbox.job_over or self._stop_evt.is_set()
+
+    def _wait(self) -> None:
+        if not _await_ring(self._bell, _BELL_TIMEOUT):
+            self.bell_timeouts += 1
 
     def fetch_targets(self, *, wait: bool) -> np.ndarray | None:
+        """The freshest targets not seen yet; ``wait`` blocks for them
+        until they arrive or :meth:`stopping` turns true."""
         got = self._mailbox.fetch(self._last_gen, self._incarnation)
-        if got is None and wait:
-            waited = False
-            while got is None and not self._stop_evt.is_set():
-                if not waited:
-                    self._target_waits += 1
-                    waited = True
-                time.sleep(0.001)
+        if got is None and wait and not self.stopping():
+            self._target_waits += 1
+            t0 = time.perf_counter_ns()
+            while got is None and not self.stopping():
+                self._wait()
                 got = self._mailbox.fetch(self._last_gen, self._incarnation)
+            self._target_wait_ns += time.perf_counter_ns() - t0
         if got is None:
             return None
         self._last_gen, targets = got
@@ -568,14 +687,16 @@ class ShmWorkerEndpoint:
         counters: dict[str, int],
         events: list,
     ) -> bool:
+        """Ship one round's results; ``False`` when the ring stayed full
+        until :meth:`stopping` turned true."""
         stalled = False
         while self._ring.is_full():
-            if self._stop_evt.is_set():
+            if self.stopping():
                 return False
             if not stalled:
                 self._publish_stalls += 1
                 stalled = True
-            time.sleep(0.001)
+            self._wait()
         meta = np.zeros(_META_SLOTS, dtype=WIRE_I64)
         meta[_M_INCARNATION] = self._incarnation
         meta[_M_COUNT] = len(energies)
@@ -583,9 +704,11 @@ class ShmWorkerEndpoint:
             meta[_M_COUNTERS + j] = int(counters.get(key, 0))
         meta[_M_PUBLISH_STALLS] = self._publish_stalls
         meta[_M_TARGET_WAITS] = self._target_waits
+        meta[_M_TARGET_WAIT_NS] = self._target_wait_ns
         self._ring.write(
             meta, np.asarray(energies, dtype=WIRE_I64), pack_solutions(x)
         )
+        self._host_bell.release()  # after the head advance it announces
         if events:
             self._events_q.put((*self._tag, events))
         return True

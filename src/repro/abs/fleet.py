@@ -8,7 +8,7 @@ stalled workers, and the host-side shared-memory weight segments.
 Every worker runs :func:`_fleet_worker_main`: a control loop that
 accepts ``WorkerJob`` frames over a per-worker control queue, attaches
 an exchange endpoint to the job's segments, and runs the device rounds
-until the next frame (or shutdown) arrives.  On the host side,
+until the host ends the job.  On the host side,
 :class:`FleetDevices` hands one job's workers to the host loop that
 sync mode runs too (:func:`~repro.abs.host.run_search_rounds`).
 
@@ -34,6 +34,17 @@ bare worker incarnation, which is how a restart skips its
 predecessor's targets.  Job sequence numbers start at 1; they tag the
 ack handshake and the telemetry side queue, which is fleet-level
 (a queue cannot travel inside a frame).
+
+**Doorbells and job over.**  The fleet creates one semaphore per
+worker id and one for the host, and hands them to each worker at spawn
+(a replacement reuses its id's bell); every job's transport rings them
+after each store a peer may wait for (:mod:`repro.abs.exchange`), so
+nobody sleeps in a poll loop.  A job ends in shared memory: the host
+sets each mailbox's job-over word and rings every worker bell, in
+:meth:`FleetDevices.finish`, in ``arm_job`` before it unlinks the
+previous job's segments, and in ``shutdown``.  A worker that sees the
+word leaves its round loop (it checks once per round, and every wait
+checks it) and blocks on its control queue for the next frame.
 
 **Re-arm handshake.**  ``arm_job`` builds the job's segments, delivers
 one ``WorkerJob`` frame per worker, and waits until every healthy
@@ -164,60 +175,31 @@ class WorkerJob:
     exchange_ref: tuple = ()
 
 
-class _StopProxy:
-    """Stop event that also trips on a pending control frame.
-
-    Handed to the exchange endpoint and the round loop in place of the
-    real stop event: a worker blocked in a lockstep target wait, a
-    full-ring publish, or the free-running round loop must notice a
-    newly queued ``JOB`` frame and fall back to the control loop —
-    otherwise re-arming a busy fleet could wait a full round (or, for
-    a blocked worker, forever).  ``Queue.empty()`` is advisory under
-    multiprocessing, which is fine here: a false negative only delays
-    the trip until the next poll.
-    """
-
-    __slots__ = ("_stop", "_control")
-
-    def __init__(self, stop_evt: Any, control: Any) -> None:
-        self._stop = stop_evt
-        self._control = control
-
-    def is_set(self) -> bool:
-        if self._stop.is_set():
-            return True
-        try:
-            return not self._control.empty()
-        except (OSError, ValueError):  # control queue torn down
-            return True
-
-
 def run_device_rounds(
     device: DeviceSimulator,
     endpoint: Any,
     relay: Any,
-    stop_evt: Any,
     lockstep: bool,
     telemetry_enabled: bool,
 ) -> None:
     """The §3.2 device loop: fetch targets, run rounds, ship results.
 
     Job-agnostic: :func:`_fleet_worker_main` runs it once per job
-    frame.  Returns when targets dry up in lockstep mode, a publish is
-    refused (stop or ring full at stop), or ``stop_evt`` trips (which
-    includes a pending control frame via :class:`_StopProxy`).
+    frame.  Returns once ``endpoint.stopping()`` (the host ended the
+    job, or the fleet is stopping): checked once per round, and by
+    every wait the endpoint blocks in.
     """
     targets = endpoint.fetch_targets(wait=True)
-    while targets is not None and not stop_evt.is_set():
+    while targets is not None and not endpoint.stopping():
         energies, xs = device.round(targets)
         wevents = relay.drain() if telemetry_enabled else []
         shipped = endpoint.publish(energies, xs, device.totals(), wevents)
-        if not shipped:  # stop requested while the ring was full
+        if not shipped:  # job ended while the ring was full
             break
         fresh = endpoint.fetch_targets(wait=lockstep)
         if fresh is not None:
             targets = fresh
-        elif lockstep:  # stop requested while waiting for targets
+        elif lockstep:  # job ended while waiting for targets
             break
 
 
@@ -228,6 +210,7 @@ def _fleet_worker_main(
     events_q: Any,
     stop_evt: Any,
     ack_q: Any,
+    bells: tuple[Any, Any] | None = None,
 ) -> None:
     """Device-process entry point (module-level, picklable).
 
@@ -236,15 +219,17 @@ def _fleet_worker_main(
     segments, builds a *fresh* :class:`DeviceSimulator` (engines start
     from the canonical zero state — a service job must match a one-shot
     solve bit-for-bit), and runs :func:`run_device_rounds` until the
-    next frame arrives.  What persists across jobs is exactly the
+    host ends the job; the worker then blocks on its control queue for
+    the next frame.  What persists across jobs is exactly the
     expensive, state-free plumbing: the process itself, the telemetry
-    side queue ``events_q`` (handed over at spawn), attached
+    side queue ``events_q`` and the doorbells ``bells`` (``(own bell,
+    host bell)``; both handed over at spawn, because a semaphore
+    cannot travel inside a frame), attached
     shared-memory weight segments (keyed by segment descriptor — the
     host may evict and recreate a segment for the same problem), and
     backend ``PreparedWeights`` (keyed by ``(backend, digest)``;
     read-only kernel input, so reuse cannot couple searches).
     """
-    proxy = _StopProxy(stop_evt, control)
     endpoint: ShmWorkerEndpoint | None = None
     shm_cache: OrderedDict[tuple, SharedWeights] = OrderedDict()
     prepared_cache: OrderedDict[tuple, object] = OrderedDict()
@@ -269,7 +254,8 @@ def _fleet_worker_main(
                     worker_id=worker_id,
                     job_seq=job.job_seq,
                     incarnation=incarnation,
-                    stop_evt=proxy,
+                    stop_evt=stop_evt,
+                    bells=bells,
                 )
             except FileNotFoundError:
                 # A superseded frame: the host armed a newer job, and
@@ -314,12 +300,7 @@ def _fleet_worker_main(
                         prepared_cache.popitem(last=False)
             ack_q.put((worker_id, job.job_seq))
             run_device_rounds(
-                device,
-                endpoint,
-                relay,
-                proxy,
-                job.lockstep,
-                job.telemetry_enabled,
+                device, endpoint, relay, job.lockstep, job.telemetry_enabled
             )
     except (KeyboardInterrupt, BrokenPipeError):  # parent went away
         pass
@@ -374,6 +355,11 @@ class WorkerFleet:
         self.start_method = start_method
         self.ctx = get_context(_resolve_start_method(start_method))
         self.stop_evt = self.ctx.Event()
+        # Doorbells (see repro.abs.exchange): one per worker id, which a
+        # replacement inherits, and one the host waits on.  Handed over
+        # at spawn: a semaphore cannot travel inside a job frame.
+        self._worker_bells = [self.ctx.Semaphore(0) for _ in range(self.n_workers)]
+        self._host_bell = self.ctx.Semaphore(0)
         self.supervisor: WorkerSupervisor | None = None
         self._max_restarts = int(max_restarts)
         self._stall_timeout = stall_timeout
@@ -482,6 +468,7 @@ class WorkerFleet:
                 self._events_q,
                 self.stop_evt,
                 self._ack_q,
+                (self._worker_bells[worker_id], self._host_bell),
             ),
             daemon=True,
         )
@@ -558,7 +545,13 @@ class WorkerFleet:
         # sequence before the job moves — e.g. a final round's device
         # events that landed after that job's host loop stopped polling.
         self.relay_events(self.bus, prev_seq)
-        transport = ShmHostTransport(self.n_workers, self.n_blocks, n)
+        transport = ShmHostTransport(
+            self.n_workers,
+            self.n_blocks,
+            n,
+            worker_bells=self._worker_bells,
+            host_bell=self._host_bell,
+        )
         jobs = [
             replace(job, exchange_ref=transport.worker_ref(wid))
             for wid, job in enumerate(jobs)
@@ -573,6 +566,10 @@ class WorkerFleet:
             transport.close()
             raise RuntimeError("fleet is shut down")
         if stale is not None:
+            # Wake workers still in the previous job, so they return to
+            # their control queues, then unlink its segments (a worker's
+            # own mapping stays valid until it closes it).
+            stale.end_job()
             stale.close()
         sup = self.supervisor
         # Live workers keep their incarnation; a worker idle between
@@ -585,14 +582,15 @@ class WorkerFleet:
         for wid in sup.healthy_ids:
             controls[wid].put(jobs[wid])
         acked: set[int] = set()
+        exitcodes: list[int | None] = []
         deadline = time.monotonic() + self._arm_timeout
         while True:
-            sup.poll()  # deaths mid-handshake respawn with the frame
+            # Deaths mid-handshake respawn with the frame.
+            exitcodes += [action.exitcode for action in sup.poll()]
             healthy = set(sup.healthy_ids)
             if not healthy:
                 raise RuntimeError(
-                    "all ABS workers died before finishing "
-                    f"(after {sup.workers_restarted} restarts)"
+                    self._all_died_message(sup.workers_restarted, exitcodes, acked)
                 )
             if healthy <= acked:
                 self.jobs_armed += 1
@@ -609,6 +607,28 @@ class WorkerFleet:
                     f"fleet re-arm timed out after {self._arm_timeout:.0f}s "
                     f"(acked {sorted(acked)}, healthy {sorted(healthy)})"
                 )
+
+    def _all_died_message(
+        self, restarts: int, exitcodes: list[int | None], acked: set[int]
+    ) -> str:
+        """Why :meth:`arm_job` gave up: restarts, exit codes, and the
+        usual cause when spawn-started workers never got going."""
+        message = (
+            "all ABS workers died before finishing "
+            f"(after {restarts} restarts; exit codes {exitcodes})"
+        )
+        if (
+            self.ctx.get_start_method() == "spawn"
+            and self.jobs_armed == 0
+            and not acked
+        ):
+            message += (
+                "; no worker ever started its job.  Spawn-started workers "
+                "re-import the main module, so a script that solves in "
+                "process mode must do so under "
+                '`if __name__ == "__main__":`'
+            )
+        return message
 
     def relay_events(self, bus: "TelemetryBus | NullBus", job_seq: int) -> None:
         """Re-emit buffered worker-side event bundles for ``job_seq``.
@@ -669,7 +689,10 @@ class WorkerFleet:
             self._closed = True
             controls = list(self._controls.values())
             last_seq = self._job_seq
+            transport = self._transport
         self.stop_evt.set()
+        if transport is not None:  # wake workers blocked on their bells
+            transport.end_job()
         for control in controls:
             try:
                 control.put(_SHUTDOWN)
@@ -694,7 +717,6 @@ class WorkerFleet:
         # then unlink the current job's rings and mailboxes.
         with self._lock:
             all_controls = list(self._all_controls)
-            transport = self._transport
         for q in (*all_controls, self._ack_q):
             _drain(q)
         if transport is not None:
@@ -783,6 +805,9 @@ class FleetDevices:
         """Never called: a fleet answers per result."""
 
     def finish(self) -> dict[str, int]:
+        # The job is over: workers stop at their next check instead of
+        # waiting out a bell timeout.
+        self._transport.end_job()
         if self.bus.enabled:  # bundles that landed after the last poll
             self.fleet.relay_events(self.bus, self.job_seq)
         return self.fleet.take_job_stats()

@@ -341,7 +341,9 @@ class AdaptiveBulkSearch:
         long-lived fleet's history does not leak into every result) and
         the host's; ``pool.inserted`` includes the Step-1 seeding.
         Wall-clock stays out of ``result.counters``: that snapshot is
-        pinned bit-identical across runs and telemetry on and off.  With telemetry on it is also added to ``bus.counters``
+        pinned bit-identical across runs and telemetry on and off (in
+        process mode, apart from the workers' ``exchange.*`` wait
+        counters, which depend on timing).  With telemetry on it is also added to ``bus.counters``
         here, the only place run counters reach the session; a run that
         raises first (the answer check included) adds none.
         """

@@ -22,7 +22,8 @@ package turns those conventions into a CI gate:
 - :mod:`repro.analysis.interleave` — a deterministic interleaving
   explorer that drives the real ``TargetMailbox`` / ``SolutionRing``
   byte-level steps through exhaustive small-depth reader/writer
-  schedules, proving no torn read or lost wraparound is observable.
+  schedules, proving no torn read, lost wraparound or lost doorbell
+  wakeup is observable.
 - :mod:`repro.analysis.lifecycle` — the same explorer applied one
   layer up: the ``SolverService`` job lifecycle (submit / dispatch /
   cancel / cache-insert / close), proving no schedule caches a

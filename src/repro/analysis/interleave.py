@@ -23,7 +23,16 @@ therefore proves (within the explored bounds):
 - **ring**: consumed records are exactly the FIFO prefix of what was
   written — no loss, no duplication, no tearing across the record's
   meta/energies/packed components, including across wraparound
-  (``slots=2`` with more writes than slots forces it).
+  (``slots=2`` with more writes than slots forces it);
+- **doorbells**: no waiter is ever left blocked on its bell while a
+  write it waits for is visible — the target wait against the host's
+  ``put``, and the host poll and the full-ring stall against each
+  other.  The waiters do what the exchange does: check, block on a
+  counting bell (its count is part of the explored state), drain the
+  further rings, check again.  A state in which every actor is done
+  or blocked, and one is blocked, is a lost wakeup.  The real waits
+  would recover from it after their fallback timeout; the model grants
+  them none.
 
 Known, deliberate bugs can be injected (``bug=...``) to prove the
 checker actually detects protocol violations; the test suite pins both
@@ -35,9 +44,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.abs.exchange import (
     _H_EPOCH,
     _H_SEQ,
+    WIRE_I64,
     SolutionRing,
     TargetMailbox,
 )
@@ -46,7 +58,9 @@ __all__ = [
     "InterleaveReport",
     "InterleaveViolation",
     "explore_mailbox",
+    "explore_mailbox_doorbell",
     "explore_ring",
+    "explore_ring_doorbell",
     "run_all",
 ]
 
@@ -117,6 +131,14 @@ class _Actor:
 
     def done(self) -> bool:
         return self.op >= self.depth
+
+    def blocked(self) -> bool:
+        """Whether the actor cannot step until another one does."""
+        return False
+
+    def lost_wakeup(self) -> str:  # pragma: no cover - blocking actors only
+        """What a blocked actor missed, once nobody can wake it."""
+        raise NotImplementedError
 
     def _end_op(self, result) -> None:
         self.results = self.results + (result,)
@@ -358,6 +380,228 @@ class _RingConsumer(_Actor):
 
 
 # --------------------------------------------------------------------------
+# doorbell actors
+# --------------------------------------------------------------------------
+
+class _Bell:
+    """A counting semaphore whose count lives in the explored region.
+
+    Only the non-blocking acquire exists: a blocking one is a waiter
+    that reports :meth:`_Actor.blocked` while the count is zero."""
+
+    def __init__(self, buf: memoryview, offset: int) -> None:
+        self._count = np.ndarray((1,), dtype=WIRE_I64, buffer=buf, offset=offset)
+
+    @property
+    def count(self) -> int:
+        return int(self._count[0])
+
+    def release(self) -> None:
+        self._count[0] += 1
+
+    def try_acquire(self) -> bool:
+        if self._count[0] == 0:
+            return False
+        self._count[0] -= 1
+        return True
+
+
+class _Waiter(_Actor):
+    """The shared wait loop: check (pc 0, subclass), block on ``bell``
+    until it rings (pc 1), drain further rings one non-blocking acquire
+    at a time (pc 2), check again."""
+
+    def __init__(self, bell: _Bell, depth: int, bug: str | None = None) -> None:
+        super().__init__(depth, bug)
+        self.bell = bell
+
+    def blocked(self) -> bool:
+        return self.pc == 1 and self.bell.count == 0
+
+    def _wait_step(self) -> None:
+        if self.pc == 1:
+            self.bell.try_acquire()  # not blocked, so the count is > 0
+            self.pc = 2
+        elif not self.bell.try_acquire():  # pc 2: drained
+            self.pc = 0
+
+
+class _RingingPublisher(_Actor):
+    """``_MailboxTargetChannel.put``: ``TargetMailbox.publish`` (payload
+    and epoch in one step: the seqlock model covers their order), the
+    generation store, then the worker's bell.  ``bug='ring_before_seq'``
+    rings before the generation store."""
+
+    name = "put"
+
+    def __init__(
+        self, box: TargetMailbox, bell: _Bell, depth: int, bug: str | None = None
+    ) -> None:
+        super().__init__(depth, bug)
+        self.box = box
+        self.bell = bell
+
+    def step(self) -> None:
+        box, loc = self.box, self.locals
+        early = self.bug == "ring_before_seq"
+        if self.pc == 0:
+            gen = loc["gen"] = int(box._header[_H_SEQ]) + 1
+            box._slots[gen % 2, 0, :2] = _mailbox_payload(gen)
+            box._header[_H_EPOCH] = _EPOCH
+            self.pc = 1
+        elif self.pc == 1:
+            if early:
+                self.bell.release()
+            else:
+                box._header[_H_SEQ] = loc["gen"]
+            self.pc = 2
+        else:
+            gen = loc.pop("gen")
+            if early:
+                box._header[_H_SEQ] = gen
+            else:
+                self.bell.release()
+            self._end_op(gen)
+
+
+class _TargetWaiter(_Waiter):
+    """``ShmWorkerEndpoint.fetch_targets(wait=True)``, called until the
+    worker has seen the publisher's last generation (``depth``).  The
+    check is the real ``TargetMailbox.fetch``."""
+
+    name = "fetch"
+
+    def __init__(self, box: TargetMailbox, bell: _Bell, depth: int) -> None:
+        super().__init__(bell, depth)
+        self.box = box
+        self.locals = {"last_gen": 0}
+
+    def done(self) -> bool:
+        return self.locals["last_gen"] >= self.depth
+
+    def lost_wakeup(self) -> str:
+        return (
+            f"lost wakeup: the target wait is blocked on its bell, but "
+            f"generation {self.box.generation} is published and unseen "
+            f"(last seen {self.locals['last_gen']})"
+        )
+
+    def step(self) -> None:
+        if self.pc != 0:
+            self._wait_step()
+            return
+        got = self.box.fetch(self.locals["last_gen"], _EPOCH)
+        if got is None:
+            self.pc = 1
+            return
+        self.locals["last_gen"] = got[0]
+        self._end_op(got[0])
+
+
+class _RingingProducer(_Waiter):
+    """``ShmWorkerEndpoint.publish``: wait on the worker's bell while
+    the ring is full, store the record, advance ``head``, ring the host
+    bell.  ``bug='ring_before_head'`` rings before the head advance."""
+
+    name = "publish"
+
+    def __init__(
+        self,
+        ring: SolutionRing,
+        bell: _Bell,
+        host_bell: _Bell,
+        depth: int,
+        bug: str | None = None,
+    ) -> None:
+        super().__init__(bell, depth, bug)
+        self.ring = ring
+        self.host_bell = host_bell
+
+    def lost_wakeup(self) -> str:
+        free = self.ring.slots - self.ring.backlog()
+        return (
+            f"lost wakeup: publish is blocked on its bell, but the ring "
+            f"has {free} free slot(s)"
+        )
+
+    def step(self) -> None:
+        ring = self.ring
+        early = self.bug == "ring_before_head"
+        i = self.op + 1
+        if self.pc == 0:
+            self.pc = 1 if ring.is_full() else 3
+        elif self.pc in (1, 2):
+            self._wait_step()
+        elif self.pc == 3:
+            s = int(ring._header[_H_SEQ]) % ring.slots
+            ring._meta[s, 0] = i
+            ring._energies[s, 0] = _ring_energy(i)
+            ring._packed[s, 0, 0] = _ring_packed(i)
+            self.pc = 4
+        elif self.pc == 4:
+            if early:
+                self.host_bell.release()
+            else:
+                ring._header[_H_SEQ] += 1
+            self.pc = 5
+        else:
+            if early:
+                ring._header[_H_SEQ] += 1
+            else:
+                self.host_bell.release()
+            self._end_op(i)
+
+
+class _ResultWaiter(_Waiter):
+    """``ShmHostTransport.poll`` over one ring: the real
+    ``SolutionRing.consume`` as the check, a ring of the producer's
+    bell after each consume (a slot is free), and the host bell to
+    wait on.  Records must arrive in FIFO order.
+    ``bug='no_consume_ring'`` leaves the producer's bell silent."""
+
+    name = "poll"
+
+    def __init__(
+        self,
+        ring: SolutionRing,
+        host_bell: _Bell,
+        bell: _Bell,
+        depth: int,
+        bug: str | None = None,
+    ) -> None:
+        super().__init__(host_bell, depth, bug)
+        self.ring = ring
+        self.producer_bell = bell
+
+    def lost_wakeup(self) -> str:
+        return (
+            f"lost wakeup: the host poll is blocked on its bell with "
+            f"{self.ring.backlog()} unread record(s)"
+        )
+
+    def step(self) -> None:
+        if self.pc in (1, 2):
+            self._wait_step()
+        elif self.pc == 3:
+            if self.bug != "no_consume_ring":
+                self.producer_bell.release()
+            self._end_op(self.locals.pop("m"))
+        else:
+            record = self.ring.consume()
+            if record is None:
+                self.pc = 1
+                return
+            m = int(record[0][0])
+            if m != self.op + 1:
+                raise InterleaveViolation(
+                    f"ring FIFO broken: consumed record {m} after "
+                    f"{self.op} records (expected {self.op + 1})"
+                )
+            self.locals["m"] = m
+            self.pc = 3
+
+
+# --------------------------------------------------------------------------
 # the explorer
 # --------------------------------------------------------------------------
 
@@ -396,8 +640,9 @@ def _explore(
     """Memoized DFS over the product state graph of ``actors``.
 
     A state is ``(region bytes, actor snapshots)``; every enabled actor
-    is stepped from every reachable state, so all interleavings of all
-    schedules are covered.  Self-loop transitions (an actor spinning on
+    (not done, not blocked) is stepped from every reachable state, so
+    all interleavings of all schedules are covered.  A state where no
+    actor is enabled but one is blocked is reported as a lost wakeup.  Self-loop transitions (an actor spinning on
     an unchanged condition) collapse into already-visited states, which
     is what makes the retry loops finite to explore."""
     start = time.perf_counter()
@@ -424,16 +669,22 @@ def _explore(
     while stack:
         state = stack.pop()
         mem_bytes, snaps = state
+        view[:] = mem_bytes
         for actor, snap in zip(actors, snaps):
             actor.restore(snap)
-        if all(a.done() for a in actors):
+        if all(a.done() or a.blocked() for a in actors):
             terminals += 1
+            for actor in actors:
+                if not actor.done() and len(violations) < max_violations:
+                    violations.append(
+                        f"{actor.lost_wakeup()} (schedule: {schedule_of(state)})"
+                    )
             continue
         for idx, actor in enumerate(actors):
             view[:] = mem_bytes
             for other, snap in zip(actors, snaps):
                 other.restore(snap)
-            if actor.done():
+            if actor.done() or actor.blocked():
                 continue
             try:
                 actor.step()
@@ -505,9 +756,60 @@ def explore_ring(
                     depth, ring._shm.data, actors)  # type: ignore[attr-defined]
 
 
+def explore_mailbox_doorbell(
+    depth: int = 6, bug: str | None = None
+) -> InterleaveReport:
+    """Exhaustively interleave ``depth`` ringing ``put`` calls against a
+    target wait that must see the last of them.
+
+    ``bug='ring_before_seq'`` rings the bell before the generation
+    store."""
+    mailbox_size = TargetMailbox._size(1, 16)
+    shm = _HeapShm(mailbox_size + 8)
+    box = TargetMailbox(shm, 1, 16, owner=True)  # type: ignore[arg-type]
+    bell = _Bell(shm.buf, mailbox_size)
+    actors: list[_Actor] = [
+        _RingingPublisher(box, bell, depth, bug=bug),
+        _TargetWaiter(box, bell, depth),
+    ]
+    name = "MailboxDoorbell" + (f"(bug={bug})" if bug else "")
+    return _explore(name, depth, shm.data, actors)
+
+
+def explore_ring_doorbell(
+    depth: int = 6, slots: int = 2, bug: str | None = None
+) -> InterleaveReport:
+    """Exhaustively interleave ``depth`` ringing publishes, which wait
+    on a full ring, against a host poll that must consume them all.
+
+    ``depth > slots`` forces full-ring stalls.  ``bug='ring_before_head'``
+    rings the host bell before the head advance; ``'no_consume_ring'``
+    consumes without ringing the producer's bell."""
+    ring_size = SolutionRing._size(1, 8, slots)
+    shm = _HeapShm(ring_size + 16)
+    ring = SolutionRing(shm, 1, 8, slots, owner=True)  # type: ignore[arg-type]
+    host_bell = _Bell(shm.buf, ring_size)
+    bell = _Bell(shm.buf, ring_size + 8)
+    actors: list[_Actor] = [
+        _RingingProducer(
+            ring, bell, host_bell, depth,
+            bug=bug if bug == "ring_before_head" else None,
+        ),
+        _ResultWaiter(
+            ring, host_bell, bell, depth,
+            bug=bug if bug == "no_consume_ring" else None,
+        ),
+    ]
+    name = "RingDoorbell" + (f"(bug={bug})" if bug else "")
+    return _explore(name, depth, shm.data, actors)
+
+
 def run_all(depth: int = 6) -> list[InterleaveReport]:
-    """Both structures at ``depth`` (`repro analyze --interleave`)."""
+    """Both structures and both doorbells at ``depth``
+    (`repro analyze --interleave`)."""
     return [
         explore_mailbox(depth=depth),
         explore_ring(depth=depth),
+        explore_mailbox_doorbell(depth=depth),
+        explore_ring_doorbell(depth=depth),
     ]

@@ -776,7 +776,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SUITE",
         help="also model-check concurrency: 'exchange' explores the "
-        "seqlock/SPSC ring protocols, 'service' the solver "
+        "seqlock/SPSC ring protocols and their doorbells, 'service' the solver "
         "service's job lifecycle, 'all' (the default when the flag "
         "is bare) both",
     )

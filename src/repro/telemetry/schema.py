@@ -258,6 +258,7 @@ COUNTER_NAMES: frozenset[str] = frozenset(
         "exchange.unpacks",
         "exchange.publish_stalls",
         "exchange.target_waits",
+        "exchange.target_wait_ns",
         # solver phase timings (repro.abs.solver)
         "solver.setup_ns",
         "solver.search_ns",

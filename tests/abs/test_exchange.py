@@ -8,6 +8,9 @@ worker processes.  Full host↔worker integration runs in
 """
 
 import multiprocessing
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -331,3 +334,164 @@ class TestTransportEndToEnd:
         transport.close()
         after = set(glob.glob("/dev/shm/*"))
         assert after <= before
+
+
+class TestDoorbells:
+    """Waits on the real transport end on a ring, not on a timeout.
+
+    The fallback timeout is raised to 10 s here, so a return within the
+    20 ms bounds can only come from a ring."""
+
+    BOUND = 0.020
+
+    @pytest.fixture
+    def pair(self, monkeypatch):
+        import repro.abs.exchange as exchange_mod
+
+        monkeypatch.setattr(exchange_mod, "_BELL_TIMEOUT", 10.0)
+        ctx = multiprocessing.get_context()
+        transport = ShmHostTransport(
+            n_workers=1, n_blocks=2, n=16,
+            worker_bells=[ctx.Semaphore(0)], host_bell=ctx.Semaphore(0),
+        )
+        endpoint = ShmWorkerEndpoint(
+            transport.worker_ref(0), ctx.Queue(), worker_id=0, job_seq=1,
+            incarnation=0, stop_evt=ctx.Event(), bells=transport.bells(0),
+        )
+        yield transport, endpoint
+        endpoint.close()
+        transport.close()
+
+    @staticmethod
+    def _park(call):
+        """Run ``call`` on a thread; return (thread, outcome dict)."""
+        outcome = {}
+
+        def run():
+            outcome["value"] = call()
+            outcome["at"] = time.monotonic()
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        time.sleep(0.2)  # long enough to be blocked on the bell
+        assert thread.is_alive() and not outcome
+        return thread, outcome
+
+    def test_target_wait_wakes_on_put(self, pair):
+        transport, endpoint = pair
+        thread, outcome = self._park(lambda: endpoint.fetch_targets(wait=True))
+        targets = random_targets(2, 16, seed=1)
+        put_at = time.monotonic()
+        transport.channels[0].put(targets, 0)
+        thread.join(timeout=5)
+        assert (outcome["value"] == targets).all()
+        assert outcome["at"] - put_at < self.BOUND
+        assert endpoint.bell_timeouts == 0
+        # The blocked time ships with the next result.
+        endpoint.publish(np.zeros(2, np.int64), targets, {}, [])
+        counters = transport.poll(timeout=5.0).counters
+        assert counters["exchange.target_waits"] == 1
+        assert 0.15e9 < counters["exchange.target_wait_ns"] < 5e9
+
+    def test_target_wait_returns_none_on_job_over(self, pair):
+        transport, endpoint = pair
+        thread, outcome = self._park(lambda: endpoint.fetch_targets(wait=True))
+        over_at = time.monotonic()
+        transport.end_job()
+        thread.join(timeout=5)
+        assert outcome["value"] is None
+        assert outcome["at"] - over_at < self.BOUND
+        assert endpoint.stopping()
+
+    def test_stalled_publish_resumes_on_consume(self, pair):
+        transport, endpoint = pair
+        energies, xs = np.zeros(2, np.int64), np.zeros((2, 16), np.uint8)
+        for _ in range(DEFAULT_RING_SLOTS):
+            assert endpoint.publish(energies, xs, {}, [])
+        thread, outcome = self._park(
+            lambda: endpoint.publish(energies, xs, {}, [])
+        )
+        consume_at = time.monotonic()
+        assert transport.poll(timeout=0) is not None
+        thread.join(timeout=5)
+        assert outcome["value"] is True
+        assert outcome["at"] - consume_at < self.BOUND
+        assert transport.result_backlog(0) == DEFAULT_RING_SLOTS
+
+    def test_host_poll_wakes_on_publish(self, pair):
+        transport, endpoint = pair
+        thread, outcome = self._park(lambda: transport.poll(timeout=5.0))
+        publish_at = time.monotonic()
+        endpoint.publish(
+            np.array([-1, -2], np.int64), np.zeros((2, 16), np.uint8), {}, []
+        )
+        thread.join(timeout=5)
+        assert outcome["value"].energies.tolist() == [-1, -2]
+        assert outcome["at"] - publish_at < self.BOUND
+        assert transport.bell_timeouts == 0
+
+
+@pytest.mark.timeout(60)
+@pytest.mark.parametrize("n_workers", [1, 3])
+def test_lockstep_ping_pong_never_needs_a_fallback_timeout(monkeypatch, n_workers):
+    """1,000 lockstep rounds between a host and worker threads (three
+    workers: more threads than cores, sharing the host bell): every
+    wait on either side ends on a ring, and each worker's results
+    arrive in order.  The fallback is raised to 1 s so a slow host
+    cannot pass for a lost ring; a lost ring still shows as an
+    expiry."""
+    import repro.abs.exchange as exchange_mod
+
+    monkeypatch.setattr(exchange_mod, "_BELL_TIMEOUT", 1.0)
+    rounds = 1000
+    ctx = multiprocessing.get_context()
+    transport = ShmHostTransport(
+        n_workers=n_workers, n_blocks=2, n=16,
+        worker_bells=[ctx.Semaphore(0) for _ in range(n_workers)],
+        host_bell=ctx.Semaphore(0),
+    )
+    endpoints = [
+        ShmWorkerEndpoint(
+            transport.worker_ref(w), ctx.Queue(), worker_id=w, job_seq=1,
+            incarnation=0, stop_evt=ctx.Event(), bells=transport.bells(w),
+        )
+        for w in range(n_workers)
+    ]
+
+    def worker(endpoint):
+        served = 0
+        while (targets := endpoint.fetch_targets(wait=True)) is not None:
+            served += 1
+            energies = np.array([served, -served], np.int64)
+            endpoint.publish(energies, targets, {"engine.flips": served}, [])
+
+    threads = [
+        threading.Thread(target=worker, args=(e,), daemon=True) for e in endpoints
+    ]
+    seen = [0] * n_workers
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for w in range(n_workers):
+            transport.channels[w].put(random_targets(2, 16, seed=w), 0)
+        for r in range(rounds):
+            batch = transport.poll(timeout=5.0)
+            assert batch is not None
+            w = batch.worker_id
+            seen[w] += 1
+            assert batch.counters["engine.flips"] == seen[w]
+            transport.channels[w].put(random_targets(2, 16, seed=r), 0)
+        transport.end_job()
+        for thread in threads:
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+        assert sum(seen) == rounds
+        assert [e.bell_timeouts for e in endpoints] == [0] * n_workers
+        assert transport.bell_timeouts == 0
+    finally:
+        sys.setswitchinterval(interval)
+        for endpoint in endpoints:
+            endpoint.close()
+        transport.close()

@@ -144,6 +144,73 @@ class TestStartMethod:
             AbsConfig(max_rounds=1, start_method="thread")
 
 
+def _exit_at_once(*args):
+    """A worker entry that dies before reading its job frame."""
+    raise SystemExit(3)
+
+
+class TestWorkersThatNeverStart:
+    """When every worker dies before finishing, the error names their
+    exit codes, and under ``spawn`` the likely cause."""
+
+    @staticmethod
+    def _cfg(start_method, restarts):
+        return AbsConfig(
+            blocks_per_gpu=2,
+            local_steps=4,
+            max_rounds=2,
+            max_worker_restarts=restarts,
+            start_method=start_method,
+            seed=1,
+        )
+
+    def test_exit_codes_named(self, small, monkeypatch):
+        monkeypatch.setattr(fleet_mod, "_fleet_worker_main", _exit_at_once)
+        with pytest.raises(RuntimeError) as err:
+            AdaptiveBulkSearch(small, self._cfg("fork", 1)).solve("process")
+        message = str(err.value)
+        assert "after 1 restarts; exit codes [3, 3]" in message
+        assert "__main__" not in message  # fork never re-imports main
+
+    def test_spawn_names_the_main_guard(self, small, monkeypatch):
+        monkeypatch.setattr(fleet_mod, "_fleet_worker_main", _exit_at_once)
+        with pytest.raises(RuntimeError) as err:
+            AdaptiveBulkSearch(small, self._cfg("spawn", 0)).solve("process")
+        message = str(err.value)
+        assert "exit codes [3]" in message
+        assert 'if __name__ == "__main__":' in message
+
+    def test_script_without_main_guard(self, tmp_path):
+        """The real cause: a spawn-started fleet driven from a script
+        with no ``__main__`` guard.  Each worker re-runs the script and
+        dies in multiprocessing's bootstrap check."""
+        import subprocess
+        import sys
+
+        script = tmp_path / "unguarded.py"
+        script.write_text(
+            "from repro.abs import AbsConfig, AdaptiveBulkSearch\n"
+            "from repro.qubo import QuboMatrix\n"
+            "cfg = AbsConfig(blocks_per_gpu=2, local_steps=4, max_rounds=2,\n"
+            "                max_worker_restarts=0, start_method='spawn', seed=1)\n"
+            "AdaptiveBulkSearch(QuboMatrix.random(8, seed=0), cfg)"
+            ".solve('process')\n"
+        )
+        env = dict(os.environ)
+        src_dir = os.path.dirname(os.path.dirname(os.path.dirname(fleet_mod.__file__)))
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src_dir, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, str(script)],
+            capture_output=True, text=True, timeout=50, env=env,
+        )
+        assert proc.returncode != 0
+        last = proc.stderr.strip().splitlines()[-1]
+        assert "exit codes [1]" in last
+        assert 'if __name__ == "__main__":' in last
+
+
 class TestWorkerSupervision:
     """Kill workers mid-solve; the run must degrade or recover."""
 
@@ -366,6 +433,44 @@ class TestFleetDevicesPublish:
         finally:
             for box in boxes:
                 box.close()
+            transport.close()
+
+
+class TestFleetDevicesFinish:
+    def test_finish_ends_the_job_for_its_workers(self):
+        """Once the host loop is done, a worker blocked in a target
+        wait (or about to start another free-running round) is told in
+        shared memory, and its wait returns at once."""
+        import threading
+        from types import SimpleNamespace
+
+        from repro.abs.exchange import ShmHostTransport, ShmWorkerEndpoint
+        from repro.abs.fleet import FleetDevices
+        from repro.abs.supervisor import WorkerSupervisor
+        from repro.telemetry import NULL_BUS
+
+        sup = WorkerSupervisor(1, lambda worker_id, incarnation: _IdleProc())
+        sup.start()
+        transport = ShmHostTransport(n_workers=1, n_blocks=2, n=8)
+        endpoint = ShmWorkerEndpoint(
+            transport.worker_ref(0), None, worker_id=0, job_seq=1,
+            incarnation=0, stop_evt=threading.Event(), bells=transport.bells(0),
+        )
+        try:
+            fleet = SimpleNamespace(
+                supervisor=sup, transport=transport, take_job_stats=dict
+            )
+            waiter = threading.Thread(
+                target=endpoint.fetch_targets, kwargs={"wait": True}, daemon=True
+            )
+            waiter.start()
+            assert not endpoint.stopping()
+            FleetDevices(fleet, 1, NULL_BUS).finish()
+            waiter.join(timeout=1.0)
+            assert not waiter.is_alive()
+            assert endpoint.stopping()
+        finally:
+            endpoint.close()
             transport.close()
 
 

@@ -4,7 +4,7 @@ Three layers:
 
 1. the real protocols pass *exhaustively* at depth ≥ 6 for both
    structures — the shm mailbox and ring (well under the 60 s
-   budget);
+   budget) — and for the doorbells that wake their waiters;
 2. the step machines are pinned byte-for-byte against the real
    ``publish``/``write`` methods and cross-validated by running the
    real ``fetch``/``consume`` over machine-written memory — so the
@@ -18,16 +18,26 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.abs.exchange import _H_EPOCH, _H_SEQ
+from repro.abs.exchange import (
+    _H_EPOCH,
+    _H_SEQ,
+    TargetMailbox,
+    _MailboxTargetChannel,
+)
 from repro.analysis.interleave import (
     _EPOCH,
+    _Bell,
+    _HeapShm,
     _MailboxWriter,
+    _RingingPublisher,
     _RingProducer,
     _mailbox_payload,
     _ring_energy,
     _ring_packed,
     explore_mailbox,
+    explore_mailbox_doorbell,
     explore_ring,
+    explore_ring_doorbell,
     make_mailbox,
     make_ring,
     run_all,
@@ -63,9 +73,25 @@ def test_ring_depth6_exhaustive_no_violations_with_wraparound():
 def test_run_all_covers_all_structures():
     reports = run_all(depth=6)
     assert [r.structure for r in reports] == [
-        "TargetMailbox", "SolutionRing",
+        "TargetMailbox", "SolutionRing", "MailboxDoorbell", "RingDoorbell",
     ]
     assert all(r.ok for r in reports)
+
+
+@pytest.mark.timeout(60)
+def test_mailbox_doorbell_depth6_exhaustive_no_lost_wakeup():
+    report = explore_mailbox_doorbell(depth=6)
+    assert report.ok, report.violations
+    assert report.states > 1_000
+    assert report.terminals > 0
+
+
+@pytest.mark.timeout(60)
+def test_ring_doorbell_depth6_exhaustive_no_lost_wakeup_with_stalls():
+    report = explore_ring_doorbell(depth=6, slots=2)  # depth > slots: stalls
+    assert report.ok, report.violations
+    assert report.states > 1_000
+    assert report.terminals > 0
 
 
 # -- 2. the machines ARE the protocol --------------------------------------
@@ -87,6 +113,33 @@ def test_mailbox_writer_machine_matches_real_publish_bytes():
         )
         assert real_box.publish(targets, epoch=_EPOCH) == gen
         assert bytes(machine_box._shm.data) == bytes(real_box._shm.data)
+
+
+def _belled_mailbox():
+    size = TargetMailbox._size(1, 16)
+    shm = _HeapShm(size + 8)
+    return TargetMailbox(shm, 1, 16, owner=True), _Bell(shm.buf, size)
+
+
+def test_ringing_publisher_matches_real_channel_put_bytes():
+    """Mailbox bytes *and* the bell count match the real ``put``."""
+    (machine_box, machine_bell), (real_box, real_bell) = (
+        _belled_mailbox(), _belled_mailbox()
+    )
+    publisher = _RingingPublisher(machine_box, machine_bell, depth=3)
+    channel = _MailboxTargetChannel(real_box, {
+        "exchange.targets_published": 0, "exchange.packs": 0,
+        "exchange.bytes_to_device": 0,
+    }, real_bell)
+    for gen in range(1, 4):
+        while publisher.op < gen:
+            publisher.step()
+        b0, b1 = _mailbox_payload(gen)
+        channel.put(
+            unpack_solutions(np.array([[b0, b1]], dtype=np.uint8), 16), _EPOCH
+        )
+        assert bytes(machine_box._shm.data) == bytes(real_box._shm.data)
+        assert real_bell.count == gen
 
 
 def test_real_fetch_reads_machine_written_mailbox():
@@ -141,6 +194,27 @@ def test_mailbox_bugs_detected(bug):
     assert not report.ok
     assert any("torn mailbox read" in v for v in report.violations)
     assert any("schedule:" in v for v in report.violations)  # repro recipe
+
+
+@pytest.mark.timeout(60)
+def test_ring_before_generation_store_is_a_lost_wakeup():
+    report = explore_mailbox_doorbell(depth=4, bug="ring_before_seq")
+    assert not report.ok
+    assert any(
+        "lost wakeup: the target wait" in v and "schedule:" in v
+        for v in report.violations
+    )
+
+
+@pytest.mark.timeout(60)
+@pytest.mark.parametrize(
+    "bug,who",
+    [("ring_before_head", "the host poll"), ("no_consume_ring", "publish")],
+)
+def test_ring_doorbell_bugs_are_lost_wakeups(bug, who):
+    report = explore_ring_doorbell(depth=4, bug=bug)
+    assert not report.ok
+    assert any(f"lost wakeup: {who}" in v for v in report.violations)
 
 
 @pytest.mark.timeout(60)
