@@ -145,10 +145,13 @@ class DecompositionSolver:
     def _subrows(self, subset: np.ndarray) -> np.ndarray:
         """Dense ``k × n`` slice of W's rows at ``subset``."""
         if isinstance(self.weights, SparseQubo):
-            rows = self.weights.csr[subset, :].todense().astype(np.int64)
+            rows = np.zeros((len(subset), self.n), dtype=np.int64)
+            for i, k in enumerate(subset):
+                cols, vals = self.weights.row(int(k))
+                rows[i, cols] = vals
             # CSR holds only the off-diagonal part; restore diagonals.
             rows[np.arange(len(subset)), subset] = self.weights.diag[subset]
-            return np.asarray(rows)
+            return rows
         return self.weights[subset, :].astype(np.int64)
 
     def build_subproblem(self, x: np.ndarray, subset: np.ndarray) -> QuboMatrix:

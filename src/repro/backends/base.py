@@ -90,12 +90,11 @@ class KernelBackend(ABC):
 
     def prepare_sparse(self, sparse) -> PreparedWeights:
         """Wrap a :class:`~repro.qubo.sparse.SparseQubo`'s CSR arrays."""
-        csr = sparse.csr
         return PreparedWeights(
             n=sparse.n,
-            indptr=np.ascontiguousarray(csr.indptr, dtype=np.int64),
-            indices=np.ascontiguousarray(csr.indices, dtype=np.int64),
-            data=np.ascontiguousarray(csr.data, dtype=np.int64),
+            indptr=sparse.indptr,
+            indices=sparse.indices,
+            data=sparse.data,
         )
 
     # ------------------------------------------------------------------

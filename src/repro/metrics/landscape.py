@@ -138,12 +138,13 @@ def escape_radius(weights, x: np.ndarray, *, max_radius: int = 2) -> int | None:
     from repro.qubo.sparse import SparseQubo
 
     if isinstance(weights, SparseQubo):
-        W_off = np.asarray(weights.csr.todense(), dtype=np.int64)
+        # to_dense() hands back a read-only matrix; zeroing needs a copy.
+        W_off = weights.to_dense().W.copy()
     else:
         from repro.qubo.matrix import as_weight_matrix
 
         W_off = as_weight_matrix(weights).astype(np.int64, copy=True)
-        np.fill_diagonal(W_off, 0)
+    np.fill_diagonal(W_off, 0)
     pair = d[:, None] + d[None, :] + 2 * W_off * np.outer(phi, phi)
     np.fill_diagonal(pair, 0)  # flipping a bit twice is a no-op
     if (pair < 0).any():

@@ -61,14 +61,13 @@ def _weights_payload(weights) -> bytes:
     from repro.qubo.sparse import SparseQubo
 
     if isinstance(weights, SparseQubo):
-        csr = weights.csr
         return b"|".join(
             (
                 b"sparse",
                 str(weights.n).encode("ascii"),
-                np.ascontiguousarray(csr.indptr, dtype="<i8").tobytes(),
-                np.ascontiguousarray(csr.indices, dtype="<i8").tobytes(),
-                np.ascontiguousarray(csr.data, dtype="<i8").tobytes(),
+                np.ascontiguousarray(weights.indptr, dtype="<i8").tobytes(),
+                np.ascontiguousarray(weights.indices, dtype="<i8").tobytes(),
+                np.ascontiguousarray(weights.data, dtype="<i8").tobytes(),
                 np.ascontiguousarray(weights.diag, dtype="<i8").tobytes(),
             )
         )
@@ -296,34 +295,42 @@ def load_qubo_sparse(path: PathLike):
 def save_sparse_npz(sparse, path: PathLike) -> None:
     """Write a :class:`~repro.qubo.sparse.SparseQubo` as compressed .npz."""
     path = Path(path)
-    csr = sparse.csr
     np.savez_compressed(
         path,
         format=np.array("repro-sparse-qubo"),
         n=np.array(sparse.n),
         name=np.array(sparse.name),
-        data=csr.data,
-        indices=csr.indices,
-        indptr=csr.indptr,
+        data=sparse.data,
+        indices=sparse.indices,
+        indptr=sparse.indptr,
         diag=sparse.diag,
     )
 
 
 def load_sparse_npz(path: PathLike):
-    """Load a :class:`~repro.qubo.sparse.SparseQubo` from .npz."""
-    from scipy import sparse as sp
+    """Load a :class:`~repro.qubo.sparse.SparseQubo` from .npz.
 
+    The CSR arrays are checked for structure (row pointers, column
+    range, lengths, integer dtypes) before any entry is read, so a
+    malformed archive raises :class:`QuboFormatError`.
+    """
     from repro.qubo.sparse import SparseQubo
 
     path = Path(path)
     with np.load(path, allow_pickle=False) as payload:
         if str(payload.get("format", "")) != "repro-sparse-qubo":
             raise QuboFormatError(f"{path}: not a repro-sparse-qubo archive")
-        n = int(payload["n"])
-        csr = sp.csr_array(
-            (payload["data"], payload["indices"], payload["indptr"]), shape=(n, n)
-        )
-        return SparseQubo(csr, payload["diag"], name=str(payload["name"]))
+        try:
+            return SparseQubo.from_csr(
+                int(payload["n"]),
+                payload["indptr"],
+                payload["indices"],
+                payload["data"],
+                payload["diag"],
+                name=str(payload["name"]),
+            )
+        except (ValueError, TypeError) as exc:
+            raise QuboFormatError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

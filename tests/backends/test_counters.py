@@ -37,8 +37,7 @@ def sparse():
 
 
 def _degrees(sq: SparseQubo) -> np.ndarray:
-    indptr = sq.csr.indptr
-    return np.asarray(indptr[1:] - indptr[:-1], dtype=np.int64)
+    return np.diff(sq.indptr)
 
 
 class TestDenseCounters:

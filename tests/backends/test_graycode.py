@@ -27,9 +27,7 @@ def _brute_force_minimum(W: np.ndarray) -> int:
 
 
 def _densify(sp: SparseQubo) -> np.ndarray:
-    W = np.asarray(sp.csr.todense()).astype(np.int64)
-    np.fill_diagonal(W, sp.diag)
-    return W
+    return sp.to_dense().W
 
 
 class TestOracle:

@@ -173,6 +173,23 @@ class TestEscapeRadius:
         x = np.random.default_rng(1).integers(0, 2, 12, dtype=np.uint8)
         assert escape_radius(q, x) == escape_radius(sq, x)
 
+    def test_sparse_backend_at_descent_endpoints(self):
+        # Endpoints are 1-flip minima, so the radius-2 pair check runs.
+        from repro.qubo import SparseQubo
+
+        q = QuboMatrix.random(12, seed=12)
+        sq = SparseQubo.from_dense(q)
+        ds = descent_statistics(q, descents=6, seed=0)
+        for bits in ds.endpoint_bits:
+            assert escape_radius(sq, bits) == escape_radius(q, bits)
+
+    def test_sparse_radius_two_detected(self):
+        from repro.qubo import SparseQubo
+
+        q = QuboMatrix.from_terms(2, linear={0: 1, 1: 1}, quadratic={(0, 1): -3})
+        x = np.zeros(2, dtype=np.uint8)
+        assert escape_radius(SparseQubo.from_dense(q), x) == 2
+
     def test_bad_radius(self):
         with pytest.raises(ValueError):
             escape_radius(QuboMatrix.zeros(4), np.zeros(4, dtype=np.uint8), max_radius=3)

@@ -122,3 +122,82 @@ class TestNpz:
         save_sparse_npz(sq, p)
         assert p.stat().st_size < 1_000_000  # dense int64 would be 32 MB
         assert load_sparse_npz(p).nnz == sq.nnz
+
+
+def _corrupt(arrays: dict, case: str) -> None:
+    """Apply one structural corruption to an archive's arrays in place."""
+    if case == "column-out-of-range":
+        arrays["indices"][0] = arrays["n"]
+    elif case == "negative-column":
+        arrays["indices"][0] = -1
+    elif case == "non-monotone-indptr":
+        arrays["indptr"][2], arrays["indptr"][3] = arrays["indptr"][3], arrays["indptr"][2]
+    elif case == "indptr-past-end":
+        arrays["indptr"][-1] += 5
+    elif case == "short-indptr":
+        arrays["indptr"] = arrays["indptr"][:-1]
+    elif case == "wrong-diag-length":
+        arrays["diag"] = arrays["diag"][:-1]
+    elif case == "float-data":
+        arrays["data"] = arrays["data"].astype(np.float64)
+
+
+class TestMalformedNpz:
+    """A structurally broken archive raises; it must never crash the
+    interpreter by indexing out of bounds."""
+
+    CASES = (
+        "column-out-of-range",
+        "negative-column",
+        "non-monotone-indptr",
+        "indptr-past-end",
+        "short-indptr",
+        "wrong-diag-length",
+        "float-data",
+    )
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_rejected(self, sparse_instance, tmp_path, case):
+        arrays = {
+            "format": np.array("repro-sparse-qubo"),
+            "n": sparse_instance.n,
+            "name": np.array(sparse_instance.name),
+            "data": sparse_instance.data.copy(),
+            "indices": sparse_instance.indices.copy(),
+            "indptr": sparse_instance.indptr.copy(),
+            "diag": sparse_instance.diag.copy(),
+        }
+        assert arrays["indptr"][2] < arrays["indptr"][3]  # the swap breaks order
+        _corrupt(arrays, case)
+        p = tmp_path / f"{case}.npz"
+        np.savez(p, **arrays)
+        with pytest.raises(QuboFormatError, match=str(p.name)):
+            load_sparse_npz(p)
+
+    def test_unsorted_row_with_duplicates_loads_canonical(self, sparse_instance, tmp_path):
+        """A row stored out of order, with one entry split in two, loads
+        as the canonical arrays of the same matrix."""
+        cols, vals = sparse_instance.row(0)
+        assert cols.size > 0
+        split = vals[0] // 2
+        row_cols = np.concatenate([cols[::-1], cols[:1]])
+        row_vals = np.concatenate([vals[::-1], [split]])
+        row_vals[cols.size - 1] -= split  # vals[0], reversed to the row's end
+        rest = slice(cols.size, None)
+        indptr = sparse_instance.indptr.copy()
+        indptr[1:] += 1
+        p = tmp_path / "raw.npz"
+        np.savez(
+            p,
+            format=np.array("repro-sparse-qubo"),
+            n=sparse_instance.n,
+            name=np.array("raw"),
+            data=np.concatenate([row_vals, sparse_instance.data[rest]]),
+            indices=np.concatenate([row_cols, sparse_instance.indices[rest]]),
+            indptr=indptr,
+            diag=sparse_instance.diag,
+        )
+        loaded = load_sparse_npz(p)
+        assert np.array_equal(loaded.indptr, sparse_instance.indptr)
+        assert np.array_equal(loaded.indices, sparse_instance.indices)
+        assert np.array_equal(loaded.data, sparse_instance.data)
