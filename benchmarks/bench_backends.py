@@ -22,6 +22,16 @@ built with each compiler flag set alone: ``native`` (``-march=native``)
 and ``portable`` (the fallback set).  Each build compiles into its own
 throwaway cache, and both must end in the same state.
 
+The ``round_overhead`` section times one ``DeviceSimulator.round`` on
+the bitplane kernels whose targets are the blocks' own states: the
+straight walk flips nothing, so the round costs its fixed overhead
+(the engine and backend's Python side, argument marshalling, packing)
+plus a few local-search flips.  Its shapes are the ``service-stream``
+sizes (n = 48, 96, 160; B = 8; 8 local steps) and the
+``process-oneshot`` shape (n = 256, B = 16, 32 steps).  The end-to-end
+tracer cannot show this layer for ``service-stream``, whose spawned
+workers it does not wrap.
+
 The ``graycode_exact`` section times the exact Gray-code enumerator
 (``graycode_minimum``, not an engine backend) in states/s and
 cross-checks the optimum against ``repro.search.exact.solve_exact``.
@@ -47,6 +57,7 @@ import numpy as np
 import repro.backends.bitplane as bp
 from repro.backends import available_backends
 from repro.backends.bitplane import BitplaneBackend
+from repro.abs.device import DeviceSimulator
 from repro.backends.graycode import graycode_minimum
 from repro.gpusim import BulkSearchEngine
 from repro.qubo import QuboMatrix
@@ -90,6 +101,11 @@ _STRAIGHT_WALKS = 5
 
 #: The compiler flag sets the straight section builds the kernels with.
 _FLAG_SET_NAMES = {"native": bp._FLAG_SETS[0], "portable": bp._FLAG_SETS[1]}
+
+#: The round-overhead shapes ``(n, B, local steps)``: the
+#: ``service-stream`` sizes, then the ``process-oneshot`` shape.
+_ROUND_POINTS = ((48, 8, 8), (96, 8, 8), (160, 8, 8), (256, 16, 32))
+_ROUND_REPEATS = 2000
 
 #: Gray-code enumeration size for the exact-finisher section (2^18
 #: states — sub-second, large enough for a stable states/s figure).
@@ -182,6 +198,37 @@ def _bench_straight() -> dict:
     }
 
 
+def _measure_round(backend, n: int, blocks: int, steps: int) -> dict:
+    """Quartiles of one ``DeviceSimulator.round`` at zero target distance."""
+    problem = QuboMatrix.random(n, seed=n)
+    dev = DeviceSimulator(
+        problem, blocks, windows=min(16, n), local_steps=steps, backend=backend
+    )
+    dev.round(np.random.default_rng(n).integers(0, 2, (blocks, n), dtype=np.uint8))
+    flips0 = dev.engine.counters.straight_flips
+    times = np.empty(_ROUND_REPEATS)
+    for i in range(_ROUND_REPEATS):
+        targets = dev.engine.X.copy()
+        t0 = time.perf_counter_ns()
+        dev.round(targets)
+        times[i] = time.perf_counter_ns() - t0
+    p25, median, p75 = np.percentile(times, [25, 50, 75]) / 1e3
+    return {
+        "n": n,
+        "blocks": blocks,
+        "steps": steps,
+        "rounds": _ROUND_REPEATS,
+        "straight_flips": dev.engine.counters.straight_flips - flips0,
+        "p25_us": round(p25, 2),
+        "median_us": round(median, 2),
+        "p75_us": round(p75, 2),
+    }
+
+
+def _bench_round_overhead(backend) -> list[dict]:
+    return [_measure_round(backend, *point) for point in _ROUND_POINTS]
+
+
 def _bench_graycode_exact() -> dict:
     """Time exhaustive Gray-code enumeration and cross-check the optimum."""
     problem = QuboMatrix.random(_GRAYCODE_N, seed=_GRAYCODE_N)
@@ -237,6 +284,9 @@ def run_bench() -> dict:
         "unavailable": unavailable,
         "points": points,
         "straight": _bench_straight(),
+        "round_overhead": (
+            _bench_round_overhead(available["bitplane"]) if "bitplane" in available else []
+        ),
         "graycode_exact": _bench_graycode_exact(),
     }
     RESULTS_DIR.mkdir(exist_ok=True)
@@ -274,6 +324,12 @@ def _render(payload: dict) -> str:
         )
     for name, reason in sorted(st["unavailable"].items()):
         lines.append(f"straight_to ({name} build) unavailable: {reason}")
+    for r in payload["round_overhead"]:
+        lines.append(
+            f"round overhead n={r['n']} B={r['blocks']} steps={r['steps']}: "
+            f"{r['median_us']:.1f} us median "
+            f"(quartiles {r['p25_us']:.1f}-{r['p75_us']:.1f} us)"
+        )
     g = payload["graycode_exact"]
     lines.append(
         f"graycode exact: n={g['n']}, {g['states_per_s']:,.0f} states/s, "
@@ -312,6 +368,8 @@ def test_bench_backends(report):
         "the native and portable kernel builds walked different paths"
     )
     assert payload["graycode_exact"]["agrees_with_solve_exact"]
+    # Zero-distance targets: the lane times rounds whose walk is empty.
+    assert all(r["straight_flips"] == 0 for r in payload["round_overhead"])
     report("Backend throughput", _render(payload))
 
 

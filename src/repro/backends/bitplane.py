@@ -23,6 +23,14 @@ minima over the still-differing bits, through which the next flip is
 found the same way.  The planes stay the state (incumbent snapshots
 copy them); masks and word minima live in per-call scratch.
 
+A call's Python side is a fixed cost paid per walk, so it is kept to
+one allocation and two pointer conversions: every argument the kernel
+reads or writes, from the energies, offsets and windows to the uint8
+state, target and incumbent rows, the planes and the scratch, sits in
+one int64 arena whose layout the kernel carves from its base address
+(:meth:`BitplaneBackend._walk`).  The kernel packs the rows into planes
+on entry and unpacks them on exit; no row is padded or packed in NumPy.
+
 The C translation unit is compiled once per machine (``cc -O3 -fwrapv
 -shared``) into a content-addressed cache under
 ``tempfile.gettempdir()`` and loaded through :mod:`ctypes` — no
@@ -127,6 +135,103 @@ static void unpack_diff(int8_t *RESTRICT m, const uint64_t *RESTRICT p,
     for (int64_t j = 0; j < n; j++)
         m[j] = -(int8_t)(((p[j >> 6] ^ q[j >> 6]) >> (j & 63)) & 1);
 }
+
+/* One plane word from lim <= 64 bytes (any nonzero byte is a 1 bit). */
+static inline uint64_t pack_word(const uint8_t *RESTRICT x, int64_t lim)
+{
+    uint64_t w = 0;
+    for (int64_t j = 0; j < lim; j++)
+        w |= (uint64_t)(x[j] != 0) << j;
+    return w;
+}
+
+/* Packs n bytes x into the planes p; the pad bits are zero.  Full words
+ * get a constant trip count, so the loop vectorizes. */
+static void pack_bits(uint64_t *RESTRICT p, const uint8_t *RESTRICT x,
+                      int64_t n, int64_t nw)
+{
+    for (int64_t w = 0; w < nw; w++) {
+        int64_t lim = n - (w << 6);
+        p[w] = lim >= 64 ? pack_word(x + (w << 6), 64)
+                         : pack_word(x + (w << 6), lim);
+    }
+}
+
+static inline void unpack_word(uint8_t *RESTRICT x, uint64_t v, int64_t lim)
+{
+    for (int64_t j = 0; j < lim; j++)
+        x[j] = (uint8_t)((v >> j) & 1);
+}
+
+/* Unpacks n bits of the planes p into bytes: x[j] = bit j. */
+static void unpack_bits(uint8_t *RESTRICT x, const uint64_t *RESTRICT p,
+                        int64_t n, int64_t nw)
+{
+    for (int64_t w = 0; w < nw; w++) {
+        int64_t lim = n - (w << 6);
+        if (lim >= 64) unpack_word(x + (w << 6), p[w], 64);
+        else unpack_word(x + (w << 6), p[w], lim);
+    }
+}
+
+/* One walk's arguments, carved from the one int64 arena the caller
+ * fills per call: five B-entry rows (energy, best_e, bestflip, offsets,
+ * windows), three B*nw plane sets (xp, bestp, tp), three B*n byte sets
+ * (x, t, best_x: the caller's 0/1 rows, padded to a whole word), then
+ * the kernel's scratch.  A walk ignores what it does not use (offsets
+ * and windows in straight search, t and tp in local search). */
+typedef struct {
+    int64_t *energy, *best_e, *bestflip, *offsets, *windows;
+    uint64_t *xp, *bestp, *tp;
+    uint8_t *x, *t, *best_x;
+    void *scratch;
+} Arena;
+
+/* A kernel declares its RESTRICT views of the arena in an inner block
+ * between arena_begin and arena_end: those two reach the same memory
+ * through the Arena's own pointers, which restrict forbids inside the
+ * block a restricted pointer is declared in (C11 6.7.3.1).
+ *
+ * The arena at p, its state rows x (and, with target, t) packed into
+ * planes, and every block's bestflip at -2: no new incumbent yet.
+ * bestflip[b] becomes -1 for the snapshot bestp[b] itself and >= 0 for
+ * the snapshot with that bit flipped. */
+static Arena arena_begin(int64_t *p, int64_t n, int64_t B, int64_t nw,
+                         int64_t target)
+{
+    Arena a;
+    a.energy = p;
+    a.best_e = p + B;
+    a.bestflip = p + 2 * B;
+    a.offsets = p + 3 * B;
+    a.windows = p + 4 * B;
+    a.xp = (uint64_t *)(p + 5 * B);
+    a.bestp = a.xp + B * nw;
+    a.tp = a.bestp + B * nw;
+    a.x = (uint8_t *)(a.tp + B * nw);
+    a.t = a.x + B * n;
+    a.best_x = a.t + B * n;
+    a.scratch = a.xp + 3 * B * nw + (3 * B * n + 7) / 8;
+    for (int64_t b = 0; b < B; b++) {
+        a.bestflip[b] = -2;
+        pack_bits(a.xp + b * nw, a.x + b * n, n, nw);
+        if (target) pack_bits(a.tp + b * nw, a.t + b * n, n, nw);
+    }
+    return a;
+}
+
+/* The walk's exit: the state planes back into x, and each block's new
+ * incumbent expanded into its best_x row. */
+static void arena_end(const Arena *a, int64_t n, int64_t B, int64_t nw)
+{
+    for (int64_t b = 0; b < B; b++) {
+        unpack_bits(a->x + b * n, a->xp + b * nw, n, nw);
+        int64_t f = a->bestflip[b];
+        if (f == -2) continue;
+        unpack_bits(a->best_x + b * n, a->bestp + b * nw, n, nw);
+        if (f >= 0) a->best_x[b * n + f] ^= 1;
+    }
+}
 """
 
 #: The dense kernels of one weight tier, written once: ``${WT}`` weight
@@ -219,55 +324,56 @@ static inline void incumbent_${SFX}(
  * independent, so each runs all its steps in turn on one set of masks. */
 int64_t bp_local_steps_${SFX}(
     const ${WT} *RESTRICT W,      /* n*n off-diagonal weights, diag zeroed */
-    void     *RESTRICT scratch,     /* this call's masks and word minima */
-    uint64_t *RESTRICT Xp,          /* B*nw packed state planes */
+    int64_t  *arena,                /* this call's Arena (offsets advanced) */
     ${DT} *RESTRICT delta,        /* B*n */
-    int64_t  *RESTRICT energy,      /* B */
-    int64_t  *RESTRICT best_e,      /* B */
-    uint64_t *RESTRICT bestp,       /* B*nw incumbent snapshot planes */
-    int64_t  *RESTRICT bestflip,    /* B: -2 untouched, -1 position, >=0 bit */
-    int64_t  *RESTRICT offsets,     /* B, advanced in place */
-    const int64_t *RESTRICT windows,
     int64_t n, int64_t B, int64_t nw, int64_t steps)
 {
-    Scratch_${SFX} s = scratch_${SFX}(scratch, nw);
-    for (int64_t b = 0; b < B; b++) {
-        ${DT} *RESTRICT d = delta + b * n;
-        uint64_t *RESTRICT xp = Xp + b * nw;
-        unpack_mask(s.sx, xp, n);
-        for (int64_t t = 0; t < steps; t++) {
-            /* Figure 2 windowed min-delta select (first minimum wins). */
-            int64_t off = offsets[b], l = windows[b];
-            int64_t k = off;
-            ${DT} wmin = d[off];
-            for (int64_t j = 1; j < l; j++) {
-                int64_t idx = off + j;
-                if (idx >= n) idx -= n;
-                if (d[idx] < wmin) { wmin = d[idx]; k = idx; }
+    Arena a = arena_begin(arena, n, B, nw, 0);
+    {   /* the restrict scope: see arena_begin */
+        int64_t *RESTRICT energy = a.energy, *RESTRICT best_e = a.best_e;
+        int64_t *RESTRICT bestflip = a.bestflip, *RESTRICT offsets = a.offsets;
+        const int64_t *RESTRICT windows = a.windows;
+        uint64_t *RESTRICT Xp = a.xp, *RESTRICT bestp = a.bestp;
+        Scratch_${SFX} s = scratch_${SFX}(a.scratch, nw);
+        for (int64_t b = 0; b < B; b++) {
+            ${DT} *RESTRICT d = delta + b * n;
+            uint64_t *RESTRICT xp = Xp + b * nw;
+            unpack_mask(s.sx, xp, n);
+            for (int64_t t = 0; t < steps; t++) {
+                /* Figure 2 windowed min-delta select (first minimum wins). */
+                int64_t off = offsets[b], l = windows[b];
+                int64_t k = off;
+                ${DT} wmin = d[off];
+                for (int64_t j = 1; j < l; j++) {
+                    int64_t idx = off + j;
+                    if (idx >= n) idx -= n;
+                    if (d[idx] < wmin) { wmin = d[idx]; k = idx; }
+                }
+                /* Eq. 16 flip, fused with the word minima. */
+                ${DT} dk_old = d[k];
+                int8_t fs = s.sx[k];
+                s.sx[k] = ~fs;
+                xp[k >> 6] ^= 1ULL << (k & 63);
+                d[k] = -dk_old;
+                energy[b] += (int64_t)dk_old;
+                const ${WT} *RESTRICT row = W + k * n;
+                ${DT} mn = ${DMAX};
+                for (int64_t w = 0; w < nw; w++) {
+                    /* Full words get a constant trip count: no remainder loop. */
+                    int64_t base = w << 6, lim = n - base;
+                    ${DT} m = lim >= 64
+                        ? row_add_${SFX}(d + base, row + base, s.sx + base, fs, 64)
+                        : row_add_${SFX}(d + base, row + base, s.sx + base, fs, lim);
+                    s.wm[w] = m;
+                    if (m < mn) mn = m;
+                }
+                incumbent_${SFX}(d, s.wm, xp, nw, 1, mn, energy[b], best_e + b,
+                                 bestp + b * nw, bestflip + b);
+                offsets[b] = (off + l) % n;
             }
-            /* Eq. 16 flip, fused with the word minima. */
-            ${DT} dk_old = d[k];
-            int8_t fs = s.sx[k];
-            s.sx[k] = ~fs;
-            xp[k >> 6] ^= 1ULL << (k & 63);
-            d[k] = -dk_old;
-            energy[b] += (int64_t)dk_old;
-            const ${WT} *RESTRICT row = W + k * n;
-            ${DT} mn = ${DMAX};
-            for (int64_t w = 0; w < nw; w++) {
-                /* Full words get a constant trip count: no remainder loop. */
-                int64_t base = w << 6, lim = n - base;
-                ${DT} m = lim >= 64
-                    ? row_add_${SFX}(d + base, row + base, s.sx + base, fs, 64)
-                    : row_add_${SFX}(d + base, row + base, s.sx + base, fs, lim);
-                s.wm[w] = m;
-                if (m < mn) mn = m;
-            }
-            incumbent_${SFX}(d, s.wm, xp, nw, 1, mn, energy[b], best_e + b,
-                             bestp + b * nw, bestflip + b);
-            offsets[b] = (off + l) % n;
         }
     }
+    arena_end(&a, n, B, nw);
     return steps * B * n;
 }
 
@@ -323,63 +429,65 @@ static inline ${DT} straight_word_${SFX}(
  * (track_position). */
 int64_t bp_straight_${SFX}(
     const ${WT} *RESTRICT W,      /* n*n off-diagonal weights, diag zeroed */
-    void     *RESTRICT scratch,     /* this call's masks and word minima */
-    uint64_t *RESTRICT Xp,          /* B*nw packed state planes */
+    int64_t  *arena,                /* this call's Arena */
     ${DT} *RESTRICT delta,        /* B*n */
-    const uint64_t *RESTRICT Tp,    /* B*nw packed target planes */
-    int64_t  *RESTRICT energy,
-    int64_t  *RESTRICT best_e,
-    uint64_t *RESTRICT bestp,
-    int64_t  *RESTRICT bestflip,
     int64_t n, int64_t B, int64_t nw, int64_t scan)
 {
-    Scratch_${SFX} s = scratch_${SFX}(scratch, nw);
+    Arena a = arena_begin(arena, n, B, nw, 1);
     int64_t flips = 0;
-    for (int64_t b = 0; b < B; b++) {
-        ${DT} *RESTRICT d = delta + b * n;
-        uint64_t *RESTRICT xp = Xp + b * nw;
-        const uint64_t *RESTRICT tp = Tp + b * nw;
-        int64_t k = diff_find_${SFX}(d, xp, tp, nw, diff_min_${SFX}(d, xp, tp, nw));
-        if (k < 0) continue;
-        unpack_mask(s.sx, xp, n);
-        unpack_diff(s.sd, xp, tp, n);
-        while (k >= 0) {
-            ${DT} dk_old = d[k];
-            int8_t fs = s.sx[k];
-            s.sx[k] = ~fs;
-            s.sd[k] = 0;
-            xp[k >> 6] ^= 1ULL << (k & 63);
-            d[k] = -dk_old;
-            energy[b] += (int64_t)dk_old;
-            flips++;
-            const ${WT} *RESTRICT row = W + k * n;
-            ${DT} mn = ${DMAX}, dmn = ${DMAX};
-            for (int64_t w = 0; w < nw; w++) {
-                int64_t base = w << 6, lim = n - base;
-                ${DT} m = lim >= 64
-                    ? straight_word_${SFX}(d + base, row + base, s.sx + base,
-                                            s.sd + base, fs, 64, s.wdm + w)
-                    : straight_word_${SFX}(d + base, row + base, s.sx + base,
-                                            s.sd + base, fs, lim, s.wdm + w);
-                s.wm[w] = m;
-                if (m < mn) mn = m;
-                if (s.wdm[w] < dmn) dmn = s.wdm[w];
-            }
-            incumbent_${SFX}(d, s.wm, xp, nw, scan, mn, energy[b], best_e + b,
-                             bestp + b * nw, bestflip + b);
-            if (dmn == ${DMAX}) {
-                /* No differing entry below the sentinel: none is left,
-                 * or one holds it exactly, which the minima cannot tell. */
-                k = diff_find_${SFX}(d, xp, tp, nw, dmn);
-            } else {
-                int64_t c = 0;
-                while (s.wdm[c] != dmn) c++;
-                uint64_t m = xp[c] ^ tp[c];
-                while (d[(c << 6) + CTZ(m)] != dmn) m &= m - 1;
-                k = (c << 6) + CTZ(m);
+    {   /* the restrict scope: see arena_begin */
+        int64_t *RESTRICT energy = a.energy, *RESTRICT best_e = a.best_e;
+        int64_t *RESTRICT bestflip = a.bestflip;
+        uint64_t *RESTRICT Xp = a.xp, *RESTRICT bestp = a.bestp;
+        const uint64_t *RESTRICT Tp = a.tp;
+        Scratch_${SFX} s = scratch_${SFX}(a.scratch, nw);
+        for (int64_t b = 0; b < B; b++) {
+            ${DT} *RESTRICT d = delta + b * n;
+            uint64_t *RESTRICT xp = Xp + b * nw;
+            const uint64_t *RESTRICT tp = Tp + b * nw;
+            int64_t k = diff_find_${SFX}(d, xp, tp, nw, diff_min_${SFX}(d, xp, tp, nw));
+            if (k < 0) continue;
+            unpack_mask(s.sx, xp, n);
+            unpack_diff(s.sd, xp, tp, n);
+            while (k >= 0) {
+                ${DT} dk_old = d[k];
+                int8_t fs = s.sx[k];
+                s.sx[k] = ~fs;
+                s.sd[k] = 0;
+                xp[k >> 6] ^= 1ULL << (k & 63);
+                d[k] = -dk_old;
+                energy[b] += (int64_t)dk_old;
+                flips++;
+                const ${WT} *RESTRICT row = W + k * n;
+                ${DT} mn = ${DMAX}, dmn = ${DMAX};
+                for (int64_t w = 0; w < nw; w++) {
+                    int64_t base = w << 6, lim = n - base;
+                    ${DT} m = lim >= 64
+                        ? straight_word_${SFX}(d + base, row + base, s.sx + base,
+                                                s.sd + base, fs, 64, s.wdm + w)
+                        : straight_word_${SFX}(d + base, row + base, s.sx + base,
+                                                s.sd + base, fs, lim, s.wdm + w);
+                    s.wm[w] = m;
+                    if (m < mn) mn = m;
+                    if (s.wdm[w] < dmn) dmn = s.wdm[w];
+                }
+                incumbent_${SFX}(d, s.wm, xp, nw, scan, mn, energy[b], best_e + b,
+                                 bestp + b * nw, bestflip + b);
+                if (dmn == ${DMAX}) {
+                    /* No differing entry below the sentinel: none is left,
+                     * or one holds it exactly, which the minima cannot tell. */
+                    k = diff_find_${SFX}(d, xp, tp, nw, dmn);
+                } else {
+                    int64_t c = 0;
+                    while (s.wdm[c] != dmn) c++;
+                    uint64_t m = xp[c] ^ tp[c];
+                    while (d[(c << 6) + CTZ(m)] != dmn) m &= m - 1;
+                    k = (c << 6) + CTZ(m);
+                }
             }
         }
     }
+    arena_end(&a, n, B, nw);
     return flips * n;
 }
 """)
@@ -573,43 +681,44 @@ int64_t bp_local_steps_sparse(
     const int64_t *RESTRICT indptr,  /* n+1 (off-diagonal CSR) */
     const int64_t *RESTRICT indices,
     const int64_t *RESTRICT data,
-    int64_t  *RESTRICT scratch,      /* 4*nw: this call's word minima */
-    uint64_t *RESTRICT Xp,
+    int64_t  *arena,                 /* this call's Arena; 4*nw scratch */
     int64_t  *RESTRICT delta,
-    int64_t  *RESTRICT energy,
-    int64_t  *RESTRICT best_e,
-    uint64_t *RESTRICT bestp,
-    int64_t  *RESTRICT bestflip,
-    int64_t  *RESTRICT offsets,
-    const int64_t *RESTRICT windows,
     int64_t n, int64_t B, int64_t nw, int64_t steps)
 {
+    Arena a = arena_begin(arena, n, B, nw, 0);
     int64_t updates = 0;
-    WordMins wm = word_mins(scratch, nw);
-    /* Blocks are independent, so each runs all its steps in turn and
-     * one set of word minima serves every block. */
-    for (int64_t b = 0; b < B; b++) {
-        int64_t *RESTRICT d = delta + b * n;
-        uint64_t *RESTRICT xp = Xp + b * nw;
-        for (int64_t c = 0; c < nw; c++)
-            wm_scan(&wm, d, xp, NULL, n, c, SAME | DIFF);
-        for (int64_t t = 0; t < steps; t++) {
-            int64_t off = offsets[b], l = windows[b];
-            int64_t k = off;
-            int64_t wmin = d[off];
-            for (int64_t j = 1; j < l; j++) {
-                int64_t idx = off + j;
-                if (idx >= n) idx -= n;
-                if (d[idx] < wmin) { wmin = d[idx]; k = idx; }
+    {   /* the restrict scope: see arena_begin */
+        int64_t *RESTRICT energy = a.energy, *RESTRICT best_e = a.best_e;
+        int64_t *RESTRICT bestflip = a.bestflip, *RESTRICT offsets = a.offsets;
+        const int64_t *RESTRICT windows = a.windows;
+        uint64_t *RESTRICT Xp = a.xp, *RESTRICT bestp = a.bestp;
+        WordMins wm = word_mins(a.scratch, nw);
+        /* Blocks are independent, so each runs all its steps in turn and
+         * one set of word minima serves every block. */
+        for (int64_t b = 0; b < B; b++) {
+            int64_t *RESTRICT d = delta + b * n;
+            uint64_t *RESTRICT xp = Xp + b * nw;
+            for (int64_t c = 0; c < nw; c++)
+                wm_scan(&wm, d, xp, NULL, n, c, SAME | DIFF);
+            for (int64_t t = 0; t < steps; t++) {
+                int64_t off = offsets[b], l = windows[b];
+                int64_t k = off;
+                int64_t wmin = d[off];
+                for (int64_t j = 1; j < l; j++) {
+                    int64_t idx = off + j;
+                    if (idx >= n) idx -= n;
+                    if (d[idx] < wmin) { wmin = d[idx]; k = idx; }
+                }
+                energy[b] += sparse_flip(indptr, indices, data, d, xp, NULL, &wm, k);
+                updates += indptr[k + 1] - indptr[k] + 1;
+                wm_flush(&wm, d, xp, NULL, n);
+                sparse_incumbent(d, xp, &wm, 1, mins_min(wm.ms, nw), energy[b],
+                                 best_e + b, bestp + b * nw, bestflip + b);
+                offsets[b] = (off + l) % n;
             }
-            energy[b] += sparse_flip(indptr, indices, data, d, xp, NULL, &wm, k);
-            updates += indptr[k + 1] - indptr[k] + 1;
-            wm_flush(&wm, d, xp, NULL, n);
-            sparse_incumbent(d, xp, &wm, 1, mins_min(wm.ms, nw), energy[b],
-                             best_e + b, bestp + b * nw, bestflip + b);
-            offsets[b] = (off + l) % n;
         }
     }
+    arena_end(&a, n, B, nw);
     return updates;
 }
 
@@ -617,53 +726,55 @@ int64_t bp_straight_sparse(
     const int64_t *RESTRICT indptr,  /* n+1 (off-diagonal CSR) */
     const int64_t *RESTRICT indices,
     const int64_t *RESTRICT data,
-    int64_t  *RESTRICT scratch,      /* 4*nw: this call's word minima */
-    uint64_t *RESTRICT Xp,
+    int64_t  *arena,                 /* this call's Arena; 4*nw scratch */
     int64_t  *RESTRICT delta,
-    const uint64_t *RESTRICT Tp,
-    int64_t  *RESTRICT energy,
-    int64_t  *RESTRICT best_e,
-    uint64_t *RESTRICT bestp,
-    int64_t  *RESTRICT bestflip,
     int64_t n, int64_t B, int64_t nw, int64_t scan)
 {
+    Arena a = arena_begin(arena, n, B, nw, 1);
     int64_t updates = 0;
-    WordMins wm = word_mins(scratch, nw);
-    const int64_t *md = wm.ms + nw;
-    for (int64_t b = 0; b < B; b++) {
-        int64_t *RESTRICT d = delta + b * n;
-        uint64_t *RESTRICT xp = Xp + b * nw;
-        const uint64_t *RESTRICT tp = Tp + b * nw;
-        int64_t left = 0;
-        for (int64_t c = 0; c < nw; c++)
-            left += __builtin_popcountll(xp[c] ^ tp[c]);
-        if (left == 0) continue;
-        for (int64_t c = 0; c < nw; c++)
-            wm_scan(&wm, d, xp, tp, n, c, SAME | DIFF);
-        for (int64_t flipped = 0;; flipped = 1) {
-            /* One pass serves both queries: the minimum over all bits
-             * (the last flip's incumbent check) and over the
-             * still-differing bits (the next flip). */
-            int64_t mn = INT64_MAX, dmn = INT64_MAX;
-            for (int64_t c = 0; c < nw; c++) {
-                int64_t lo = wm.ms[c] < md[c] ? wm.ms[c] : md[c];
-                if (lo < mn) mn = lo;
-                if (md[c] < dmn) dmn = md[c];
+    {   /* the restrict scope: see arena_begin */
+        int64_t *RESTRICT energy = a.energy, *RESTRICT best_e = a.best_e;
+        int64_t *RESTRICT bestflip = a.bestflip;
+        uint64_t *RESTRICT Xp = a.xp, *RESTRICT bestp = a.bestp;
+        const uint64_t *RESTRICT Tp = a.tp;
+        WordMins wm = word_mins(a.scratch, nw);
+        const int64_t *md = wm.ms + nw;
+        for (int64_t b = 0; b < B; b++) {
+            int64_t *RESTRICT d = delta + b * n;
+            uint64_t *RESTRICT xp = Xp + b * nw;
+            const uint64_t *RESTRICT tp = Tp + b * nw;
+            int64_t left = 0;
+            for (int64_t c = 0; c < nw; c++)
+                left += __builtin_popcountll(xp[c] ^ tp[c]);
+            if (left == 0) continue;
+            for (int64_t c = 0; c < nw; c++)
+                wm_scan(&wm, d, xp, tp, n, c, SAME | DIFF);
+            for (int64_t flipped = 0;; flipped = 1) {
+                /* One pass serves both queries: the minimum over all bits
+                 * (the last flip's incumbent check) and over the
+                 * still-differing bits (the next flip). */
+                int64_t mn = INT64_MAX, dmn = INT64_MAX;
+                for (int64_t c = 0; c < nw; c++) {
+                    int64_t lo = wm.ms[c] < md[c] ? wm.ms[c] : md[c];
+                    if (lo < mn) mn = lo;
+                    if (md[c] < dmn) dmn = md[c];
+                }
+                if (flipped)
+                    sparse_incumbent(d, xp, &wm, scan, mn, energy[b],
+                                     best_e + b, bestp + b * nw, bestflip + b);
+                if (left-- == 0) break;
+                /* The first still-differing bit of minimum delta. */
+                int64_t c = first_diff_word(md, xp, tp, nw, dmn);
+                uint64_t m = xp[c] ^ tp[c];
+                while (d[(c << 6) + CTZ(m)] != dmn) m &= m - 1;
+                int64_t k = (c << 6) + CTZ(m);
+                energy[b] += sparse_flip(indptr, indices, data, d, xp, tp, &wm, k);
+                updates += indptr[k + 1] - indptr[k] + 1;
+                wm_flush(&wm, d, xp, tp, n);
             }
-            if (flipped)
-                sparse_incumbent(d, xp, &wm, scan, mn, energy[b],
-                                 best_e + b, bestp + b * nw, bestflip + b);
-            if (left-- == 0) break;
-            /* The first still-differing bit of minimum delta. */
-            int64_t c = first_diff_word(md, xp, tp, nw, dmn);
-            uint64_t m = xp[c] ^ tp[c];
-            while (d[(c << 6) + CTZ(m)] != dmn) m &= m - 1;
-            int64_t k = (c << 6) + CTZ(m);
-            energy[b] += sparse_flip(indptr, indices, data, d, xp, tp, &wm, k);
-            updates += indptr[k + 1] - indptr[k] + 1;
-            wm_flush(&wm, d, xp, tp, n);
         }
     }
+    arena_end(&a, n, B, nw);
     return updates;
 }
 """
@@ -790,14 +901,13 @@ def _bind(path: Path) -> ctypes.CDLL:
     """dlopen ``path`` and type every kernel (AttributeError if missing).
 
     Every kernel takes its weight arrays (dense: one; CSR: three), then
-    its per-call scratch (see :meth:`BitplaneBackend._call`), then 8
-    state arrays (``run_local_steps``) or 7 (``run_straight``), then the
-    four int64 scalars.
+    its per-call arena and its delta vector (see
+    :meth:`BitplaneBackend._walk`), then the four int64 scalars.
     """
     lib = ctypes.CDLL(str(path))
-    for variant, (local, straight) in _KERNELS.items():
-        weights = 4 if variant == "sparse_w64" else 2
-        for fname, arrays in ((local, weights + 8), (straight, weights + 7)):
+    for variant, kernels in _KERNELS.items():
+        arrays = (3 if variant == "sparse_w64" else 1) + 2
+        for fname in kernels:
             fn = getattr(lib, fname)
             fn.argtypes = [ctypes.c_void_p] * arrays + [ctypes.c_int64] * 4
             fn.restype = ctypes.c_int64
@@ -943,24 +1053,28 @@ def make_bitplane_backend() -> KernelBackend:
     return fallback
 
 
-def _ptr(arr: np.ndarray) -> ctypes.c_void_p:
-    return ctypes.c_void_p(arr.ctypes.data)
-
-
 class _Planes:
-    """Per-problem kernel artifacts derived at ``prepare_*`` time."""
+    """Per-problem kernel artifacts derived at ``prepare_*`` time: the
+    tier, its weight arrays and their addresses (stable for the life of
+    the prepared weights, which hold the arrays), and its two kernels."""
 
-    __slots__ = ("variant", "weights", "nw", "local", "straight")
+    __slots__ = ("variant", "weights", "nw", "local", "straight", "addresses",
+                 "scratch_words")
 
     def __init__(
-        self, variant: str, weights: np.ndarray | None, nw: int, lib: Any
+        self, variant: str, weights: tuple[np.ndarray, ...], nw: int, lib: Any
     ) -> None:
         self.variant = variant
-        self.weights = weights
+        self.weights = weights[0] if len(weights) == 1 else None
         self.nw = nw
         local, straight = _KERNELS[variant]
         self.local = getattr(lib, local)
         self.straight = getattr(lib, straight)
+        self.addresses = tuple(w.ctypes.data for w in weights)
+        # Dense: two Δ minima per plane word, then two int8 masks of 64
+        # entries per word (2 + 2 * 64 / 8 words).  CSR: two minima per
+        # word, then the rescan marks and their list.
+        self.scratch_words = (4 if variant == "sparse_w64" else 18) * nw
 
 
 @dataclass(frozen=True)
@@ -975,10 +1089,13 @@ class BitplaneBackend(KernelBackend):
     ``run_straight``.
 
     Both walks — the Algorithm 4 multi-step loop and the Algorithm 5
-    straight walk — run on packed planes in one C call each.  State is
-    packed on entry and unpacked on exit of each call, an O(B·n/8)
-    conversion amortized over every fused flip of the call.  The walks
-    take only weights from this backend's own ``prepare_*``.
+    straight walk — run on packed planes in one C call each.  Each call
+    copies its arguments into one int64 arena (see :meth:`_walk`) and
+    passes the kernel that arena's address, from which the kernel
+    derives every other one.  The kernel packs the state on entry and
+    unpacks it on exit, an O(B·n) conversion amortized over every fused
+    flip of the call.  The walks take only weights from this backend's
+    own ``prepare_*``.
     """
 
     name = "bitplane"
@@ -1023,23 +1140,23 @@ class BitplaneBackend(KernelBackend):
             )
             use_w16 = dmax <= float(2**31 - 2)
         if use_w16:
-            planes = _Planes("dense_w16_d32", w16, nw, lib)
+            planes = _Planes("dense_w16_d32", (w16,), nw, lib)
         else:
             Woff = W.copy()
             np.fill_diagonal(Woff, 0)
-            planes = _Planes("dense_w64", Woff, nw, lib)
+            planes = _Planes("dense_w64", (Woff,), nw, lib)
         return BitplanePreparedWeights(n=n, dense=W, planes=planes)
 
     def prepare_sparse(self, sparse: Any) -> PreparedWeights:
         lib = self.ensure_compiled()
         base = super().prepare_sparse(sparse)
-        planes = _Planes("sparse_w64", None, (base.n + 63) // 64, lib)
+        csr = tuple(
+            np.ascontiguousarray(a, dtype=np.int64)
+            for a in (base.indptr, base.indices, base.data)
+        )
+        planes = _Planes("sparse_w64", csr, (base.n + 63) // 64, lib)
         return BitplanePreparedWeights(
-            n=base.n,
-            indptr=base.indptr,
-            indices=base.indices,
-            data=base.data,
-            planes=planes,
+            n=base.n, indptr=csr[0], indices=csr[1], data=csr[2], planes=planes
         )
 
     @staticmethod
@@ -1056,35 +1173,61 @@ class BitplaneBackend(KernelBackend):
             )
         return planes
 
-    def _call(
-        self, fn: Any, pw: PreparedWeights, Xp: np.ndarray, delta: np.ndarray,
-        *rest: Any,
+    @staticmethod
+    def _walk(
+        planes: _Planes, fn: Any, last: int, X: np.ndarray, T: np.ndarray | None,
+        delta: np.ndarray, energy: np.ndarray, best_energy: np.ndarray,
+        best_x: np.ndarray, offsets: np.ndarray | None, windows: np.ndarray | None,
     ) -> int:
-        """Call one tier's kernel as ``fn(weights..., Xp, delta, *rest)``,
-        narrowing ``delta`` for the d32 tier and writing it back."""
-        planes = pw.planes
-        if planes.variant == "dense_w16_d32":
+        """One kernel call ``fn(weights..., arena, delta, n, B, nw, last)``.
+
+        The arena is one int64 buffer laid out as the C ``Arena``: the
+        rows energy, best_e, bestflip, offsets and windows (``B`` each),
+        the planes xp, bestp and tp (``B·nw`` words each), the byte rows
+        x, t and best_x (``B·n`` each; the kernel packs and unpacks its
+        planes itself), the kernel scratch and, for the d32 tier, the
+        int32 copy of ``delta``.  It lives for this call only (prepared
+        weights are shared across engines), and every result is copied
+        out of it, so no caller array aliases it.
+        """
+        B, n = X.shape
+        nw = planes.nw
+        head = 5 * B
+        bits_at = head + 3 * B * nw
+        scratch_at = bits_at + (3 * B * n + 7) // 8
+        words = scratch_at + planes.scratch_words
+        narrow = planes.variant == "dense_w16_d32"
+        arena = np.empty(words + ((B * n + 1) // 2 if narrow else 0), dtype=np.int64)
+        base = arena.ctypes.data
+        rows = arena[:head].reshape(5, B)
+        rows[0] = energy
+        rows[1] = best_energy
+        if offsets is not None:
+            rows[3] = offsets
+            rows[4] = windows
+        x, t, bx = arena[bits_at:scratch_at].view(np.uint8)[: 3 * B * n].reshape(3, B, n)
+        x[:] = X
+        if T is not None:
+            t[:] = T
+        bx[:] = best_x
+        if narrow:
             # The d32 tier is only selected when the Δ bound fits int32,
             # so this narrowing is exact for any reachable delta vector.
-            d = np.ascontiguousarray(delta.astype(np.int32))
+            d = arena[words:].view(np.int32)[: B * n].reshape(B, n)
+            d[:] = delta
+            dptr = base + 8 * words
         else:
             d = np.ascontiguousarray(delta, dtype=np.int64)
-        # The kernels' scratch lives for this call only: prepared weights
-        # are shared across engines.
-        if planes.variant == "sparse_w64":
-            # Two word minima per plane word, plus the rescan marks.
-            scratch = np.empty(4 * planes.nw, dtype=np.int64)
-            weights = (
-                _ptr(pw.indptr), _ptr(pw.indices), _ptr(pw.data), _ptr(scratch)
-            )
-        else:
-            # Two word minima per plane word, then two int8 masks of
-            # 64 entries per word: 2 + 2 * 64 / 8 int64 slots per word.
-            scratch = np.empty(18 * planes.nw, dtype=np.int64)
-            weights = (_ptr(planes.weights), _ptr(scratch))
-        updates = fn(*weights, _ptr(Xp), _ptr(d), *rest)
+            dptr = d.ctypes.data
+        updates = fn(*planes.addresses, base, dptr, n, B, nw, last)
         if d is not delta:
             delta[:] = d
+        energy[:] = rows[0]
+        best_energy[:] = rows[1]
+        if offsets is not None:
+            offsets[:] = rows[3]
+        X[:] = x
+        best_x[:] = bx
         return int(updates)
 
     def run_local_steps(
@@ -1102,25 +1245,10 @@ class BitplaneBackend(KernelBackend):
         planes = self._planes(pw)
         if steps == 0:
             return 0
-        n, nw, B = pw.n, planes.nw, int(X.shape[0])
-        Xp = pack_rows(X, nw)
-        bestp = np.zeros((B, nw), dtype=np.uint64)
-        bestflip = np.full(B, -2, dtype=np.int64)
-        eng = np.ascontiguousarray(energy, dtype=np.int64)
-        be = np.ascontiguousarray(best_energy, dtype=np.int64)
-        off = np.ascontiguousarray(offsets, dtype=np.int64)
-        win = np.ascontiguousarray(windows, dtype=np.int64)
-        i64 = ctypes.c_int64
-        updates = self._call(
-            planes.local, pw, Xp, delta,
-            _ptr(eng), _ptr(be), _ptr(bestp), _ptr(bestflip), _ptr(off),
-            _ptr(win), i64(n), i64(B), i64(nw), i64(steps),
+        return self._walk(
+            planes, planes.local, steps, X, None, delta, energy, best_energy,
+            best_x, offsets, windows,
         )
-        X[:] = unpack_rows(Xp, n)
-        if off is not offsets:
-            offsets[:] = off
-        _write_back(eng, energy, be, best_energy, bestp, bestflip, best_x, n)
-        return updates
 
     def run_straight(
         self,
@@ -1134,49 +1262,7 @@ class BitplaneBackend(KernelBackend):
         scan_neighbors: bool,
     ) -> int:
         planes = self._planes(pw)
-        n, nw, B = pw.n, planes.nw, int(X.shape[0])
-        Xp = pack_rows(X, nw)
-        Tp = pack_rows(T, nw)
-        bestp = np.zeros((B, nw), dtype=np.uint64)
-        bestflip = np.full(B, -2, dtype=np.int64)
-        eng = np.ascontiguousarray(energy, dtype=np.int64)
-        be = np.ascontiguousarray(best_energy, dtype=np.int64)
-        i64 = ctypes.c_int64
-        updates = self._call(
-            planes.straight, pw, Xp, delta,
-            _ptr(Tp), _ptr(eng), _ptr(be), _ptr(bestp), _ptr(bestflip),
-            i64(n), i64(B), i64(nw), i64(int(scan_neighbors)),
+        return self._walk(
+            planes, planes.straight, int(scan_neighbors), X, T, delta, energy,
+            best_energy, best_x, None, None,
         )
-        X[:] = T  # every block walked all the way to its target
-        _write_back(eng, energy, be, best_energy, bestp, bestflip, best_x, n)
-        return updates
-
-
-def _write_back(
-    eng: np.ndarray,
-    energy: np.ndarray,
-    be: np.ndarray,
-    best_energy: np.ndarray,
-    bestp: np.ndarray,
-    bestflip: np.ndarray,
-    best_x: np.ndarray,
-    n: int,
-) -> None:
-    """Copy kernel energies back and expand the incumbent snapshots.
-
-    ``bestflip[b]`` is ``-2`` when block ``b`` found no new incumbent,
-    ``-1`` when the incumbent is the snapshot ``bestp[b]`` itself, and
-    ``>= 0`` when it is the snapshot with that bit flipped.
-    """
-    if eng is not energy:
-        energy[:] = eng
-    if be is not best_energy:
-        best_energy[:] = be
-    dirty = bestflip != -2
-    if dirty.any():
-        rid = np.flatnonzero(dirty)
-        best_x[rid] = unpack_rows(bestp[rid], n)
-        flips = bestflip[rid]
-        from_neighbour = flips >= 0
-        if from_neighbour.any():
-            best_x[rid[from_neighbour], flips[from_neighbour]] ^= 1

@@ -112,7 +112,14 @@ def _canonical_json(value: Any) -> str:
     return json.dumps(value, sort_keys=True, default=_default, separators=(",", ":"))
 
 
-def run_digest(weights, config, seed: int | None = None, *, extra: dict | None = None) -> str:
+def run_digest(
+    weights,
+    config,
+    seed: int | None = None,
+    *,
+    extra: dict | None = None,
+    digest: str | None = None,
+) -> str:
     """Stable SHA-256 hex digest of one ``(problem, config, seed)`` run.
 
     ``config`` is canonicalized via :func:`dataclasses.asdict` (nested
@@ -120,7 +127,9 @@ def run_digest(weights, config, seed: int | None = None, *, extra: dict | None =
     configs with equal field values always digest identically.  ``seed``
     defaults to ``config.seed`` and overrides it in the hashed payload
     when given explicitly.  ``extra`` folds additional run context (for
-    example the solve mode) into the key.
+    example the solve mode) into the key.  ``digest`` is
+    ``problem_digest(weights)`` when the caller already has it: the
+    same bytes are hashed, and the weights are not hashed again.
 
     A seeded solve is a pure function of this digest — the property the
     service's result cache relies on to return cached
@@ -136,7 +145,9 @@ def run_digest(weights, config, seed: int | None = None, *, extra: dict | None =
         cfg_dict["__extra__"] = dict(extra)
     h = hashlib.sha256(_DIGEST_VERSION)
     h.update(b"|run|")
-    h.update(problem_digest(weights).encode("ascii"))
+    if digest is None:
+        digest = problem_digest(weights)
+    h.update(digest.encode("ascii"))
     h.update(b"|")
     h.update(_canonical_json(cfg_dict).encode("utf-8"))
     return h.hexdigest()
@@ -167,6 +178,22 @@ def save_qubo(matrix: QuboMatrix, path: PathLike, *, comment: str | None = None)
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _header_nodes(path: Path, lineno: int, line: str) -> int:
+    """The node count of a ``p qubo <topology> <nodes> ...`` line; a
+    :class:`QuboFormatError` naming ``path:lineno`` if it is malformed,
+    not an integer, or negative."""
+    parts = line.split()
+    if len(parts) < 4 or parts[1].lower() != "qubo":
+        raise QuboFormatError(f"{path}:{lineno}: bad problem line {line!r}")
+    try:
+        n = int(parts[3])
+    except ValueError as exc:
+        raise QuboFormatError(f"{path}:{lineno}: bad node count in {line!r}") from exc
+    if n < 0:
+        raise QuboFormatError(f"{path}:{lineno}: negative node count in {line!r}")
+    return n
+
+
 def load_qubo(path: PathLike) -> QuboMatrix:
     """Load a coordinate-format instance written by :func:`save_qubo`
     (or by qbsolv)."""
@@ -184,17 +211,7 @@ def load_qubo(path: PathLike) -> QuboMatrix:
                 name = rest[len("name:"):].strip()
             continue
         if line.startswith("p"):
-            parts = line.split()
-            if len(parts) < 4 or parts[1].lower() != "qubo":
-                raise QuboFormatError(
-                    f"{path}:{lineno}: bad problem line {line!r}"
-                )
-            try:
-                n = int(parts[3])
-            except ValueError as exc:
-                raise QuboFormatError(
-                    f"{path}:{lineno}: bad node count in {line!r}"
-                ) from exc
+            n = _header_nodes(path, lineno, line)
             continue
         parts = line.split()
         if len(parts) != 3:
@@ -248,10 +265,7 @@ def load_qubo_sparse(path: PathLike):
                 name = rest[len("name:"):].strip()
             continue
         if line.startswith("p"):
-            parts = line.split()
-            if len(parts) < 4 or parts[1].lower() != "qubo":
-                raise QuboFormatError(f"{path}:{lineno}: bad problem line {line!r}")
-            n = int(parts[3])
+            n = _header_nodes(path, lineno, line)
             continue
         parts = line.split()
         if len(parts) != 3:

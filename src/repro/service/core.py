@@ -191,7 +191,7 @@ class SolverService:
                 and (mode == "sync" or (cfg.lockstep and cfg.n_gpus == 1))
             )
             run_key = (
-                run_digest(solver.W, cfg, extra={"mode": mode})
+                run_digest(solver.W, cfg, extra={"mode": mode}, digest=digest)
                 if cacheable
                 else None
             )

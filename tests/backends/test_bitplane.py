@@ -9,7 +9,8 @@ the refusal of another backend's prepared weights, dtype-tier selection
 including the forced int64 tier, explicit single-step lockstep runs of
 both dense tiers and the sparse CSR kernel, and the CSR kernels'
 per-word Δ minima: ties, ragged sizes, a raised word minimum, and
-prepared weights shared across engines.
+prepared weights shared across engines; and the per-call argument
+arena, which no engine array may alias.
 """
 
 import warnings
@@ -35,7 +36,9 @@ needs_cc = pytest.mark.skipif(not cc_available(), reason="no C compiler")
 
 
 class TestPackedPlanes:
-    @pytest.mark.parametrize("n", [1, 5, 63, 64, 65, 130, 256])
+    # 48, 96 and 160 are the service-stream sizes, 2000 the MaxCut one:
+    # none is a multiple of 64.
+    @pytest.mark.parametrize("n", [1, 5, 48, 63, 64, 65, 96, 130, 160, 256, 2000])
     def test_pack_unpack_roundtrip(self, n):
         rng = np.random.default_rng(n)
         X = rng.integers(0, 2, (7, n), dtype=np.uint8)
@@ -59,6 +62,20 @@ class TestPackedPlanes:
         x = np.ones((2, 70), dtype=np.uint8)
         planes = pack_rows(x)
         assert planes[0, 1] == (1 << (70 - 64)) - 1
+
+    @pytest.mark.parametrize("n", [5, 64, 96])
+    def test_one_and_three_dimensional_rows(self, n):
+        rng = np.random.default_rng(n)
+        nw = (n + 63) // 64
+        x = rng.integers(0, 2, n, dtype=np.uint8)
+        planes = pack_rows(x)
+        assert planes.shape == (nw,)
+        assert np.array_equal(unpack_rows(planes, n), x)
+        X = rng.integers(0, 2, (2, 3, n), dtype=np.uint8)
+        planes = pack_rows(X)
+        assert planes.shape == (2, 3, nw)
+        assert np.array_equal(unpack_rows(planes, n), X)
+        assert np.array_equal(planes[1, 2], pack_rows(X[1, 2]))
 
 
 class TestFallback:
@@ -160,6 +177,46 @@ class TestFallback:
                 backend="bitplane",
             )
         assert res.best_energy <= 0
+
+
+_STATE = ("X", "delta", "energy", "best_energy", "best_x", "offsets", "windows")
+
+
+@needs_cc
+class TestPerCallArena:
+    """Each walk copies its arguments into an arena of its own and its
+    results out of it: no engine array may alias one, so nothing an
+    engine holds changes when another walk runs."""
+
+    @pytest.mark.parametrize("tier", ["dense_w16_d32", "dense_w64", "sparse_w64"])
+    def test_engine_arrays_survive_other_walks(self, tier):
+        q = QuboMatrix.random(96, seed=21)
+        W = np.asarray(q.W, dtype=np.int64) * (5 if tier == "dense_w64" else 1)
+        weights = SparseQubo.from_dense(W) if tier == "sparse_w64" else QuboMatrix(W)
+        rng = np.random.default_rng(22)
+        first = BulkSearchEngine(weights, 4, windows=7, backend="bitplane")
+        assert first._pw.planes.variant == tier
+        first.straight_to(rng.integers(0, 2, (4, 96), dtype=np.uint8))
+        first.local_steps(5)
+        held = {f: getattr(first, f) for f in _STATE}
+        values = {f: a.copy() for f, a in held.items()}
+        other = BulkSearchEngine(
+            weights, 4, windows=3, backend="bitplane", prepared=first.prepared
+        )
+        for _ in range(3):
+            other.straight_to(rng.integers(0, 2, (4, 96), dtype=np.uint8))
+            other.local_steps(9)
+        for f in _STATE:
+            assert getattr(first, f) is held[f]
+            assert np.array_equal(held[f], values[f]), f"{f} changed"
+        # The next walk of the same engine starts from those values.
+        ref = BulkSearchEngine(weights, 4, windows=7, backend="numpy")
+        for f in ("X", "delta", "energy", "best_energy", "best_x", "offsets"):
+            getattr(ref, f)[:] = values[f]
+        for eng in (first, ref):
+            eng.local_steps(4)
+        for f in ("X", "delta", "energy", "best_energy", "best_x", "offsets"):
+            assert np.array_equal(getattr(first, f), getattr(ref, f)), f
 
 
 @needs_cc

@@ -62,6 +62,11 @@ class TestRunDigest:
     def test_golden(self):
         assert run_digest(W2, _Cfg()) == GOLDEN_RUN
 
+    def test_known_problem_digest_hashes_the_same_bytes(self):
+        assert run_digest(W2, _Cfg(), digest=GOLDEN_DENSE) == GOLDEN_RUN
+        # With the digest given, the weights are not read at all.
+        assert run_digest(None, _Cfg(), seed=9, digest=GOLDEN_DENSE) == GOLDEN_RUN_SEED9
+
     def test_extra_changes_key(self):
         assert run_digest(W2, _Cfg(), extra={"mode": "process"}) == GOLDEN_RUN_MODE
 

@@ -70,6 +70,28 @@ class TestCoordinateSparse:
             load_qubo_sparse(p)
 
 
+class TestHeaderNodeCount:
+    """Both coordinate loaders reject a bad node count as a format error
+    that names the file and line, before numpy sees the count."""
+
+    @pytest.mark.parametrize("loader", [load_qubo, load_qubo_sparse])
+    @pytest.mark.parametrize(
+        ("header", "reason"),
+        [("p qubo 0 x 0 0", "bad node count"), ("p qubo 0 -3 0 0", "negative node count")],
+    )
+    def test_rejected_with_file_and_line(self, tmp_path, loader, header, reason):
+        p = tmp_path / "bad.qubo"
+        p.write_text(f"c a comment\n{header}\n")
+        with pytest.raises(QuboFormatError, match=rf"bad\.qubo:2: {reason}"):
+            loader(p)
+
+    @pytest.mark.parametrize("loader", [load_qubo, load_qubo_sparse])
+    def test_zero_nodes_still_load(self, tmp_path, loader):
+        p = tmp_path / "empty.qubo"
+        p.write_text("p qubo 0 0 0 0\n")
+        assert loader(p).n == 0
+
+
 class TestNpz:
     def test_roundtrip(self, sparse_instance, tmp_path):
         p = tmp_path / "m.npz"

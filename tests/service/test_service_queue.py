@@ -209,6 +209,29 @@ class TestResultCache:
             gate.set()
             svc.result(running, timeout=30)
 
+    def test_submit_hashes_the_weights_once(self, problem, monkeypatch):
+        """The run key reuses the problem digest computed for the job;
+        the key itself is pinned, so reusing it changed no key."""
+        import repro.qubo.io as io
+        import repro.service.core as core
+
+        calls = []
+        real = io.problem_digest
+
+        def counting(weights):
+            calls.append(weights)
+            return real(weights)
+
+        monkeypatch.setattr(core, "problem_digest", counting)
+        monkeypatch.setattr(io, "problem_digest", counting)
+        with SolverService() as svc:
+            jid = svc.submit(problem, cfg(1), mode="sync")
+            assert len(calls) == 1
+            assert svc._jobs[jid].run_key == (
+                "e580c218377ba4f9e4b3b24e7686ab22038220aebdb5355bad4204dded28fea7"
+            )
+            svc.result(jid, timeout=30)
+
     def test_cache_disabled_when_size_zero(self, problem):
         with SolverService(ServiceConfig(result_cache_size=0)) as svc:
             svc.result(svc.submit(problem, cfg(7), mode="sync"), timeout=30)
