@@ -15,8 +15,15 @@ combinations:
 Both lanes move identical payloads, so the speedup is pure exchange +
 GA hot-path engineering.  The acceptance point is the paper-scale
 ``n=1024, B=1088`` (1088 blocks per GPU, Table 2's largest per-GPU
-block count); the target there is ≥ 3×.  Results land in
-``benchmarks/results/BENCH_exchange.json``.
+block count); the target there is ≥ 3×.
+
+A third section, ``host_step``, times the ``shm+batched`` host step
+round by round at the shapes of the repository benchmark's process
+workloads (``process-oneshot``: n=256, B=16, pool 64;
+``service-stream``: n=96, B=8, pool 16): ``Host.absorb_batch`` +
+``Host.make_targets`` + ``TargetMailbox.publish``, reported as
+quartiles of the per-round time with the pool's insert ratio.  Results
+land in ``benchmarks/results/BENCH_exchange.json``.
 
 Runnable both ways::
 
@@ -35,6 +42,7 @@ import numpy as np
 
 from repro.abs.buffers import pack_solutions
 from repro.abs.exchange import SolutionRing, TargetMailbox
+from repro.abs.host import Host
 from repro.ga.host import GaConfig, TargetGenerator
 from repro.ga.pool import SolutionPool
 from repro.utils.tables import Table
@@ -59,6 +67,14 @@ if FULL:
 
 #: Host pool capacity (the paper's m); fixed across lanes and points.
 _POOL_CAPACITY = 64
+
+#: (workload, n, B, pool capacity) of the per-round host-step section.
+_HOST_STEP_POINTS = (
+    ("process-oneshot", 256, 16, 64),
+    ("service-stream", 96, 8, 16),
+)
+_HOST_STEP_WARMUP = 50
+_HOST_STEP_ROUNDS = 1000
 
 
 def _make_payload(n: int, blocks: int, seed: int):
@@ -132,6 +148,39 @@ def _measure_shm_batched(n: int, blocks: int, rounds: int) -> dict:
     return {"elapsed_s": round(elapsed, 6), "per_round_ms": round(1e3 * elapsed / rounds, 3)}
 
 
+def _measure_host_step(n: int, blocks: int, capacity: int) -> dict:
+    """Quartiles of one host step: absorb a round, answer it, publish."""
+    host = Host(n, capacity)
+    mailbox = TargetMailbox.create(blocks, n)
+    rng = np.random.default_rng(0)
+    total = _HOST_STEP_WARMUP + _HOST_STEP_ROUNDS
+    # Energies drift down like a search's, so the pool keeps admitting
+    # a few rows per round instead of freezing after the first ones.
+    payloads = [
+        (
+            rng.integers(-10_000 - 20 * r, -20 * r, blocks),
+            rng.integers(0, 2, (blocks, n), dtype=np.uint8),
+        )
+        for r in range(total)
+    ]
+    times = np.empty(total)
+    try:
+        for r, (energies, X) in enumerate(payloads):
+            t0 = time.perf_counter()
+            host.absorb_batch(energies, X)
+            mailbox.publish(host.make_targets(blocks), epoch=0)
+            times[r] = time.perf_counter() - t0
+    finally:
+        mailbox.unlink()
+    q1, q2, q3 = np.percentile(times[_HOST_STEP_WARMUP:] * 1e6, [25, 50, 75])
+    return {
+        "rounds": _HOST_STEP_ROUNDS,
+        "step_us": {"q1": round(q1, 2), "median": round(q2, 2), "q3": round(q3, 2)},
+        # The e2e process workloads read pool.insert_ratio ~0.12.
+        "insert_ratio": round(host.pool.inserted / host.absorbed, 3),
+    }
+
+
 def run_bench() -> dict:
     points = []
     for n, blocks, rounds in _POINTS:
@@ -150,9 +199,15 @@ def run_bench() -> dict:
                 "acceptance_point": (n, blocks) == (1024, 1088),
             }
         )
+    host_step = [
+        {"workload": name, "n": n, "blocks": blocks, "pool_capacity": capacity}
+        | _measure_host_step(n, blocks, capacity)
+        for name, n, blocks, capacity in _HOST_STEP_POINTS
+    ]
     payload = {
         "bench": "exchange",
         "full_scale": FULL,
+        "host_step": host_step,
         "pool_capacity": _POOL_CAPACITY,
         "target_speedup_at_acceptance": 3.0,
         "points": points,
@@ -180,12 +235,28 @@ def _render(payload: dict) -> str:
                 f"{p['speedup']:.2f}x{mark}",
             ]
         )
-    return table.render() + "\n(* acceptance point, target >= 3x)"
+    steps = Table(
+        ["workload", "n", "B", "pool", "q1 us", "median us", "q3 us"],
+        title="Host step per round: absorb + generate + publish (shm+batched)",
+    )
+    for p in payload["host_step"]:
+        q = p["step_us"]
+        steps.add_row(
+            [p["workload"], p["n"], p["blocks"], p["pool_capacity"],
+             f"{q['q1']:.1f}", f"{q['median']:.1f}", f"{q['q3']:.1f}"]
+        )
+    return (
+        table.render()
+        + "\n(* acceptance point, target >= 3x)\n\n"
+        + steps.render()
+    )
 
 
 def test_bench_exchange(report):
     payload = run_bench()
     report("Exchange rings (Figure 5)", _render(payload))
+    for p in payload["host_step"]:
+        assert 0 < p["step_us"]["q1"] <= p["step_us"]["median"] <= p["step_us"]["q3"]
     for p in payload["points"]:
         assert p["shm_batched"]["elapsed_s"] > 0
         if p["acceptance_point"]:

@@ -90,9 +90,7 @@ class Host:
         """
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")
-        pool_mat = self.pool.as_matrix()
-        idx = np.arange(count) % len(self.pool)
-        return np.ascontiguousarray(pool_mat[idx])
+        return self.pool.rows(np.arange(count) % len(self.pool))
 
     def set_device_ga(self, device: int, ga: GaConfig) -> None:
         """Swap device ``device``'s GA operator mix (variant migration).

@@ -115,18 +115,20 @@ class TargetGenerator:
         cfg = self.config
         rng = self._rng
         u = rng.random(count)
-        pool_mat = pool.as_matrix()
-        ranks = select_parent_ranks(m, rng.random(count), cfg.elite_bias)
-        out = pool_mat[ranks]  # fancy indexing copies: rows are children
         is_mut = u < cfg.p_mutation
         is_cross = (
             ~is_mut & (u < cfg.p_mutation + cfg.p_crossover) & (m >= 2)
         )
         k_cross = int(is_cross.sum())
+        # Every row's parent, then each crossover's second parent: one
+        # float64 draw of count + k_cross is the same stream as the two
+        # draws in turn, and one gather copies all of them.
+        ranks = select_parent_ranks(m, rng.random(count + k_cross), cfg.elite_bias)
+        parents = pool.rows(ranks)  # a copy: rows are children
+        out = parents[:count]
         if k_cross:
-            ranks2 = select_parent_ranks(m, rng.random(k_cross), cfg.elite_bias)
             out[is_cross] = crossover_uniform_batch(
-                out[is_cross], pool_mat[ranks2], rng
+                out[is_cross], parents[count:], rng
             )
         k_mut = int(is_mut.sum())
         if k_mut:

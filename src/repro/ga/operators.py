@@ -53,8 +53,14 @@ def mutate_batch(
 ) -> np.ndarray:
     """Batched :func:`mutate`: flip ``flips`` distinct bits per row.
 
-    Distinct flip positions come from one ``(k, n)`` uniform draw
-    ranked per row with ``argpartition`` — no Python-level loop.
+    One ``(k, n)`` uniform draw scores every bit; a row flips its
+    ``flips`` lowest-scored bits.  ``np.partition`` finds each row's
+    ``flips``-th smallest score and the row flips every bit at or
+    below it — no index gather or scatter.  A row whose threshold is
+    tied (float32 scores can collide) would flip more than ``flips``
+    bits, so it falls back to ``argpartition`` on the same scores,
+    which picks exactly ``flips`` of them; either way the children are
+    the ``argpartition`` ones, bit for bit.
     """
     X = np.asarray(X, dtype=np.uint8)
     if X.ndim != 2:
@@ -66,14 +72,17 @@ def mutate_batch(
         flips = default_mutation_flips(n)
     if not (1 <= flips <= n):
         raise ValueError(f"flips must be in [1, {n}], got {flips}")
-    children = X.copy()
-    # float32 scores halve the bytes argpartition has to move; ranks
-    # stay distinct (argpartition returns distinct indices regardless
-    # of ties) so every row still flips exactly ``flips`` bits.
+    # float32 scores halve the bytes the partition has to move.
     scores = rng.random((k, n), dtype=np.float32)
-    idx = np.argpartition(scores, flips - 1, axis=1)[:, :flips]
-    children[np.arange(k)[:, None], idx] ^= 1
-    return children
+    kth = np.partition(scores, flips - 1, axis=1)[:, flips - 1 : flips]
+    flip = scores <= kth
+    over = flip.sum(axis=1) != flips
+    if over.any():
+        tied = np.flatnonzero(over)
+        idx = np.argpartition(scores[tied], flips - 1, axis=1)[:, :flips]
+        flip[tied] = False
+        flip[tied[:, None], idx] = True
+    return X ^ flip.view(np.uint8)
 
 
 def crossover_uniform(

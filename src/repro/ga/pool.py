@@ -75,12 +75,17 @@ class SolutionPool:
 
     Notes
     -----
-    Insertion uses :func:`bisect.bisect_left` on the energy array —
-    the paper's O(log m) binary search — then scans the (typically
-    tiny) equal-energy span for an identical bit vector.  A set of
-    bit-vector digests backs an O(1) duplicate fast path; the niche
-    check XOR/popcounts the candidate's packed key against the cached
-    packed rows (O(m·n/8) bytes touched, m ≤ capacity).
+    Rows live in one preallocated ``(capacity, n)`` uint8 matrix; the
+    sorted order is a list of slot numbers (rank → slot), so an insert
+    or eviction moves list entries, never rows, and a freed slot is
+    reused by the next admitted row.  Insertion uses
+    :func:`bisect.bisect_left` on the energy list — the paper's
+    O(log m) binary search.  A set of packed-bits keys backs an O(1)
+    duplicate check; the niche check XOR/popcounts the candidate's key
+    against the rank-aligned cached keys (O(m·n/8) bytes touched).
+    Every row handed out (:meth:`__getitem__`, iteration,
+    :meth:`as_matrix`, :meth:`rows`) is a copy or a read-only snapshot,
+    so later inserts and slot reuse never change it.
     """
 
     def __init__(
@@ -99,15 +104,13 @@ class SolutionPool:
         self.n = int(n)
         self.capacity = int(capacity)
         self.min_distance = int(min_distance)
+        self._rows = np.zeros((self.capacity, self.n), dtype=np.uint8)
+        # Rank-aligned: _energies[r], _order[r] (the slot holding the
+        # row) and _entry_keys[r] (its packed bits) describe rank r.
         self._energies: list[float] = []
-        self._solutions: list[np.ndarray] = []
-        # Packed-bytes key per entry, kept position-aligned with
-        # _solutions so eviction pops the cached key instead of
-        # re-serializing the evicted vector.  The uint8 views in
-        # _packed alias the same bytes (np.frombuffer is zero-copy), so
-        # the niche distance check costs no extra serialization.
+        self._order: list[int] = []
         self._entry_keys: list[bytes] = []
-        self._packed: list[np.ndarray] = []
+        self._free = list(range(self.capacity - 1, -1, -1))  # pop() → 0, 1, …
         self._keys: set[bytes] = set()
         #: Monotone insert outcomes (``pool.*`` in ``SolveResult.counters``).
         self.inserted = 0
@@ -143,18 +146,23 @@ class SolutionPool:
         a full pool, the worst entry is evicted (§2.2.1).
         """
         xb = check_bit_vector(x, self.n, "x")
-        return self._insert_keyed(xb, pack_key(xb), float(energy))
+        slot = self._admit(pack_key(xb), float(energy))
+        if slot < 0:
+            return False
+        self._rows[slot] = xb
+        return True
 
     def insert_batch(self, X: np.ndarray, energies: np.ndarray) -> int:
         """Insert ``k`` solutions at once; returns the number inserted.
 
         Semantically identical to ``k`` sequential :meth:`insert` calls
-        in row order (same eviction decisions, same counters) — but the
-        duplicate keys for all rows come from a single ``np.packbits``
-        call over the whole matrix, which is what makes absorbing a
-        device round O(1) serialization calls instead of O(B).
+        in row order (same eviction decisions, same counters).  The
+        keys of all rows come from one ``np.packbits`` buffer sliced per
+        row, the loop touches only Python scalars and bytes, and a row
+        is copied into the pool matrix only once it is admitted — most
+        rows of a device round are rejected as duplicates or worse.
         """
-        X = np.ascontiguousarray(X, dtype=np.uint8)
+        X = np.asarray(X, dtype=np.uint8)
         if X.ndim != 2 or X.shape[1] != self.n:
             raise ValueError(
                 f"X must have shape (k, {self.n}), got {X.shape}"
@@ -166,17 +174,26 @@ class SolutionPool:
             )
         if X.size and (X > 1).any():
             raise ValueError("X must contain only 0/1 values")
-        packed = np.packbits(X, axis=1) if X.shape[0] else X
+        width = (self.n + 7) // 8
+        buf = np.packbits(X, axis=1).tobytes()
         inserted = 0
-        for i in range(X.shape[0]):
-            if self._insert_keyed(X[i], packed[i].tobytes(), float(energies[i])):
+        for i, energy in enumerate(energies.tolist()):
+            slot = self._admit(buf[i * width : (i + 1) * width], float(energy))
+            if slot >= 0:
+                self._rows[slot] = X[i]
                 inserted += 1
         return inserted
 
-    def _insert_keyed(self, xb: np.ndarray, key: bytes, energy: float) -> bool:
+    def _admit(self, key: bytes, energy: float) -> int:
+        """Admission bookkeeping for one candidate.
+
+        Updates the counters, evicts what the candidate displaces and
+        ranks its key; returns the slot the caller must fill with the
+        candidate's row, or ``-1`` if it was rejected.
+        """
         if key in self._keys:
             self.rejected_duplicate += 1
-            return False
+            return -1
         if self.min_distance > 1 and self._energies:
             near = self._near_indices(key)
             if near.size:
@@ -185,39 +202,38 @@ class SolutionPool:
                 # replaces all of them (keeping pairwise separation).
                 if energy >= min(self._energies[i] for i in near):
                     self.rejected_diverse += 1
-                    return False
+                    return -1
                 for i in sorted(map(int, near), reverse=True):
                     self._evict(i)
         if len(self._energies) >= self.capacity:
             if energy >= self._energies[-1]:
                 self.rejected_worse += 1
-                return False
+                return -1
             self._evict(len(self._energies) - 1)
         pos = bisect.bisect_left(self._energies, energy)
-        self._energies.insert(pos, float(energy))
-        stored = xb.copy()
-        stored.setflags(write=False)
-        self._solutions.insert(pos, stored)
+        slot = self._free.pop()
+        self._energies.insert(pos, energy)
+        self._order.insert(pos, slot)
         self._entry_keys.insert(pos, key)
-        self._packed.insert(pos, np.frombuffer(key, dtype=np.uint8))
         self._keys.add(key)
         self.inserted += 1
-        return True
+        return slot
 
     def _evict(self, pos: int) -> None:
-        self._solutions.pop(pos)
+        self._free.append(self._order.pop(pos))
         self._energies.pop(pos)
-        self._packed.pop(pos)
         self._keys.discard(self._entry_keys.pop(pos))
 
     def _near_indices(self, key: bytes) -> np.ndarray:
-        """Sorted positions of entries closer than ``min_distance``.
+        """Sorted ranks of entries closer than ``min_distance``.
 
-        XOR/popcount over the pool's own ``np.packbits`` keys.  Exact
-        duplicates never reach this check (the key set catches them).
+        XOR/popcount over the pool's own ``np.packbits`` keys, joined
+        into one ``(m, ⌈n/8⌉)`` view.  Exact duplicates never reach
+        this check (the key set catches them).
         """
         cand = np.frombuffer(key, dtype=np.uint8)
-        diff = np.bitwise_xor(np.stack(self._packed), cand)
+        packed = np.frombuffer(b"".join(self._entry_keys), dtype=np.uint8)
+        diff = np.bitwise_xor(packed.reshape(len(self._entry_keys), -1), cand)
         dists = np.bitwise_count(diff).sum(axis=1, dtype=np.int64)
         return np.flatnonzero(dists < self.min_distance)
 
@@ -232,12 +248,16 @@ class SolutionPool:
         return len(self._energies)
 
     def __iter__(self) -> Iterator[PoolEntry]:
-        for e, x in zip(self._energies, self._solutions):
-            yield PoolEntry(e, x)
+        mat = self.as_matrix()
+        mat.setflags(write=False)
+        return map(PoolEntry, list(self._energies), mat)
 
     def __getitem__(self, rank: int) -> PoolEntry:
-        """Entry at sorted position ``rank`` (0 = best)."""
-        return PoolEntry(self._energies[rank], self._solutions[rank])
+        """Entry at sorted position ``rank`` (0 = best); ``x`` is a
+        read-only copy."""
+        x = self._rows[self._order[rank]].copy()
+        x.setflags(write=False)
+        return PoolEntry(self._energies[rank], x)
 
     def best(self) -> PoolEntry:
         """The lowest-energy entry; raises :class:`IndexError` if empty."""
@@ -255,15 +275,19 @@ class SolutionPool:
         """Sorted energies (copy)."""
         return list(self._energies)
 
+    def rows(self, ranks: np.ndarray) -> np.ndarray:
+        """The entries at sorted ``ranks`` as one ``(len(ranks), n)``
+        uint8 matrix (a copy) — one gather out of the pool matrix, which
+        is how the batched target generator picks its parents."""
+        order = np.array(self._order, dtype=np.intp)
+        return self._rows[order[ranks]]
+
     def as_matrix(self) -> np.ndarray:
         """All pooled solutions as one ``(len, n)`` uint8 matrix (copy).
 
-        Rows are in sorted-energy order (row 0 = best) — the batched
-        target generator fancy-indexes parents straight out of this.
+        Rows are in sorted-energy order (row 0 = best).
         """
-        if not self._solutions:
-            return np.zeros((0, self.n), dtype=np.uint8)
-        return np.stack(self._solutions)
+        return self._rows[np.array(self._order, dtype=np.intp)]
 
     def finite_energy_range(self) -> tuple[float, float] | None:
         """``(best, worst)`` over entries with real energies.
@@ -282,18 +306,16 @@ class SolutionPool:
 
         The diversity signal of Diverse ABS: with niching on, this
         stays bounded below by ``min_distance``; with it off, it
-        collapses as the fleet converges.  Computed on the packed keys
-        (XOR + popcount), so it costs O(m²·n/8) bytes — m is the pool
-        capacity, not the problem size.
+        collapses as the fleet converges.  Bit ``b`` set in ``c_b`` of
+        the ``m`` rows differs in exactly ``c_b·(m − c_b)`` pairs, so
+        the pair total is one column count over the pool matrix —
+        O(m·n), the same integer an all-pairs XOR would sum.
         """
-        m = len(self._packed)
+        m = len(self._order)
         if m < 2:
             return None
-        packed = np.stack(self._packed)
-        total = 0
-        for i in range(m - 1):
-            diff = np.bitwise_xor(packed[i + 1 :], packed[i])
-            total += int(np.bitwise_count(diff).sum())
+        counts = self.as_matrix().sum(axis=0, dtype=np.int64)
+        total = int((counts * (m - counts)).sum())
         return total / (m * (m - 1) // 2)
 
     def evaluated_fraction(self) -> float:
@@ -307,40 +329,32 @@ class SolutionPool:
     # Invariants (used by property-based tests)
     # ------------------------------------------------------------------
     def check_invariants(self) -> None:
-        """Assert sortedness, distinctness, capacity, and key caching.
+        """Assert sortedness, distinctness, capacity, slot order and key
+        caching.
 
         With ``min_distance`` ≥ 2 the distinctness assertion tightens
         to pairwise min-Hamming separation.
         """
-        assert (
-            len(self._energies)
-            == len(self._solutions)
-            == len(self._entry_keys)
-            == len(self._packed)
-            == len(self._keys)
+        m = len(self._energies)
+        assert m == len(self._order) == len(self._entry_keys) == len(self._keys)
+        assert m <= self.capacity
+        assert sorted(self._order + self._free) == list(range(self.capacity)), (
+            "slot order and free slots do not partition the pool matrix"
         )
-        assert len(self._energies) <= self.capacity
         assert all(
-            self._energies[i] <= self._energies[i + 1]
-            for i in range(len(self._energies) - 1)
+            self._energies[i] <= self._energies[i + 1] for i in range(m - 1)
         ), "pool energies not sorted"
-        assert len({s.tobytes() for s in self._solutions}) == len(
-            self._solutions
-        ), "pool contains duplicate solutions"
+        mat = self.as_matrix()
+        assert len({row.tobytes() for row in mat}) == m, (
+            "pool contains duplicate solutions"
+        )
         assert all(
-            cached == pack_key(s)
-            for cached, s in zip(self._entry_keys, self._solutions)
-        ), "cached entry keys out of sync with solutions"
-        assert all(
-            cached == row.tobytes()
-            for cached, row in zip(self._entry_keys, self._packed)
-        ), "cached packed rows out of sync with entry keys"
+            cached == pack_key(row) for cached, row in zip(self._entry_keys, mat)
+        ), "cached entry keys out of sync with the slot order"
         assert set(self._entry_keys) == self._keys
-        if self.min_distance > 1 and len(self._packed) > 1:
-            packed = np.stack(self._packed)
-            for i in range(len(self._packed) - 1):
-                diff = np.bitwise_xor(packed[i + 1 :], packed[i])
-                dists = np.bitwise_count(diff).sum(axis=1, dtype=np.int64)
+        if self.min_distance > 1 and m > 1:
+            for i in range(m - 1):
+                dists = (mat[i + 1 :] != mat[i]).sum(axis=1, dtype=np.int64)
                 assert int(dists.min()) >= self.min_distance, (
                     "pool entries closer than min_distance"
                 )

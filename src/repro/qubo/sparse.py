@@ -357,10 +357,15 @@ class SparseQubo:
         return row
 
     def energy(self, x: np.ndarray) -> int:
-        """``E(X) = XᵀWX`` in O(nnz)."""
-        xb = check_bit_vector(x, self.n, "x").astype(np.int64)
-        coupling = int(xb @ self._matvec(xb))
-        return coupling + int(self._diag @ xb)
+        """``E(X) = XᵀWX`` in O(nnz).
+
+        The coupling is one dot product over the stored entries: entry
+        ``(k, j)`` counts when both ``x_k`` and ``x_j`` are set.  The 0/1
+        products stay uint8; the dot with the int64 weights sums in int64.
+        """
+        xb = check_bit_vector(x, self.n, "x")
+        both = np.repeat(xb, np.diff(self._indptr)) & xb[self._indices]
+        return int(self._data @ both) + int(self._diag @ xb)
 
     def delta_vector(self, x: np.ndarray) -> np.ndarray:
         """All ``Δ_k(X)`` (Eq. 4) in O(nnz)."""

@@ -77,6 +77,60 @@ class TestMutateBatch:
         assert (np.abs(batch_hits - expected) < 6 * np.sqrt(expected)).all()
 
 
+def argpartition_reference(X, scores, flips):
+    """The rank-based mutation: flip each row's ``flips`` lowest-scored
+    bits as ``argpartition`` picks them."""
+    children = X.copy()
+    idx = np.argpartition(scores, flips - 1, axis=1)[:, :flips]
+    children[np.arange(len(X))[:, None], idx] ^= 1
+    return children
+
+
+class CoarseScores:
+    """RNG stub whose float32 scores take only ``levels`` values, so a
+    row's ``flips``-th smallest score is tied with its neighbours."""
+
+    def __init__(self, seed, levels):
+        self._rng = np.random.default_rng(seed)
+        self.levels = levels
+        self.drawn = []
+
+    def random(self, shape, dtype):
+        scores = (self._rng.integers(0, self.levels, shape) / self.levels).astype(dtype)
+        self.drawn.append(scores)
+        return scores
+
+
+class TestThresholdMutation:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_ties_fall_back_to_argpartition(self, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.integers(0, 2, (12, 40), dtype=np.uint8)
+        stub = CoarseScores(seed, levels=5)
+        children = mutate_batch(X, stub, flips=6)
+        (scores,) = stub.drawn
+        kth = np.partition(scores, 5, axis=1)[:, 5:6]
+        assert ((scores <= kth).sum(axis=1) > 6).any()  # the fallback ran
+        assert np.array_equal(children, argpartition_reference(X, scores, 6))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equals_argpartition_on_real_draws(self, seed):
+        X = np.random.default_rng(seed).integers(0, 2, (16, 256), dtype=np.uint8)
+        children = mutate_batch(X, np.random.default_rng(seed), flips=16)
+        scores = np.random.default_rng(seed).random((16, 256), dtype=np.float32)
+        assert np.array_equal(children, argpartition_reference(X, scores, 16))
+
+    @pytest.mark.parametrize("n", [1, 7, 96, 256, 2000])
+    def test_every_row_flips_exactly_flips_bits(self, n):
+        rng = np.random.default_rng(n)
+        X = rng.integers(0, 2, (24, n), dtype=np.uint8)
+        for flips in sorted({1, default_mutation_flips(n), max(1, n // 2), n}):
+            children = mutate_batch(X, rng, flips=flips)
+            assert ((children ^ X).sum(axis=1) == flips).all()
+            coarse = mutate_batch(X, CoarseScores(n, levels=3), flips=flips)
+            assert ((coarse ^ X).sum(axis=1) == flips).all()
+
+
 class TestCrossoverBatch:
     def test_bits_come_from_parents(self, rng):
         A = np.zeros((8, 32), dtype=np.uint8)

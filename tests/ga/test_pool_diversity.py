@@ -145,10 +145,16 @@ class TestInterleavingProperties:
             assert pairwise_min_distance(pool) >= d
 
     @settings(max_examples=60, deadline=None)
-    @given(ops=ops_strategy, d=st.integers(min_value=0, max_value=6))
-    def test_batch_equals_sequential(self, ops, d):
-        batched = SolutionPool(12, capacity=5, min_distance=d)
-        sequential = SolutionPool(12, capacity=5, min_distance=d)
+    @given(
+        ops=ops_strategy,
+        d=st.integers(min_value=0, max_value=6),
+        capacity=st.integers(min_value=1, max_value=6),
+    )
+    def test_batch_equals_sequential(self, ops, d, capacity):
+        # Small capacities churn the pool's slots: evictions and niche
+        # replacements free slots that later rows reuse.
+        batched = SolutionPool(12, capacity=capacity, min_distance=d)
+        sequential = SolutionPool(12, capacity=capacity, min_distance=d)
         for is_batch, entries in ops:
             X = np.stack([to_vec(p) for p, _ in entries])
             E = np.array([e for _, e in entries], dtype=np.int64)
@@ -160,15 +166,15 @@ class TestInterleavingProperties:
                 sequential.insert(X[i], int(E[i])) for i in range(len(E))
             )
             assert got == want
-        assert batched.energies() == sequential.energies()
-        assert np.array_equal(batched.as_matrix(), sequential.as_matrix())
-        for name in (
-            "inserted",
-            "rejected_duplicate",
-            "rejected_worse",
-            "rejected_diverse",
-        ):
-            assert getattr(batched, name) == getattr(sequential, name)
+            assert batched.energies() == sequential.energies()
+            assert np.array_equal(batched.as_matrix(), sequential.as_matrix())
+            for name in (
+                "inserted",
+                "rejected_duplicate",
+                "rejected_worse",
+                "rejected_diverse",
+            ):
+                assert getattr(batched, name) == getattr(sequential, name)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))

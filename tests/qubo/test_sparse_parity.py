@@ -132,6 +132,16 @@ def test_maxcut_digest_pinned():
     assert problem_digest(sq) == GOLDEN_MAXCUT_2000
 
 
+def test_energy_on_pinned_maxcut_matches_dense():
+    sq = maxcut_to_sparse_qubo(random_graph(2000, 19990, seed=1))
+    dense = sq.to_dense()
+    rng = np.random.default_rng(2000)
+    for x in [np.zeros(2000, np.uint8), np.ones(2000, np.uint8)] + [
+        rng.integers(0, 2, 2000, dtype=np.uint8) for _ in range(4)
+    ]:
+        assert sq.energy(x) == energy(dense, x)
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_energy_and_deltas_with_empty_rows(seed):
     """Isolated vertices give empty CSR rows, between full ones and at
