@@ -36,12 +36,13 @@ from __future__ import annotations
 import json
 import multiprocessing
 import time
+from multiprocessing import shared_memory
 from pathlib import Path
 
 import numpy as np
 
 from repro.abs.buffers import pack_solutions
-from repro.abs.exchange import SolutionRing, TargetMailbox
+from repro.abs.exchange import TargetMailbox, segment_size, segment_views
 from repro.abs.host import Host
 from repro.ga.host import GaConfig, TargetGenerator
 from repro.ga.pool import SolutionPool
@@ -122,8 +123,8 @@ def _measure_queue_scalar(n: int, blocks: int, rounds: int) -> dict:
 
 def _measure_shm_batched(n: int, blocks: int, rounds: int) -> dict:
     """Rings lane: bit-packed shm ring/mailbox + batched GA + batch absorb."""
-    ring = SolutionRing.create(blocks, n, slots=4)
-    mailbox = TargetMailbox.create(blocks, n)
+    segment = shared_memory.SharedMemory(create=True, size=segment_size(blocks, n))
+    mailbox, ring = segment_views(segment.buf, blocks, n)
     try:
         pool, gen = _make_host(n, seed=1)
         meta = np.zeros(16, dtype=np.int64)
@@ -143,15 +144,20 @@ def _measure_shm_batched(n: int, blocks: int, rounds: int) -> dict:
             mailbox.fetch(0, epoch=0)
         elapsed = time.perf_counter() - t0
     finally:
-        ring.unlink()
-        mailbox.unlink()
+        ring.release()
+        mailbox.release()
+        segment.close()
+        segment.unlink()
     return {"elapsed_s": round(elapsed, 6), "per_round_ms": round(1e3 * elapsed / rounds, 3)}
 
 
 def _measure_host_step(n: int, blocks: int, capacity: int) -> dict:
     """Quartiles of one host step: absorb a round, answer it, publish."""
     host = Host(n, capacity)
-    mailbox = TargetMailbox.create(blocks, n)
+    segment = shared_memory.SharedMemory(
+        create=True, size=TargetMailbox.size(blocks, n)
+    )
+    mailbox = TargetMailbox(segment.buf, 0, blocks, n)
     rng = np.random.default_rng(0)
     total = _HOST_STEP_WARMUP + _HOST_STEP_ROUNDS
     # Energies drift down like a search's, so the pool keeps admitting
@@ -171,7 +177,9 @@ def _measure_host_step(n: int, blocks: int, capacity: int) -> dict:
             mailbox.publish(host.make_targets(blocks), epoch=0)
             times[r] = time.perf_counter() - t0
     finally:
-        mailbox.unlink()
+        mailbox.release()
+        segment.close()
+        segment.unlink()
     q1, q2, q3 = np.percentile(times[_HOST_STEP_WARMUP:] * 1e6, [25, 50, 75])
     return {
         "rounds": _HOST_STEP_ROUNDS,

@@ -4,30 +4,36 @@ In the paper the target buffer and the solution buffer are preallocated
 arrays in GPU global memory; a *global counter* advanced by the devices
 tells the host how many solutions have been stored, and the host polls
 it with ``cudaMemcpyAsync`` without ever stopping the kernels.  This
-module is the process-mode realization of those buffers:
+module is the process-mode realization of those buffers.  Each worker
+gets one ``multiprocessing.shared_memory`` segment per job, laid out
+``[mailbox | ring]`` with the ring at the next multiple of 64 bytes
+(:func:`ring_offset`), so every int64 word is aligned.  The two
+buffers are plain views over ``(buf, offset)``, each with a static
+``size`` and a ``release`` that drops its arrays before the segment
+closes:
 
-- :class:`TargetMailbox` — a double-buffered target slot per worker in
-  ``multiprocessing.shared_memory``.  The host *publishes* a whole
-  ``(B, n)`` target batch (bit-packed) under a seqlock: payload first,
-  then the generation counter.  A worker *fetches* the freshest
-  generation without locks; a torn read is detected by re-reading the
-  counter and retried.  Like the paper's target buffer, only the
-  newest batch matters — a slow worker simply skips generations.
+- :class:`TargetMailbox` — a double-buffered target slot.  The host
+  *publishes* a whole ``(B, n)`` target batch (bit-packed) under a
+  seqlock: payload first, then the generation counter.  A worker
+  *fetches* the freshest generation without locks; a torn read is
+  detected by re-reading the counter and retried.  Like the paper's
+  target buffer, only the newest batch matters — a slow worker simply
+  skips generations.
 - :class:`SolutionRing` — a single-producer single-consumer ring of
-  result records per worker.  Each slot carries the per-block best
-  energies, the bit-packed best solutions, and the worker's cumulative
-  counters; ``head``/``tail`` are the global counters of Figure 5.
-  The producer blocks (with a stall counter) only when the host has
-  fallen a full ring behind.
+  result records.  Each slot carries the per-block best energies, the
+  bit-packed best solutions, and the worker's cumulative counters;
+  ``head``/``tail`` are the global counters of Figure 5.  The producer
+  blocks (with a stall counter) only when the host has fallen a full
+  ring behind.
 - :class:`ShmHostTransport` — the host side of one job, which
   :meth:`~repro.abs.fleet.WorkerFleet.arm_job` builds for the job's
-  size: one mailbox and one ring per worker, per-worker target
-  ``channels`` with ``put``, a picklable ``worker_ref``, the worker's
-  ``bells``, a ``poll`` for the next :class:`ResultBatch`,
-  ``result_backlog``, ``end_job``, ``describe``, ``close``, and byte
-  statistics.
-- :class:`ShmWorkerEndpoint` — the worker-side counterpart, attached
-  from a ``worker_ref``.
+  size: it creates and unlinks one segment per worker, and offers
+  per-worker target ``channels`` with ``put``, a picklable
+  ``worker_ref``, the worker's ``bells``, a ``poll`` for the next
+  :class:`ResultBatch`, ``result_backlog``, ``end_job``, ``describe``,
+  ``close``, and byte statistics.
+- :class:`ShmWorkerEndpoint` — the worker-side counterpart, which
+  attaches its segment once from a ``worker_ref``.
 
 **Doorbells.**  The paper's host polls the device's global counter and
 its kernels never stop.  Here host and workers share CPU cores, so
@@ -57,8 +63,8 @@ published (generation ``g`` lives in slot ``g % 2``), so a reader that
 saw a stable generation counter read a consistent payload.  The ring
 is strictly SPSC — the producer owns ``head``, the consumer ``tail``.
 Segments belong to one job and are never shared across jobs.  Worker
-restarts within a job (see :mod:`repro.abs.supervisor`) reuse them:
-the mailbox stamps each publish with an *epoch* (the worker
+restarts within a job (see :mod:`repro.abs.supervisor`) re-attach the
+same segment: the mailbox stamps each publish with an *epoch* (the worker
 incarnation it is meant for) so a replacement ignores its
 predecessor's targets, and every ring record carries the producer's
 incarnation so the host can tell stale results from fresh ones.
@@ -125,6 +131,9 @@ _H_SEQ = 0  # mailbox: generation counter; ring: head (producer-owned)
 _H_EPOCH = 1  # mailbox: incarnation of the latest publish; ring: tail
 _H_OVER = 2  # mailbox: nonzero once the host ended the job
 
+#: Alignment of the ring inside a worker's segment, in bytes.
+_SEGMENT_ALIGN = 64
+
 #: Longest single block on a bell, in seconds.  Every store is followed
 #: by a ring, so a wait that runs this long means a peer died between
 #: its store and its ring, or the waiter's stop condition changed
@@ -182,94 +191,42 @@ class ResultBatch:
 
 
 # ----------------------------------------------------------------------
-# Shared-memory primitives
+# Shared-memory views
 # ----------------------------------------------------------------------
-class _ShmRegion:
-    """Create/attach/close/unlink plumbing shared by mailbox and ring."""
-
-    def __init__(self, shm: shared_memory.SharedMemory, owner: bool) -> None:
-        self._shm = shm
-        self._owner = owner
-
-    @property
-    def name(self) -> str:
-        return self._shm.name
-
-    def close(self) -> None:
-        """Detach this process's mapping."""
-        # Views into shm.buf must be dropped before close(); subclasses
-        # override _release_views for that.
-        self._release_views()
-        self._shm.close()
-
-    def unlink(self) -> None:
-        """Destroy the segment (owner only; also closes)."""
-        self.close()
-        if self._owner:
-            try:
-                self._shm.unlink()
-            except FileNotFoundError:  # already unlinked
-                pass
-
-    def _release_views(self) -> None:  # pragma: no cover - overridden
-        pass
-
-
-class TargetMailbox(_ShmRegion):
+class TargetMailbox:
     """Double-buffered target batch in shared memory (host → worker).
 
-    Layout: an int64 header ``[generation, epoch, job_over, …]``
-    followed by two
-    bit-packed ``(n_blocks, ⌈n/8⌉)`` payload slots.  Generation ``g``
-    is published into slot ``g % 2``, so the slot of the *current*
-    generation is never overwritten by the next publish — the seqlock
-    reader only needs to re-check the generation counter after copying
-    the payload.
+    A view over ``buf`` from byte ``offset`` on: an int64 header
+    ``[generation, epoch, job_over, …]`` followed by two bit-packed
+    ``(n_blocks, ⌈n/8⌉)`` payload slots.  Generation ``g`` is published
+    into slot ``g % 2``, so the slot of the *current* generation is
+    never overwritten by the next publish — the seqlock reader only
+    needs to re-check the generation counter after copying the payload.
+    Fresh memory reads as zeros, which is the empty mailbox.
     """
 
-    def __init__(
-        self,
-        shm: shared_memory.SharedMemory,
-        n_blocks: int,
-        n: int,
-        owner: bool,
-    ) -> None:
-        super().__init__(shm, owner)
+    def __init__(self, buf: Any, offset: int, n_blocks: int, n: int) -> None:
         self.n_blocks = int(n_blocks)
         self.n = int(n)
-        self._packed_n = packed_length(n)
-        self._header = np.ndarray((_HEADER_SLOTS,), dtype=WIRE_I64, buffer=shm.buf)
+        self._header = np.ndarray(
+            (_HEADER_SLOTS,), dtype=WIRE_I64, buffer=buf, offset=offset
+        )
         self._slots = np.ndarray(
-            (2, self.n_blocks, self._packed_n),
+            (2, self.n_blocks, packed_length(n)),
             dtype=WIRE_U8,
-            buffer=shm.buf,
-            offset=_HEADER_SLOTS * 8,
+            buffer=buf,
+            offset=offset + _HEADER_SLOTS * 8,
         )
 
-    def _release_views(self) -> None:
-        self._header = None  # type: ignore[assignment]
-        self._slots = None  # type: ignore[assignment]
-
     @staticmethod
-    def _size(n_blocks: int, n: int) -> int:
+    def size(n_blocks: int, n: int) -> int:
+        """Bytes the view spans."""
         return _HEADER_SLOTS * 8 + 2 * n_blocks * packed_length(n)
 
-    @classmethod
-    def create(cls, n_blocks: int, n: int) -> "TargetMailbox":
-        shm = shared_memory.SharedMemory(create=True, size=cls._size(n_blocks, n))
-        box = cls(shm, n_blocks, n, owner=True)
-        box._header[:] = 0
-        return box
-
-    @property
-    def descriptor(self) -> tuple[str, int, int]:
-        """Picklable handle: ``(name, n_blocks, n)``."""
-        return (self.name, self.n_blocks, self.n)
-
-    @classmethod
-    def attach(cls, descriptor: tuple[str, int, int]) -> "TargetMailbox":
-        name, n_blocks, n = descriptor
-        return cls(shared_memory.SharedMemory(name=name), n_blocks, n, owner=False)
+    def release(self) -> None:
+        """Drop the arrays, so the mapping under them can close."""
+        self._header = None  # type: ignore[assignment]
+        self._slots = None  # type: ignore[assignment]
 
     @property
     def generation(self) -> int:
@@ -330,54 +287,48 @@ class TargetMailbox(_ShmRegion):
             return gen, unpack_solutions(payload, self.n)
 
 
-class SolutionRing(_ShmRegion):
+class SolutionRing:
     """SPSC result ring in shared memory (worker → host).
 
-    Layout: an int64 header ``[head, tail, …]`` followed by ``slots``
-    fixed-size records, each ``(meta int64[16], energies int64[B],
-    packed uint8[B × ⌈n/8⌉])``.  ``head`` is advanced only by the
-    producer (after the record is fully written), ``tail`` only by the
-    consumer — the paper's global counter, split per direction.
+    A view over ``buf`` from byte ``offset`` on: an int64 header
+    ``[head, tail, …]`` followed by ``slots`` fixed-size records, each
+    ``(meta int64[16], energies int64[B], packed uint8[B × ⌈n/8⌉])``.
+    ``head`` is advanced only by the producer (after the record is
+    fully written), ``tail`` only by the consumer — the paper's global
+    counter, split per direction.  Fresh memory reads as zeros, which
+    is the empty ring.
     """
 
     def __init__(
-        self,
-        shm: shared_memory.SharedMemory,
-        n_blocks: int,
-        n: int,
-        slots: int,
-        owner: bool,
+        self, buf: Any, offset: int, n_blocks: int, n: int, slots: int
     ) -> None:
-        super().__init__(shm, owner)
+        if slots < 1:
+            raise ValueError(f"slots must be >= 1, got {slots}")
         self.n_blocks = int(n_blocks)
         self.n = int(n)
         self.slots = int(slots)
-        self._packed_n = packed_length(n)
-        offset = _HEADER_SLOTS * 8
-        self._header = np.ndarray((_HEADER_SLOTS,), dtype=WIRE_I64, buffer=shm.buf)
+        self._header = np.ndarray(
+            (_HEADER_SLOTS,), dtype=WIRE_I64, buffer=buf, offset=offset
+        )
+        offset += _HEADER_SLOTS * 8
         self._meta = np.ndarray(
-            (self.slots, _META_SLOTS), dtype=WIRE_I64, buffer=shm.buf, offset=offset
+            (self.slots, _META_SLOTS), dtype=WIRE_I64, buffer=buf, offset=offset
         )
         offset += self.slots * _META_SLOTS * 8
         self._energies = np.ndarray(
-            (self.slots, self.n_blocks), dtype=WIRE_I64, buffer=shm.buf, offset=offset
+            (self.slots, self.n_blocks), dtype=WIRE_I64, buffer=buf, offset=offset
         )
         offset += self.slots * self.n_blocks * 8
         self._packed = np.ndarray(
-            (self.slots, self.n_blocks, self._packed_n),
+            (self.slots, self.n_blocks, packed_length(n)),
             dtype=WIRE_U8,
-            buffer=shm.buf,
+            buffer=buf,
             offset=offset,
         )
 
-    def _release_views(self) -> None:
-        self._header = None  # type: ignore[assignment]
-        self._meta = None  # type: ignore[assignment]
-        self._energies = None  # type: ignore[assignment]
-        self._packed = None  # type: ignore[assignment]
-
     @staticmethod
-    def _size(n_blocks: int, n: int, slots: int) -> int:
+    def size(n_blocks: int, n: int, slots: int) -> int:
+        """Bytes the view spans."""
         return (
             _HEADER_SLOTS * 8
             + slots * _META_SLOTS * 8
@@ -385,30 +336,12 @@ class SolutionRing(_ShmRegion):
             + slots * n_blocks * packed_length(n)
         )
 
-    @classmethod
-    def create(
-        cls, n_blocks: int, n: int, slots: int = DEFAULT_RING_SLOTS
-    ) -> "SolutionRing":
-        if slots < 1:
-            raise ValueError(f"slots must be >= 1, got {slots}")
-        shm = shared_memory.SharedMemory(
-            create=True, size=cls._size(n_blocks, n, slots)
-        )
-        ring = cls(shm, n_blocks, n, slots, owner=True)
-        ring._header[:] = 0
-        return ring
-
-    @property
-    def descriptor(self) -> tuple[str, int, int, int]:
-        """Picklable handle: ``(name, n_blocks, n, slots)``."""
-        return (self.name, self.n_blocks, self.n, self.slots)
-
-    @classmethod
-    def attach(cls, descriptor: tuple[str, int, int, int]) -> "SolutionRing":
-        name, n_blocks, n, slots = descriptor
-        return cls(
-            shared_memory.SharedMemory(name=name), n_blocks, n, slots, owner=False
-        )
+    def release(self) -> None:
+        """Drop the arrays, so the mapping under them can close."""
+        self._header = None  # type: ignore[assignment]
+        self._meta = None  # type: ignore[assignment]
+        self._energies = None  # type: ignore[assignment]
+        self._packed = None  # type: ignore[assignment]
 
     def backlog(self) -> int:
         """Records written but not yet consumed."""
@@ -456,6 +389,34 @@ class SolutionRing(_ShmRegion):
         )
         self._header[_H_EPOCH] = tail + 1
         return record
+
+
+def ring_offset(n_blocks: int, n: int) -> int:
+    """Where the ring starts in a worker's ``[mailbox | ring]`` segment.
+
+    The mailbox's size is not a multiple of 8 in general, so the ring
+    starts at the next multiple of :data:`_SEGMENT_ALIGN`: the seqlock
+    and the ring rely on aligned 8-byte stores not being torn.
+    """
+    size = TargetMailbox.size(n_blocks, n)
+    return -(-size // _SEGMENT_ALIGN) * _SEGMENT_ALIGN
+
+
+def segment_size(n_blocks: int, n: int) -> int:
+    """Bytes of one worker's ``[mailbox | ring]`` segment."""
+    return ring_offset(n_blocks, n) + SolutionRing.size(
+        n_blocks, n, DEFAULT_RING_SLOTS
+    )
+
+
+def segment_views(
+    buf: Any, n_blocks: int, n: int
+) -> tuple[TargetMailbox, SolutionRing]:
+    """The mailbox and the ring over one worker's segment ``buf``."""
+    return (
+        TargetMailbox(buf, 0, n_blocks, n),
+        SolutionRing(buf, ring_offset(n_blocks, n), n_blocks, n, DEFAULT_RING_SLOTS),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -518,8 +479,15 @@ class ShmHostTransport:
         self._host_bell = host_bell if host_bell is not None else threading.Semaphore(0)
         #: Host waits that ran to the full :data:`_BELL_TIMEOUT` unrung.
         self.bell_timeouts = 0
-        self._mailboxes = [TargetMailbox.create(n_blocks, n) for _ in range(n_workers)]
-        self._rings = [SolutionRing.create(n_blocks, n) for _ in range(n_workers)]
+        # One segment per worker, laid out [mailbox | ring]; a fresh
+        # segment reads as zeros, so both start empty.
+        self._segments = [
+            shared_memory.SharedMemory(create=True, size=segment_size(n_blocks, n))
+            for _ in range(n_workers)
+        ]
+        views = [segment_views(seg.buf, n_blocks, n) for seg in self._segments]
+        self._mailboxes = [box for box, _ in views]
+        self._rings = [ring for _, ring in views]
         #: Per-worker target channels (indexed by worker id).
         self.channels = [
             _MailboxTargetChannel(box, self.stats, bell)
@@ -527,9 +495,10 @@ class ShmHostTransport:
         ]
         self._rr = 0  # round-robin fairness cursor over worker rings
 
-    def worker_ref(self, worker_id: int) -> tuple:
-        """What :class:`ShmWorkerEndpoint` attaches from (picklable)."""
-        return (self._mailboxes[worker_id].descriptor, self._rings[worker_id].descriptor)
+    def worker_ref(self, worker_id: int) -> tuple[str, int, int]:
+        """What :class:`ShmWorkerEndpoint` attaches from (picklable):
+        ``(segment name, n_blocks, n)``."""
+        return (self._segments[worker_id].name, self.n_blocks, self.n)
 
     def bells(self, worker_id: int) -> tuple[Any, Any]:
         """``(worker bell, host bell)``: the endpoint's ``bells`` argument."""
@@ -609,10 +578,15 @@ class ShmHostTransport:
         }
 
     def close(self) -> None:
-        for box in self._mailboxes:
-            box.unlink()
-        for ring in self._rings:
-            ring.unlink()
+        """Release the views, then close and unlink every segment."""
+        for box, ring, seg in zip(self._mailboxes, self._rings, self._segments):
+            box.release()
+            ring.release()
+            seg.close()
+            try:
+                seg.unlink()
+            except FileNotFoundError:  # already unlinked
+                pass
 
 
 # ----------------------------------------------------------------------
@@ -639,9 +613,9 @@ class ShmWorkerEndpoint:
         stop_evt: Any,
         bells: tuple[Any, Any] | None = None,
     ) -> None:
-        mailbox_desc, ring_desc = ref
-        self._mailbox = TargetMailbox.attach(mailbox_desc)
-        self._ring = SolutionRing.attach(ring_desc)
+        name, n_blocks, n = ref
+        self._segment = shared_memory.SharedMemory(name=name)
+        self._mailbox, self._ring = segment_views(self._segment.buf, n_blocks, n)
         self._events_q = events_q
         self._tag = (int(worker_id), int(job_seq), int(incarnation))
         self._incarnation = int(incarnation)
@@ -714,5 +688,6 @@ class ShmWorkerEndpoint:
         return True
 
     def close(self) -> None:
-        self._mailbox.close()
-        self._ring.close()
+        self._mailbox.release()
+        self._ring.release()
+        self._segment.close()

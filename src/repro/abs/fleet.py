@@ -2,13 +2,13 @@
 
 Process mode runs one OS process per simulated GPU.  A
 :class:`WorkerFleet` owns those processes, the current job's exchange
-transport (the shared-memory mailboxes and rings), the
+transport (one shared-memory segment per worker), the
 :class:`~repro.abs.supervisor.WorkerSupervisor` that restarts dead or
 stalled workers, and the host-side shared-memory weight segments.
 Every worker runs :func:`_fleet_worker_main`: a control loop that
 accepts ``WorkerJob`` frames over a per-worker control queue, attaches
-an exchange endpoint to the job's segments, and runs the device rounds
-until the host ends the job.  On the host side,
+an exchange endpoint to its segment for the job, and runs the device
+rounds until the host ends the job.  On the host side,
 :class:`FleetDevices` hands one job's workers to the host loop that
 sync mode runs too (:func:`~repro.abs.host.run_search_rounds`).
 
@@ -26,14 +26,15 @@ Two callers share one fleet implementation:
 
 **Per-job segments.**  Like the paper's fixed target and solution
 buffers (Figure 5), nothing in the exchange protocol ties a process to
-one problem size.  Each job gets its own mailboxes and rings, sized
-for its ``n``: ``arm_job`` creates them and unlinks the previous job's,
-and the job frame names them, so a worker reads only its current job's
-traffic.  Within a job the mailbox epoch and the ring record carry the
-bare worker incarnation, which is how a restart skips its
-predecessor's targets.  Job sequence numbers start at 1; they tag the
-ack handshake and the telemetry side queue, which is fleet-level
-(a queue cannot travel inside a frame).
+one problem size.  Each job gives each worker one segment holding its
+mailbox and its ring, sized for the job's ``n``: ``arm_job`` creates
+them and unlinks the previous job's, and the job frame names the
+worker's own, so a worker reads only its current job's traffic.
+Within a job the mailbox epoch and the ring record carry the bare
+worker incarnation, which is how a restart skips its predecessor's
+targets.  ``arm_job`` numbers the jobs from 1 and stamps the number
+into every frame; it tags the ack handshake and the telemetry side
+queue, which is fleet-level (a queue cannot travel inside a frame).
 
 **Doorbells and job over.**  The fleet creates one semaphore per
 worker id and one for the host, and hands them to each worker at spawn
@@ -134,11 +135,11 @@ def fleet_params(cfg: AbsConfig) -> dict[str, Any]:
 
     The one mapping from an :class:`AbsConfig` to fleet construction
     arguments.  A one-shot ``solve("process")`` and the service build
-    their fleets from it, the service keys fleet reuse on it, and
-    ``solve_on_fleet`` refuses a fleet whose :attr:`WorkerFleet.params`
-    differ from it.  The problem size is not among them: each job's
-    exchange segments are sized when it is armed, so one fleet serves
-    every size.
+    their fleets from it, and a fleet keeps it as
+    :attr:`WorkerFleet.params`: the service reuses a fleet whose params
+    equal it, and ``solve_on_fleet`` refuses one whose params differ.
+    The problem size is not among them: each job's exchange segments
+    are sized when it is armed, so one fleet serves every size.
     """
     return {
         "n_workers": cfg.n_gpus,
@@ -158,13 +159,12 @@ class WorkerJob:
 
     Carries everything a device needs for one job, minus what the
     worker already owns (its id, its incarnation, the telemetry queue,
-    the stop event).  ``exchange_ref`` names the job's own mailbox and
-    ring; :meth:`WorkerFleet.arm_job` fills it in.  A frame delivered to
-    a freshly restarted worker is read under the replacement's
-    incarnation, never its dead predecessor's.
+    the stop event).  :meth:`WorkerFleet.arm_job` fills in ``job_seq``
+    and ``exchange_ref``, which names the worker's own segment for the
+    job.  A frame delivered to a freshly restarted worker is read under
+    the replacement's incarnation, never its dead predecessor's.
     """
 
-    job_seq: int
     weights_ref: tuple
     digest: str | None
     n_blocks: int
@@ -172,6 +172,7 @@ class WorkerJob:
     backend: str | None
     telemetry_enabled: bool
     lockstep: bool
+    job_seq: int = 0
     exchange_ref: tuple = ()
 
 
@@ -215,12 +216,12 @@ def _fleet_worker_main(
     """Device-process entry point (module-level, picklable).
 
     Sits in a control loop: each ``WorkerJob`` frame closes the previous
-    job's exchange endpoint and attaches a fresh one to the job's own
-    segments, builds a *fresh* :class:`DeviceSimulator` (engines start
-    from the canonical zero state — a service job must match a one-shot
-    solve bit-for-bit), and runs :func:`run_device_rounds` until the
-    host ends the job; the worker then blocks on its control queue for
-    the next frame.  What persists across jobs is exactly the
+    job's exchange endpoint and attaches a fresh one to the worker's
+    segment for the job, builds a *fresh* :class:`DeviceSimulator`
+    (engines start from the canonical zero state — a service job must
+    match a one-shot solve bit-for-bit), and runs
+    :func:`run_device_rounds` until the host ends the job; the worker
+    then blocks on its control queue for the next frame.  What persists across jobs is exactly the
     expensive, state-free plumbing: the process itself, the telemetry
     side queue ``events_q`` and the doorbells ``bells`` (``(own bell,
     host bell)``; both handed over at spawn, because a semaphore
@@ -349,10 +350,17 @@ class WorkerFleet:
     ) -> None:
         from multiprocessing import get_context
 
+        #: This fleet's :func:`fleet_params`: what a job must match.
+        self.params: dict[str, Any] = {
+            "n_workers": int(n_workers),
+            "n_blocks": int(n_blocks),
+            "max_restarts": int(max_restarts),
+            "stall_timeout": stall_timeout,
+            "start_method": start_method,
+        }
         self.n_workers = int(n_workers)
         self.n_blocks = int(n_blocks)
         self.bus = bus if bus is not None else NULL_BUS
-        self.start_method = start_method
         self.ctx = get_context(_resolve_start_method(start_method))
         self.stop_evt = self.ctx.Event()
         # Doorbells (see repro.abs.exchange): one per worker id, which a
@@ -361,8 +369,6 @@ class WorkerFleet:
         self._worker_bells = [self.ctx.Semaphore(0) for _ in range(self.n_workers)]
         self._host_bell = self.ctx.Semaphore(0)
         self.supervisor: WorkerSupervisor | None = None
-        self._max_restarts = int(max_restarts)
-        self._stall_timeout = stall_timeout
         self._arm_timeout = float(arm_timeout)
         # One lock covers the state shared between the arming thread,
         # the supervise thread (whose restart callbacks land in
@@ -372,7 +378,7 @@ class WorkerFleet:
         self._lock = threading.Lock()
         self._job_seq = 0  # guarded-by: _lock
         self._current_jobs: list[WorkerJob] | None = None  # guarded-by: _lock
-        #: The current job's mailboxes and rings (None before the first arm).
+        #: The current job's exchange segments (None before the first arm).
         self._transport: ShmHostTransport | None = None  # guarded-by: _lock
         self._controls: dict[int, Any] = {}  # guarded-by: _lock
         self._all_controls: list[Any] = []  # guarded-by: _lock
@@ -394,23 +400,6 @@ class WorkerFleet:
     # ------------------------------------------------------------------
     # Identity
     # ------------------------------------------------------------------
-    @property
-    def params(self) -> dict[str, Any]:
-        """This fleet's :func:`fleet_params`: what a job must match."""
-        return {
-            "n_workers": self.n_workers,
-            "n_blocks": self.n_blocks,
-            "max_restarts": self._max_restarts,
-            "stall_timeout": self._stall_timeout,
-            "start_method": self.start_method,
-        }
-
-    @property
-    def job_seq(self) -> int:
-        """Sequence number of the current (or last armed) job."""
-        with self._lock:
-            return self._job_seq
-
     @property
     def transport(self) -> ShmHostTransport:
         """The current job's exchange, built by :meth:`arm_job`."""
@@ -437,8 +426,8 @@ class WorkerFleet:
         self.supervisor = WorkerSupervisor(
             self.n_workers,
             self._spawn,
-            max_restarts=self._max_restarts,
-            stall_timeout=self._stall_timeout,
+            max_restarts=self.params["max_restarts"],
+            stall_timeout=self.params["stall_timeout"],
             bus=self.bus,
         )
         self.supervisor.start()
@@ -478,11 +467,6 @@ class WorkerFleet:
     # ------------------------------------------------------------------
     # Job management
     # ------------------------------------------------------------------
-    def next_job_seq(self) -> int:
-        """Reserve the next job sequence number (starts at 1)."""
-        with self._lock:
-            return self._job_seq + 1
-
     def weights_ref_for(
         self, weights: Any, digest: str | None
     ) -> tuple[tuple, bool]:
@@ -511,18 +495,19 @@ class WorkerFleet:
             self._weights_cache.popitem(last=False)[1].unlink()
         return ("shm", shared.descriptor), False
 
-    def arm_job(self, n: int, jobs: list[WorkerJob]) -> None:
+    def arm_job(self, n: int, jobs: list[WorkerJob]) -> int:
         """Build the job's exchange, deliver one job frame per worker,
-        and wait for the ack gate.
+        wait for the ack gate, and return the job's sequence number.
 
         ``n`` is the job's problem size; ``jobs`` is indexed by worker
-        id and must share one ``job_seq`` (from :meth:`next_job_seq`).
-        The job gets fresh mailboxes and rings sized for ``n``, and the
-        previous job's are closed and unlinked (a worker still running
-        that job keeps its mapping until it reads the new frame).  On
-        return every healthy worker has attached the new segments and
-        finished its per-job setup (weight attach, backend prepare and
-        compile, device build): the return marks the end of the job's
+        id.  Each frame is stamped with the next ``job_seq`` (the first
+        job is 1) and its worker's ``exchange_ref``.  The job gets one
+        fresh segment per worker sized for ``n``, and the previous
+        job's are closed and unlinked (a worker still running that job
+        keeps its mapping until it reads the new frame).  On return
+        every healthy worker has attached its new segment and finished
+        its per-job setup (weight attach, backend prepare and compile,
+        device build): the return marks the end of the job's
         ``setup_ns`` and the start of its search clock.
         Workers that die during the handshake are restarted and
         re-armed at spawn with the current frame; the call fails only
@@ -530,17 +515,9 @@ class WorkerFleet:
         """
         if self.supervisor is None:
             raise RuntimeError("fleet not started")
-        if len(jobs) != self.n_workers:
-            raise ValueError(f"need {self.n_workers} jobs, got {len(jobs)}")
-        job_seq = jobs[0].job_seq
         with self._lock:
             prev_seq = self._job_seq
-        if job_seq <= prev_seq:
-            raise ValueError(
-                f"job_seq must advance: {job_seq} <= {prev_seq}"
-            )
-        if any(j.job_seq != job_seq for j in jobs):
-            raise ValueError("all jobs in one arm must share a job_seq")
+        job_seq = prev_seq + 1
         # Flush the previous job's buffered event bundles under *its*
         # sequence before the job moves — e.g. a final round's device
         # events that landed after that job's host loop stopped polling.
@@ -553,7 +530,7 @@ class WorkerFleet:
             host_bell=self._host_bell,
         )
         jobs = [
-            replace(job, exchange_ref=transport.worker_ref(wid))
+            replace(job, job_seq=job_seq, exchange_ref=transport.worker_ref(wid))
             for wid, job in enumerate(jobs)
         ]
         with self._lock:
@@ -594,7 +571,7 @@ class WorkerFleet:
                 )
             if healthy <= acked:
                 self.jobs_armed += 1
-                return
+                return job_seq
             try:
                 wid, jseq = self._ack_q.get(timeout=0.1)
             except queue_mod.Empty:
@@ -714,7 +691,7 @@ class WorkerFleet:
         except Exception:  # pragma: no cover - teardown best-effort
             pass
         # Drain the control queues so their feeder threads can exit,
-        # then unlink the current job's rings and mailboxes.
+        # then unlink the current job's segments.
         with self._lock:
             all_controls = list(self._all_controls)
         for q in (*all_controls, self._ack_q):

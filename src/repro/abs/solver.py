@@ -475,10 +475,8 @@ class AdaptiveBulkSearch:
         factory = RngFactory(cfg.seed)
         host, plans = self._job_plan(factory, self._variants())
         weights_ref, _weights_hit = workers.weights_ref_for(self.W, digest)
-        job_seq = workers.next_job_seq()
         jobs = [
             WorkerJob(
-                job_seq=job_seq,
                 weights_ref=weights_ref,
                 digest=digest,
                 n_blocks=cfg.blocks_per_gpu,
@@ -491,7 +489,7 @@ class AdaptiveBulkSearch:
         ]
         if bus.enabled:
             self._emit_start("process")
-        workers.arm_job(self.n, jobs)
+        job_seq = workers.arm_job(self.n, jobs)
         if bus.enabled:
             bus.emit("exchange.open", **workers.transport.describe())
         return self._search(

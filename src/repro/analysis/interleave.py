@@ -4,8 +4,8 @@ The shared-memory ``TargetMailbox`` (seqlock'd double buffer) and
 ``SolutionRing`` (SPSC ring) in :mod:`repro.abs.exchange` are the one
 lock-free component this project owns, and their safety argument is a
 store-ordering convention that unit tests can only sample.  This module
-*explores* it: the real mailbox/ring objects are instantiated over a
-process-local heap buffer, their ``publish``/``fetch``/``write``/
+*explores* it: the real mailbox/ring views are built over a
+process-local ``bytearray``, their ``publish``/``fetch``/``write``/
 ``consume`` bodies are re-expressed as step machines in which every
 shared-memory access is one atomic step (payload stores and copies are
 split into two halves so torn reads are representable), and a memoized
@@ -70,32 +70,6 @@ _EPOCH = 1
 
 class InterleaveViolation(AssertionError):
     """An invariant broke under some interleaving (carries the schedule)."""
-
-
-class _HeapShm:
-    """Duck-typed ``SharedMemory`` over process-local bytes.
-
-    The exchange classes only need ``.buf``/``.name``/``.close``; a heap
-    buffer lets the explorer snapshot and restore the entire region as
-    ``bytes`` without the syscall cost (or name churn) of real POSIX
-    segments.
-    """
-
-    def __init__(self, size: int) -> None:
-        self._data = bytearray(size)
-        self.buf = memoryview(self._data)
-        self.name = f"heap-{size}"
-        self.size = size
-
-    @property
-    def data(self) -> bytearray:
-        return self._data
-
-    def close(self) -> None:  # pragma: no cover - symmetry only
-        pass
-
-    def unlink(self) -> None:  # pragma: no cover - symmetry only
-        pass
 
 
 # --------------------------------------------------------------------------
@@ -389,7 +363,7 @@ class _Bell:
     Only the non-blocking acquire exists: a blocking one is a waiter
     that reports :meth:`_Actor.blocked` while the count is zero."""
 
-    def __init__(self, buf: memoryview, offset: int) -> None:
+    def __init__(self, buf: bytearray, offset: int) -> None:
         self._count = np.ndarray((1,), dtype=WIRE_I64, buffer=buf, offset=offset)
 
     @property
@@ -712,31 +686,36 @@ def _explore(
     )
 
 
-def make_mailbox(n_blocks: int = 1, n: int = 16) -> TargetMailbox:
-    """A real ``TargetMailbox`` over heap memory (two payload bytes)."""
-    shm = _HeapShm(TargetMailbox._size(n_blocks, n))
-    box = TargetMailbox(shm, n_blocks, n, owner=True)  # type: ignore[arg-type]
-    box._header[:] = 0
-    return box
+def make_mailbox(
+    n_blocks: int = 1, n: int = 16, extra: int = 0
+) -> tuple[TargetMailbox, bytearray]:
+    """A real ``TargetMailbox`` over heap bytes (two payload bytes), and
+    the bytes, with ``extra`` more after the mailbox (for bells).
+
+    Heap bytes let the explorer snapshot and restore the whole region
+    without the syscall cost of a real segment."""
+    region = bytearray(TargetMailbox.size(n_blocks, n) + extra)
+    return TargetMailbox(region, 0, n_blocks, n), region
 
 
-def make_ring(n_blocks: int = 1, n: int = 8, slots: int = 2) -> SolutionRing:
-    """A real ``SolutionRing`` over heap memory (one-byte payload)."""
-    shm = _HeapShm(SolutionRing._size(n_blocks, n, slots))
-    ring = SolutionRing(shm, n_blocks, n, slots, owner=True)  # type: ignore[arg-type]
-    ring._header[:] = 0
-    return ring
+def make_ring(
+    n_blocks: int = 1, n: int = 8, slots: int = 2, extra: int = 0
+) -> tuple[SolutionRing, bytearray]:
+    """A real ``SolutionRing`` over heap bytes (one-byte payload), and
+    the bytes, with ``extra`` more after the ring (for bells)."""
+    region = bytearray(SolutionRing.size(n_blocks, n, slots) + extra)
+    return SolutionRing(region, 0, n_blocks, n, slots), region
 
 
 def explore_mailbox(depth: int = 6, bug: str | None = None) -> InterleaveReport:
     """Exhaustively interleave ``depth`` publishes against ``depth`` fetches."""
-    box = make_mailbox()
+    box, region = make_mailbox()
     actors: list[_Actor] = [
         _MailboxWriter(box, depth, bug=bug if bug == "seq_first" else None),
         _MailboxReader(box, depth, bug=bug if bug == "no_recheck" else None),
     ]
     return _explore(f"TargetMailbox(bug={bug})" if bug else "TargetMailbox",
-                    depth, box._shm.data, actors)  # type: ignore[attr-defined]
+                    depth, region, actors)
 
 
 def explore_ring(
@@ -746,14 +725,14 @@ def explore_ring(
 
     ``slots=2`` with ``depth > 2`` forces wraparound and full-ring
     back-pressure into the explored graph."""
-    ring = make_ring(slots=slots)
+    ring, region = make_ring(slots=slots)
     actors: list[_Actor] = [
         _RingProducer(ring, depth,
                       bug=bug if bug in ("early_head", "no_full_check") else None),
         _RingConsumer(ring, depth),
     ]
     return _explore(f"SolutionRing(bug={bug})" if bug else "SolutionRing",
-                    depth, ring._shm.data, actors)  # type: ignore[attr-defined]
+                    depth, region, actors)
 
 
 def explore_mailbox_doorbell(
@@ -764,16 +743,14 @@ def explore_mailbox_doorbell(
 
     ``bug='ring_before_seq'`` rings the bell before the generation
     store."""
-    mailbox_size = TargetMailbox._size(1, 16)
-    shm = _HeapShm(mailbox_size + 8)
-    box = TargetMailbox(shm, 1, 16, owner=True)  # type: ignore[arg-type]
-    bell = _Bell(shm.buf, mailbox_size)
+    box, region = make_mailbox(extra=8)
+    bell = _Bell(region, TargetMailbox.size(1, 16))
     actors: list[_Actor] = [
         _RingingPublisher(box, bell, depth, bug=bug),
         _TargetWaiter(box, bell, depth),
     ]
     name = "MailboxDoorbell" + (f"(bug={bug})" if bug else "")
-    return _explore(name, depth, shm.data, actors)
+    return _explore(name, depth, region, actors)
 
 
 def explore_ring_doorbell(
@@ -785,11 +762,10 @@ def explore_ring_doorbell(
     ``depth > slots`` forces full-ring stalls.  ``bug='ring_before_head'``
     rings the host bell before the head advance; ``'no_consume_ring'``
     consumes without ringing the producer's bell."""
-    ring_size = SolutionRing._size(1, 8, slots)
-    shm = _HeapShm(ring_size + 16)
-    ring = SolutionRing(shm, 1, 8, slots, owner=True)  # type: ignore[arg-type]
-    host_bell = _Bell(shm.buf, ring_size)
-    bell = _Bell(shm.buf, ring_size + 8)
+    ring, region = make_ring(slots=slots, extra=16)
+    ring_size = SolutionRing.size(1, 8, slots)
+    host_bell = _Bell(region, ring_size)
+    bell = _Bell(region, ring_size + 8)
     actors: list[_Actor] = [
         _RingingProducer(
             ring, bell, host_bell, depth,
@@ -801,7 +777,7 @@ def explore_ring_doorbell(
         ),
     ]
     name = "RingDoorbell" + (f"(bug={bug})" if bug else "")
-    return _explore(name, depth, shm.data, actors)
+    return _explore(name, depth, region, actors)
 
 
 def run_all(depth: int = 6) -> list[InterleaveReport]:

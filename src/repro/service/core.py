@@ -127,7 +127,6 @@ class SolverService:
         self._next_id = 1  # guarded-by: _lock
         self._running: _Job | None = None  # guarded-by: _lock
         self._fleet: WorkerFleet | None = None  # guarded-by: _lock
-        self._fleet_key: tuple[Any, ...] | None = None  # guarded-by: _lock
         # Insertion-ordered, so the first key is the oldest (FIFO).
         self._result_cache: dict[str, SolveResult] = {}  # guarded-by: _lock
         self._closed = False  # guarded-by: _lock
@@ -368,7 +367,8 @@ class SolverService:
                 else None
             )
             fleet_reused = (
-                self._fleet is not None and self._fleet_key == self._job_key(job)
+                self._fleet is not None
+                and self._fleet.params == fleet_params(job.solver.config)
             )
         if bus.enabled:
             bus.emit(
@@ -438,26 +438,22 @@ class SolverService:
         if delta and self.bus.enabled:
             self.bus.counters.inc(name, delta)
 
-    @staticmethod
-    def _job_key(job: _Job) -> tuple[Any, ...]:
-        return tuple(fleet_params(job.solver.config).items())
-
     def _ensure_fleet(self, job: _Job) -> WorkerFleet:
         # Only the dispatcher thread builds or swaps fleets, so there
-        # is no build race; the lock covers the _fleet/_fleet_key refs
-        # that `status`-path readers snapshot.  Slow work — shutdown,
+        # is no build race; the lock covers the _fleet ref that
+        # `status`-path readers snapshot.  Slow work — shutdown,
         # construction, start() — stays outside the locked regions.
-        key = self._job_key(job)
+        wanted = fleet_params(job.solver.config)
         stale: WorkerFleet | None = None
         with self._lock:
-            if self._fleet is not None and self._fleet_key != key:
-                stale, self._fleet, self._fleet_key = self._fleet, None, None
+            if self._fleet is not None and self._fleet.params != wanted:
+                stale, self._fleet = self._fleet, None
             fleet = self._fleet
         if stale is not None:
             stale.shutdown()
         if fleet is None:
             fleet = WorkerFleet(
-                **fleet_params(job.solver.config),
+                **wanted,
                 bus=self.bus,
                 arm_timeout=self.config.arm_timeout,
             )
@@ -465,11 +461,10 @@ class SolverService:
             self._count("service.fleet_spawns", 1)
             with self._lock:
                 self._fleet = fleet
-                self._fleet_key = key
         return fleet
 
     def _teardown_fleet(self) -> None:
         with self._lock:
-            fleet, self._fleet, self._fleet_key = self._fleet, None, None
+            fleet, self._fleet = self._fleet, None
         if fleet is not None:
             fleet.shutdown()

@@ -1,7 +1,7 @@
 """Unit tests for the shared-memory exchange layer (paper Figure 5).
 
-The mailbox/ring primitives are exercised in-process (create + attach
-within one interpreter is valid POSIX shm usage), so the seqlock,
+The mailbox/ring views are exercised in-process (two attaches of one
+segment within one interpreter is valid POSIX shm usage), so the seqlock,
 epoch, and SPSC invariants are checked deterministically without
 worker processes.  Full host↔worker integration runs in
 ``test_solver_process.py`` and ``test_transport_determinism.py``.
@@ -11,6 +11,7 @@ import multiprocessing
 import sys
 import threading
 import time
+from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
@@ -27,6 +28,8 @@ from repro.abs.exchange import (
     SolutionRing,
     TargetMailbox,
     resolve_exchange,
+    ring_offset,
+    segment_size,
 )
 
 pytestmark = pytest.mark.exchange_shm
@@ -88,96 +91,119 @@ def test_shm_packing_paths_use_wire_dtypes():
     """The regression for the latent-bug audit: the mailbox/ring views
     and the shm publish path must produce little-endian int64
     and plain uint8 regardless of platform defaults."""
-    from repro.abs.exchange import SolutionRing, TargetMailbox
-
-    box = TargetMailbox.create(1, 8)
+    transport = ShmHostTransport(n_workers=1, n_blocks=1, n=8)
     try:
+        box, ring = transport._mailboxes[0], transport._rings[0]
         assert box._header.dtype == WIRE_I64
         assert box._slots.dtype == WIRE_U8
-    finally:
-        box.unlink()
-    ring = SolutionRing.create(1, 8, slots=2)
-    try:
         assert ring._header.dtype == WIRE_I64
         assert ring._meta.dtype == WIRE_I64
         assert ring._energies.dtype == WIRE_I64
         assert ring._packed.dtype == WIRE_U8
     finally:
-        ring.unlink()
+        transport.close()
+
+
+@pytest.mark.parametrize("B,n,mailbox_bytes", [(3, 33, 62), (1, 1, 34)])
+def test_segment_layout_is_aligned(B, n, mailbox_bytes):
+    """The ring starts on a 64-byte boundary after a mailbox whose size
+    is not a multiple of 8, and every int64 view starts on an 8-byte
+    boundary: the seqlock and the ring rely on aligned 8-byte stores
+    not being torn."""
+    assert TargetMailbox.size(B, n) == mailbox_bytes
+    assert ring_offset(B, n) % 64 == 0
+    assert ring_offset(B, n) >= mailbox_bytes
+    transport = ShmHostTransport(n_workers=1, n_blocks=B, n=n)
+    try:
+        box, ring = transport._mailboxes[0], transport._rings[0]
+        for view in (box._header, ring._header, ring._meta, ring._energies):
+            assert view.ctypes.data % 8 == 0 and view.flags.aligned
+        base = box._header.ctypes.data
+        assert ring._header.ctypes.data - base == ring_offset(B, n)
+        assert (
+            ring._packed.ctypes.data + ring._packed.nbytes - base
+            == segment_size(B, n)
+        )
+    finally:
+        transport.close()
+
+
+@pytest.fixture
+def attached():
+    """``make(View, *shape)``: a view over a fresh segment, and a second
+    view over a second attach of the same segment.  Views are released
+    and the segments closed and unlinked at teardown."""
+    opened = []
+
+    def make(view_cls, *shape):
+        owner = shared_memory.SharedMemory(create=True, size=view_cls.size(*shape))
+        peer = shared_memory.SharedMemory(name=owner.name)
+        views = [view_cls(seg.buf, 0, *shape) for seg in (owner, peer)]
+        opened.append((views, owner, peer))
+        return views
+
+    yield make
+    for views, owner, peer in opened:
+        for view in views:
+            view.release()
+        peer.close()
+        owner.close()
+        owner.unlink()
 
 
 class TestTargetMailbox:
-    def test_publish_fetch_round_trip(self):
-        box = TargetMailbox.create(4, 21)
-        try:
-            peer = TargetMailbox.attach(box.descriptor)
-            try:
-                assert peer.fetch(0, epoch=0) is None  # nothing published
-                t = random_targets(4, 21)
-                gen = box.publish(t, epoch=0)
-                assert gen == 1
-                got = peer.fetch(0, epoch=0)
-                assert got is not None
-                gen2, targets = got
-                assert gen2 == 1
-                assert (targets == t).all()
-                # Same generation is not served twice.
-                assert peer.fetch(gen2, epoch=0) is None
-            finally:
-                peer.close()
-        finally:
-            box.unlink()
+    def test_publish_fetch_round_trip(self, attached):
+        box, peer = attached(TargetMailbox, 4, 21)
+        assert peer.fetch(0, epoch=0) is None  # nothing published
+        t = random_targets(4, 21)
+        gen = box.publish(t, epoch=0)
+        assert gen == 1
+        got = peer.fetch(0, epoch=0)
+        assert got is not None
+        gen2, targets = got
+        assert gen2 == 1
+        assert (targets == t).all()
+        # Same generation is not served twice.
+        assert peer.fetch(gen2, epoch=0) is None
 
-    def test_only_freshest_generation_served(self):
+    def test_only_freshest_generation_served(self, attached):
         """Like the paper's target buffer: a slow worker skips straight
         to the newest batch instead of replaying stale ones."""
-        box = TargetMailbox.create(2, 16)
-        try:
-            old = random_targets(2, 16, seed=1)
-            new = random_targets(2, 16, seed=2)
-            box.publish(old, epoch=0)
-            box.publish(new, epoch=0)
-            gen, targets = box.fetch(0, epoch=0)
-            assert gen == 2
-            assert (targets == new).all()
-        finally:
-            box.unlink()
+        box, _ = attached(TargetMailbox, 2, 16)
+        old = random_targets(2, 16, seed=1)
+        new = random_targets(2, 16, seed=2)
+        box.publish(old, epoch=0)
+        box.publish(new, epoch=0)
+        gen, targets = box.fetch(0, epoch=0)
+        assert gen == 2
+        assert (targets == new).all()
 
-    def test_epoch_filters_stale_targets(self):
+    def test_epoch_filters_stale_targets(self, attached):
         """A publish meant for incarnation 0 is invisible to the
         restarted incarnation 1 (rings survive, targets do not)."""
-        box = TargetMailbox.create(2, 16)
-        try:
-            box.publish(random_targets(2, 16), epoch=0)
-            assert box.fetch(0, epoch=1) is None
-            box.publish(random_targets(2, 16, seed=3), epoch=1)
-            got = box.fetch(0, epoch=1)
-            assert got is not None and got[0] == 2
-        finally:
-            box.unlink()
+        box, _ = attached(TargetMailbox, 2, 16)
+        box.publish(random_targets(2, 16), epoch=0)
+        assert box.fetch(0, epoch=1) is None
+        box.publish(random_targets(2, 16, seed=3), epoch=1)
+        got = box.fetch(0, epoch=1)
+        assert got is not None and got[0] == 2
 
-    def test_shape_validated(self):
-        box = TargetMailbox.create(2, 16)
-        try:
-            with pytest.raises(ValueError, match="shape"):
-                box.publish(random_targets(3, 16), epoch=0)
-        finally:
-            box.unlink()
+    def test_shape_validated(self, attached):
+        box, _ = attached(TargetMailbox, 2, 16)
+        with pytest.raises(ValueError, match="shape"):
+            box.publish(random_targets(3, 16), epoch=0)
 
-    def test_generation_slot_alternation(self):
+    def test_generation_slot_alternation(self, attached):
         """Generation g lands in slot g % 2 — the current generation's
         payload is never overwritten by the next publish (the seqlock
         correctness argument)."""
-        box = TargetMailbox.create(1, 8)
-        try:
-            a = random_targets(1, 8, seed=1)
-            b = random_targets(1, 8, seed=2)
-            box.publish(a, epoch=0)   # gen 1 → slot 1
-            box.publish(b, epoch=0)   # gen 2 → slot 0
-            assert (unpack_solutions(box._slots[1], 8) == a).all()
-            assert (unpack_solutions(box._slots[0], 8) == b).all()
-        finally:
-            box.unlink()
+        box, _ = attached(TargetMailbox, 1, 8)
+        a = random_targets(1, 8, seed=1)
+        b = random_targets(1, 8, seed=2)
+        box.publish(a, epoch=0)   # gen 1 → slot 1
+        box.publish(b, epoch=0)   # gen 2 → slot 0
+        assert (unpack_solutions(box._slots[1], 8) == a).all()
+        assert (unpack_solutions(box._slots[0], 8) == b).all()
 
 
 class TestSolutionRing:
@@ -188,54 +214,41 @@ class TestSolutionRing:
         packed = pack_solutions(rng.integers(0, 2, (B, n), dtype=np.uint8))
         return meta, energies, packed
 
-    def test_write_consume_fifo(self):
-        ring = SolutionRing.create(3, 17, slots=4)
-        try:
-            peer = SolutionRing.attach(ring.descriptor)
-            try:
-                assert peer.consume() is None
-                for seed in range(3):
-                    ring.write(*self.make_record(3, 17, seed))
-                assert peer.backlog() == 3
-                for seed in range(3):
-                    meta, energies, packed = peer.consume()
-                    want = self.make_record(3, 17, seed)
-                    assert (meta == want[0]).all()
-                    assert (energies == want[1]).all()
-                    assert (packed == want[2]).all()
-                assert peer.consume() is None
-            finally:
-                peer.close()
-        finally:
-            ring.unlink()
+    def test_write_consume_fifo(self, attached):
+        ring, peer = attached(SolutionRing, 3, 17, 4)
+        assert peer.consume() is None
+        for seed in range(3):
+            ring.write(*self.make_record(3, 17, seed))
+        assert peer.backlog() == 3
+        for seed in range(3):
+            meta, energies, packed = peer.consume()
+            want = self.make_record(3, 17, seed)
+            assert (meta == want[0]).all()
+            assert (energies == want[1]).all()
+            assert (packed == want[2]).all()
+        assert peer.consume() is None
 
-    def test_full_ring_refuses_writes(self):
-        ring = SolutionRing.create(2, 8, slots=2)
-        try:
-            ring.write(*self.make_record(2, 8, 0))
-            ring.write(*self.make_record(2, 8, 1))
-            assert ring.is_full()
-            with pytest.raises(RuntimeError, match="ring full"):
-                ring.write(*self.make_record(2, 8, 2))
-            ring.consume()
-            assert not ring.is_full()
-            ring.write(*self.make_record(2, 8, 2))  # slot freed
-        finally:
-            ring.unlink()
+    def test_full_ring_refuses_writes(self, attached):
+        ring, _ = attached(SolutionRing, 2, 8, 2)
+        ring.write(*self.make_record(2, 8, 0))
+        ring.write(*self.make_record(2, 8, 1))
+        assert ring.is_full()
+        with pytest.raises(RuntimeError, match="ring full"):
+            ring.write(*self.make_record(2, 8, 2))
+        ring.consume()
+        assert not ring.is_full()
+        ring.write(*self.make_record(2, 8, 2))  # slot freed
 
-    def test_wraparound_preserves_contents(self):
-        ring = SolutionRing.create(1, 8, slots=2)
-        try:
-            for seed in range(7):
-                ring.write(*self.make_record(1, 8, seed))
-                meta, _, _ = ring.consume()
-                assert (meta == self.make_record(1, 8, seed)[0]).all()
-        finally:
-            ring.unlink()
+    def test_wraparound_preserves_contents(self, attached):
+        ring, _ = attached(SolutionRing, 1, 8, 2)
+        for seed in range(7):
+            ring.write(*self.make_record(1, 8, seed))
+            meta, _, _ = ring.consume()
+            assert (meta == self.make_record(1, 8, seed)[0]).all()
 
     def test_slots_validated(self):
         with pytest.raises(ValueError, match="slots"):
-            SolutionRing.create(1, 8, slots=0)
+            SolutionRing(bytearray(SolutionRing.size(1, 8, 1)), 0, 1, 8, slots=0)
 
 
 class TestTransportEndToEnd:
@@ -326,12 +339,31 @@ class TestTransportEndToEnd:
         finally:
             transport.close()
 
-    def test_shm_close_unlinks_segments(self):
+    def test_shm_close_unlinks_segments(self, monkeypatch):
+        """One job creates one segment per worker, an endpoint attaches
+        exactly one, and close leaves none of them in /dev/shm."""
         import glob
+        import os
 
+        made = []
+
+        class Counting(shared_memory.SharedMemory):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append((self.name, kwargs.get("create", False)))
+
+        monkeypatch.setattr(shared_memory, "SharedMemory", Counting)
         before = set(glob.glob("/dev/shm/*"))
-        transport = ShmHostTransport(n_workers=2, n_blocks=2, n=16)
+        transport = ShmHostTransport(n_workers=3, n_blocks=2, n=16)
+        assert [create for _, create in made] == [True] * 3
+        endpoint = ShmWorkerEndpoint(
+            transport.worker_ref(1), None, worker_id=1, job_seq=1,
+            incarnation=0, stop_evt=threading.Event(),
+        )
+        assert made[3:] == [(made[1][0], False)]
+        endpoint.close()
         transport.close()
+        assert not [name for name, _ in made if os.path.exists(f"/dev/shm/{name}")]
         after = set(glob.glob("/dev/shm/*"))
         assert after <= before
 

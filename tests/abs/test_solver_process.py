@@ -397,6 +397,8 @@ class TestFleetDevicesPublish:
         current incarnation; a lost worker's mailbox stays untouched."""
         from types import SimpleNamespace
 
+        from multiprocessing import shared_memory
+
         from repro.abs.exchange import ShmHostTransport, TargetMailbox
         from repro.abs.fleet import FleetDevices
         from repro.abs.supervisor import WorkerSupervisor
@@ -417,7 +419,13 @@ class TestFleetDevicesPublish:
             sup.poll()
         assert sup.healthy_ids == [0]
         transport = ShmHostTransport(n_workers=2, n_blocks=2, n=8)
-        boxes = [TargetMailbox.attach(transport.worker_ref(w)[0]) for w in (0, 1)]
+        # The worker's view: a second attach of each worker's segment,
+        # whose mailbox sits at offset 0.
+        segments = [
+            shared_memory.SharedMemory(name=transport.worker_ref(w)[0])
+            for w in (0, 1)
+        ]
+        boxes = [TargetMailbox(seg.buf, 0, 2, 8) for seg in segments]
         try:
             devices = FleetDevices(
                 SimpleNamespace(supervisor=sup, transport=transport), 1, NULL_BUS
@@ -431,8 +439,9 @@ class TestFleetDevicesPublish:
             gen, got = boxes[0].fetch(0, 1)
             assert gen == 1 and (got == targets).all()
         finally:
-            for box in boxes:
-                box.close()
+            for box, seg in zip(boxes, segments):
+                box.release()
+                seg.close()
             transport.close()
 
 

@@ -27,7 +27,6 @@ from repro.abs.exchange import (
 from repro.analysis.interleave import (
     _EPOCH,
     _Bell,
-    _HeapShm,
     _MailboxWriter,
     _RingingPublisher,
     _RingProducer,
@@ -102,7 +101,7 @@ def _drain(actor):
 
 
 def test_mailbox_writer_machine_matches_real_publish_bytes():
-    machine_box, real_box = make_mailbox(), make_mailbox()
+    (machine_box, machine_mem), (real_box, real_mem) = make_mailbox(), make_mailbox()
     writer = _MailboxWriter(machine_box, depth=3)
     for gen in range(1, 4):
         while writer.op < gen:
@@ -112,18 +111,17 @@ def test_mailbox_writer_machine_matches_real_publish_bytes():
             np.array([[b0, b1]], dtype=np.uint8), real_box.n
         )
         assert real_box.publish(targets, epoch=_EPOCH) == gen
-        assert bytes(machine_box._shm.data) == bytes(real_box._shm.data)
+        assert machine_mem == real_mem
 
 
 def _belled_mailbox():
-    size = TargetMailbox._size(1, 16)
-    shm = _HeapShm(size + 8)
-    return TargetMailbox(shm, 1, 16, owner=True), _Bell(shm.buf, size)
+    box, region = make_mailbox(extra=8)
+    return box, _Bell(region, TargetMailbox.size(1, 16)), region
 
 
 def test_ringing_publisher_matches_real_channel_put_bytes():
     """Mailbox bytes *and* the bell count match the real ``put``."""
-    (machine_box, machine_bell), (real_box, real_bell) = (
+    (machine_box, machine_bell, machine_mem), (real_box, real_bell, real_mem) = (
         _belled_mailbox(), _belled_mailbox()
     )
     publisher = _RingingPublisher(machine_box, machine_bell, depth=3)
@@ -138,12 +136,12 @@ def test_ringing_publisher_matches_real_channel_put_bytes():
         channel.put(
             unpack_solutions(np.array([[b0, b1]], dtype=np.uint8), 16), _EPOCH
         )
-        assert bytes(machine_box._shm.data) == bytes(real_box._shm.data)
+        assert machine_mem == real_mem
         assert real_bell.count == gen
 
 
 def test_real_fetch_reads_machine_written_mailbox():
-    box = make_mailbox()
+    box, _ = make_mailbox()
     _drain(_MailboxWriter(box, depth=3))
     got = box.fetch(last_gen=0, epoch=_EPOCH)
     assert got is not None
@@ -157,7 +155,7 @@ def test_real_fetch_reads_machine_written_mailbox():
 
 
 def test_ring_producer_machine_matches_real_write_bytes():
-    machine_ring, real_ring = make_ring(), make_ring()
+    (machine_ring, machine_mem), (real_ring, real_mem) = make_ring(), make_ring()
     producer = _RingProducer(machine_ring, depth=2)
     for i in range(1, 3):
         while producer.op < i:
@@ -167,11 +165,11 @@ def test_ring_producer_machine_matches_real_write_bytes():
             np.array([_ring_energy(i)], dtype=np.int64),
             np.array([[_ring_packed(i)]], dtype=np.uint8),
         )
-        assert bytes(machine_ring._shm.data) == bytes(real_ring._shm.data)
+        assert machine_mem == real_mem
 
 
 def test_real_consume_reads_machine_written_ring():
-    ring = make_ring()
+    ring, _ = make_ring()
     _drain(_RingProducer(ring, depth=2))
     assert int(ring._header[_H_SEQ]) == 2
     for i in range(1, 3):
