@@ -32,6 +32,18 @@ sizes (n = 48, 96, 160; B = 8; 8 local steps) and the
 tracer cannot show this layer for ``service-stream``, whose spawned
 workers it does not wrap.
 
+The ``split`` section times each walk, local and straight, on one
+engine that runs it as one kernel call against one that splits its
+blocks across the host's cores (``BulkSearchEngine(split=True)`` with
+the floor at 0), for the three bitplane tiers: ``dense_w16_d32`` and
+``dense_w64`` random QUBOs and a ``sparse_w64`` MaxCut graph of degree
+20 (the ``maxcut-sparse-sync`` density).  Its shapes bracket the
+break-even: the ``service-stream`` sizes, the ``process-oneshot`` shape
+and both sync workload shapes.  Every point records the engine's
+estimate for the lightest range (flips times the tier's ``flip_ns``)
+and whether it reaches ``SPLIT_FLOOR_NS``, which the engine's floor is
+set from; single and split must end in the same state.
+
 The ``graycode_exact`` section times the exact Gray-code enumerator
 (``graycode_minimum``, not an engine backend) in states/s and
 cross-checks the optimum against ``repro.search.exact.solve_exact``.
@@ -55,11 +67,14 @@ from unittest import mock
 import numpy as np
 
 import repro.backends.bitplane as bp
+import repro.gpusim.engine as engine_mod
 from repro.backends import available_backends
 from repro.backends.bitplane import BitplaneBackend
 from repro.abs.device import DeviceSimulator
 from repro.backends.graycode import graycode_minimum
 from repro.gpusim import BulkSearchEngine
+from repro.gpusim.lanes import usable_cpus
+from repro.problems.maxcut import maxcut_to_sparse_qubo, random_graph
 from repro.qubo import QuboMatrix
 from repro.search.exact import solve_exact
 from repro.utils.tables import Table
@@ -106,6 +121,16 @@ _FLAG_SET_NAMES = {"native": bp._FLAG_SETS[0], "portable": bp._FLAG_SETS[1]}
 #: ``service-stream`` sizes, then the ``process-oneshot`` shape.
 _ROUND_POINTS = ((48, 8, 8), (96, 8, 8), (160, 8, 8), (256, 16, 32))
 _ROUND_REPEATS = 2000
+
+#: The split shapes ``(n, B, local steps)``: the ``service-stream``
+#: sizes, the ``process-oneshot`` shape, then the ``random-dense-sync``
+#: and ``maxcut-sparse-sync`` shapes.
+_SPLIT_POINTS = (
+    (48, 8, 8), (96, 8, 8), (160, 8, 8), (256, 16, 32), (1024, 32, 64), (2000, 32, 64),
+)
+_SPLIT_TIERS = ("dense_w16_d32", "dense_w64", "sparse_w64")
+#: Timed walks per (tier, shape, walk), alternating single and split.
+_SPLIT_REPEATS = 25
 
 #: Gray-code enumeration size for the exact-finisher section (2^18
 #: states — sub-second, large enough for a stable states/s figure).
@@ -229,6 +254,91 @@ def _bench_round_overhead(backend) -> list[dict]:
     return [_measure_round(backend, *point) for point in _ROUND_POINTS]
 
 
+def _split_problem(tier: str, n: int):
+    if tier == "sparse_w64":
+        return maxcut_to_sparse_qubo(random_graph(n, 10 * n, seed=n))
+    if tier == "dense_w64":  # off-diagonal weights beyond int16
+        return QuboMatrix.random(n, seed=n, low=-(2**20), high=2**20, dtype=np.int64)
+    return QuboMatrix.random(n, seed=n)
+
+
+def _state_digest(eng: BulkSearchEngine) -> str:
+    state = hashlib.sha256()
+    for field in ("X", "delta", "energy", "best_energy", "best_x", "offsets"):
+        state.update(np.ascontiguousarray(getattr(eng, field)).tobytes())
+    return state.hexdigest()
+
+
+def _measure_split(backend, tier: str, n: int, blocks: int, steps: int) -> list[dict]:
+    """Median single and split times of both walks at one shape.
+
+    Two engines from one start walk the same sequence: local steps, and
+    straight walks to targets a quarter of the bits away, drawn anew
+    each repeat.  ``est_range_us`` is the engine's estimate for the
+    lightest range of the split walk.
+    """
+    problem = _split_problem(tier, n)
+    single = BulkSearchEngine(problem, blocks, windows=min(16, n), backend=backend)
+    with mock.patch.object(engine_mod, "SPLIT_FLOOR_NS", 0):
+        split = BulkSearchEngine(
+            problem, blocks, windows=min(16, n), backend=backend, split=True
+        )
+    assert single._pw.planes.variant == tier, single._pw.planes.variant
+    rng = np.random.default_rng(n)
+    times = {"local": ([], []), "straight": ([], [])}
+    flips = {"local": steps * blocks, "straight": 0}
+    for eng in (single, split):
+        eng.local_steps(steps)  # off the zero state, as a round is
+    with mock.patch.object(engine_mod, "SPLIT_FLOOR_NS", 0):
+        for _ in range(_SPLIT_REPEATS):
+            far = rng.random((blocks, n)) < 0.25
+            targets = single.X ^ far.astype(np.uint8)
+            flips["straight"] = int(far.sum())
+            for walk, run in (
+                ("local", lambda e: e.local_steps(steps)),
+                ("straight", lambda e: (e.reset_best(), e.straight_to(targets))),
+            ):
+                for eng, out in zip((single, split), times[walk]):
+                    t0 = time.perf_counter_ns()
+                    run(eng)
+                    out.append(time.perf_counter_ns() - t0)
+    identical = _state_digest(single) == _state_digest(split)
+    ranges = max(1, min(split.lanes, blocks))
+    points = []
+    for walk, (t_single, t_split) in times.items():
+        one, many = np.median(t_single) / 1e3, np.median(t_split) / 1e3
+        # Local ranges are equal; straight ranges are balanced by
+        # distance, so an equal share is the estimate for both.
+        est_ns = flips[walk] / ranges * split._flip_ns
+        points.append({
+            "tier": tier, "n": n, "blocks": blocks, "steps": steps, "walk": walk,
+            "flips": flips[walk],
+            "single_us": round(one, 1),
+            "split_us": round(many, 1),
+            "speedup": round(one / many, 3),
+            "single_ns_per_flip": round(one * 1e3 / flips[walk], 1),
+            "est_range_us": round(est_ns / 1e3, 1),
+            "splits": est_ns >= engine_mod.SPLIT_FLOOR_NS,
+            "identical_results": identical,
+        })
+    return points
+
+
+def _bench_split(backend) -> dict:
+    """Single against split walks over the tier × shape grid."""
+    return {
+        "lanes": min(usable_cpus(), max(b for _, b, _ in _SPLIT_POINTS)),
+        "floor_us": engine_mod.SPLIT_FLOOR_NS / 1e3,
+        "flip_ns": {tier: list(ab) for tier, ab in bp._FLIP_NS.items()},
+        "points": [
+            point
+            for tier in _SPLIT_TIERS
+            for shape in _SPLIT_POINTS
+            for point in _measure_split(backend, tier, *shape)
+        ],
+    }
+
+
 def _bench_graycode_exact() -> dict:
     """Time exhaustive Gray-code enumeration and cross-check the optimum."""
     problem = QuboMatrix.random(_GRAYCODE_N, seed=_GRAYCODE_N)
@@ -287,6 +397,7 @@ def run_bench() -> dict:
         "round_overhead": (
             _bench_round_overhead(available["bitplane"]) if "bitplane" in available else []
         ),
+        "split": _bench_split(available["bitplane"]) if "bitplane" in available else {},
         "graycode_exact": _bench_graycode_exact(),
     }
     RESULTS_DIR.mkdir(exist_ok=True)
@@ -330,6 +441,24 @@ def _render(payload: dict) -> str:
             f"{r['median_us']:.1f} us median "
             f"(quartiles {r['p25_us']:.1f}-{r['p75_us']:.1f} us)"
         )
+    sp = payload["split"]
+    if sp:
+        table = Table(
+            ["tier", "n", "B", "walk", "flips", "single us", "split us", "speedup",
+             "ns/flip", "est range us", "splits"],
+            title=(
+                f"Split walks over {sp['lanes']} lanes (engine floor "
+                f"{sp['floor_us']:.0f} us of estimated kernel time per range)"
+            ),
+        )
+        for p in sp["points"]:
+            table.add_row([
+                p["tier"], p["n"], p["blocks"], p["walk"], p["flips"],
+                f"{p['single_us']:.1f}", f"{p['split_us']:.1f}", f"{p['speedup']:.2f}x",
+                f"{p['single_ns_per_flip']:.0f}", f"{p['est_range_us']:.1f}",
+                "yes" if p["splits"] else "no",
+            ])
+        lines.append(table.render())
     g = payload["graycode_exact"]
     lines.append(
         f"graycode exact: n={g['n']}, {g['states_per_s']:,.0f} states/s, "
@@ -370,6 +499,8 @@ def test_bench_backends(report):
     assert payload["graycode_exact"]["agrees_with_solve_exact"]
     # Zero-distance targets: the lane times rounds whose walk is empty.
     assert all(r["straight_flips"] == 0 for r in payload["round_overhead"])
+    # A split walk is the same search as the single call.
+    assert all(p["identical_results"] for p in payload["split"]["points"])
     report("Backend throughput", _render(payload))
 
 

@@ -17,13 +17,12 @@ core count rather than asserting a slope it cannot exhibit.
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from benchmarks.conftest import FULL
 from repro.abs import AbsConfig
 from repro.gpusim import calibrated_model
+from repro.gpusim.lanes import usable_cpus
 from repro.metrics.search_rate import measure_solver_rate
 from repro.paperdata import FIG8_GPUS
 from repro.problems.random_qubo import random_qubo
@@ -34,7 +33,8 @@ _BUDGET_S = 3.0 if FULL else 1.2
 
 
 def scaling_caption(speedup: dict[int, float], cores: int) -> str:
-    """Caption the measured curve from its speedups and the core count."""
+    """Caption the measured curve from its speedups and the core count
+    (the cores this process may use: its CPU affinity mask)."""
     workers = max(speedup)
     peak = max(speedup, key=speedup.get)
     text = (
@@ -53,7 +53,7 @@ def scaling_caption(speedup: dict[int, float], cores: int) -> str:
 
 def test_fig8_scaling(benchmark, report, bench_record):
     model = calibrated_model()
-    cores = os.cpu_count() or 1
+    cores = usable_cpus()
     qubo = random_qubo(_N, seed=_N)
 
     table = Table(

@@ -31,7 +31,7 @@ from repro.abs import AbsConfig, AdaptiveBulkSearch, SolveResult
 from repro.api import solve, solve_ising
 from repro.qubo import IsingModel, QuboMatrix, SearchState, SparseQubo
 
-__version__ = "1.28.0"
+__version__ = "1.29.0"
 
 __all__ = [
     "QuboMatrix",

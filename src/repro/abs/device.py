@@ -85,6 +85,9 @@ class DeviceSimulator:
     prepared:
         Optional PreparedWeights from a previous engine over the same
         weights and backend; skips backend prep (warm-fleet reuse).
+    split:
+        Split each walk's blocks across the host's cores (the engine's
+        ``split``); only for a device the host runs itself (sync mode).
     """
 
     def __init__(
@@ -102,6 +105,7 @@ class DeviceSimulator:
         tabu_steps: int = 0,
         tabu_tenure: int | None = None,
         prepared: object | None = None,
+        split: bool = False,
     ) -> None:
         self.bus = bus if bus is not None else NULL_BUS
         self.device_id = int(device_id)
@@ -112,6 +116,7 @@ class DeviceSimulator:
             backend=backend,
             bus=self.bus,
             prepared=prepared,
+            split=split,
         )
         self.adapter = adapter
         if adapter is not None and adapter.B != self.engine.B:

@@ -292,6 +292,7 @@ def _fleet_worker_main(
                 bus=relay,
                 device_id=worker_id,
                 prepared=prepared,
+                split=False,  # the worker already is one device on its own core
             )
             if job.digest is not None and prepared is None:
                 pw = device.engine.prepared

@@ -173,7 +173,9 @@ class AdaptiveBulkSearch:
         """Run to a stopping criterion; returns the best found solution.
 
         ``"sync"`` runs every device in this process
-        (:class:`InProcessDevices`).  ``"process"`` runs on a transient
+        (:class:`InProcessDevices`), each walk's blocks split across the
+        host's cores as a GPU spreads its blocks over its SMs
+        (:mod:`repro.gpusim.lanes`).  ``"process"`` runs on a transient
         :class:`WorkerFleet`: built from the config, started, handed
         this one job, shut down.  Both drive the same host loop.
         """
@@ -196,6 +198,7 @@ class AdaptiveBulkSearch:
                 backend=cfg.backend,
                 bus=self.bus,
                 device_id=g,
+                split=True,
             )
             for g, plan in enumerate(plans)
         ]

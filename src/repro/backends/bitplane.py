@@ -28,7 +28,7 @@ one allocation and two pointer conversions: every argument the kernel
 reads or writes, from the energies, offsets and windows to the uint8
 state, target and incumbent rows, the planes and the scratch, sits in
 one int64 arena whose layout the kernel carves from its base address
-(:meth:`BitplaneBackend._walk`).  The kernel packs the rows into planes
+(:meth:`BitplaneBackend._stage`).  The kernel packs the rows into planes
 on entry and unpacks them on exit; no row is padded or packed in NumPy.
 
 The C translation unit is compiled once per machine (``cc -O3 -fwrapv
@@ -94,12 +94,13 @@ import subprocess
 import tempfile
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
-from repro.backends.base import KernelBackend, PreparedWeights
+from repro.backends.base import KernelBackend, PreparedWeights, StagedWalk
 from repro.backends.numpy_backend import NumpyBackend
 
 __all__ = [
@@ -902,7 +903,7 @@ def _bind(path: Path) -> ctypes.CDLL:
 
     Every kernel takes its weight arrays (dense: one; CSR: three), then
     its per-call arena and its delta vector (see
-    :meth:`BitplaneBackend._walk`), then the four int64 scalars.
+    :meth:`BitplaneBackend._stage`), then the four int64 scalars.
     """
     lib = ctypes.CDLL(str(path))
     for variant, kernels in _KERNELS.items():
@@ -1053,13 +1054,25 @@ def make_bitplane_backend() -> KernelBackend:
     return fallback
 
 
+#: Per-tier flip cost, ``(a, b)`` ns: ``a·n + b`` dense, and
+#: ``a·(degree + 1) + b·⌈n/64⌉`` sparse (mean degree), fitted to the
+#: single-call walks of the ``split`` lane of
+#: ``benchmarks/bench_backends.py``.
+_FLIP_NS = {
+    "dense_w16_d32": (0.4, 0.0),
+    "dense_w64": (0.85, 0.0),
+    "sparse_w64": (12.0, 0.5),
+}
+
+
 class _Planes:
     """Per-problem kernel artifacts derived at ``prepare_*`` time: the
     tier, its weight arrays and their addresses (stable for the life of
-    the prepared weights, which hold the arrays), and its two kernels."""
+    the prepared weights, which hold the arrays), its two kernels and
+    its flip-cost coefficients (:data:`_FLIP_NS`)."""
 
     __slots__ = ("variant", "weights", "nw", "local", "straight", "addresses",
-                 "scratch_words")
+                 "scratch_words", "flip_cost")
 
     def __init__(
         self, variant: str, weights: tuple[np.ndarray, ...], nw: int, lib: Any
@@ -1075,6 +1088,7 @@ class _Planes:
         # entries per word (2 + 2 * 64 / 8 words).  CSR: two minima per
         # word, then the rescan marks and their list.
         self.scratch_words = (4 if variant == "sparse_w64" else 18) * nw
+        self.flip_cost = _FLIP_NS[variant]
 
 
 @dataclass(frozen=True)
@@ -1090,7 +1104,7 @@ class BitplaneBackend(KernelBackend):
 
     Both walks — the Algorithm 4 multi-step loop and the Algorithm 5
     straight walk — run on packed planes in one C call each.  Each call
-    copies its arguments into one int64 arena (see :meth:`_walk`) and
+    copies its arguments into one int64 arena (see :meth:`_stage`) and
     passes the kernel that arena's address, from which the kernel
     derives every other one.  The kernel packs the state on entry and
     unpacks it on exit, an O(B·n) conversion amortized over every fused
@@ -1159,6 +1173,14 @@ class BitplaneBackend(KernelBackend):
             n=base.n, indptr=csr[0], indices=csr[1], data=csr[2], planes=planes
         )
 
+    def flip_ns(self, pw: PreparedWeights) -> float | None:
+        """The kernels run in :mod:`ctypes` calls, which release the GIL."""
+        planes = self._planes(pw)
+        a, b = planes.flip_cost
+        if pw.is_sparse:
+            return a * (pw.data.size / pw.n + 1) + b * planes.nw
+        return a * pw.n + b
+
     @staticmethod
     def _planes(pw: PreparedWeights) -> _Planes:
         """The kernel artifacts of ``pw``; ``TypeError`` for weights that
@@ -1174,12 +1196,15 @@ class BitplaneBackend(KernelBackend):
         return planes
 
     @staticmethod
-    def _walk(
+    def _stage(
         planes: _Planes, fn: Any, last: int, X: np.ndarray, T: np.ndarray | None,
         delta: np.ndarray, energy: np.ndarray, best_energy: np.ndarray,
         best_x: np.ndarray, offsets: np.ndarray | None, windows: np.ndarray | None,
-    ) -> int:
-        """One kernel call ``fn(weights..., arena, delta, n, B, nw, last)``.
+    ) -> tuple[Any, Any]:
+        """One kernel call ``fn(weights..., arena, delta, n, B, nw, last)``,
+        staged: its arena filled now; the call (ctypes releases the GIL
+        for it) and the copy-out returned as the two callables of a
+        :class:`StagedWalk`.
 
         The arena is one int64 buffer laid out as the C ``Arena``: the
         rows energy, best_e, bestflip, offsets and windows (``B`` each),
@@ -1219,16 +1244,57 @@ class BitplaneBackend(KernelBackend):
         else:
             d = np.ascontiguousarray(delta, dtype=np.int64)
             dptr = d.ctypes.data
-        updates = fn(*planes.addresses, base, dptr, n, B, nw, last)
-        if d is not delta:
-            delta[:] = d
-        energy[:] = rows[0]
-        best_energy[:] = rows[1]
-        if offsets is not None:
-            offsets[:] = rows[3]
-        X[:] = x
-        best_x[:] = bx
-        return int(updates)
+
+        def finish() -> None:
+            if d is not delta:
+                delta[:] = d
+            energy[:] = rows[0]
+            best_energy[:] = rows[1]
+            if offsets is not None:
+                offsets[:] = rows[3]
+            X[:] = x
+            best_x[:] = bx
+
+        # ``finish`` holds views of the arena, and so the arena, until
+        # the walk is dropped.
+        return partial(fn, *planes.addresses, base, dptr, n, B, nw, last), finish
+
+    def stage_local_steps(
+        self,
+        pw: PreparedWeights,
+        X: np.ndarray,
+        delta: np.ndarray,
+        energy: np.ndarray,
+        best_energy: np.ndarray,
+        best_x: np.ndarray,
+        offsets: np.ndarray,
+        windows: np.ndarray,
+        steps: int,
+    ) -> StagedWalk:
+        planes = self._planes(pw)
+        if steps == 0:
+            return StagedWalk(int)  # no call: 0 updates, nothing to copy
+        return StagedWalk(*self._stage(
+            planes, planes.local, steps, X, None, delta, energy, best_energy,
+            best_x, offsets, windows,
+        ))
+
+    def stage_straight(
+        self,
+        pw: PreparedWeights,
+        X: np.ndarray,
+        T: np.ndarray,
+        delta: np.ndarray,
+        energy: np.ndarray,
+        best_energy: np.ndarray,
+        best_x: np.ndarray,
+        scan_neighbors: bool,
+    ) -> StagedWalk:
+        planes = self._planes(pw)
+        return StagedWalk(*self._stage(
+            planes, planes.straight, int(scan_neighbors), X, T, delta, energy,
+            best_energy, best_x, None, None,
+        ))
 
     def run_local_steps(
         self,
@@ -1245,10 +1311,13 @@ class BitplaneBackend(KernelBackend):
         planes = self._planes(pw)
         if steps == 0:
             return 0
-        return self._walk(
+        run, finish = self._stage(
             planes, planes.local, steps, X, None, delta, energy, best_energy,
             best_x, offsets, windows,
         )
+        updates = run()
+        finish()
+        return int(updates)
 
     def run_straight(
         self,
@@ -1262,7 +1331,10 @@ class BitplaneBackend(KernelBackend):
         scan_neighbors: bool,
     ) -> int:
         planes = self._planes(pw)
-        return self._walk(
+        run, finish = self._stage(
             planes, planes.straight, int(scan_neighbors), X, T, delta, energy,
             best_energy, best_x, None, None,
         )
+        updates = run()
+        finish()
+        return int(updates)

@@ -33,16 +33,37 @@ table is tested to be step-for-step identical to the scalar reference
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
-from repro.backends import BackendSpec, resolve_backend
+from repro.backends import BackendSpec, StagedWalk, resolve_backend
+from repro.gpusim import lanes as _lanes
 from repro.qubo.matrix import WeightsLike, as_weight_matrix
 from repro.telemetry.bus import NULL_BUS, NullBus, TelemetryBus
 from repro.utils.validation import check_bit_vector
 
 _INT64_MAX = np.iinfo(np.int64).max
+
+#: The least estimated kernel time, in ns, that every range of a split
+#: walk must carry; below it, handing a range to a helper thread costs
+#: more than running it on the calling thread.  The estimate is the
+#: range's flip count times the backend's :meth:`~repro.backends.
+#: KernelBackend.flip_ns`; the break-even comes from the ``split`` lane
+#: of ``benchmarks/bench_backends.py``.
+SPLIT_FLOOR_NS = 300_000
+
+
+def _run_split(walks: list[StagedWalk]) -> int:
+    """Run one staged walk per block range at the same time, then copy
+    every range's results back, all on this thread (a helper thread
+    runs only its range's kernel call); the total update count."""
+    updates = sum(_lanes.LANES.run([walk.run for walk in walks]))
+    for walk in walks:
+        walk.finish()
+    return updates
 
 
 @dataclass
@@ -111,7 +132,17 @@ class BulkSearchEngine:
         :meth:`local_steps` call — never per flip — so a disabled bus
         costs one attribute check per batch.  With a bus attached, the
         engine also accumulates per-kernel wall-clock session counters
-        (``backend.*_ns``).
+        (``backend.*_ns``, each the wall time of a whole walk).
+    split:
+        Run each walk's blocks across the host's cores, as a GPU runs
+        its blocks across its SMs (:mod:`repro.gpusim.lanes`): the
+        block rows are cut into at most :attr:`lanes` contiguous ranges,
+        one kernel call each, all at once.  Only for an engine the host
+        runs itself (sync mode); a process-mode worker already is one
+        device on its own core.  A walk stays whole when its backend
+        holds the GIL or a range would carry less than
+        :data:`SPLIT_FLOOR_NS` of estimated kernel time.  Blocks walk
+        independently, so splitting never changes the search.
     """
 
     def __init__(
@@ -124,6 +155,7 @@ class BulkSearchEngine:
         backend: BackendSpec = None,
         bus: TelemetryBus | NullBus | None = None,
         prepared: object | None = None,
+        split: bool = False,
     ) -> None:
         from repro.qubo.sparse import SparseQubo
 
@@ -188,6 +220,10 @@ class BulkSearchEngine:
         self.best_energy = np.full(self.B, _INT64_MAX, dtype=np.int64)
         self.best_x = np.zeros((self.B, self.n), dtype=np.uint8)
         self.counters = EngineCounters()
+        flip_ns = self.backend.flip_ns(self._pw) if split else None
+        #: Block ranges a walk may be split into (1: never split).
+        self.lanes = min(_lanes.usable_cpus(), self.B) if flip_ns else 1
+        self._flip_ns = flip_ns or 0.0
         if self._bus.enabled and self.backend.fallback_from:
             self._bus.emit(
                 "backend.fallback",
@@ -219,8 +255,9 @@ class BulkSearchEngine:
 
         ``targets`` is ``B × n``.  Blocks retire as they arrive (their
         flip count equals their Hamming distance).  The walk itself is
-        one :meth:`~repro.backends.KernelBackend.run_straight` call.
-        Returns the total number of flips performed.
+        one :meth:`~repro.backends.KernelBackend.run_straight` call, or
+        one per block range when the engine splits (ranges balanced by
+        those distances).  Returns the total number of flips performed.
         """
         T = np.asarray(targets)
         if T.shape != (self.B, self.n):
@@ -236,16 +273,16 @@ class BulkSearchEngine:
         bus = self._bus
         if bus.enabled:
             t0 = time.perf_counter_ns()
-        updates = self.backend.run_straight(
-            self._pw,
-            self.X,
-            T,
-            self.delta,
-            self.energy,
-            self.best_energy,
-            self.best_x,
-            scan_neighbors,
-        )
+        pw, backend = self._pw, self.backend
+        rows = (self.X, T, self.delta, self.energy, self.best_energy, self.best_x)
+        ranges = self._ranges(dist)
+        if ranges is None:
+            updates = backend.run_straight(pw, *rows, scan_neighbors)
+        else:
+            updates = _run_split([
+                backend.stage_straight(pw, *(a[r] for a in rows), scan_neighbors)
+                for r in ranges
+            ])
         self.counters.flips += total
         self.counters.evaluated += total * self.n
         self.counters.delta_updates += updates
@@ -274,7 +311,8 @@ class BulkSearchEngine:
         Δ, and advances its offset by ``l_b`` (mod n).  The whole
         multi-step loop is delegated to the backend, which may fuse it
         into one compiled C call (``bitplane``; the numpy reference
-        pays one Python iteration per step).
+        pays one Python iteration per step), or one per block range
+        when the engine splits (ranges of equal size).
         """
         if steps < 0:
             raise ValueError(f"steps must be non-negative, got {steps}")
@@ -282,17 +320,19 @@ class BulkSearchEngine:
         timing = bus.enabled
         if timing:
             t0 = time.perf_counter_ns()
-        updates = self.backend.run_local_steps(
-            self._pw,
-            self.X,
-            self.delta,
-            self.energy,
-            self.best_energy,
-            self.best_x,
-            self.offsets,
-            self.windows,
-            steps,
+        pw, backend = self._pw, self.backend
+        rows = (
+            self.X, self.delta, self.energy, self.best_energy, self.best_x,
+            self.offsets, self.windows,
         )
+        ranges = self._ranges(steps)
+        if ranges is None:
+            updates = backend.run_local_steps(pw, *rows, steps)
+        else:
+            updates = _run_split([
+                backend.stage_local_steps(pw, *(a[r] for a in rows), steps)
+                for r in ranges
+            ])
         n = self.n
         self.counters.flips += steps * self.B
         self.counters.evaluated += steps * self.B * n
@@ -310,6 +350,32 @@ class BulkSearchEngine:
                 evaluated=steps * self.B * n,
                 backend=self.backend.name,
             )
+
+    def _ranges(self, flips: np.ndarray | int) -> list[slice] | None:
+        """Contiguous block ranges of about equal flip counts for a walk
+        of ``flips`` flips per block (an array, or one count for all),
+        or ``None`` for one whole-walk call: the engine does not split,
+        or a range would fall below the floor."""
+        B, lanes = self.B, self.lanes
+        if lanes < 2:
+            return None
+        per = [flips] * B if isinstance(flips, int) else flips.tolist()
+        cum = list(accumulate(per))
+        total = cum[-1]
+        if total * self._flip_ns < SPLIT_FLOOR_NS * lanes:  # no range can reach it
+            return None
+        # Range i ends where the prefix sum comes closest to i/lanes of
+        # the total; ends that coincide (a heavy block) merge ranges.
+        ends = set()
+        for i in range(1, lanes):
+            goal = total * i / lanes
+            e = bisect_left(cum, goal)  # the first prefix rows[0..e] to reach it
+            ends.add(e if e and goal - cum[e - 1] <= cum[e] - goal else e + 1)
+        bounds = [0, *sorted(ends - {B}), B]
+        lightest = min(cum[b - 1] - (cum[a - 1] if a else 0) for a, b in zip(bounds, bounds[1:]))
+        if lightest * self._flip_ns < SPLIT_FLOOR_NS:
+            return None
+        return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
     # ------------------------------------------------------------------
     # Readout

@@ -179,8 +179,10 @@ class SolverService:
             cfg = solver.config
             # Cache only runs that are a pure function of the digest:
             # seeded, no wall-clock stop, and deterministic execution
-            # (sync on one thread, or one process-mode worker in
-            # lockstep — with several, result arrival order varies).  A
+            # (sync, whose walks may split their independent blocks
+            # across threads without changing them, or one process-mode
+            # worker in lockstep — with several, result arrival order
+            # varies).  A
             # free-running, multi-worker or time-limited job is a
             # sample, and a cache hit would silently substitute it for
             # a fresh solve.

@@ -23,6 +23,8 @@ import warnings
 import numpy as np
 import pytest
 
+import repro.gpusim.engine as engine_mod
+import repro.gpusim.lanes as lanes_mod
 from repro.backends import available_backends, resolve_backend
 from repro.gpusim import BulkSearchEngine
 from repro.problems.maxcut import maxcut_to_qubo, maxcut_to_sparse_qubo, random_graph
@@ -274,6 +276,87 @@ class TestIncumbentHeavyWalks:
                 e.reset_best()
                 e.local_steps(9)
             assert_engines_equal(eng, ref, context=f"local call {call}")
+
+
+@pytest.fixture
+def split_runs(monkeypatch):
+    """The floor at 0, four usable cores, and the list of split walks:
+    one entry per :meth:`LanePool.run`, its number of ranges."""
+    monkeypatch.setattr(engine_mod, "SPLIT_FLOOR_NS", 0)
+    monkeypatch.setattr(lanes_mod, "usable_cpus", lambda: 4)
+    runs = []
+    run = lanes_mod.LANES.run
+
+    def spy(walks):
+        runs.append(len(walks))
+        return run(walks)
+
+    monkeypatch.setattr(lanes_mod.LANES, "run", spy)
+    return runs
+
+
+class TestSplitWalks:
+    """A walk whose blocks are split across threads equals the single
+    call: every state array, the flip total and the update count (the
+    ``engine.delta_updates`` counter).  With four usable cores, B = 2,
+    3, 5 and 32 split into 2, 3, 4 and 4 ranges; straight targets leave
+    some blocks at distance 0 and send one block n bits away."""
+
+    @pytest.mark.parametrize("scan_neighbors", [True, False])
+    @pytest.mark.parametrize("B", [2, 3, 5, 32])
+    @pytest.mark.parametrize("kind", ["int16", "wide", "sparse"])
+    def test_split_equals_single(self, backend, kind, B, scan_neighbors, split_runs, rng):
+        weights = _straight_problem(kind)
+        n = weights.n
+        single = BulkSearchEngine(weights, B, windows=5, backend=backend)
+        split = BulkSearchEngine(weights, B, windows=5, backend=backend, split=True)
+        splits = backend.flip_ns(split.prepared) is not None
+        assert split.lanes == (min(4, B) if splits else 1)
+        planes = getattr(split.prepared, "planes", None)
+        if planes is not None:
+            assert planes.variant == _TIERS[kind]
+        for call in range(3):
+            targets = rng.integers(0, 2, (B, n), dtype=np.uint8)
+            targets[: B // 2] = split.X[: B // 2]  # already there
+            targets[-1] = split.X[-1] ^ 1  # every bit differs
+            flips = []
+            for e in (single, split):
+                e.reset_best()
+                flips.append(e.straight_to(targets, scan_neighbors=scan_neighbors))
+            assert flips[0] == flips[1]
+            assert_engines_equal(split, single, context=f"straight call {call}")
+            for e in (single, split):
+                e.local_steps(9)
+            assert_engines_equal(split, single, context=f"local call {call}")
+        assert_engine_valid(split, context="split walks")
+        if not splits:  # the walks hold the GIL
+            assert split_runs == []
+            return
+        # Straight ranges are cut by distance, so a block far away can
+        # merge two; local ranges are equal, one per lane.
+        assert len(split_runs) == 6
+        assert all(2 <= r <= min(4, B) for r in split_runs[::2])
+        assert split_runs[1::2] == [min(4, B)] * 3
+
+    def test_one_block_never_splits(self, backend, problem, split_runs):
+        eng = BulkSearchEngine(problem, 1, backend=backend, split=True)
+        assert eng.lanes == 1
+        eng.straight_to(np.ones((1, problem.n), dtype=np.uint8))
+        eng.local_steps(20)
+        assert split_runs == []
+        assert_engine_valid(eng, context="one block")
+
+    def test_unbalanced_straight_stays_whole_above_a_floor(self, backend, problem, monkeypatch):
+        """One block far away, the rest at their targets: every cut
+        leaves a range with no flips, below any positive floor."""
+        monkeypatch.setattr(engine_mod, "SPLIT_FLOOR_NS", 1)
+        eng = BulkSearchEngine(problem, 4, backend=backend, split=True)
+        targets = eng.X.copy()
+        targets[2] ^= 1
+        dist = np.count_nonzero(eng.X ^ targets, axis=1)
+        assert eng._ranges(dist) is None
+        if eng.lanes > 1:
+            assert len(eng._ranges(np.full(4, problem.n))) == eng.lanes
 
 
 class TestSparseEquivalence:
