@@ -473,7 +473,6 @@ _MUTABLE_CTORS = frozenset({"dict", "list", "set", "defaultdict", "deque", "Coun
 _HOT_KERNEL_METHODS = frozenset({
     "flip", "select_window", "select_straight", "update_best",
     "track_position", "run_local_steps", "run_straight",
-    "stage_local_steps", "stage_straight",
 })
 
 #: Call roots that mean process/filesystem/warning work.  Legal in

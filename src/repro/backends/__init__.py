@@ -40,7 +40,7 @@ from __future__ import annotations
 import os
 from typing import Union
 
-from repro.backends.base import KernelBackend, PreparedWeights, StagedWalk
+from repro.backends.base import KernelBackend, PreparedWeights
 from repro.backends.bitplane import (
     cc_available,
     load_bitplane_backend,
@@ -117,7 +117,6 @@ def resolve_backend(spec: BackendSpec = None) -> KernelBackend:
 __all__ = [
     "KernelBackend",
     "PreparedWeights",
-    "StagedWalk",
     "NumpyBackend",
     "AUTO_BACKEND",
     "BACKEND_ENV_VAR",

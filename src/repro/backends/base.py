@@ -32,8 +32,6 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -59,25 +57,6 @@ class PreparedWeights:
     @property
     def is_sparse(self) -> bool:
         return self.dense is None
-
-
-def _nothing_to_finish() -> None:
-    return None
-
-
-class StagedWalk(NamedTuple):
-    """One walk, staged: ``run()`` runs the kernel and returns the
-    walk's delta-entry count, and may be called on another thread;
-    ``finish()`` then writes what the kernel left behind into the walk's
-    arrays, back on the thread that staged it.
-
-    By default ``run`` does the whole walk and there is nothing to
-    finish, as :meth:`KernelBackend.stage_straight` and
-    :meth:`KernelBackend.stage_local_steps` stage it.
-    """
-
-    run: Callable[[], int]
-    finish: Callable[[], None] = _nothing_to_finish
 
 
 class KernelBackend(ABC):
@@ -172,46 +151,11 @@ class KernelBackend(ABC):
         returns the delta entries written (see :meth:`run_local_steps`).
         """
 
-    def stage_local_steps(
-        self,
-        pw: PreparedWeights,
-        X: np.ndarray,
-        delta: np.ndarray,
-        energy: np.ndarray,
-        best_energy: np.ndarray,
-        best_x: np.ndarray,
-        offsets: np.ndarray,
-        windows: np.ndarray,
-        steps: int,
-    ) -> StagedWalk:
-        """:meth:`run_local_steps`, staged (see :class:`StagedWalk`)."""
-        return StagedWalk(partial(
-            self.run_local_steps, pw, X, delta, energy, best_energy, best_x,
-            offsets, windows, steps,
-        ))
-
-    def stage_straight(
-        self,
-        pw: PreparedWeights,
-        X: np.ndarray,
-        T: np.ndarray,
-        delta: np.ndarray,
-        energy: np.ndarray,
-        best_energy: np.ndarray,
-        best_x: np.ndarray,
-        scan_neighbors: bool,
-    ) -> StagedWalk:
-        """:meth:`run_straight`, staged (see :class:`StagedWalk`)."""
-        return StagedWalk(partial(
-            self.run_straight, pw, X, T, delta, energy, best_energy, best_x,
-            scan_neighbors,
-        ))
-
     def flip_ns(self, pw: PreparedWeights) -> float | None:
-        """Estimated ns per flip of a walk on ``pw`` whose staged call
-        runs off the GIL; ``None`` when it holds the GIL, so staged
-        calls of several block ranges on several threads would not
-        overlap (the engine then never splits a walk; see ``split`` on
+        """Estimated ns per flip of a walk on ``pw`` whose ``run_*`` call
+        runs off the GIL; ``None`` when it holds the GIL, so calls over
+        several block ranges on several threads would not overlap (the
+        engine then never splits a walk; see ``split`` on
         :class:`~repro.gpusim.engine.BulkSearchEngine`)."""
         return None
 

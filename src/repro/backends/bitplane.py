@@ -28,7 +28,7 @@ one allocation and two pointer conversions: every argument the kernel
 reads or writes, from the energies, offsets and windows to the uint8
 state, target and incumbent rows, the planes and the scratch, sits in
 one int64 arena whose layout the kernel carves from its base address
-(:meth:`BitplaneBackend._stage`).  The kernel packs the rows into planes
+(:meth:`BitplaneBackend._walk`).  The kernel packs the rows into planes
 on entry and unpacks them on exit; no row is padded or packed in NumPy.
 
 The C translation unit is compiled once per machine (``cc -O3 -fwrapv
@@ -94,13 +94,12 @@ import subprocess
 import tempfile
 import warnings
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
-from repro.backends.base import KernelBackend, PreparedWeights, StagedWalk
+from repro.backends.base import KernelBackend, PreparedWeights
 from repro.backends.numpy_backend import NumpyBackend
 
 __all__ = [
@@ -903,7 +902,7 @@ def _bind(path: Path) -> ctypes.CDLL:
 
     Every kernel takes its weight arrays (dense: one; CSR: three), then
     its per-call arena and its delta vector (see
-    :meth:`BitplaneBackend._stage`), then the four int64 scalars.
+    :meth:`BitplaneBackend._walk`), then the four int64 scalars.
     """
     lib = ctypes.CDLL(str(path))
     for variant, kernels in _KERNELS.items():
@@ -1055,13 +1054,14 @@ def make_bitplane_backend() -> KernelBackend:
 
 
 #: Per-tier flip cost, ``(a, b)`` ns: ``a·n + b`` dense, and
-#: ``a·(degree + 1) + b·⌈n/64⌉`` sparse (mean degree), fitted to the
-#: single-call walks of the ``split`` lane of
+#: ``a·(degree + 1) + b·⌈n/64⌉`` sparse (mean degree), fitted by least
+#: squares to the single-call ns/flip of the n = 1024 and 2000 walks,
+#: local and straight, of the ``split`` lane of
 #: ``benchmarks/bench_backends.py``.
 _FLIP_NS = {
-    "dense_w16_d32": (0.4, 0.0),
-    "dense_w64": (0.85, 0.0),
-    "sparse_w64": (12.0, 0.5),
+    "dense_w16_d32": (0.42, 0.0),
+    "dense_w64": (0.87, 0.0),
+    "sparse_w64": (9.5, 2.0),
 }
 
 
@@ -1104,7 +1104,7 @@ class BitplaneBackend(KernelBackend):
 
     Both walks — the Algorithm 4 multi-step loop and the Algorithm 5
     straight walk — run on packed planes in one C call each.  Each call
-    copies its arguments into one int64 arena (see :meth:`_stage`) and
+    copies its arguments into one int64 arena (see :meth:`_walk`) and
     passes the kernel that arena's address, from which the kernel
     derives every other one.  The kernel packs the state on entry and
     unpacks it on exit, an O(B·n) conversion amortized over every fused
@@ -1196,15 +1196,12 @@ class BitplaneBackend(KernelBackend):
         return planes
 
     @staticmethod
-    def _stage(
+    def _walk(
         planes: _Planes, fn: Any, last: int, X: np.ndarray, T: np.ndarray | None,
         delta: np.ndarray, energy: np.ndarray, best_energy: np.ndarray,
         best_x: np.ndarray, offsets: np.ndarray | None, windows: np.ndarray | None,
-    ) -> tuple[Any, Any]:
-        """One kernel call ``fn(weights..., arena, delta, n, B, nw, last)``,
-        staged: its arena filled now; the call (ctypes releases the GIL
-        for it) and the copy-out returned as the two callables of a
-        :class:`StagedWalk`.
+    ) -> int:
+        """One kernel call ``fn(weights..., arena, delta, n, B, nw, last)``.
 
         The arena is one int64 buffer laid out as the C ``Arena``: the
         rows energy, best_e, bestflip, offsets and windows (``B`` each),
@@ -1244,57 +1241,16 @@ class BitplaneBackend(KernelBackend):
         else:
             d = np.ascontiguousarray(delta, dtype=np.int64)
             dptr = d.ctypes.data
-
-        def finish() -> None:
-            if d is not delta:
-                delta[:] = d
-            energy[:] = rows[0]
-            best_energy[:] = rows[1]
-            if offsets is not None:
-                offsets[:] = rows[3]
-            X[:] = x
-            best_x[:] = bx
-
-        # ``finish`` holds views of the arena, and so the arena, until
-        # the walk is dropped.
-        return partial(fn, *planes.addresses, base, dptr, n, B, nw, last), finish
-
-    def stage_local_steps(
-        self,
-        pw: PreparedWeights,
-        X: np.ndarray,
-        delta: np.ndarray,
-        energy: np.ndarray,
-        best_energy: np.ndarray,
-        best_x: np.ndarray,
-        offsets: np.ndarray,
-        windows: np.ndarray,
-        steps: int,
-    ) -> StagedWalk:
-        planes = self._planes(pw)
-        if steps == 0:
-            return StagedWalk(int)  # no call: 0 updates, nothing to copy
-        return StagedWalk(*self._stage(
-            planes, planes.local, steps, X, None, delta, energy, best_energy,
-            best_x, offsets, windows,
-        ))
-
-    def stage_straight(
-        self,
-        pw: PreparedWeights,
-        X: np.ndarray,
-        T: np.ndarray,
-        delta: np.ndarray,
-        energy: np.ndarray,
-        best_energy: np.ndarray,
-        best_x: np.ndarray,
-        scan_neighbors: bool,
-    ) -> StagedWalk:
-        planes = self._planes(pw)
-        return StagedWalk(*self._stage(
-            planes, planes.straight, int(scan_neighbors), X, T, delta, energy,
-            best_energy, best_x, None, None,
-        ))
+        updates = fn(*planes.addresses, base, dptr, n, B, nw, last)
+        if d is not delta:
+            delta[:] = d
+        energy[:] = rows[0]
+        best_energy[:] = rows[1]
+        if offsets is not None:
+            offsets[:] = rows[3]
+        X[:] = x
+        best_x[:] = bx
+        return int(updates)
 
     def run_local_steps(
         self,
@@ -1311,13 +1267,10 @@ class BitplaneBackend(KernelBackend):
         planes = self._planes(pw)
         if steps == 0:
             return 0
-        run, finish = self._stage(
+        return self._walk(
             planes, planes.local, steps, X, None, delta, energy, best_energy,
             best_x, offsets, windows,
         )
-        updates = run()
-        finish()
-        return int(updates)
 
     def run_straight(
         self,
@@ -1331,10 +1284,7 @@ class BitplaneBackend(KernelBackend):
         scan_neighbors: bool,
     ) -> int:
         planes = self._planes(pw)
-        run, finish = self._stage(
+        return self._walk(
             planes, planes.straight, int(scan_neighbors), X, T, delta, energy,
             best_energy, best_x, None, None,
         )
-        updates = run()
-        finish()
-        return int(updates)

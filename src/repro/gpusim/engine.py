@@ -35,11 +35,12 @@ from __future__ import annotations
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate
 
 import numpy as np
 
-from repro.backends import BackendSpec, StagedWalk, resolve_backend
+from repro.backends import BackendSpec, resolve_backend
 from repro.gpusim import lanes as _lanes
 from repro.qubo.matrix import WeightsLike, as_weight_matrix
 from repro.telemetry.bus import NULL_BUS, NullBus, TelemetryBus
@@ -49,21 +50,12 @@ _INT64_MAX = np.iinfo(np.int64).max
 
 #: The least estimated kernel time, in ns, that every range of a split
 #: walk must carry; below it, handing a range to a helper thread costs
-#: more than running it on the calling thread.  The estimate is the
-#: range's flip count times the backend's :meth:`~repro.backends.
-#: KernelBackend.flip_ns`; the break-even comes from the ``split`` lane
-#: of ``benchmarks/bench_backends.py``.
-SPLIT_FLOOR_NS = 300_000
-
-
-def _run_split(walks: list[StagedWalk]) -> int:
-    """Run one staged walk per block range at the same time, then copy
-    every range's results back, all on this thread (a helper thread
-    runs only its range's kernel call); the total update count."""
-    updates = sum(_lanes.LANES.run([walk.run for walk in walks]))
-    for walk in walks:
-        walk.finish()
-    return updates
+#: about as much as it saves.  The estimate is the range's flip count
+#: times the backend's :meth:`~repro.backends.KernelBackend.flip_ns`.
+#: In the ``split`` lane of ``benchmarks/bench_backends.py`` a split
+#: breaks even near 110 µs per range and gains 1.15x or more from about
+#: 230 µs; the floor sits between the two.
+SPLIT_FLOOR_NS = 200_000
 
 
 @dataclass
@@ -279,10 +271,10 @@ class BulkSearchEngine:
         if ranges is None:
             updates = backend.run_straight(pw, *rows, scan_neighbors)
         else:
-            updates = _run_split([
-                backend.stage_straight(pw, *(a[r] for a in rows), scan_neighbors)
+            updates = sum(_lanes.LANES.run([
+                partial(backend.run_straight, pw, *(a[r] for a in rows), scan_neighbors)
                 for r in ranges
-            ])
+            ]))
         self.counters.flips += total
         self.counters.evaluated += total * self.n
         self.counters.delta_updates += updates
@@ -329,10 +321,10 @@ class BulkSearchEngine:
         if ranges is None:
             updates = backend.run_local_steps(pw, *rows, steps)
         else:
-            updates = _run_split([
-                backend.stage_local_steps(pw, *(a[r] for a in rows), steps)
+            updates = sum(_lanes.LANES.run([
+                partial(backend.run_local_steps, pw, *(a[r] for a in rows), steps)
                 for r in ranges
-            ])
+            ]))
         n = self.n
         self.counters.flips += steps * self.B
         self.counters.evaluated += steps * self.B * n

@@ -182,10 +182,9 @@ class SolverService:
             # (sync, whose walks may split their independent blocks
             # across threads without changing them, or one process-mode
             # worker in lockstep — with several, result arrival order
-            # varies).  A
-            # free-running, multi-worker or time-limited job is a
-            # sample, and a cache hit would silently substitute it for
-            # a fresh solve.
+            # varies).  A free-running, multi-worker or time-limited job
+            # is a sample, and a cache hit would silently substitute it
+            # for a fresh solve.
             cacheable = (
                 cfg.seed is not None
                 and cfg.time_limit is None
